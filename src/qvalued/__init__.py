@@ -49,6 +49,7 @@ from .qspace import (
     concatenate,
     dist,
     dist_sorted_1d,
+    g2_match_many,
     local_split,
     select_branches,
     split_distance,

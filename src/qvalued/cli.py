@@ -1,15 +1,13 @@
 """Command-line surface: JSON/CSV I/O around the library modules.
 
 Exit codes: 0 success, 1 domain or data errors (malformed JSON names the
-offending field), 2 usage errors.  The environment variable QV_THREADS
-caps internal (BLAS-level) parallelism.
+offending field), 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -34,9 +32,23 @@ def _load_json(path: str):
 
 
 def _field(obj: dict, name: str, path: str):
+    if not isinstance(obj, dict):
+        raise DataError(f"expected a JSON object with field '{name}' in {path}")
     if name not in obj:
         raise DataError(f"missing field '{name}' in {path}")
     return obj[name]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(obj: dict, name: str, path: str, lowest: int = 1) -> int:
+    value = _field(obj, name, path)
+    if not _is_int(value) or value < lowest:
+        raise DataError(f"field '{name}' in {path} must be an integer >= {lowest}, "
+                        f"got {value!r}")
+    return value
 
 
 def _load_tuple(path: str) -> QTuple:
@@ -48,7 +60,10 @@ def _load_tuple(path: str) -> QTuple:
 
 
 def _load_grid(path: str) -> GridFunction:
-    obj = _load_json(path)
+    return _grid_from_obj(_load_json(path), path)
+
+
+def _grid_from_obj(obj, path: str) -> GridFunction:
     for name in ("m", "n", "Q", "shape", "h", "mask", "values"):
         _field(obj, name, path)
     try:
@@ -181,29 +196,36 @@ def _load_solver_inputs(path: str, resolution: int):
     taking the nearest curve sample's value.
     """
     obj = _load_json(path)
-    if "mask" in obj:
-        for name in ("m", "n", "Q", "shape", "h", "values"):
-            _field(obj, name, path)
-        f = GridFunction.from_json(json.dumps(obj))
+    if isinstance(obj, dict) and "mask" in obj:
+        f = _grid_from_obj(obj, path)
         boundary = {idx: f.values[idx] for idx in f.nodes(kinds=(BOUNDARY,))}
         return boundary, f
     domain = _field(obj, "domain", path)
-    Q = _field(obj, "Q", path)
-    n = _field(obj, "n", path)
+    Q = _int_field(obj, "Q", path)
+    n = _int_field(obj, "n", path)
     curve = _field(obj, "curve", path)
+    if not isinstance(curve, list) or not curve or not all(isinstance(e, dict) for e in curve):
+        raise DataError(f"field 'curve' in {path} must be a nonempty list of objects")
     if resolution is None:
         raise DataError("--grid is required with a boundary-curve spec")
     if domain == "disk":
         mask = disk_mask(resolution)
         m = 2
     elif domain == "square":
-        mask = square_mask(resolution, int(obj.get("m", 2)))
-        m = int(obj.get("m", 2))
+        m = _int_field(obj, "m", path) if "m" in obj else 2
+        mask = square_mask(resolution, m)
     else:
         raise DataError(f"unknown domain {domain!r} in {path}")
     grid = empty_grid(m, n, Q, resolution, mask)
-    locs = np.array([np.asarray(_field(e, "x", path), dtype=float) for e in curve])
-    vals = [np.asarray(_field(e, "value", path), dtype=float) for e in curve]
+    try:
+        locs = np.array([np.asarray(_field(e, "x", path), dtype=float) for e in curve])
+        vals = [np.asarray(_field(e, "value", path), dtype=float) for e in curve]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad entry in field 'curve' of {path}: {exc}")
+    if locs.shape != (len(curve), m):
+        raise DataError(f"each 'x' in field 'curve' of {path} must hold {m} numbers")
+    if any(val.shape != (Q, n) for val in vals):
+        raise DataError(f"each 'value' in field 'curve' of {path} must have shape {(Q, n)}")
     boundary = {}
     for idx in grid.nodes(kinds=(BOUNDARY,)):
         x = grid.node_coords(idx)
@@ -234,7 +256,7 @@ def _cmd_energy(args) -> int:
     f = _load_grid(args.infile)
     report = energy.discrete_energy(f, args.p)
     _write(args.out, json.dumps({"total": report.total, "p": report.p,
-                                 "edges": len(report.per_edge)}))
+                                 "edges": int(report.edge_u.size)}))
     return 0
 
 
@@ -245,9 +267,34 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _load_check_config(path: str) -> verify.CheckConfig:
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise DataError(f"expected a JSON object in {path}")
+    if "seed" in obj:
+        _int_field(obj, "seed", path, lowest=0)
+    if "trials" in obj:
+        _int_field(obj, "trials", path)
+    for name in ("Q_range", "n_range", "m_range"):
+        value = obj.get(name)
+        if name in obj and not (isinstance(value, list) and len(value) == 2
+                                and all(map(_is_int, value))):
+            raise DataError(f"field '{name}' in {path} must be a list of two integers, "
+                            f"got {value!r}")
+    tolerances = obj.get("tolerances", {})
+    if not isinstance(tolerances, dict) or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) for t in tolerances.values()
+    ):
+        raise DataError(f"field 'tolerances' in {path} must map names to numbers")
+    try:
+        return verify.CheckConfig.from_json(json.dumps(obj))
+    except ValueError as exc:
+        raise DataError(f"bad check config in {path}: {exc}")
+
+
 def _cmd_verify(args) -> int:
     if args.config:
-        cfg = verify.CheckConfig.from_json(open(args.config).read())
+        cfg = _load_check_config(args.config)
     else:
         cfg = verify.CheckConfig()
     if args.seed is not None:
@@ -337,26 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("QV_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

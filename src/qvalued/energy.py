@@ -7,6 +7,11 @@ per-edge matchings, then, with matchings frozen, minimize the resulting
 vector p-Dirichlet energy on the branch-lifted graph (a linear solve for
 p = 2, damped gradient descent otherwise).
 
+All of it runs on flat arrays: the edges are the index arrays of
+``GridFunction.edge_index``, one call of ``qspace.g2_match_many`` matches
+every edge, and the solver addresses each (node, branch) position as a row
+of the values reshaped to ``(nodes * Q, n)``.
+
 Grid functions are treated as immutable snapshots: the solver works on
 its own copy and the public API is safe for concurrent read-only use.
 """
@@ -15,68 +20,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .extend import BoundarySample, WhitneyExtension
-from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE
-from .qspace import Matching, MetricKind, QTuple, dist
+from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, index_tuples
+from .qspace import Matching, QTuple, g2_match_many
 
 P_CAP = 8.0
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergyReport:
     """Total discrete p-energy with its per-edge breakdown.
 
-    ``per_edge`` lists ``(edge, contribution, Matching)`` where an edge is
-    a pair of node multi-indices.
+    Edge ``e`` joins the flat node indices ``edge_u[e]`` and ``edge_v[e]``
+    of a grid of shape ``shape``, contributes ``contributions[e]`` to the
+    total and is matched by ``perms[e]``.  ``per_edge`` lists the same as
+    ``(edge, contribution, Matching)`` with an edge a pair of node
+    multi-indices; it is built when first read.
     """
 
     total: float
-    per_edge: list
     p: float
+    shape: tuple
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    contributions: np.ndarray
+    perms: np.ndarray
     iterations: int = 0
     converged: bool = True
 
-
-def _g2_value(a: np.ndarray, b: np.ndarray) -> float:
-    """Optimal G2 cost between two (Q, n) point arrays (value only)."""
-    Q = a.shape[0]
-    if Q == 1:
-        return float(np.linalg.norm(a[0] - b[0]))
-    if Q == 2:
-        d00 = np.dot(a[0] - b[0], a[0] - b[0])
-        d11 = np.dot(a[1] - b[1], a[1] - b[1])
-        d01 = np.dot(a[0] - b[1], a[0] - b[1])
-        d10 = np.dot(a[1] - b[0], a[1] - b[0])
-        return math.sqrt(min(d00 + d11, d01 + d10))
-    diff = a[:, None, :] - b[None, :, :]
-    C = np.einsum("ijk,ijk->ij", diff, diff)
-    rows, cols = linear_sum_assignment(C)
-    return math.sqrt(float(C[rows, cols].sum()))
-
-
-def _g2_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """An optimal G2 permutation between two (Q, n) point arrays."""
-    Q = a.shape[0]
-    if Q == 1:
-        return np.zeros(1, dtype=int)
-    if Q == 2:
-        d00 = np.dot(a[0] - b[0], a[0] - b[0])
-        d11 = np.dot(a[1] - b[1], a[1] - b[1])
-        d01 = np.dot(a[0] - b[1], a[0] - b[1])
-        d10 = np.dot(a[1] - b[0], a[1] - b[0])
-        if d00 + d11 <= d01 + d10:
-            return np.array([0, 1])
-        return np.array([1, 0])
-    diff = a[:, None, :] - b[None, :, :]
-    C = np.einsum("ijk,ijk->ij", diff, diff)
-    _, cols = linear_sum_assignment(C)
-    return cols
+    @cached_property
+    def per_edge(self) -> list:
+        edges = zip(index_tuples(self.edge_u, self.shape),
+                    index_tuples(self.edge_v, self.shape))
+        return [(edge, c, Matching(perm)) for edge, c, perm in
+                zip(edges, self.contributions.tolist(), self.perms.tolist())]
 
 
 def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -86,42 +69,40 @@ def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
         raise ValueError("grid functions must share the same mask")
 
 
+def _tuples(f: GridFunction) -> np.ndarray:
+    """The values as one (Q, n) tuple per flat node index (a view)."""
+    return f.values.reshape(-1, f.Q, f.n)
+
+
+def _match_edges(f: GridFunction):
+    """Edge index arrays with each edge's squared G2 length and matching."""
+    u, v = f.edge_index()
+    X = _tuples(f)
+    return (u, v) + g2_match_many(X[u], X[v])
+
+
 def dp_distance(f: GridFunction, g: GridFunction, p: float) -> float:
     """The L_p semimetric: node-wise G2 distances integrated at grid scale."""
     if p < 1:
         raise ValueError("p must be at least 1")
     _check_same_grid(f, g)
-    cell = f.h**f.m
-    total = 0.0
-    for idx in f.nodes():
-        total += _g2_value(f.values[idx], g.values[idx]) ** p * cell
-    return total ** (1.0 / p)
+    inside = f.node_index()
+    sq, _ = g2_match_many(_tuples(f)[inside], _tuples(g)[inside])
+    return float((sq ** (p / 2.0)).sum() * f.h**f.m) ** (1.0 / p)
 
 
 def discrete_energy(f: GridFunction, p: float) -> EnergyReport:
     """Discrete p-energy with per-edge optimal matchings.
 
     Each axis edge contributes ``h^m * (G2(f(u), f(v)) / h)^p``.  Matchings
-    come from the assignment solver with its deterministic tie-breaking.
+    come from ``qspace.g2_match_many``.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    w = f.h ** (f.m - p)
-    per_edge = []
-    total = 0.0
-    for u, v in f.edges():
-        value, match = dist(QTuple(f.values[u]), QTuple(f.values[v]), MetricKind.G2)
-        contribution = w * value**p
-        per_edge.append(((u, v), contribution, match))
-        total += contribution
-    return EnergyReport(total=total, per_edge=per_edge, p=p)
-
-
-def _energy_total(values: np.ndarray, edges: list, w: float, p: float) -> float:
-    total = 0.0
-    for u, v in edges:
-        total += _g2_value(values[u], values[v]) ** p
-    return w * total
+    u, v, sq, perms = _match_edges(f)
+    contributions = f.h ** (f.m - p) * sq ** (p / 2.0)
+    return EnergyReport(float(contributions.sum()), p, f.shape, u, v,
+                        contributions, perms)
 
 
 def truncate_coords(f: GridFunction, n_keep: int) -> GridFunction:
@@ -153,10 +134,8 @@ def trace(f: GridFunction) -> BoundarySample:
 
 def max_difference_quotient(f: GridFunction) -> float:
     """Largest per-edge G2 difference quotient; the grid Lipschitz constant."""
-    worst = 0.0
-    for u, v in f.edges():
-        worst = max(worst, _g2_value(f.values[u], f.values[v]) / f.h)
-    return worst
+    _, _, sq, _ = _match_edges(f)
+    return float(np.sqrt(sq).max(initial=0.0)) / f.h
 
 
 def _boundary_values(boundary, grid: GridFunction) -> dict:
@@ -175,8 +154,18 @@ def _boundary_values(boundary, grid: GridFunction) -> dict:
     return out
 
 
+def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> np.ndarray:
+    """Index of the first nearest site to each point, about ``budget`` distances at a time."""
+    rows = max(1, budget // max(1, len(sites)))
+    out = np.empty(len(points), dtype=np.intp)
+    for lo in range(0, len(points), rows):
+        d = np.linalg.norm(sites[None, :, :] - points[lo:lo + rows, None, :], axis=2)
+        out[lo:lo + rows] = np.argmin(d, axis=1)
+    return out
+
+
 def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
-                    tol: float = 1e-8, max_outer: int = 60, inner: str = "auto",
+                    tol: float = 1e-8, max_outer: int = 60,
                     restarts: int = 3, seed: int = 0, max_inner: int = 200,
                     p_cap: float = P_CAP):
     """Minimize the discrete p-energy subject to boundary values.
@@ -209,40 +198,34 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
     if not 1.0 < p <= p_cap:
         raise ValueError(f"p must lie in (1, {p_cap}]")
     bvals = _boundary_values(boundary, grid)
-    boundary_nodes = list(grid.nodes(kinds=(BOUNDARY,)))
-    if not boundary_nodes:
+    bnodes = grid.node_index((BOUNDARY,))
+    if not bnodes.size:
         raise ValueError("grid has no boundary nodes")
+    boundary_nodes = list(index_tuples(bnodes, grid.shape))
     missing = [idx for idx in boundary_nodes if idx not in bvals]
     if missing:
         raise ValueError(f"boundary value missing at node {missing[0]}")
-    interior_nodes = list(grid.nodes(kinds=(INTERIOR,)))
-    edges = list(grid.edges())
-
-    bcoords = np.array([grid.node_coords(idx) for idx in boundary_nodes])
     bvalue_arr = np.array([bvals[idx] for idx in boundary_nodes])
     if not np.all(np.isfinite(bvalue_arr)):
         raise ValueError("boundary values must be finite")
+    interior = grid.node_index((INTERIOR,))
+    u, v = grid.edge_index()
+    coords = grid.all_coords().reshape(-1, grid.m)
+    nearest = _nearest(coords[interior], coords[bnodes])
 
     rng = np.random.default_rng(seed)
     best = None
     for attempt in range(max(1, restarts)):
         values = np.zeros(grid.shape + (grid.Q, grid.n))
         values[grid.mask == OUTSIDE] = np.nan
-        for i, idx in enumerate(boundary_nodes):
-            values[idx] = bvalue_arr[i]
+        X = values.reshape(-1, grid.Q, grid.n)
+        X[bnodes] = bvalue_arr
         if attempt == 0:
-            for idx in interior_nodes:
-                x = grid.node_coords(idx)
-                j = int(np.argmin(np.linalg.norm(bcoords - x[None, :], axis=1)))
-                values[idx] = bvalue_arr[j]
+            X[interior] = bvalue_arr[nearest]
         else:
-            picks = rng.integers(0, len(boundary_nodes), size=len(interior_nodes))
-            for idx, j in zip(interior_nodes, picks):
-                values[idx] = bvalue_arr[j]
-        result = _alternate(
-            values, grid, interior_nodes, edges, p,
-            tol=tol, max_outer=max_outer, inner=inner, max_inner=max_inner,
-        )
+            X[interior] = bvalue_arr[rng.integers(0, len(bnodes), size=len(interior))]
+        result = _alternate(values, grid, interior, u, v, p,
+                            tol=tol, max_outer=max_outer, max_inner=max_inner)
         if best is None or result[1][-1] < best[1][-1]:
             best = result
     values, history, iterations, converged = best
@@ -254,15 +237,23 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
     return solution, report, history
 
 
-def _alternate(values, grid, interior_nodes, edges, p, *, tol, max_outer, inner,
-               max_inner):
-    w = grid.h ** (grid.m - p)
-    unknown = {}
-    for idx in interior_nodes:
-        for b in range(grid.Q):
-            unknown[(idx, b)] = len(unknown)
+def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
+    """Alternate matching passes and frozen-matching steps, in place on ``values``.
 
-    energy = _energy_total(values, edges, w, p)
+    Branch position ``node * Q + branch`` is a row of ``Y``; ``slot`` maps
+    it to its unknown's index, or -1 on the boundary.
+    """
+    Q = grid.Q
+    w = grid.h ** (grid.m - p)
+    X = values.reshape(-1, Q, grid.n)
+    Y = values.reshape(-1, grid.n)
+    free = (interior[:, None] * Q + np.arange(Q)).ravel()
+    slot = np.full(len(Y), -1, dtype=np.intp)
+    slot[free] = np.arange(free.size)
+    ga = u[:, None] * Q + np.arange(Q)
+
+    sq, perms = g2_match_many(X[u], X[v])
+    energy = w * float((sq ** (p / 2.0)).sum())
     if not math.isfinite(energy):
         raise ArithmeticError("initial energy is not finite")
     history = [energy]
@@ -270,15 +261,13 @@ def _alternate(values, grid, interior_nodes, edges, p, *, tol, max_outer, inner,
     iterations = 0
     for outer in range(1, max_outer + 1):
         iterations = outer
-        matchings = [
-            _g2_match(values[u], values[v]) for u, v in edges
-        ]
-        if p == 2.0 and inner in ("auto", "p2_linear"):
-            _branch_step_linear(values, grid, edges, matchings, unknown)
+        gb = v[:, None] * Q + perms
+        if p == 2.0:
+            _branch_step_linear(Y, ga, gb, slot, free)
         else:
-            _branch_step_gradient(values, grid, edges, matchings, unknown,
-                                  w, p, tol, max_inner)
-        energy_new = _energy_total(values, edges, w, p)
+            _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner)
+        sq, perms = g2_match_many(X[u], X[v])
+        energy_new = w * float((sq ** (p / 2.0)).sum())
         if energy_new > energy + 1e-12 * (1.0 + energy):
             raise ArithmeticError("energy increased during alternating minimization")
         history.append(energy_new)
@@ -290,92 +279,76 @@ def _alternate(values, grid, interior_nodes, edges, p, *, tol, max_outer, inner,
     return values, history, iterations, converged
 
 
-def _branch_step_linear(values, grid, edges, matchings, unknown):
-    """Exact minimization of the frozen-matching 2-energy: one sparse solve."""
-    N = len(unknown)
+def _branch_step_linear(Y, ga, gb, slot, free):
+    """Exact minimization of the frozen-matching 2-energy: one sparse solve.
+
+    Position ``ga[e, i]`` is paired with ``gb[e, i]``; the unknowns are the
+    rows ``free`` of ``Y``, which receive the solution.
+    """
+    N = free.size
     if N == 0:
         return
-    rows, cols, data = [], [], []
-    diag = np.zeros(N)
-    rhs = np.zeros((N, grid.n))
-    for (u, v), perm in zip(edges, matchings):
-        for i in range(grid.Q):
-            a = unknown.get((u, i))
-            b = unknown.get((v, int(perm[i])))
-            if a is None and b is None:
-                continue
-            if a is not None and b is not None:
-                diag[a] += 1.0
-                diag[b] += 1.0
-                rows.extend((a, b))
-                cols.extend((b, a))
-                data.extend((-1.0, -1.0))
-            elif a is not None:
-                diag[a] += 1.0
-                rhs[a] += values[v][int(perm[i])]
-            else:
-                diag[b] += 1.0
-                rhs[b] += values[u][i]
-    rows.extend(range(N))
-    cols.extend(range(N))
-    data.extend(diag)
+    a, b = slot[ga].ravel(), slot[gb].ravel()
+    ka, kb = a >= 0, b >= 0
+    both = ka & kb
+    diag = np.bincount(np.concatenate([a[ka], b[kb]]), minlength=N)
+    rows = np.concatenate([a[both], b[both], np.arange(N)])
+    cols = np.concatenate([b[both], a[both], np.arange(N)])
+    data = np.concatenate([np.full(2 * int(both.sum()), -1.0), diag])
+    # a pair with one known end adds that end's value to the other's right-hand side
+    one = ka != kb
+    rhs = np.zeros((N, Y.shape[1]))
+    np.add.at(rhs, np.where(ka, a, b)[one], Y[np.where(ka, gb.ravel(), ga.ravel())[one]])
     L = csr_matrix((data, (rows, cols)), shape=(N, N)).tocsc()
-    lu = splu(L)
-    sol = np.column_stack([lu.solve(rhs[:, c]) for c in range(grid.n)])
-    for (idx, b), row in unknown.items():
-        values[idx][b] = sol[row]
+    Y[free] = splu(L).solve(rhs)
 
 
-def _branch_step_gradient(values, grid, edges, matchings, unknown, w, p, tol,
-                          max_inner):
-    """Armijo-damped gradient descent on the frozen-matching p-energy."""
+def _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner):
+    """Armijo-damped gradient descent on the frozen-matching p-energy.
 
-    def frozen_energy(vals):
-        total = 0.0
-        for (u, v), perm in zip(edges, matchings):
-            delta = vals[u] - vals[v][perm]
-            total += float((delta * delta).sum()) ** (p / 2.0)
-        return w * total
+    Same pairing and unknowns as ``_branch_step_linear``.
+    """
+    n = Y.shape[1]
+    # each pair pushes +part onto its first end and -part onto its second
+    targets = np.stack([slot[ga], slot[gb]], axis=-1).ravel()
+    free_end = targets >= 0
+    targets = targets[free_end]
 
-    def gradient(vals):
-        g = {key: np.zeros(grid.n) for key in unknown}
-        for (u, v), perm in zip(edges, matchings):
-            delta = vals[u] - vals[v][perm]
-            S = float((delta * delta).sum())
-            if S <= 0.0:
-                continue
-            factor = w * p * S ** ((p - 2.0) / 2.0)
-            for i in range(grid.Q):
-                a = (u, i)
-                b = (v, int(perm[i]))
-                if a in g:
-                    g[a] += factor * delta[i]
-                if b in g:
-                    g[b] -= factor * delta[i]
+    def frozen_energy():
+        delta = Y[ga] - Y[gb]
+        S = (delta * delta).reshape(len(delta), -1).sum(axis=1)
+        return w * float((S ** (p / 2.0)).sum()), delta, S
+
+    def gradient(delta, S):
+        factor = np.zeros_like(S)
+        pos = S > 0.0
+        factor[pos] = w * p * S[pos] ** ((p - 2.0) / 2.0)
+        part = factor[:, None, None] * delta
+        pushes = np.stack([part, -part], axis=2).reshape(-1, n)
+        g = np.zeros((free.size, n))
+        np.add.at(g, targets, pushes[free_end])
         return g
 
-    energy = frozen_energy(values)
+    energy, delta, S = frozen_energy()
     for _ in range(max_inner):
-        g = gradient(values)
-        gnorm2 = sum(float(v @ v) for v in g.values())
+        g = gradient(delta, S)
+        gnorm2 = float(np.einsum("ij,ij->", g, g))
         if gnorm2 == 0.0:
             break
+        x0 = Y[free]
         step = 1.0
         improved = False
         while step > 1e-16:
-            trial = values.copy()
-            for (idx, b), gv in g.items():
-                trial[idx][b] -= step * gv
-            e_trial = frozen_energy(trial)
+            Y[free] = x0 - step * g
+            e_trial, delta, S = frozen_energy()
             if e_trial <= energy - 0.25 * step * gnorm2:
-                values[...] = trial
                 improved = True
                 break
             step /= 2.0
         if not improved:
+            Y[free] = x0
             break
         if energy - e_trial < tol * (1.0 + e_trial):
-            energy = e_trial
             break
         energy = e_trial
 
@@ -400,11 +373,12 @@ def lipschitz_truncation(f: GridFunction, t: float, p: float = 2.0):
     normf[inside] = np.sqrt(
         np.einsum("...qn,...qn->...", f.values[inside], f.values[inside])
     )
-    quot = np.zeros(f.shape)
-    for u, v in f.edges():
-        q = _g2_value(f.values[u], f.values[v]) / f.h
-        quot[u] = max(quot[u], q)
-        quot[v] = max(quot[v], q)
+    u, v, sq, _ = _match_edges(f)
+    q = np.sqrt(sq) / f.h
+    quot = np.zeros(f.mask.size)
+    np.maximum.at(quot, u, q)
+    np.maximum.at(quot, v, q)
+    quot = quot.reshape(f.shape)
     keep = inside & (normf**p + quot**p <= t**p)
     kept = {idx for idx in np.ndindex(*f.shape) if keep[idx]}
 

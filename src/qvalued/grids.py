@@ -18,9 +18,16 @@ BOUNDARY = 1
 OUTSIDE = 2
 
 
-@dataclass
+def index_tuples(flat, shape):
+    """Iterate over the multi-indices (tuples of int) of flat C-order indices."""
+    return zip(*(c.tolist() for c in np.unravel_index(flat, shape)))
+
+
+@dataclass(eq=False)
 class GridFunction:
     """A Q-valued map sampled on a regular grid.
+
+    Equality is identity: the array fields have no single truth value.
 
     Attributes
     ----------
@@ -82,25 +89,36 @@ class GridFunction:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def node_index(self, kinds=(INTERIOR, BOUNDARY)) -> np.ndarray:
+        """Flat (C-order) indices of the nodes whose mask is in ``kinds``."""
+        return np.flatnonzero(np.isin(self.mask, list(kinds)))
+
+    def edge_index(self):
+        """Flat node indices ``(u, v)`` of every axis edge between non-outside nodes.
+
+        Edges are ordered by ``u`` in C order, then by axis, with ``v`` the
+        neighbour one step up that axis.  Computed afresh on every call,
+        since ``mask`` may be changed in place.
+        """
+        inside = self.mask != OUTSIDE
+        ok = np.zeros(self.shape + (self.m,), dtype=bool)
+        for axis in range(self.m):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            ok[lo + (Ellipsis, axis)] = inside[lo] & inside[hi]
+        node, axis = np.nonzero(ok.reshape(-1, self.m))
+        step = np.array([int(np.prod(self.shape[a + 1 :])) for a in range(self.m)],
+                        dtype=np.intp)
+        return node, node + step[axis]
+
     def nodes(self, kinds=(INTERIOR, BOUNDARY)):
         """Iterate over node indices whose mask is in ``kinds``."""
-        kinds = set(kinds)
-        for idx in np.ndindex(*self.shape):
-            if self.mask[idx] in kinds:
-                yield idx
+        yield from index_tuples(self.node_index(kinds), self.shape)
 
     def edges(self):
         """Iterate over axis-adjacent pairs of non-outside nodes."""
-        for idx in np.ndindex(*self.shape):
-            if self.mask[idx] == OUTSIDE:
-                continue
-            for axis in range(self.m):
-                if idx[axis] + 1 >= self.shape[axis]:
-                    continue
-                other = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1 :]
-                if self.mask[other] == OUTSIDE:
-                    continue
-                yield idx, other
+        u, v = self.edge_index()
+        yield from zip(index_tuples(u, self.shape), index_tuples(v, self.shape))
 
     def to_json(self) -> str:
         """Serialize; floats use Python repr, which round-trips exactly."""

@@ -77,7 +77,8 @@ class QTuple:
         return np.array_equal(self.canonical().points, other.canonical().points)
 
     def __hash__(self) -> int:
-        return hash(self.canonical().points.tobytes())
+        # adding 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal
+        return hash((self.canonical().points + 0.0).tobytes())
 
     def __repr__(self) -> str:
         return f"QTuple({self.points.tolist()!r})"
@@ -287,6 +288,46 @@ def _dist_q2(D: np.ndarray, kind: MetricKind):
     if kind is MetricKind.G2:
         value = math.sqrt(value)
     return float(value), Matching(perm)
+
+
+def g2_match_many(A: np.ndarray, B: np.ndarray):
+    """Optimal G2 matchings between matching rows of two stacks of tuples.
+
+    Parameters
+    ----------
+    A, B : ndarray, shape (E, Q, n)
+        ``A[e]`` and ``B[e]`` are the points of the e-th pair of tuples.
+
+    Returns
+    -------
+    sq_cost : ndarray, shape (E,)
+        Squared G2 distance of each pair.
+    perm : ndarray of int, shape (E, Q)
+        An optimal pairing per row: point i of ``A[e]`` goes to point
+        ``perm[e, i]`` of ``B[e]``.  For Q = 2 a tie keeps ``(0, 1)``, as
+        ``dist`` does; for Q >= 3 the pairing is the assignment solver's,
+        without the lexicographic refinement of ``dist``.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    E, Q, _ = A.shape
+    if Q == 1:
+        d = A[:, 0] - B[:, 0]
+        return np.einsum("ek,ek->e", d, d), np.zeros((E, 1), dtype=np.intp)
+    diff = A[:, :, None, :] - B[:, None, :, :]
+    C = np.einsum("eijk,eijk->eij", diff, diff)
+    if Q == 2:
+        keep = C[:, 0, 0] + C[:, 1, 1]
+        swap = C[:, 0, 1] + C[:, 1, 0]
+        perm = np.where((keep <= swap)[:, None], [0, 1], [1, 0])
+        return np.minimum(keep, swap), perm
+    sq_cost = np.empty(E)
+    perm = np.empty((E, Q), dtype=np.intp)
+    for e in range(E):
+        rows, cols = linear_sum_assignment(C[e])
+        sq_cost[e] = C[e, rows, cols].sum()
+        perm[e] = cols
+    return sq_cost, perm
 
 
 def dist_sorted_1d(v: QTuple, w: QTuple) -> float:

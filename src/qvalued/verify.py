@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embed
-from .energy import _g2_value
 from .grids import GridFunction, square_mask
-from .qspace import MetricKind, QTuple, dist, split_distance
+from .qspace import MetricKind, QTuple, dist, g2_match_many, split_distance
 
 _CHECK_OFFSETS = {
     "metric_equivalence": 101,
@@ -331,23 +330,24 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
         f = _lipschitz_grid(rng, m, Q, n, N=N)
         width = int(rng.integers(2, N + 1))
         lo = [int(rng.integers(0, N - width + 1)) for _ in range(m)]
-        nodes = [
-            tuple(l + i for l, i in zip(lo, idx))
-            for idx in np.ndindex(*(width,) * m)
-        ]
+        window = np.indices((width,) * m).reshape(m, -1) + np.array(lo)[:, None]
+        nodes = np.ravel_multi_index(tuple(window), f.shape)
+        k = nodes.size
         cell = f.h**m
         diam = f.h * (width - 1) * math.sqrt(m)
-        energy = 0.0
-        for u, v in f.edges():
-            if all(l <= u[a] < l + width and l <= v[a] < l + width
-                   for a, l in enumerate(lo)):
-                energy += f.h ** (m - q) * _g2_value(f.values[u], f.values[v]) ** q
-        best = math.inf
-        for cand in nodes:
-            acc = sum(
-                _g2_value(f.values[idx], f.values[cand]) ** q * cell for idx in nodes
-            )
-            best = min(best, acc)
+        u, v = f.edge_index()
+        in_window = np.zeros(f.mask.size, dtype=bool)
+        in_window[nodes] = True
+        inner = in_window[u] & in_window[v]
+        # one kernel call: the window's edges, then every (node, candidate) pair
+        left = np.concatenate([u[inner], np.tile(nodes, k)])
+        right = np.concatenate([v[inner], np.repeat(nodes, k)])
+        X = f.values.reshape(-1, Q, n)
+        sq, _ = g2_match_many(X[left], X[right])
+        terms = sq ** (q / 2.0)
+        n_inner = int(inner.sum())
+        energy = f.h ** (m - q) * float(terms[:n_inner].sum())
+        best = float((terms[n_inner:].reshape(k, k) * cell).sum(axis=1).min())
         rhs = diam**q * energy
         if rhs == 0.0:
             if best > 1e-12:

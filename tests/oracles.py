@@ -1,13 +1,19 @@
-"""Independent oracles used by the tests: brute force over all pairings.
+"""Independent oracles used by the tests.
 
-These deliberately avoid the library's assignment solvers so that the fast
-paths are checked against an unrelated computation.
+Brute force over all pairings deliberately avoids the library's assignment
+solvers so that the fast paths are checked against an unrelated
+computation.  The per-edge references below are the node-by-node and
+edge-by-edge code that the library's array paths replaced; the
+differential tests hold the array paths to them.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import splu
 
 
 def pairing_cost(v_pts, w_pts, perm, kind):
@@ -82,3 +88,195 @@ def scalar_laplace_solve(mask_interior, boundary_values, shape):
         A[row, row] = deg
     x = spsolve(A.tocsr(), b)
     return {idx: x[row] for idx, row in order.items()}
+
+
+# -- per-edge references for the array paths of qvalued.energy ---------------
+
+
+def _g2_value(a: np.ndarray, b: np.ndarray) -> float:
+    """Optimal G2 cost between two (Q, n) point arrays (value only)."""
+    Q = a.shape[0]
+    if Q == 1:
+        return float(np.linalg.norm(a[0] - b[0]))
+    if Q == 2:
+        d00 = np.dot(a[0] - b[0], a[0] - b[0])
+        d11 = np.dot(a[1] - b[1], a[1] - b[1])
+        d01 = np.dot(a[0] - b[1], a[0] - b[1])
+        d10 = np.dot(a[1] - b[0], a[1] - b[0])
+        return math.sqrt(min(d00 + d11, d01 + d10))
+    diff = a[:, None, :] - b[None, :, :]
+    C = np.einsum("ijk,ijk->ij", diff, diff)
+    rows, cols = linear_sum_assignment(C)
+    return math.sqrt(float(C[rows, cols].sum()))
+
+
+def _g2_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An optimal G2 permutation between two (Q, n) point arrays."""
+    Q = a.shape[0]
+    if Q == 1:
+        return np.zeros(1, dtype=int)
+    if Q == 2:
+        d00 = np.dot(a[0] - b[0], a[0] - b[0])
+        d11 = np.dot(a[1] - b[1], a[1] - b[1])
+        d01 = np.dot(a[0] - b[1], a[0] - b[1])
+        d10 = np.dot(a[1] - b[0], a[1] - b[0])
+        if d00 + d11 <= d01 + d10:
+            return np.array([0, 1])
+        return np.array([1, 0])
+    diff = a[:, None, :] - b[None, :, :]
+    C = np.einsum("ijk,ijk->ij", diff, diff)
+    _, cols = linear_sum_assignment(C)
+    return cols
+
+
+def edges_reference(grid):
+    """Axis-adjacent pairs of non-outside nodes, walked node by node."""
+    from qvalued.grids import OUTSIDE
+
+    for idx in np.ndindex(*grid.shape):
+        if grid.mask[idx] == OUTSIDE:
+            continue
+        for axis in range(grid.m):
+            if idx[axis] + 1 >= grid.shape[axis]:
+                continue
+            other = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1 :]
+            if grid.mask[other] == OUTSIDE:
+                continue
+            yield idx, other
+
+
+def nearest_boundary_init(grid, bvalues):
+    """Solver start: each interior node takes its nearest boundary node's value.
+
+    ``bvalues`` maps boundary node index to a (Q, n) array; ties go to the
+    first boundary node in C order.
+    """
+    from qvalued.grids import BOUNDARY, INTERIOR, OUTSIDE
+
+    bnodes = [idx for idx in np.ndindex(*grid.shape) if grid.mask[idx] == BOUNDARY]
+    bcoords = np.array([grid.node_coords(idx) for idx in bnodes])
+    values = np.zeros(grid.shape + (grid.Q, grid.n))
+    values[grid.mask == OUTSIDE] = np.nan
+    for idx in bnodes:
+        values[idx] = bvalues[idx]
+    for idx in np.ndindex(*grid.shape):
+        if grid.mask[idx] == INTERIOR:
+            x = grid.node_coords(idx)
+            j = int(np.argmin(np.linalg.norm(bcoords - x[None, :], axis=1)))
+            values[idx] = bvalues[bnodes[j]]
+    return values
+
+
+def unknown_index(grid):
+    """The ``{(node, branch): unknown}`` numbering of the interior branch positions."""
+    from qvalued.grids import INTERIOR
+
+    unknown = {}
+    for idx in np.ndindex(*grid.shape):
+        if grid.mask[idx] != INTERIOR:
+            continue
+        for b in range(grid.Q):
+            unknown[(idx, b)] = len(unknown)
+    return unknown
+
+
+def per_edge_reference(f, p):
+    """``discrete_energy(f, p).per_edge`` computed one edge at a time with ``dist``."""
+    from qvalued.qspace import MetricKind, QTuple, dist
+
+    w = f.h ** (f.m - p)
+    out = []
+    for u, v in edges_reference(f):
+        value, match = dist(QTuple(f.values[u]), QTuple(f.values[v]), MetricKind.G2)
+        out.append(((u, v), w * value**p, match))
+    return out
+
+
+def _branch_step_linear(values, grid, edges, matchings, unknown):
+    """Exact minimization of the frozen-matching 2-energy: one sparse solve."""
+    N = len(unknown)
+    if N == 0:
+        return
+    rows, cols, data = [], [], []
+    diag = np.zeros(N)
+    rhs = np.zeros((N, grid.n))
+    for (u, v), perm in zip(edges, matchings):
+        for i in range(grid.Q):
+            a = unknown.get((u, i))
+            b = unknown.get((v, int(perm[i])))
+            if a is None and b is None:
+                continue
+            if a is not None and b is not None:
+                diag[a] += 1.0
+                diag[b] += 1.0
+                rows.extend((a, b))
+                cols.extend((b, a))
+                data.extend((-1.0, -1.0))
+            elif a is not None:
+                diag[a] += 1.0
+                rhs[a] += values[v][int(perm[i])]
+            else:
+                diag[b] += 1.0
+                rhs[b] += values[u][i]
+    rows.extend(range(N))
+    cols.extend(range(N))
+    data.extend(diag)
+    L = csr_matrix((data, (rows, cols)), shape=(N, N)).tocsc()
+    lu = splu(L)
+    sol = np.column_stack([lu.solve(rhs[:, c]) for c in range(grid.n)])
+    for (idx, b), row in unknown.items():
+        values[idx][b] = sol[row]
+
+
+def _branch_step_gradient(values, grid, edges, matchings, unknown, w, p, tol,
+                          max_inner):
+    """Armijo-damped gradient descent on the frozen-matching p-energy."""
+
+    def frozen_energy(vals):
+        total = 0.0
+        for (u, v), perm in zip(edges, matchings):
+            delta = vals[u] - vals[v][perm]
+            total += float((delta * delta).sum()) ** (p / 2.0)
+        return w * total
+
+    def gradient(vals):
+        g = {key: np.zeros(grid.n) for key in unknown}
+        for (u, v), perm in zip(edges, matchings):
+            delta = vals[u] - vals[v][perm]
+            S = float((delta * delta).sum())
+            if S <= 0.0:
+                continue
+            factor = w * p * S ** ((p - 2.0) / 2.0)
+            for i in range(grid.Q):
+                a = (u, i)
+                b = (v, int(perm[i]))
+                if a in g:
+                    g[a] += factor * delta[i]
+                if b in g:
+                    g[b] -= factor * delta[i]
+        return g
+
+    energy = frozen_energy(values)
+    for _ in range(max_inner):
+        g = gradient(values)
+        gnorm2 = sum(float(v @ v) for v in g.values())
+        if gnorm2 == 0.0:
+            break
+        step = 1.0
+        improved = False
+        while step > 1e-16:
+            trial = values.copy()
+            for (idx, b), gv in g.items():
+                trial[idx][b] -= step * gv
+            e_trial = frozen_energy(trial)
+            if e_trial <= energy - 0.25 * step * gnorm2:
+                values[...] = trial
+                improved = True
+                break
+            step /= 2.0
+        if not improved:
+            break
+        if energy - e_trial < tol * (1.0 + e_trial):
+            energy = e_trial
+            break
+        energy = e_trial

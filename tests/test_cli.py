@@ -176,6 +176,28 @@ class TestSolveCli:
         status = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert status["converged"]
 
+    def test_curve_spec_non_integer_q_named(self, tmp_path, capsys):
+        b = write(tmp_path / "b.json",
+                  json.dumps({"domain": "disk", "Q": "two", "n": 1,
+                              "curve": [{"x": [1.0, 0.0], "value": [[0.0]]}]}))
+        assert main(["solve", "--boundary", b, "--grid", "8"]) == 1
+        assert "field 'Q'" in capsys.readouterr().err
+
+    def test_curve_spec_bad_entries_named(self, tmp_path, capsys):
+        for curve in ([3], [{"x": [1.0], "value": [[0.0]]}],
+                      [{"x": [1.0, 0.0], "value": [[0.0, 1.0]]}]):
+            b = write(tmp_path / "b.json",
+                      json.dumps({"domain": "disk", "Q": 1, "n": 1, "curve": curve}))
+            assert main(["solve", "--boundary", b, "--grid", "8"]) == 1
+            assert "'curve'" in capsys.readouterr().err
+
+    def test_bad_grid_function_boundary(self, tmp_path, capsys):
+        grid = json.loads(empty_grid(2, 1, 1, 5).to_json())
+        grid["Q"] = "one"
+        b = write(tmp_path / "b.json", json.dumps(grid))
+        assert main(["solve", "--boundary", b]) == 1
+        assert "bad grid function" in capsys.readouterr().err
+
     def test_curve_spec_requires_grid(self, tmp_path):
         b = write(tmp_path / "b.json",
                   json.dumps({"domain": "disk", "Q": 1, "n": 1,
@@ -190,22 +212,19 @@ class TestGridLoader:
         assert "missing field 'Q'" in capsys.readouterr().err
 
 
-class TestThreadCap:
-    def test_qv_threads_env(self, tuples, monkeypatch, capsys):
-        a, b = tuples
-        monkeypatch.setenv("QV_THREADS", "1")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        assert main(["dist", "--a", a, "--b", b]) == 0
-        import os
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-
-    def test_qv_threads_garbage_ignored(self, tuples, monkeypatch):
-        a, b = tuples
-        monkeypatch.setenv("QV_THREADS", "many")
-        assert main(["dist", "--a", a, "--b", b]) == 0
-
-
 class TestVerifyCli:
+    @pytest.mark.parametrize("field,value", [("Q_range", 3), ("n_range", [1]),
+                                             ("trials", "many"), ("tolerances", [])])
+    def test_bad_config_field_named(self, tmp_path, capsys, field, value):
+        cfg = write(tmp_path / "cfg.json", json.dumps({"trials": 5, field: value}))
+        assert main(["verify", "--config", cfg]) == 1
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.json", "[1, 2]")
+        assert main(["verify", "--config", cfg]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
     def test_pass_and_report(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json",
                     json.dumps({"seed": 0, "trials": 15}))

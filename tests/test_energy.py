@@ -52,6 +52,12 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(2, 1, 1, (3, 3), 0.5, np.zeros((3, 3)), bad)
 
+    def test_equality_is_identity(self):
+        g = empty_grid(2, 1, 2, 5, disk_mask(5))
+        assert g == g
+        assert (g == g.copy()) is False
+        assert len({g, g.copy()}) == 2
+
     def test_mask_entries_validated(self):
         with pytest.raises(ValueError):
             GridFunction(1, 1, 1, (3,), 1.0, np.array([0, 5, 0]), np.zeros((3, 1, 1)))
@@ -418,7 +424,7 @@ class TestTraceContinuity:
             g.values[inside] += scale * rng.uniform(-1, 1, (int(inside.sum()), 2, 1))
             full = dp_distance(f, g, p)
             boundary_nodes = list(f.nodes(kinds=(BOUNDARY,)))
-            from qvalued.energy import _g2_value
+            from oracles import _g2_value
 
             tr = sum(
                 _g2_value(f.values[idx], g.values[idx]) ** p * f.h ** (f.m - 1)

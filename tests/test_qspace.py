@@ -33,6 +33,11 @@ class TestQTuple:
         assert qt(1, 2) != qt(1, 1)
         assert QTuple([[1, 2], [3, 4]]) == QTuple([[3, 4], [1, 2]])
 
+    def test_hash_agrees_with_signed_zero_equality(self):
+        assert QTuple([[0.0]]) == QTuple([[-0.0]])
+        assert len({QTuple([[0.0]]), QTuple([[-0.0]])}) == 1
+        assert hash(QTuple([[1.0, -0.0], [0.0, 2.0]])) == hash(QTuple([[0.0, 2.0], [1.0, 0.0]]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QTuple([])
