@@ -50,6 +50,7 @@ from .qspace import (
     dist,
     dist_sorted_1d,
     g2_match_many,
+    ginf_match_many,
     local_split,
     select_branches,
     split_distance,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,7 +68,7 @@ def _grid_from_obj(obj, path: str) -> GridFunction:
     for name in ("m", "n", "Q", "shape", "h", "mask", "values"):
         _field(obj, name, path)
     try:
-        return GridFunction.from_json(json.dumps(obj))
+        return GridFunction.from_obj(obj)
     except (ValueError, TypeError) as exc:
         raise DataError(f"bad grid function in {path}: {exc}")
 
@@ -133,15 +134,41 @@ def _cmd_decode(args) -> int:
     return 0
 
 
+def _numbers(value, name: str, path: str) -> np.ndarray:
+    """``value`` as a float array, which must hold only finite numbers."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise DataError(f"field '{name}' in {path} must hold finite numbers, got {value!r}")
+    return arr
+
+
+def _sample_entries(obj: dict, name: str, path: str) -> list:
+    """The ``(x, value)`` pairs of the list field ``name``, one per object in it."""
+    entries = _field(obj, name, path)
+    if not isinstance(entries, list):
+        raise DataError(f"field '{name}' in {path} must be a list of objects")
+    pairs = []
+    for entry in entries:
+        x = _numbers(_field(entry, "x", path), "x", path)
+        try:
+            value = QTuple(_field(entry, "value", path))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"field 'value' in {path} must be a (Q, n) array of finite "
+                            f"numbers: {exc}")
+        pairs.append((x, value))
+    return pairs
+
+
 def _load_boundary_sample(path: str) -> extend.BoundarySample:
     obj = _load_json(path)
-    m = _field(obj, "m", path)
+    m = _int_field(obj, "m", path)
     R = _field(obj, "R", path)
-    data = _field(obj, "points", path)
-    points = []
-    for entry in data:
-        points.append((np.asarray(_field(entry, "x", path), dtype=float),
-                       QTuple(_field(entry, "value", path))))
+    if isinstance(R, bool) or not isinstance(R, (int, float)) or not 0 < R < math.inf:
+        raise DataError(f"field 'R' in {path} must be a positive number, got {R!r}")
+    points = _sample_entries(obj, "points", path)
     try:
         return extend.BoundarySample(points=points, R=R, m=m)
     except ValueError as exc:
@@ -173,13 +200,12 @@ def _cmd_extend(args) -> int:
         values = [extend.cone_extend(sample, q).points.tolist() for q in queries]
     else:
         obj = _load_json(args.infile)
-        box = _field(obj, "box", args.infile)
-        depth = int(obj.get("depth", 6))
-        data = [
-            (np.asarray(_field(e, "x", args.infile), dtype=float),
-             QTuple(_field(e, "value", args.infile)))
-            for e in _field(obj, "data", args.infile)
-        ]
+        box = _numbers(_field(obj, "box", args.infile), "box", args.infile)
+        depth = _int_field(obj, "depth", args.infile, lowest=0) if "depth" in obj else 6
+        data = _sample_entries(obj, "data", args.infile)
+        if data and box.size != 2 * data[0][0].size:
+            raise DataError(f"field 'box' in {args.infile} must hold a [low, high] pair "
+                            f"per axis of 'x'")
         ext = extend.WhitneyExtension(data, box, depth)
         values = [ext.evaluate(q).points.tolist() for q in queries]
     _write(args.out, json.dumps(values))

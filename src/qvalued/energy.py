@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .extend import BoundarySample, WhitneyExtension
@@ -164,6 +165,16 @@ def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> np
     return out
 
 
+def _stranded(size: int, u: np.ndarray, v: np.ndarray, bnodes: np.ndarray,
+              interior: np.ndarray) -> np.ndarray:
+    """Interior nodes whose component of the edge graph holds no boundary node."""
+    graph = csr_matrix((np.ones(u.size), (u, v)), shape=(size, size))
+    _, component = connected_components(graph, directed=False)
+    anchored = np.zeros(component.max() + 1, dtype=bool)
+    anchored[component[bnodes]] = True
+    return interior[~anchored[component[interior]]]
+
+
 def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
                     tol: float = 1e-8, max_outer: int = 60,
                     restarts: int = 3, seed: int = 0, max_inner: int = 200,
@@ -210,6 +221,10 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
         raise ValueError("boundary values must be finite")
     interior = grid.node_index((INTERIOR,))
     u, v = grid.edge_index()
+    stranded = _stranded(grid.mask.size, u, v, bnodes, interior)
+    if stranded.size:
+        raise ValueError(f"interior node {next(index_tuples(stranded[:1], grid.shape))} "
+                         "has no path of inside edges to a boundary node")
     coords = grid.all_coords().reshape(-1, grid.m)
     nearest = _nearest(coords[interior], coords[bnodes])
 

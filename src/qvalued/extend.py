@@ -8,6 +8,11 @@ propagates them across edges and faces with the cone construction.  A
 third operator reflects a unit-ball grid function onto the surrounding
 plane with linearly decaying branches, vanishing beyond radius 3/2.
 
+The oscillation, the split test and the cluster grouping of each cone
+level are array operations over all witnessed tuples: one
+``qspace.ginf_match_many`` call scores every sample pair, and one matches
+every sample to the reference tuple.
+
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
 
@@ -17,13 +22,14 @@ to issue concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE
-from .qspace import MetricKind, QTuple, dist
+from .qspace import QTuple, ginf_match_many, vector_norms
 
 
 @dataclass
@@ -76,32 +82,45 @@ def _vec_norm(x: np.ndarray, kind: str) -> float:
     return float(np.linalg.norm(x))
 
 
-def _ginf_value(a: np.ndarray, b: np.ndarray) -> float:
-    value, _ = dist(QTuple(a), QTuple(b), MetricKind.GINF)
-    return value
+@functools.lru_cache(maxsize=32)
+def _pairs(L: int):
+    """Index arrays ``(i, j)`` of every pair i < j of L samples."""
+    first, second = np.triu_indices(L, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
 
 
-def _split_clusters(points: np.ndarray, threshold: float) -> list:
-    """Single-linkage clusters: points closer than the threshold are joined."""
-    L = points.shape[0]
-    parent = list(range(L))
+def _oscillation(vals: np.ndarray) -> float:
+    """Largest GINF distance between two of the tuples ``vals``, 0 for one tuple.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    The pairs go to the kernel 65,536 at a time; the running maximum does
+    not depend on the order, so chunking leaves the value unchanged.
+    """
+    first, second = _pairs(vals.shape[0])
+    osc = 0.0
+    rows = 1 << 16
+    for lo in range(0, first.size, rows):
+        g, _ = ginf_match_many(vals[first[lo:lo + rows]], vals[second[lo:lo + rows]])
+        osc = max(osc, float(g.max()))
+    return osc
 
-    for i in range(L):
-        for j in range(i + 1, L):
-            if np.linalg.norm(points[i] - points[j]) <= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(L):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in sorted(groups.values(), key=lambda g: g[0])]
+
+def _split_clusters(points: np.ndarray, threshold: float):
+    """Single-linkage clusters: points closer than the threshold are joined.
+
+    Returns the number of clusters and the cluster of each point; clusters
+    are numbered in the order of their first point.
+    """
+    close = vector_norms(points[:, None, :] - points[None, :, :]) <= threshold
+    # each point takes the lowest index it reaches: its cluster's first point
+    lowest = np.arange(points.shape[0])
+    while True:
+        step = np.where(close, lowest, lowest.size).min(axis=1)
+        if np.array_equal(step, lowest):
+            break
+        lowest = step
+    first, cluster_of = np.unique(lowest, return_inverse=True)
+    return first.size, cluster_of
 
 
 def _cone_eval(boundary_fn, sample_pts: np.ndarray, sample_vals: np.ndarray,
@@ -118,39 +137,28 @@ def _cone_eval(boundary_fn, sample_pts: np.ndarray, sample_vals: np.ndarray,
     first point of the first witnessed tuple.
     """
     L, Qc, _ = sample_vals.shape
-    osc = 0.0
-    for i in range(L):
-        for j in range(i + 1, L):
-            osc = max(osc, _ginf_value(sample_vals[i], sample_vals[j]))
+    osc = _oscillation(sample_vals)
 
     if Qc >= 2:
-        ref_idx = None
-        for l in range(L):
-            pts = sample_vals[l]
-            gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            if gaps.max() > 3.0 * Qc * osc:
-                ref_idx = l
-                break
-        if ref_idx is not None:
-            ref = sample_vals[ref_idx]
-            clusters = _split_clusters(ref, 3.0 * osc)
-            ref_tuple = QTuple(ref)
-            cluster_of = np.empty(Qc, dtype=int)
-            for c, idx in enumerate(clusters):
-                cluster_of[idx] = c
+        gaps = np.linalg.norm(sample_vals[:, :, None, :] - sample_vals[:, None, :, :], axis=3)
+        above = np.flatnonzero(gaps.reshape(L, -1).max(axis=1) > 3.0 * Qc * osc)
+        if above.size:
+            ref = sample_vals[above[0]]
+            count, cluster_of = _split_clusters(ref, 3.0 * osc)
+            ends = np.cumsum(np.bincount(cluster_of, minlength=count)).tolist()
 
-            def grouped(value_pts: np.ndarray) -> list:
-                _, match = dist(QTuple(value_pts), ref_tuple, MetricKind.GINF)
-                perm = np.asarray(match.perm)
-                return [value_pts[cluster_of[perm] == c] for c in range(len(clusters))]
+            def grouped(vals: np.ndarray) -> list:
+                """Split each tuple of the stack by the cluster of its G-inf match in ref."""
+                _, perm = ginf_match_many(vals, ref[None])
+                order = np.argsort(cluster_of[perm], axis=1, kind="stable")
+                vals = vals[np.arange(len(vals))[:, None], order]
+                return [vals[:, lo:hi] for lo, hi in zip([0] + ends, ends)]
 
-            part_samples = [grouped(sample_vals[l]) for l in range(L)]
             pieces = []
-            for c in range(len(clusters)):
-                part_vals = np.array([part_samples[l][c] for l in range(L)])
+            for c, part_vals in enumerate(grouped(sample_vals)):
 
                 def part_fn(b, c=c):
-                    return grouped(boundary_fn(b))[c]
+                    return grouped(boundary_fn(b)[None])[c][0]
 
                 pieces.append(
                     _cone_eval(part_fn, sample_pts, part_vals, R, x, norm)
@@ -197,6 +205,13 @@ def cone_extend(samples: BoundarySample, query) -> QTuple:
 
     out = _cone_eval(boundary_fn, locs, vals, R, query, "l2")
     return QTuple(out)
+
+
+def _lines(fixed: np.ndarray, along: np.ndarray) -> dict:
+    """Map each value of ``fixed`` to the sorted values of ``along`` that share it."""
+    order = np.lexsort((along, fixed))
+    keys, starts = np.unique(fixed[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(along[order], starts[1:])))
 
 
 class WhitneyExtension:
@@ -252,52 +267,49 @@ class WhitneyExtension:
             raise ValueError(f"depth cap exceeded: {self.depth} > 24")
 
         self._leaves = {}
-        stack = [(np.zeros(self.m, dtype=np.int64), 0)]
-        while stack:
-            k, d = stack.pop()
+        delta = np.array(list(np.ndindex(*(2,) * self.m)), dtype=np.int64)
+        cells = np.zeros((1, self.m), dtype=np.int64)
+        corners = []
+        for d in range(self.depth + 1):
             size = self.S / (1 << d)
-            lo = self.root_lo + k * size
-            gap = self._dist_inf_to_cell(lo, size)
-            if size < gap:
-                self._leaves[(tuple(k), d)] = "w"
-            elif d >= self.depth:
-                self._leaves[(tuple(k), d)] = "near"
-            else:
-                for delta in np.ndindex(*(2,) * self.m):
-                    stack.append((2 * k + np.array(delta), d + 1))
-
-        self._corner_values = {}
-        unit = 1 << self.depth
-        corner_set = set()
-        for (k, d), kind in self._leaves.items():
-            if kind != "w":
-                continue
+            whitney = size < self._dist_inf_to_cells(self.root_lo + cells * size, size)
+            self._leaves.update(((tuple(k), d), "w") for k in cells[whitney].tolist())
             side = 1 << (self.depth - d)
-            base = np.asarray(k, dtype=np.int64) * side
-            for delta in np.ndindex(*(2,) * self.m):
-                corner_set.add(tuple(base + np.array(delta) * side))
-        for corner in corner_set:
-            x = self.root_lo + np.array(corner) * (self.S / unit)
-            self._corner_values[corner] = self._nearest_sample_value(x)
-        if self.m == 2:
-            self._columns = {}
-            self._rows = {}
-            for cx, cy in corner_set:
-                self._columns.setdefault(cx, []).append(cy)
-                self._rows.setdefault(cy, []).append(cx)
-            for d in (self._columns, self._rows):
-                for key in d:
-                    d[key] = np.array(sorted(set(d[key])))
+            corners.append(((cells[whitney] * side)[:, None, :] + delta * side).reshape(-1, self.m))
+            cells = cells[~whitney]
+            if d == self.depth:
+                self._leaves.update(((tuple(k), d), "near") for k in cells.tolist())
+            else:
+                cells = (2 * cells[:, None, :] + delta).reshape(-1, self.m)
 
-    def _dist_inf_to_cell(self, lo: np.ndarray, size: float) -> float:
-        hi = lo + size
-        below = np.maximum(lo[None, :] - self.locs, 0.0)
-        above = np.maximum(self.locs - hi[None, :], 0.0)
-        return float(np.maximum(below, above).max(axis=1).min())
+        corners = np.unique(np.concatenate(corners), axis=0)
+        scale = self.S / (1 << self.depth)
+        nearest = np.empty(len(corners), dtype=np.intp)
+        for lo in range(0, len(corners), 512):
+            nearest[lo:lo + 512] = self._nearest_samples(self.root_lo + corners[lo:lo + 512] * scale)
+        self._corner_values = {tuple(c): self.vals[i]
+                               for c, i in zip(corners.tolist(), nearest.tolist())}
+        if self.m == 2:
+            self._columns = _lines(corners[:, 0], corners[:, 1])
+            self._rows = _lines(corners[:, 1], corners[:, 0])
+
+    def _dist_inf_to_cells(self, lo: np.ndarray, size: float) -> np.ndarray:
+        """Sup-norm distance from the sample set to each cell ``[lo, lo + size]``."""
+        gap = np.empty(len(lo))
+        for a in range(0, len(lo), 512):
+            cell = lo[a:a + 512, None, :]
+            below = np.maximum(cell - self.locs, 0.0)
+            above = np.maximum(self.locs - (cell + size), 0.0)
+            gap[a:a + 512] = np.maximum(below, above).max(axis=2).min(axis=1)
+        return gap
+
+    def _nearest_samples(self, x: np.ndarray) -> np.ndarray:
+        """Index of the first sup-norm-nearest sample to each row of ``x``."""
+        d = np.abs(self.locs[None, :, :] - x[:, None, :]).max(axis=2)
+        return np.argmin(d, axis=1)
 
     def _nearest_sample_value(self, x: np.ndarray) -> np.ndarray:
-        d = np.abs(self.locs - x[None, :]).max(axis=1)
-        return self.vals[int(np.argmin(d))]
+        return self.vals[int(self._nearest_samples(x[None, :])[0])]
 
     def _locate(self, x: np.ndarray):
         k = np.zeros(self.m, dtype=np.int64)

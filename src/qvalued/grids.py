@@ -138,7 +138,11 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":
-        obj = json.loads(text)
+        return cls.from_obj(json.loads(text))
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "GridFunction":
+        """Build from the parsed JSON object that ``to_json`` writes."""
         shape = tuple(obj["shape"])
         mask = np.array(obj["mask"], dtype=np.int8).reshape(shape)
         values = np.array(obj["values"], dtype=float).reshape(

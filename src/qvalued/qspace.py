@@ -3,7 +3,9 @@
 A Q-tuple is a multiset of Q points (multiplicity counts).  The three
 metrics pair the points of two tuples optimally and aggregate the pairwise
 Euclidean distances by sum (G1), root-sum-of-squares (G2) or maximum
-(GINF).  This module also provides the splitting machinery: the minimum
+(GINF).  ``g2_match_many`` and ``ginf_match_many`` match whole stacks
+of tuple pairs at once; ``dist(..., GINF)`` is the one-pair case of the
+latter.  This module also provides the splitting machinery: the minimum
 gap between distinct points of a tuple forces the optimal pairing for any
 sufficiently small perturbation, which is what makes local decompositions
 and branch selection work.
@@ -14,6 +16,8 @@ a pure function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from collections import deque
@@ -255,6 +259,9 @@ def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
     Q = v.Q
     if Q == 1:
         return float(np.linalg.norm(v.points[0] - w.points[0])), Matching((0,))
+    if kind is MetricKind.GINF:
+        value, perm = ginf_match_many(v.points[None], w.points[None])
+        return float(value[0]), Matching(tuple(perm[0]))
     D = _pairwise_distances(v, w)
     if Q == 2:
         return _dist_q2(D, kind)
@@ -265,8 +272,6 @@ def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
         C = D * D
         perm = _lexmin_sum_assignment(C)
         value = float(math.sqrt(C[np.arange(Q), perm].sum()))
-    elif kind is MetricKind.GINF:
-        value, perm = _bottleneck_assignment(D)
     else:  # pragma: no cover
         raise ValueError(f"unknown metric kind {kind!r}")
     return value, Matching(tuple(perm))
@@ -275,12 +280,9 @@ def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
 def _dist_q2(D: np.ndarray, kind: MetricKind):
     if kind is MetricKind.G1:
         keep, swap = D[0, 0] + D[1, 1], D[0, 1] + D[1, 0]
-    elif kind is MetricKind.G2:
+    else:
         keep = D[0, 0] ** 2 + D[1, 1] ** 2
         swap = D[0, 1] ** 2 + D[1, 0] ** 2
-    else:
-        keep = max(D[0, 0], D[1, 1])
-        swap = max(D[0, 1], D[1, 0])
     if keep <= swap:
         value, perm = keep, (0, 1)
     else:
@@ -328,6 +330,70 @@ def g2_match_many(A: np.ndarray, B: np.ndarray):
         sq_cost[e] = C[e, rows, cols].sum()
         perm[e] = cols
     return sq_cost, perm
+
+
+def vector_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of ``d``.
+
+    Each equals ``np.linalg.norm`` of that one vector to the last bit, since
+    both reduce through the same dot product; ``np.linalg.norm(d, axis=-1)``
+    and ``einsum`` sum in another order and can differ in the last bit.
+    """
+    d = np.asarray(d, dtype=float)
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_table(Q: int) -> np.ndarray:
+    """Every permutation of {0..Q-1} in lexicographic order, one per row."""
+    table = np.array(list(itertools.permutations(range(Q))), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def ginf_match_many(A: np.ndarray, B: np.ndarray):
+    """Optimal GINF (bottleneck) matchings between matching rows of two stacks.
+
+    Parameters
+    ----------
+    A, B : ndarray, shape (E, Q, n)
+        ``A[e]`` and ``B[e]`` are the points of the e-th pair of tuples;
+        either stack may have a single row, which is paired with every row
+        of the other (``B = ref[None]`` matches all of ``A`` to ``ref``).
+
+    Returns
+    -------
+    value : ndarray, shape (E,)
+        GINF distance of each pair, the float ``dist(..., GINF)`` returns.
+    perm : ndarray of int, shape (E, Q)
+        Point i of ``A[e]`` goes to point ``perm[e, i]`` of ``B[e]``: the
+        lexicographically smallest optimal pairing, as in ``dist``.  For
+        Q <= 5 every permutation is scored in lexicographic order and the
+        first minimum wins; beyond that each row runs the bisection solver.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    Q = A.shape[1]
+    if Q == 1:
+        value = vector_norms(A[:, 0] - B[:, 0])
+        return value, np.zeros((value.size, 1), dtype=np.intp)
+    diff = A[:, :, None, :] - B[:, None, :, :]
+    D = np.sqrt(np.einsum("eijk,eijk->eij", diff, diff))
+    E = D.shape[0]
+    value = np.empty(E)
+    if Q > 5:
+        perm = np.empty((E, Q), dtype=np.intp)
+        for e in range(E):
+            value[e], perm[e] = _bottleneck_assignment(D[e])
+        return value, perm
+    P = _perm_table(Q)
+    first = np.empty(E, dtype=np.intp)
+    rows = max(1, (1 << 18) // P.size)  # about 2 MB of gathered distances per chunk
+    for lo in range(0, E, rows):
+        worst = D[lo:lo + rows, np.arange(Q), P].max(axis=2)
+        value[lo:lo + rows] = worst.min(axis=1)
+        first[lo:lo + rows] = worst.argmin(axis=1)
+    return value, P[first]
 
 
 def dist_sorted_1d(v: QTuple, w: QTuple) -> float:

@@ -280,3 +280,160 @@ def _branch_step_gradient(values, grid, edges, matchings, unknown, w, p, tol,
             energy = e_trial
             break
         energy = e_trial
+
+
+# -- per-pair references for the array paths of qvalued.extend ---------------
+
+
+def _ginf_value(a: np.ndarray, b: np.ndarray) -> float:
+    from qvalued.qspace import MetricKind, QTuple, dist
+
+    value, _ = dist(QTuple(a), QTuple(b), MetricKind.GINF)
+    return value
+
+
+def _split_clusters(points: np.ndarray, threshold: float) -> list:
+    """Single-linkage clusters: points closer than the threshold are joined."""
+    L = points.shape[0]
+    parent = list(range(L))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(L):
+        for j in range(i + 1, L):
+            if np.linalg.norm(points[i] - points[j]) <= threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(L):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(g) for g in sorted(groups.values(), key=lambda g: g[0])]
+
+
+def cone_eval_reference(boundary_fn, sample_pts, sample_vals, R, x, norm):
+    """``extend._cone_eval`` with one ``dist(..., GINF)`` solve per sample pair."""
+    from qvalued.extend import _vec_norm
+    from qvalued.qspace import MetricKind, QTuple, dist
+
+    L, Qc, _ = sample_vals.shape
+    osc = 0.0
+    for i in range(L):
+        for j in range(i + 1, L):
+            osc = max(osc, _ginf_value(sample_vals[i], sample_vals[j]))
+
+    if Qc >= 2:
+        ref_idx = None
+        for l in range(L):
+            pts = sample_vals[l]
+            gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+            if gaps.max() > 3.0 * Qc * osc:
+                ref_idx = l
+                break
+        if ref_idx is not None:
+            ref = sample_vals[ref_idx]
+            clusters = _split_clusters(ref, 3.0 * osc)
+            ref_tuple = QTuple(ref)
+            cluster_of = np.empty(Qc, dtype=int)
+            for c, idx in enumerate(clusters):
+                cluster_of[idx] = c
+
+            def grouped(value_pts):
+                _, match = dist(QTuple(value_pts), ref_tuple, MetricKind.GINF)
+                perm = np.asarray(match.perm)
+                return [value_pts[cluster_of[perm] == c] for c in range(len(clusters))]
+
+            part_samples = [grouped(sample_vals[l]) for l in range(L)]
+            pieces = []
+            for c in range(len(clusters)):
+                part_vals = np.array([part_samples[l][c] for l in range(L)])
+
+                def part_fn(b, c=c):
+                    return grouped(boundary_fn(b))[c]
+
+                pieces.append(
+                    cone_eval_reference(part_fn, sample_pts, part_vals, R, x, norm)
+                )
+            return np.vstack(pieces)
+
+    r = _vec_norm(x, norm)
+    y1 = sample_vals[0][0]
+    if r <= 1e-15 * R:
+        return np.tile(y1, (Qc, 1))
+    proj = x * (R / r)
+    bval = boundary_fn(proj)
+    return (r / R) * bval + ((R - r) / R) * y1
+
+
+def whitney_structure_reference(ext):
+    """The leaves, corner values and skeleton lines of a ``WhitneyExtension``,
+    built cell by cell and corner by corner from its samples, box and depth.
+    """
+
+    def dist_inf_to_cell(lo, size):
+        hi = lo + size
+        below = np.maximum(lo[None, :] - ext.locs, 0.0)
+        above = np.maximum(ext.locs - hi[None, :], 0.0)
+        return float(np.maximum(below, above).max(axis=1).min())
+
+    def nearest_sample_value(x):
+        d = np.abs(ext.locs - x[None, :]).max(axis=1)
+        return ext.vals[int(np.argmin(d))]
+
+    leaves = {}
+    stack = [(np.zeros(ext.m, dtype=np.int64), 0)]
+    while stack:
+        k, d = stack.pop()
+        size = ext.S / (1 << d)
+        lo = ext.root_lo + k * size
+        gap = dist_inf_to_cell(lo, size)
+        if size < gap:
+            leaves[(tuple(k), d)] = "w"
+        elif d >= ext.depth:
+            leaves[(tuple(k), d)] = "near"
+        else:
+            for delta in np.ndindex(*(2,) * ext.m):
+                stack.append((2 * k + np.array(delta), d + 1))
+
+    corner_values = {}
+    unit = 1 << ext.depth
+    corner_set = set()
+    for (k, d), kind in leaves.items():
+        if kind != "w":
+            continue
+        side = 1 << (ext.depth - d)
+        base = np.asarray(k, dtype=np.int64) * side
+        for delta in np.ndindex(*(2,) * ext.m):
+            corner_set.add(tuple(base + np.array(delta) * side))
+    for corner in corner_set:
+        x = ext.root_lo + np.array(corner) * (ext.S / unit)
+        corner_values[corner] = nearest_sample_value(x)
+    columns, rows = {}, {}
+    if ext.m == 2:
+        for cx, cy in corner_set:
+            columns.setdefault(cx, []).append(cy)
+            rows.setdefault(cy, []).append(cx)
+        for d in (columns, rows):
+            for key in d:
+                d[key] = np.array(sorted(set(d[key])))
+    return leaves, corner_values, columns, rows
+
+
+def ginf_reference(a: np.ndarray, b: np.ndarray):
+    """``dist(..., GINF)`` as it was before the batched kernel: value and perm."""
+    from qvalued.qspace import _bottleneck_assignment
+
+    Q = a.shape[0]
+    if Q == 1:
+        return float(np.linalg.norm(a[0] - b[0])), (0,)
+    diff = a[:, None, :] - b[None, :, :]
+    D = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if Q == 2:
+        keep, swap = max(D[0, 0], D[1, 1]), max(D[0, 1], D[1, 0])
+        return (float(keep), (0, 1)) if keep <= swap else (float(swap), (1, 0))
+    value, perm = _bottleneck_assignment(D)
+    return value, tuple(int(j) for j in perm)

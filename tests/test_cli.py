@@ -116,6 +116,31 @@ class TestExtendCli:
         assert vals[0] == [[0.0]]
         assert vals[2] == [[1.0]]
 
+    @pytest.mark.parametrize("mode", ["cone", "whitney"])
+    @pytest.mark.parametrize("field,value", [("x", {"a": 1}), ("value", {"a": 1})])
+    def test_bad_sample_field_named(self, tmp_path, capsys, mode, field, value):
+        entry = {"x": [1.0, 0.0], "value": [[0.0]]}
+        entry[field] = value
+        if mode == "cone":
+            obj = {"m": 2, "R": 1.0, "points": [entry]}
+        else:
+            obj = {"box": [[0.0, 1.0], [0.0, 1.0]], "data": [entry]}
+        data = write(tmp_path / "s.json", json.dumps(obj))
+        q = write(tmp_path / "q.csv", "0.0,0.0\n")
+        assert main(["extend", mode, "--in", data, "--query", q]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("depth", 4.7), ("depth", -1),
+                                             ("box", "unit"), ("box", [[0.0, 1.0]])])
+    def test_bad_whitney_field_named(self, tmp_path, capsys, field, value):
+        obj = {"box": [[0.0, 1.0], [0.0, 1.0]], "depth": 4,
+               "data": [{"x": [0.5, 0.5], "value": [[0.0]]}]}
+        obj[field] = value
+        data = write(tmp_path / "w.json", json.dumps(obj))
+        q = write(tmp_path / "q.csv", "0.2,0.2\n")
+        assert main(["extend", "whitney", "--in", data, "--query", q]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_plane(self, tmp_path):
         g = empty_grid(2, 1, 1, 7)
         g.values[g.mask != OUTSIDE] = [[2.0]]
@@ -198,6 +223,15 @@ class TestSolveCli:
         assert main(["solve", "--boundary", b]) == 1
         assert "bad grid function" in capsys.readouterr().err
 
+    def test_stranded_interior_node_named(self, tmp_path, capsys):
+        grid = empty_grid(2, 1, 1, 5)
+        for idx in ((1, 2), (3, 2), (2, 1), (2, 3)):
+            grid.mask[idx] = OUTSIDE
+        b = write(tmp_path / "b.json", grid.to_json())
+        assert main(["solve", "--boundary", b]) == 1
+        err = capsys.readouterr().err
+        assert "(2, 2)" in err and "Traceback" not in err
+
     def test_curve_spec_requires_grid(self, tmp_path):
         b = write(tmp_path / "b.json",
                   json.dumps({"domain": "disk", "Q": 1, "n": 1,
@@ -206,6 +240,16 @@ class TestSolveCli:
 
 
 class TestGridLoader:
+    def test_from_obj_matches_from_json(self):
+        g = empty_grid(2, 2, 2, 6)
+        g.mask[0, 0] = OUTSIDE
+        g.values[g.mask != OUTSIDE] = np.arange(4.0).reshape(2, 2)
+        text = g.to_json()
+        a, b = GridFunction.from_obj(json.loads(text)), GridFunction.from_json(text)
+        assert a.shape == b.shape and a.h == b.h
+        assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+
     def test_missing_field_named(self, tmp_path, capsys):
         bad = write(tmp_path / "g.json", json.dumps({"m": 2, "n": 1}))
         assert main(["energy", "--in", bad]) == 1

@@ -240,6 +240,16 @@ class TestTrace:
 
 
 class TestSolveDirichlet:
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_rejects_interior_cut_off_from_boundary(self, p):
+        mask = square_mask(7)
+        mask[1:6, 1:6] = OUTSIDE
+        mask[2:5, 2:5] = INTERIOR  # a 3x3 island of interior nodes
+        grid = empty_grid(2, 1, 2, 7, mask)
+        boundary = {idx: grid.values[idx] for idx in grid.nodes(kinds=(BOUNDARY,))}
+        with pytest.raises(ValueError, match=r"interior node \(2, 2\)"):
+            solve_dirichlet(boundary, grid, p, restarts=1)
+
     def test_affine_q1(self):
         N = 17
         grid = empty_grid(2, 1, 1, N)
