@@ -49,9 +49,8 @@ from .qspace import (
     concatenate,
     dist,
     dist_sorted_1d,
-    g2_match_many,
-    ginf_match_many,
     local_split,
+    match_many,
     select_branches,
     split_distance,
     support_sigma,

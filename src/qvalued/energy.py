@@ -8,7 +8,7 @@ vector p-Dirichlet energy on the branch-lifted graph (a linear solve for
 p = 2, damped gradient descent otherwise).
 
 All of it runs on flat arrays: the edges are the index arrays of
-``GridFunction.edge_index``, one call of ``qspace.g2_match_many`` matches
+``GridFunction.edge_index``, one G2 call of ``qspace.match_many`` matches
 every edge, and the solver addresses each (node, branch) position as a row
 of the values reshaped to ``(nodes * Q, n)``.
 
@@ -28,7 +28,7 @@ from scipy.sparse.linalg import splu
 
 from .extend import BoundarySample, WhitneyExtension
 from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, index_tuples
-from .qspace import Matching, QTuple, g2_match_many
+from .qspace import Matching, MetricKind, QTuple, match_many
 
 P_CAP = 8.0
 
@@ -78,7 +78,7 @@ def _match_edges(f: GridFunction):
     """Edge index arrays with each edge's squared G2 length and matching."""
     u, v = f.edge_index()
     X = _tuples(f)
-    return (u, v) + g2_match_many(X[u], X[v])
+    return (u, v) + match_many(X[u], X[v], MetricKind.G2)
 
 
 def dp_distance(f: GridFunction, g: GridFunction, p: float) -> float:
@@ -87,7 +87,7 @@ def dp_distance(f: GridFunction, g: GridFunction, p: float) -> float:
         raise ValueError("p must be at least 1")
     _check_same_grid(f, g)
     inside = f.node_index()
-    sq, _ = g2_match_many(_tuples(f)[inside], _tuples(g)[inside])
+    sq, _ = match_many(_tuples(f)[inside], _tuples(g)[inside], MetricKind.G2)
     return float((sq ** (p / 2.0)).sum() * f.h**f.m) ** (1.0 / p)
 
 
@@ -95,7 +95,7 @@ def discrete_energy(f: GridFunction, p: float) -> EnergyReport:
     """Discrete p-energy with per-edge optimal matchings.
 
     Each axis edge contributes ``h^m * (G2(f(u), f(v)) / h)^p``.  Matchings
-    come from ``qspace.g2_match_many``.
+    come from ``qspace.match_many``.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -269,7 +269,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     slot[free] = np.arange(free.size)
     ga = u[:, None] * Q + np.arange(Q)
 
-    sq, perms = g2_match_many(X[u], X[v])
+    sq, perms = match_many(X[u], X[v], MetricKind.G2)
     energy = w * float((sq ** (p / 2.0)).sum())
     if not math.isfinite(energy):
         raise ArithmeticError("initial energy is not finite")
@@ -283,7 +283,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
             _branch_step_linear(Y, ga, gb, slot, free)
         else:
             _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner)
-        sq, perms = g2_match_many(X[u], X[v])
+        sq, perms = match_many(X[u], X[v], MetricKind.G2)
         energy_new = w * float((sq ** (p / 2.0)).sum())
         if energy_new > energy + 1e-12 * (1.0 + energy):
             raise ArithmeticError("energy increased during alternating minimization")

@@ -9,9 +9,9 @@ third operator reflects a unit-ball grid function onto the surrounding
 plane with linearly decaying branches, vanishing beyond radius 3/2.
 
 The oscillation, the split test and the cluster grouping of each cone
-level are array operations over all witnessed tuples: one
-``qspace.ginf_match_many`` call scores every sample pair, and one matches
-every sample to the reference tuple.
+level are array operations over all witnessed tuples: one GINF call of
+``qspace.match_many`` scores every sample pair, and one matches every
+sample to the reference tuple.
 
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE
-from .qspace import QTuple, ginf_match_many, vector_norms
+from .qspace import MetricKind, QTuple, match_many, vector_norms
 
 
 @dataclass
@@ -100,7 +100,8 @@ def _oscillation(vals: np.ndarray) -> float:
     osc = 0.0
     rows = 1 << 16
     for lo in range(0, first.size, rows):
-        g, _ = ginf_match_many(vals[first[lo:lo + rows]], vals[second[lo:lo + rows]])
+        g, _ = match_many(vals[first[lo:lo + rows]], vals[second[lo:lo + rows]],
+                          MetricKind.GINF)
         osc = max(osc, float(g.max()))
     return osc
 
@@ -149,7 +150,7 @@ def _cone_eval(boundary_fn, sample_pts: np.ndarray, sample_vals: np.ndarray,
 
             def grouped(vals: np.ndarray) -> list:
                 """Split each tuple of the stack by the cluster of its G-inf match in ref."""
-                _, perm = ginf_match_many(vals, ref[None])
+                _, perm = match_many(vals, ref[None], MetricKind.GINF)
                 order = np.argsort(cluster_of[perm], axis=1, kind="stable")
                 vals = vals[np.arange(len(vals))[:, None], order]
                 return [vals[:, lo:hi] for lo, hi in zip([0] + ends, ends)]
@@ -228,7 +229,8 @@ class WhitneyExtension:
     data : list of (location, QTuple)
         Sample locations (distinct) and their values.
     domain_box : array_like, shape (m, 2)
-        Lower and upper bounds per axis; cells tile the enclosing square.
+        Lower and upper bounds per axis, low <= high; cells tile the
+        enclosing square, and queries must lie in the box.
     depth : int
         Dyadic subdivision cap.
     """
@@ -256,7 +258,10 @@ class WhitneyExtension:
         self.locs = locs
         self.vals = np.array(vals)
         box = np.asarray(domain_box, dtype=float).reshape(self.m, 2)
+        if np.any(box[:, 0] > box[:, 1]):
+            raise ValueError(f"domain box {box.tolist()} has a low end above its high end")
         self.root_lo = box[:, 0].copy()
+        self.box_hi = box[:, 1].copy()
         self.S = float((box[:, 1] - box[:, 0]).max())
         if self.S <= 0:
             raise ValueError("domain box must have positive extent")
@@ -312,15 +317,14 @@ class WhitneyExtension:
         return self.vals[int(self._nearest_samples(x[None, :])[0])]
 
     def _locate(self, x: np.ndarray):
+        """The leaf holding ``x``; every descent ends in one by the depth cap."""
         k = np.zeros(self.m, dtype=np.int64)
-        for d in range(self.depth + 1):
-            key = (tuple(k), d)
-            if key in self._leaves:
-                return k, d, self._leaves[key]
-            size = self.S / (1 << (d + 1))
+        d = 0
+        while (tuple(k), d) not in self._leaves:
             lo = self.root_lo + k * (self.S / (1 << d))
-            k = 2 * k + (x >= lo + size).astype(np.int64)
-        raise ValueError("query lies outside the domain box")
+            d += 1
+            k = 2 * k + (x >= lo + self.S / (1 << d)).astype(np.int64)
+        return k, d, self._leaves[(tuple(k), d)]
 
     def _eval_edge(self, c0: np.ndarray, c1: np.ndarray, v0: np.ndarray,
                    v1: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -424,6 +428,8 @@ class WhitneyExtension:
         x = np.asarray(query, dtype=float).reshape(-1)
         if x.size != self.m:
             raise ValueError(f"query has dimension {x.size}, expected m={self.m}")
+        if not np.all((self.root_lo <= x) & (x <= self.box_hi)):
+            raise ValueError(f"query {x.tolist()} lies outside the domain box")
         d_samples = np.abs(self.locs - x[None, :]).max(axis=1)
         hit = int(np.argmin(d_samples))
         if d_samples[hit] <= 1e-12 * max(1.0, self.S):

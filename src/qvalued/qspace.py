@@ -3,12 +3,12 @@
 A Q-tuple is a multiset of Q points (multiplicity counts).  The three
 metrics pair the points of two tuples optimally and aggregate the pairwise
 Euclidean distances by sum (G1), root-sum-of-squares (G2) or maximum
-(GINF).  ``g2_match_many`` and ``ginf_match_many`` match whole stacks
-of tuple pairs at once; ``dist(..., GINF)`` is the one-pair case of the
-latter.  This module also provides the splitting machinery: the minimum
-gap between distinct points of a tuple forces the optimal pairing for any
-sufficiently small perturbation, which is what makes local decompositions
-and branch selection work.
+(GINF).  ``match_many`` matches whole stacks of tuple pairs at once
+under any of the three; ``dist`` is its one-pair case.  This module also
+provides the splitting machinery: the minimum gap between distinct points
+of a tuple forces the optimal pairing for any sufficiently small
+perturbation, which is what makes local decompositions and branch
+selection work.
 
 All values here are immutable after construction and every operation is
 a pure function, so concurrent use needs no locking.
@@ -138,11 +138,6 @@ def _check_compatible(v: QTuple, w: QTuple) -> None:
         raise ValueError(f"dimension mismatch: n={v.n} vs n={w.n}")
 
 
-def _pairwise_distances(v: QTuple, w: QTuple) -> np.ndarray:
-    diff = v.points[:, None, :] - w.points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment; ties broken by lexicographically smallest perm.
 
@@ -237,101 +232,6 @@ def _bottleneck_assignment(D: np.ndarray):
     return t, perm
 
 
-def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
-    """Assignment distance between two Q-tuples with an optimal matching.
-
-    Parameters
-    ----------
-    v, w : QTuple
-        Tuples with equal Q and n.
-    kind : MetricKind
-        G1 sums the paired distances, G2 takes the root-sum-of-squares,
-        GINF the maximum.
-
-    Returns
-    -------
-    value : float
-    match : Matching
-        A minimizing pairing; among optimal pairings the lexicographically
-        smallest permutation is returned.
-    """
-    _check_compatible(v, w)
-    Q = v.Q
-    if Q == 1:
-        return float(np.linalg.norm(v.points[0] - w.points[0])), Matching((0,))
-    if kind is MetricKind.GINF:
-        value, perm = ginf_match_many(v.points[None], w.points[None])
-        return float(value[0]), Matching(tuple(perm[0]))
-    D = _pairwise_distances(v, w)
-    if Q == 2:
-        return _dist_q2(D, kind)
-    if kind is MetricKind.G1:
-        perm = _lexmin_sum_assignment(D)
-        value = float(D[np.arange(Q), perm].sum())
-    elif kind is MetricKind.G2:
-        C = D * D
-        perm = _lexmin_sum_assignment(C)
-        value = float(math.sqrt(C[np.arange(Q), perm].sum()))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown metric kind {kind!r}")
-    return value, Matching(tuple(perm))
-
-
-def _dist_q2(D: np.ndarray, kind: MetricKind):
-    if kind is MetricKind.G1:
-        keep, swap = D[0, 0] + D[1, 1], D[0, 1] + D[1, 0]
-    else:
-        keep = D[0, 0] ** 2 + D[1, 1] ** 2
-        swap = D[0, 1] ** 2 + D[1, 0] ** 2
-    if keep <= swap:
-        value, perm = keep, (0, 1)
-    else:
-        value, perm = swap, (1, 0)
-    if kind is MetricKind.G2:
-        value = math.sqrt(value)
-    return float(value), Matching(perm)
-
-
-def g2_match_many(A: np.ndarray, B: np.ndarray):
-    """Optimal G2 matchings between matching rows of two stacks of tuples.
-
-    Parameters
-    ----------
-    A, B : ndarray, shape (E, Q, n)
-        ``A[e]`` and ``B[e]`` are the points of the e-th pair of tuples.
-
-    Returns
-    -------
-    sq_cost : ndarray, shape (E,)
-        Squared G2 distance of each pair.
-    perm : ndarray of int, shape (E, Q)
-        An optimal pairing per row: point i of ``A[e]`` goes to point
-        ``perm[e, i]`` of ``B[e]``.  For Q = 2 a tie keeps ``(0, 1)``, as
-        ``dist`` does; for Q >= 3 the pairing is the assignment solver's,
-        without the lexicographic refinement of ``dist``.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    E, Q, _ = A.shape
-    if Q == 1:
-        d = A[:, 0] - B[:, 0]
-        return np.einsum("ek,ek->e", d, d), np.zeros((E, 1), dtype=np.intp)
-    diff = A[:, :, None, :] - B[:, None, :, :]
-    C = np.einsum("eijk,eijk->eij", diff, diff)
-    if Q == 2:
-        keep = C[:, 0, 0] + C[:, 1, 1]
-        swap = C[:, 0, 1] + C[:, 1, 0]
-        perm = np.where((keep <= swap)[:, None], [0, 1], [1, 0])
-        return np.minimum(keep, swap), perm
-    sq_cost = np.empty(E)
-    perm = np.empty((E, Q), dtype=np.intp)
-    for e in range(E):
-        rows, cols = linear_sum_assignment(C[e])
-        sq_cost[e] = C[e, rows, cols].sum()
-        perm[e] = cols
-    return sq_cost, perm
-
-
 def vector_norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis of ``d``.
 
@@ -351,8 +251,18 @@ def _perm_table(Q: int) -> np.ndarray:
     return table
 
 
-def ginf_match_many(A: np.ndarray, B: np.ndarray):
-    """Optimal GINF (bottleneck) matchings between matching rows of two stacks.
+def _cost_matrices(A: np.ndarray, B: np.ndarray, squared: bool) -> np.ndarray:
+    """``C[e, i, j]`` prices pairing point i of ``A[e]`` with point j of ``B[e]``.
+
+    The squared distance (G2) or the distance (G1 and GINF).
+    """
+    diff = A[:, :, None, :] - B[:, None, :, :]
+    C = np.einsum("eijk,eijk->eij", diff, diff)
+    return C if squared else np.sqrt(C)
+
+
+def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
+    """Optimal matchings between matching rows of two stacks of Q-tuples.
 
     Parameters
     ----------
@@ -360,40 +270,95 @@ def ginf_match_many(A: np.ndarray, B: np.ndarray):
         ``A[e]`` and ``B[e]`` are the points of the e-th pair of tuples;
         either stack may have a single row, which is paired with every row
         of the other (``B = ref[None]`` matches all of ``A`` to ``ref``).
+    kind : MetricKind
 
     Returns
     -------
-    value : ndarray, shape (E,)
-        GINF distance of each pair, the float ``dist(..., GINF)`` returns.
+    cost : ndarray, shape (E,)
+        Per pair, the sum (G1), the sum of squares (G2: the squared G2
+        distance) or the maximum (GINF) of the paired distances.
     perm : ndarray of int, shape (E, Q)
-        Point i of ``A[e]`` goes to point ``perm[e, i]`` of ``B[e]``: the
-        lexicographically smallest optimal pairing, as in ``dist``.  For
-        Q <= 5 every permutation is scored in lexicographic order and the
-        first minimum wins; beyond that each row runs the bisection solver.
+        Point i of ``A[e]`` goes to point ``perm[e, i]`` of ``B[e]``.  For
+        Q <= 5 every permutation is scored in lexicographic order: GINF
+        takes the first minimum, G1 and G2 the first permutation within
+        1e-12 relative of the minimum, with that permutation's cost.
+        Beyond that each row runs the bisection solver for GINF, which
+        keeps the lexicographic rule, and the assignment solver for G1 and
+        G2, which does not; ``dist`` refines the latter.
     """
+    if not isinstance(kind, MetricKind):
+        raise ValueError(f"unknown metric kind {kind!r}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = A.shape[1]
+    # one enum lookup each: the extension makes thousands of one-row calls
+    squared, bottleneck = kind is MetricKind.G2, kind is MetricKind.GINF
     if Q == 1:
-        value = vector_norms(A[:, 0] - B[:, 0])
-        return value, np.zeros((value.size, 1), dtype=np.intp)
-    diff = A[:, :, None, :] - B[:, None, :, :]
-    D = np.sqrt(np.einsum("eijk,eijk->eij", diff, diff))
-    E = D.shape[0]
-    value = np.empty(E)
+        d = A[:, 0] - B[:, 0]
+        cost = np.einsum("ek,ek->e", d, d) if squared else vector_norms(d)
+        return cost, np.zeros((cost.size, 1), dtype=np.intp)
+    C = _cost_matrices(A, B, squared)
+    E = C.shape[0]
+    cost = np.empty(E)
     if Q > 5:
         perm = np.empty((E, Q), dtype=np.intp)
         for e in range(E):
-            value[e], perm[e] = _bottleneck_assignment(D[e])
-        return value, perm
+            if bottleneck:
+                cost[e], perm[e] = _bottleneck_assignment(C[e])
+            else:
+                rows, perm[e] = linear_sum_assignment(C[e])
+                cost[e] = C[e, rows, perm[e]].sum()
+        return cost, perm
     P = _perm_table(Q)
     first = np.empty(E, dtype=np.intp)
     rows = max(1, (1 << 18) // P.size)  # about 2 MB of gathered distances per chunk
     for lo in range(0, E, rows):
-        worst = D[lo:lo + rows, np.arange(Q), P].max(axis=2)
-        value[lo:lo + rows] = worst.min(axis=1)
-        first[lo:lo + rows] = worst.argmin(axis=1)
-    return value, P[first]
+        picked = C[lo:lo + rows, np.arange(Q), P]
+        if bottleneck:
+            worst = picked.max(axis=2)
+            cost[lo:lo + rows] = worst.min(axis=1)
+            first[lo:lo + rows] = worst.argmin(axis=1)
+        else:
+            total = picked.sum(axis=2)
+            best = total.min(axis=1, keepdims=True)
+            pick = (total <= best + 1e-12 * (1.0 + best)).argmax(axis=1)
+            cost[lo:lo + rows] = total[np.arange(pick.size), pick]
+            first[lo:lo + rows] = pick
+    return cost, P.take(first, axis=0)  # same rows as P[first], several times faster
+
+
+def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
+    """Assignment distance between two Q-tuples with an optimal matching.
+
+    The one-pair case of ``match_many``.
+
+    Parameters
+    ----------
+    v, w : QTuple
+        Tuples with equal Q and n.
+    kind : MetricKind
+        G1 sums the paired distances, G2 takes the root-sum-of-squares,
+        GINF the maximum.
+
+    Returns
+    -------
+    value : float
+    match : Matching
+        A minimizing pairing; among optimal pairings the lexicographically
+        smallest permutation is returned.
+    """
+    _check_compatible(v, w)
+    A, B = v.points[None], w.points[None]
+    if kind in (MetricKind.G1, MetricKind.G2) and v.Q > 5:
+        # the kernel's assignment solver may return any optimal pairing
+        C = _cost_matrices(A, B, kind is MetricKind.G2)[0]
+        perm = _lexmin_sum_assignment(C)
+        cost = C[np.arange(v.Q), perm].sum()
+    else:
+        cost, perm = match_many(A, B, kind)
+        cost, perm = cost[0], perm[0]
+    value = math.sqrt(cost) if kind is MetricKind.G2 else float(cost)
+    return value, Matching(tuple(perm))
 
 
 def dist_sorted_1d(v: QTuple, w: QTuple) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import embed
 from .grids import GridFunction, square_mask
-from .qspace import MetricKind, QTuple, dist, g2_match_many, split_distance
+from .qspace import MetricKind, QTuple, dist, match_many, split_distance
 
 _CHECK_OFFSETS = {
     "metric_equivalence": 101,
@@ -300,10 +300,12 @@ def check_sqrt_Q_bound(cfg: CheckConfig) -> CheckReport:
         emb = {}
         for idx in f.nodes():
             emb[idx] = embed.xi(QTuple(f.values[idx]), fr).coords
-        for u, v in f.edges():
+        X = f.values.reshape(-1, Q, n)
+        left, right = f.edge_index()
+        ginf, _ = match_many(X[left], X[right], MetricKind.GINF)
+        for (u, v), gi in zip(f.edges(), ginf.tolist()):
             trials += 1
             quot = float(np.linalg.norm(emb[u] - emb[v])) / f.h
-            gi, _ = dist(QTuple(f.values[u]), QTuple(f.values[v]), MetricKind.GINF)
             lip = gi / f.h
             if lip > 0:
                 report.worst_ratio = max(report.worst_ratio, quot / (math.sqrt(Q) * lip))
@@ -343,7 +345,7 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
         left = np.concatenate([u[inner], np.tile(nodes, k)])
         right = np.concatenate([v[inner], np.repeat(nodes, k)])
         X = f.values.reshape(-1, Q, n)
-        sq, _ = g2_match_many(X[left], X[right])
+        sq, _ = match_many(X[left], X[right], MetricKind.G2)
         terms = sq ** (q / 2.0)
         n_inner = int(inner.sum())
         energy = f.h ** (m - q) * float(terms[:n_inner].sum())

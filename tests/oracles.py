@@ -437,3 +437,26 @@ def ginf_reference(a: np.ndarray, b: np.ndarray):
         return (float(keep), (0, 1)) if keep <= swap else (float(swap), (1, 0))
     value, perm = _bottleneck_assignment(D)
     return value, tuple(int(j) for j in perm)
+
+
+def sum_dist_reference(a: np.ndarray, b: np.ndarray, kind: str):
+    """``dist(..., G1 or G2)`` as it was before the one kernel: value and perm."""
+    from qvalued.qspace import _lexmin_sum_assignment
+
+    Q = a.shape[0]
+    if Q == 1:
+        return float(np.linalg.norm(a[0] - b[0])), (0,)
+    diff = a[:, None, :] - b[None, :, :]
+    D = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if Q == 2:
+        if kind == "g1":
+            keep, swap = D[0, 0] + D[1, 1], D[0, 1] + D[1, 0]
+        else:
+            keep = D[0, 0] ** 2 + D[1, 1] ** 2
+            swap = D[0, 1] ** 2 + D[1, 0] ** 2
+        value, perm = (keep, (0, 1)) if keep <= swap else (swap, (1, 0))
+        return float(value if kind == "g1" else math.sqrt(value)), perm
+    C = D if kind == "g1" else D * D
+    perm = _lexmin_sum_assignment(C)
+    value = float(C[np.arange(Q), perm].sum())
+    return (value if kind == "g1" else math.sqrt(value)), tuple(int(j) for j in perm)

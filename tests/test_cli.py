@@ -29,6 +29,12 @@ class TestDist:
         assert out["value"] == pytest.approx(math.sqrt(2))
         assert out["match"] == [0, 1]
 
+    def test_q2_tie_takes_lexicographic_pairing(self, tmp_path, capsys):
+        a = write(tmp_path / "a.json", json.dumps([[-1, 0], [-1, -1]]))
+        b = write(tmp_path / "b.json", json.dumps([[2, -1], [-2, -1]]))
+        assert main(["dist", "--kind", "g2", "--a", a, "--b", b]) == 0
+        assert json.loads(capsys.readouterr().out)["match"] == [0, 1]
+
     def test_bad_kind(self, tuples, capsys):
         a, b = tuples
         assert main(["dist", "--kind", "g7", "--a", a, "--b", b]) == 1
@@ -140,6 +146,18 @@ class TestExtendCli:
         q = write(tmp_path / "q.csv", "0.2,0.2\n")
         assert main(["extend", "whitney", "--in", data, "--query", q]) == 1
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box,query,named", [
+        ([[0.0, 1.0], [0.0, 1.0]], "1.5,0.5\n", "1.5"),
+        ([[0.0, 1.0], [0.0, 0.5]], "0.5,0.9\n", "0.9"),
+        ([[1.0, 0.0], [0.0, 1.0]], "0.5,0.5\n", "box"),
+    ])
+    def test_whitney_query_outside_box(self, tmp_path, capsys, box, query, named):
+        obj = {"box": box, "depth": 4, "data": [{"x": [0.2, 0.3], "value": [[0.0]]}]}
+        data = write(tmp_path / "w.json", json.dumps(obj))
+        q = write(tmp_path / "q.csv", query)
+        assert main(["extend", "whitney", "--in", data, "--query", q]) == 1
+        assert named in capsys.readouterr().err
 
     def test_plane(self, tmp_path):
         g = empty_grid(2, 1, 1, 7)

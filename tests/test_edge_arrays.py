@@ -22,7 +22,7 @@ from qvalued.grids import (
     empty_grid,
     square_mask,
 )
-from qvalued.qspace import g2_match_many
+from qvalued.qspace import MetricKind, match_many
 
 from oracles import (
     _branch_step_gradient,
@@ -112,7 +112,7 @@ class TestG2MatchMany:
     def test_against_brute_force_with_ties(self, stacks):
         A, B = stacks
         E, Q, _ = A.shape
-        sq, perm = g2_match_many(A, B)
+        sq, perm = match_many(A, B, MetricKind.G2)
         assert sq.shape == (E,) and perm.shape == (E, Q)
         for e in range(E):
             best, _ = brute_force_dist(A[e], B[e], "g2")
@@ -127,7 +127,7 @@ class TestG2MatchMany:
     def test_q2_tie_keeps_identity(self):
         A = np.array([[[-1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
         B = np.array([[[0.0, -1.0], [0.0, 1.0]], [[3.0, 1.0], [-2.0, 0.5]]])
-        _, perm = g2_match_many(A, B)
+        _, perm = match_many(A, B, MetricKind.G2)
         assert perm.tolist() == [[0, 1], [0, 1]]
 
     @pytest.mark.parametrize("Q", [1, 2, 3, 4, 6])
@@ -135,14 +135,14 @@ class TestG2MatchMany:
         rng = np.random.default_rng(Q)
         A = rng.normal(size=(40, Q, 3))
         B = rng.normal(size=(40, Q, 3))
-        sq, perm = g2_match_many(A, B)
+        sq, perm = match_many(A, B, MetricKind.G2)
         for e in range(40):
             assert np.sqrt(sq[e]) == pytest.approx(_g2_value(A[e], B[e]), rel=1e-12)
             assert perm[e].tolist() == _g2_match(A[e], B[e]).tolist()
 
     def test_empty_stack(self):
         for Q in (1, 2, 3):
-            sq, perm = g2_match_many(np.zeros((0, Q, 2)), np.zeros((0, Q, 2)))
+            sq, perm = match_many(np.zeros((0, Q, 2)), np.zeros((0, Q, 2)), MetricKind.G2)
             assert sq.shape == (0,) and perm.shape == (0, Q)
 
 

@@ -232,6 +232,23 @@ class TestWhitneyExtend:
         with pytest.raises(ValueError):
             WhitneyExtension(A, [[0.0, 1.0]], -1)
 
+    def test_rejects_queries_outside_the_box(self):
+        A = [([0.2, 0.3], QTuple([[0.0]])), ([0.7, 0.4], QTuple([[1.0]]))]
+        ext = WhitneyExtension(A, [[0, 1], [0, 1]], 5)
+        for q in ([1.5, 0.5], [-3.0, 0.2]):
+            with pytest.raises(ValueError, match="outside the domain box"):
+                ext.evaluate(q)
+        assert ext.evaluate([1.0, 0.0]).Q == 1  # the box is closed
+        # inside the enclosing square [0, 1]^2 but above the box
+        ext = WhitneyExtension(A, [[0, 1], [0, 0.5]], 5)
+        with pytest.raises(ValueError, match="outside the domain box"):
+            ext.evaluate([0.5, 0.9])
+
+    def test_rejects_reversed_box(self):
+        A = [([0.2, 0.3], QTuple([[0.0]]))]
+        with pytest.raises(ValueError, match="box"):
+            WhitneyExtension(A, [[1, 0], [0, 1]], 4)
+
     def test_rejects_duplicate_locations(self):
         with pytest.raises(ValueError):
             WhitneyExtension(

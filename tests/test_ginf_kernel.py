@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qvalued import extend
 from qvalued.extend import BoundarySample, WhitneyExtension, cone_extend
-from qvalued.qspace import MetricKind, QTuple, dist, ginf_match_many
+from qvalued.qspace import MetricKind, QTuple, dist, match_many
 
 from oracles import (
     _split_clusters,
@@ -37,7 +37,7 @@ class TestGinfMatchMany:
     @given(int_stacks())
     def test_against_brute_force_and_dist_with_ties(self, stacks):
         A, B = stacks
-        value, perm = ginf_match_many(A, B)
+        value, perm = match_many(A, B, MetricKind.GINF)
         assert value.shape == (A.shape[0],) and perm.shape == A.shape[:2]
         for e in range(A.shape[0]):
             best, arg = brute_force_dist(A[e], B[e], "ginf")
@@ -53,7 +53,7 @@ class TestGinfMatchMany:
         rng = np.random.default_rng(10 * Q + n)
         A = rng.standard_normal((40, Q, n)) * rng.choice([1e-3, 1.0, 1e3], (40, 1, 1))
         B = rng.standard_normal((40, Q, n))
-        value, perm = ginf_match_many(A, B)
+        value, perm = match_many(A, B, MetricKind.GINF)
         for e in range(40):
             ref_value, ref_perm = ginf_reference(A[e], B[e])
             assert value[e] == ref_value
@@ -65,17 +65,17 @@ class TestGinfMatchMany:
         rng = np.random.default_rng(Q)
         A = rng.integers(-3, 4, (5000, Q, 2)).astype(float)
         ref = rng.integers(-3, 4, (Q, 2)).astype(float)
-        value, perm = ginf_match_many(A, ref[None])
-        tiled = ginf_match_many(A, np.broadcast_to(ref, A.shape))
+        value, perm = match_many(A, ref[None], MetricKind.GINF)
+        tiled = match_many(A, np.broadcast_to(ref, A.shape), MetricKind.GINF)
         assert np.array_equal(value, tiled[0]) and np.array_equal(perm, tiled[1])
         for e in range(0, 5000, 97):
-            one_value, one_perm = ginf_match_many(A[e:e + 1], ref[None])
+            one_value, one_perm = match_many(A[e:e + 1], ref[None], MetricKind.GINF)
             assert one_value[0] == value[e]
             assert np.array_equal(one_perm[0], perm[e])
 
     @pytest.mark.parametrize("Q", [1, 3, 6])
     def test_empty_stack(self, Q):
-        value, perm = ginf_match_many(np.zeros((0, Q, 2)), np.zeros((0, Q, 2)))
+        value, perm = match_many(np.zeros((0, Q, 2)), np.zeros((0, Q, 2)), MetricKind.GINF)
         assert value.shape == (0,) and perm.shape == (0, Q)
 
 
@@ -95,7 +95,7 @@ class TestConeHelpers:
         vals[300, :, 0] = 50.0  # the farthest pair, (300, 399), lies in the second chunk
         vals[399, :, 0] = -50.0
         i, j = np.triu_indices(400, 1)
-        value, _ = ginf_match_many(vals[i], vals[j])
+        value, _ = match_many(vals[i], vals[j], MetricKind.GINF)
         assert extend._oscillation(vals) == value.max()
 
     def test_split_clusters_match_union_find(self):

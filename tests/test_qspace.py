@@ -139,6 +139,16 @@ class TestDist:
             _, match = dist(v, w, kind)
             assert match.perm == (0, 1)
 
+    @pytest.mark.parametrize("v,w,kind", [
+        # both pairings cost 11, but the squares of rounded distances differ
+        ([[-1, 0], [-1, -1]], [[2, -1], [-2, -1]], MetricKind.G2),
+        # both pairings cost exactly 1 in the stored binary values
+        ([0.1, 0.2], [0.2, 1.1], MetricKind.G1),
+    ])
+    def test_q2_tie_takes_lexicographic_pairing(self, v, w, kind):
+        _, match = dist(QTuple(v), QTuple(w), kind)
+        assert match.perm == (0, 1)
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
