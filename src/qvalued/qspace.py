@@ -147,8 +147,8 @@ def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
     """
     Q = cost.shape[0]
     rows, cols = linear_sum_assignment(cost)
-    best = float(cost[rows, cols].sum())
-    tol = 1e-12 * (1.0 + abs(best))
+    # relative, so that the rule does not depend on the scale of the data
+    limit = float(cost[rows, cols].sum()) * (1.0 + 1e-12)
     free = list(range(Q))
     perm = np.empty(Q, dtype=int)
     prefix = 0.0
@@ -162,7 +162,7 @@ def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
                 sub = cost[np.ix_(rest_rows, rest_cols)]
                 rr, cc = linear_sum_assignment(sub)
                 rest = float(sub[rr, cc].sum())
-            if prefix + cost[i, j] + rest <= best + tol:
+            if prefix + cost[i, j] + rest <= limit:
                 perm[i] = j
                 prefix += cost[i, j]
                 free.remove(j)
@@ -251,16 +251,6 @@ def _perm_table(Q: int) -> np.ndarray:
     return table
 
 
-def _cost_matrices(A: np.ndarray, B: np.ndarray, squared: bool) -> np.ndarray:
-    """``C[e, i, j]`` prices pairing point i of ``A[e]`` with point j of ``B[e]``.
-
-    The squared distance (G2) or the distance (G1 and GINF).
-    """
-    diff = A[:, :, None, :] - B[:, None, :, :]
-    C = np.einsum("eijk,eijk->eij", diff, diff)
-    return C if squared else np.sqrt(C)
-
-
 def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
     """Optimal matchings between matching rows of two stacks of Q-tuples.
 
@@ -282,9 +272,9 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         Q <= 5 every permutation is scored in lexicographic order: GINF
         takes the first minimum, G1 and G2 the first permutation within
         1e-12 relative of the minimum, with that permutation's cost.
-        Beyond that each row runs the bisection solver for GINF, which
-        keeps the lexicographic rule, and the assignment solver for G1 and
-        G2, which does not; ``dist`` refines the latter.
+        Beyond that each row runs a solver that keeps the same rule: the
+        bisection solver for GINF and the refined assignment solver for
+        G1 and G2.
     """
     if not isinstance(kind, MetricKind):
         raise ValueError(f"unknown metric kind {kind!r}")
@@ -297,7 +287,11 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         d = A[:, 0] - B[:, 0]
         cost = np.einsum("ek,ek->e", d, d) if squared else vector_norms(d)
         return cost, np.zeros((cost.size, 1), dtype=np.intp)
-    C = _cost_matrices(A, B, squared)
+    # C[e, i, j] prices pairing point i of A[e] with point j of B[e]
+    diff = A[:, :, None, :] - B[:, None, :, :]
+    C = np.einsum("eijk,eijk->eij", diff, diff)
+    if not squared:
+        C = np.sqrt(C)
     E = C.shape[0]
     cost = np.empty(E)
     if Q > 5:
@@ -306,8 +300,8 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
             if bottleneck:
                 cost[e], perm[e] = _bottleneck_assignment(C[e])
             else:
-                rows, perm[e] = linear_sum_assignment(C[e])
-                cost[e] = C[e, rows, perm[e]].sum()
+                perm[e] = _lexmin_sum_assignment(C[e])
+                cost[e] = C[e, np.arange(Q), perm[e]].sum()
         return cost, perm
     P = _perm_table(Q)
     first = np.empty(E, dtype=np.intp)
@@ -321,7 +315,7 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         else:
             total = picked.sum(axis=2)
             best = total.min(axis=1, keepdims=True)
-            pick = (total <= best + 1e-12 * (1.0 + best)).argmax(axis=1)
+            pick = (total <= best * (1.0 + 1e-12)).argmax(axis=1)
             cost[lo:lo + rows] = total[np.arange(pick.size), pick]
             first[lo:lo + rows] = pick
     return cost, P.take(first, axis=0)  # same rows as P[first], several times faster
@@ -348,17 +342,15 @@ def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
         smallest permutation is returned.
     """
     _check_compatible(v, w)
-    A, B = v.points[None], w.points[None]
-    if kind in (MetricKind.G1, MetricKind.G2) and v.Q > 5:
-        # the kernel's assignment solver may return any optimal pairing
-        C = _cost_matrices(A, B, kind is MetricKind.G2)[0]
-        perm = _lexmin_sum_assignment(C)
-        cost = C[np.arange(v.Q), perm].sum()
+    cost, perm = match_many(v.points[None], w.points[None], kind)
+    if kind is not MetricKind.G2:
+        value = float(cost[0])
+    elif v.Q == 1:
+        # the norm itself: the root of its rounded square can differ in the last bit
+        value = float(vector_norms(v.points[0] - w.points[0]))
     else:
-        cost, perm = match_many(A, B, kind)
-        cost, perm = cost[0], perm[0]
-    value = math.sqrt(cost) if kind is MetricKind.G2 else float(cost)
-    return value, Matching(tuple(perm))
+        value = math.sqrt(cost[0])
+    return value, Matching(tuple(perm[0]))
 
 
 def dist_sorted_1d(v: QTuple, w: QTuple) -> float:
