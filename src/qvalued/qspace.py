@@ -141,6 +141,8 @@ def _check_compatible(v: QTuple, w: QTuple) -> None:
 def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment; ties broken by lexicographically smallest perm.
 
+    Costs within 1e-12 relative of the minimum count as tied.
+
     Runs the Hungarian solver once for the optimum, then greedily pins each
     row to the smallest feasible column, re-solving the remaining block to
     confirm optimality is preserved.
