@@ -35,6 +35,7 @@ from .energy import (
 )
 from .extend import (
     BoundarySample,
+    ConeExtension,
     WhitneyExtension,
     cone_extend,
     extend_to_plane,

@@ -75,12 +75,17 @@ def _grid_from_obj(obj, path: str) -> GridFunction:
 
 def _load_query_csv(path: str) -> np.ndarray:
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path) as fh:
+            # blank and comment lines hold no row; loadtxt skips them too
+            lines = [line for line in fh
+                     if line.strip() and not line.lstrip().startswith("#")]
+        if not lines:
+            raise DataError(f"no rows in {path}")
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
     except OSError:
         raise DataError(f"cannot open {path}")
     except ValueError as exc:
         raise DataError(f"malformed CSV in {path}: {exc}")
-    return rows
 
 
 def _write(path: str, text: str):
@@ -194,10 +199,11 @@ def _cmd_extend(args) -> int:
         out = extend.extend_to_plane(f)
         _write(args.out, out.to_json())
         return 0
+    if args.query is None:
+        raise DataError(f"extend {args.mode} needs --query")
     queries = _load_query_csv(args.query)
     if args.mode == "cone":
-        sample = _load_boundary_sample(args.infile)
-        values = [extend.cone_extend(sample, q).points.tolist() for q in queries]
+        ext = extend.ConeExtension(_load_boundary_sample(args.infile))
     else:
         obj = _load_json(args.infile)
         box = _numbers(_field(obj, "box", args.infile), "box", args.infile)
@@ -207,7 +213,12 @@ def _cmd_extend(args) -> int:
             raise DataError(f"field 'box' in {args.infile} must hold a [low, high] pair "
                             f"per axis of 'x'")
         ext = extend.WhitneyExtension(data, box, depth)
-        values = [ext.evaluate(q).points.tolist() for q in queries]
+    values = []
+    for row, q in enumerate(queries, start=1):
+        try:
+            values.append(ext.evaluate(q).points.tolist())
+        except ValueError as exc:
+            raise DataError(f"row {row} of {args.query}: {exc}")
     _write(args.out, json.dumps(values))
     return 0
 

@@ -8,16 +8,24 @@ propagates them across edges and faces with the cone construction.  A
 third operator reflects a unit-ball grid function onto the surrounding
 plane with linearly decaying branches, vanishing beyond radius 3/2.
 
-The oscillation, the split test and the cluster grouping of each cone
-level are array operations over all witnessed tuples: one GINF call of
-``qspace.match_many`` scores every sample pair, and one matches every
-sample to the reference tuple.
+The cone construction runs in two steps.  The plan (``_cone_plan``)
+depends only on the witnessed boundary tuples: it measures the
+oscillation, runs the split test and the clustering, and recurses into
+each cluster, with one GINF call of ``qspace.match_many`` scoring every
+sample pair and one grouping every sample per level.  The apply step
+(``_cone_apply``) is all a query adds: the radius, the boundary value
+above the query put into the plan's row order, and the radial
+interpolation toward the center value.  ``ConeExtension`` plans once per
+boundary sample; ``WhitneyExtension`` plans each minimal edge and each
+leaf face on first use.
 
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
 
-Extension structures are immutable once built; queries are pure and safe
-to issue concurrently.
+Extension structures are immutable once built, apart from the Whitney
+plan caches, which are filled lazily and idempotently: a plan depends only
+on its edge or face, so two queries that build it at once store equal
+values.  Queries are pure and safe to issue concurrently.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,22 +133,43 @@ def _split_clusters(points: np.ndarray, threshold: float):
     return first.size, cluster_of
 
 
-def _cone_eval(boundary_fn, sample_pts: np.ndarray, sample_vals: np.ndarray,
-               R: float, x: np.ndarray, norm: str) -> np.ndarray:
-    """Recursive cone extension over the ball of radius R centered at 0.
+class _ConePlan(NamedTuple):
+    """The query-independent part of a cone extension (see ``_cone_plan``)."""
 
-    ``boundary_fn`` evaluates the boundary map anywhere on the sphere;
-    ``sample_pts``/``sample_vals`` witness it at finitely many locations,
-    which is where the oscillation and the split test are measured.  When
-    some witnessed tuple holds two points farther apart than 3*Q times the
-    oscillation, the data splits into clusters that stay coherent over the
-    whole boundary, and each cluster extends on its own; otherwise the
-    radial formula interpolates between the boundary value above x and the
-    first point of the first witnessed tuple.
+    Y: np.ndarray
+    sorter: tuple | None
+    samples: np.ndarray
+
+
+def _group(vals: np.ndarray, ref: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
+    """Reorder the points of each tuple in the stack by the cluster of their
+    G-inf match in ``ref``, keeping the order within a cluster."""
+    _, perm = match_many(vals, ref[None], MetricKind.GINF)
+    order = np.argsort(cluster_of[perm], axis=1, kind="stable")
+    return vals[np.arange(len(vals))[:, None], order]
+
+
+def _cone_plan(sample_vals: np.ndarray) -> _ConePlan:
+    """Plan the recursive cone extension of the witnessed tuples ``sample_vals``.
+
+    The oscillation and the split test are measured on the samples.  When
+    some tuple holds two points farther apart than 3*Q times the
+    oscillation, the points of every tuple are grouped by cluster, and each
+    cluster is planned on its own; otherwise the plan is a leaf.  Returns:
+
+    ``Y`` (Q, n)
+        per output row, the first point of the first witnessed tuple of
+        that row's cluster: the value at the center;
+    ``sorter``
+        ``None`` at a leaf, else ``(ref, cluster_of, ends, children)``: the
+        split's reference tuple, the cluster of each of its points, the end
+        row of each cluster and one sorter per cluster.  ``_sorted`` applies
+        it to put any tuple into output-row order;
+    ``samples`` (L, Q, n)
+        the witnessed tuples, each in output-row order.
     """
     L, Qc, _ = sample_vals.shape
     osc = _oscillation(sample_vals)
-
     if Qc >= 2:
         gaps = np.linalg.norm(sample_vals[:, :, None, :] - sample_vals[:, None, :, :], axis=3)
         above = np.flatnonzero(gaps.reshape(L, -1).max(axis=1) > 3.0 * Qc * osc)
@@ -147,65 +177,85 @@ def _cone_eval(boundary_fn, sample_pts: np.ndarray, sample_vals: np.ndarray,
             ref = sample_vals[above[0]]
             count, cluster_of = _split_clusters(ref, 3.0 * osc)
             ends = np.cumsum(np.bincount(cluster_of, minlength=count)).tolist()
+            grouped = _group(sample_vals, ref, cluster_of)
+            parts = [_cone_plan(grouped[:, lo:hi]) for lo, hi in zip([0] + ends, ends)]
+            return _ConePlan(
+                np.vstack([part.Y for part in parts]),
+                (ref, cluster_of, ends, [part.sorter for part in parts]),
+                np.concatenate([part.samples for part in parts], axis=1),
+            )
+    return _ConePlan(np.tile(sample_vals[0][0], (Qc, 1)), None, sample_vals)
 
-            def grouped(vals: np.ndarray) -> list:
-                """Split each tuple of the stack by the cluster of its G-inf match in ref."""
-                _, perm = match_many(vals, ref[None], MetricKind.GINF)
-                order = np.argsort(cluster_of[perm], axis=1, kind="stable")
-                vals = vals[np.arange(len(vals))[:, None], order]
-                return [vals[:, lo:hi] for lo, hi in zip([0] + ends, ends)]
 
-            pieces = []
-            for c, part_vals in enumerate(grouped(sample_vals)):
+def _sorted(sorter, value: np.ndarray) -> np.ndarray:
+    """The points of the tuple ``value`` in the output-row order of a plan:
+    one G-inf match per split node, as ``_cone_plan`` grouped the samples."""
+    if sorter is None:
+        return value
+    ref, cluster_of, ends, children = sorter
+    value = _group(value[None], ref, cluster_of)[0]
+    return np.concatenate([_sorted(child, value[lo:hi])
+                           for child, lo, hi in zip(children, [0] + ends, ends)])
 
-                def part_fn(b, c=c):
-                    return grouped(boundary_fn(b)[None])[c][0]
 
-                pieces.append(
-                    _cone_eval(part_fn, sample_pts, part_vals, R, x, norm)
-                )
-            return np.vstack(pieces)
+def _cone_apply(plan: _ConePlan, R: float, x: np.ndarray, norm: str,
+                boundary_fn) -> np.ndarray:
+    """The planned cone extension over the ball of radius R centered at 0.
 
+    Interpolates radially between the boundary value above ``x`` and the
+    plan's center value ``Y``; ``boundary_fn(b)`` returns the boundary value
+    at a point ``b`` of the sphere in the plan's output-row order.
+    """
     r = _vec_norm(x, norm)
-    y1 = sample_vals[0][0]
     if r <= 1e-15 * R:
-        return np.tile(y1, (Qc, 1))
-    proj = x * (R / r)
-    bval = boundary_fn(proj)
-    return (r / R) * bval + ((R - r) / R) * y1
+        return plan.Y
+    return (r / R) * boundary_fn(x * (R / r)) + ((R - r) / R) * plan.Y
+
+
+class ConeExtension:
+    """Cone extension of sphere data, planned once for any number of queries.
+
+    Building it checks that the sample locations lie on the sphere and runs
+    the oscillation, the split test and the clustering; ``evaluate`` is
+    then arithmetic and one nearest-sample search per query.  Boundary
+    values between samples are taken from the nearest sample (the geodesic
+    and chordal nearest agree on a sphere).
+    """
+
+    def __init__(self, samples: BoundarySample):
+        self.R = float(samples.R)
+        self.m = samples.m
+        self.locs = samples.locations
+        radii = np.linalg.norm(self.locs, axis=1)
+        if np.abs(radii - self.R).max() > 1e-9 * max(1.0, self.R):
+            raise ValueError("sample locations must lie on the sphere of radius R to 1e-9")
+        self._values = [val for _, val in samples.points]
+        self._plan = _cone_plan(samples.value_array)
+
+    def _boundary(self, b: np.ndarray) -> np.ndarray:
+        # the boundary value is a sample, so the plan already holds it sorted
+        return self._plan.samples[int(np.argmin(np.linalg.norm(self.locs - b, axis=1)))]
+
+    def evaluate(self, query) -> QTuple:
+        """Value at a point of the closed ball; a query on the boundary at a
+        sample location returns that sample's value exactly."""
+        query = np.asarray(query, dtype=float).reshape(-1)
+        if query.size != self.m:
+            raise ValueError(f"query has dimension {query.size}, expected m={self.m}")
+        if not np.all(np.isfinite(query)):
+            raise ValueError(f"query {query.tolist()} is not finite")
+        if np.linalg.norm(query) > self.R * (1 + 1e-9):
+            raise ValueError("query must lie in the closed ball of radius R")
+        gaps = np.linalg.norm(self.locs - query, axis=1)
+        nearest = int(np.argmin(gaps))
+        if gaps[nearest] <= 1e-12 * max(1.0, self.R):
+            return self._values[nearest]
+        return QTuple(_cone_apply(self._plan, self.R, query, "l2", self._boundary))
 
 
 def cone_extend(samples: BoundarySample, query) -> QTuple:
-    """Evaluate the cone extension of sphere data at a point of the ball.
-
-    Boundary values between samples are taken from the nearest sample (the
-    geodesic and chordal nearest agree on a sphere).  Queries on the
-    boundary at a sample location return that sample's value exactly.
-    """
-    query = np.asarray(query, dtype=float).reshape(-1)
-    R = float(samples.R)
-    if query.size != samples.m:
-        raise ValueError(f"query has dimension {query.size}, expected m={samples.m}")
-    locs = samples.locations
-    radii = np.linalg.norm(locs, axis=1)
-    if np.abs(radii - R).max() > 1e-9 * max(1.0, R):
-        raise ValueError("sample locations must lie on the sphere of radius R to 1e-9")
-    if np.linalg.norm(query) > R * (1 + 1e-9):
-        raise ValueError("query must lie in the closed ball of radius R")
-
-    gaps = np.linalg.norm(locs - query, axis=1)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] <= 1e-12 * max(1.0, R):
-        return samples.points[nearest][1]
-
-    vals = samples.value_array
-
-    def boundary_fn(b):
-        i = int(np.argmin(np.linalg.norm(locs - b, axis=1)))
-        return vals[i]
-
-    out = _cone_eval(boundary_fn, locs, vals, R, query, "l2")
-    return QTuple(out)
+    """One-shot cone extension query; see ConeExtension for batches."""
+    return ConeExtension(samples).evaluate(query)
 
 
 def _lines(fixed: np.ndarray, along: np.ndarray) -> dict:
@@ -223,6 +273,13 @@ class WhitneyExtension:
     the nearest sample's value, edges and (in 2-D) faces fill in by the
     cone construction.  Cells that still touch the sample set at the depth
     cap evaluate pointwise by nearest sample.  Supports m in {1, 2}.
+
+    The cone plan of each minimal edge (keyed by its two integer corner
+    keys) and of each leaf face is built on the first query that needs it
+    and cached on the instance.  An edge's boundary values are its two
+    corner samples, which the plan holds already in row order, so a
+    perimeter station costs only arithmetic; a face query adds one edge
+    evaluation and one G-inf match per split level.
 
     Parameters
     ----------
@@ -297,6 +354,10 @@ class WhitneyExtension:
         if self.m == 2:
             self._columns = _lines(corners[:, 0], corners[:, 1])
             self._rows = _lines(corners[:, 1], corners[:, 0])
+        # cone plans, built on first use: (k0, k1) corner keys -> minimal
+        # edge, (k, d) -> leaf face
+        self._edges = {}
+        self._faces = {}
 
     def _dist_inf_to_cells(self, lo: np.ndarray, size: float) -> np.ndarray:
         """Sup-norm distance from the sample set to each cell ``[lo, lo + size]``."""
@@ -326,17 +387,29 @@ class WhitneyExtension:
             k = 2 * k + (x >= lo + self.S / (1 << d)).astype(np.int64)
         return k, d, self._leaves[(tuple(k), d)]
 
-    def _eval_edge(self, c0: np.ndarray, c1: np.ndarray, v0: np.ndarray,
-                   v1: np.ndarray, x: np.ndarray) -> np.ndarray:
-        center = (c0 + c1) / 2.0
-        R = float(np.linalg.norm(c1 - c0)) / 2.0
-        pts = np.array([c0 - center, c1 - center])
-        vals = np.array([v0, v1])
+    def _edge(self, k0: tuple, k1: tuple):
+        """Center, radius, ``c0 - center`` and cone plan of the minimal edge
+        between the corners with integer keys ``k0`` and ``k1``; cached."""
+        edge = self._edges.get((k0, k1))
+        if edge is None:
+            scale = self.S / (1 << self.depth)
+            c0 = self.root_lo + np.array(k0) * scale
+            c1 = self.root_lo + np.array(k1) * scale
+            center = (c0 + c1) / 2.0
+            R = float(np.linalg.norm(c1 - c0)) / 2.0
+            vals = np.array([self._corner_value(k0, scale), self._corner_value(k1, scale)])
+            edge = self._edges[(k0, k1)] = (center, R, c0 - center, _cone_plan(vals))
+        return edge
 
-        def fn(b):
-            return v0 if np.dot(b, pts[0]) > 0 else v1
+    def _eval_edge(self, k0: tuple, k1: tuple, x: np.ndarray) -> np.ndarray:
+        center, R, toward_k0, plan = self._edge(k0, k1)
 
-        return _cone_eval(fn, pts, vals, R, x - center, "l2")
+        def ends(b):
+            # an edge's boundary is its two ends, so the plan already holds
+            # the value there in output-row order
+            return plan.samples[0 if np.dot(b, toward_k0) > 0 else 1]
+
+        return _cone_apply(plan, R, x - center, "l2", ends)
 
     def _subedge_breaks(self, fixed_axis: int, fixed_int: int, lo_int: int, hi_int: int):
         """Skeleton positions subdividing one side of a cell, endpoints included.
@@ -361,40 +434,42 @@ class WhitneyExtension:
             val = self._nearest_sample_value(self.root_lo + np.array(key) * scale)
         return val
 
-    def _eval_face(self, k, d, x: np.ndarray) -> np.ndarray:
-        unit = 1 << self.depth
-        scale = self.S / unit
+    def _perimeter(self, base: np.ndarray, side: int, center: np.ndarray,
+                   b_rel: np.ndarray) -> np.ndarray:
+        """Value on the boundary of a face at ``center + b_rel``: the cone
+        extension along the minimal edge of the face's side that holds it."""
+        scale = self.S / (1 << self.depth)
+        p = center + b_rel
+        fixed_axis = int(np.argmax(np.abs(b_rel)))
+        varying = 1 - fixed_axis
+        fixed_int = int(round((p[fixed_axis] - self.root_lo[fixed_axis]) / scale))
+        breaks = self._subedge_breaks(
+            fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
+        )
+        t_int = (p[varying] - self.root_lo[varying]) / scale
+        j = int(np.searchsorted(breaks, t_int, side="right") - 1)
+        j = max(0, min(j, breaks.size - 2))
+
+        def key_at(var_int):
+            key = [0, 0]
+            key[fixed_axis] = fixed_int
+            key[varying] = int(var_int)
+            return tuple(key)
+
+        return self._eval_edge(key_at(breaks[j]), key_at(breaks[j + 1]), p)
+
+    def _face(self, k: tuple, d: int):
+        """Center, radius, integer base corner, side and cone plan of the
+        leaf face ``(k, d)``; cached.  The plan's samples are the perimeter
+        values at every skeleton corner and minimal-edge midpoint."""
+        face = self._faces.get((k, d))
+        if face is not None:
+            return face
+        scale = self.S / (1 << self.depth)
         side = 1 << (self.depth - d)
         base = np.asarray(k, dtype=np.int64) * side
         center = self.root_lo + (base + side / 2.0) * scale
         R = side * scale / 2.0
-
-        def perimeter(b_rel):
-            p = center + b_rel
-            fixed_axis = int(np.argmax(np.abs(b_rel)))
-            varying = 1 - fixed_axis
-            fixed_int = int(round((p[fixed_axis] - self.root_lo[fixed_axis]) / scale))
-            breaks = self._subedge_breaks(
-                fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
-            )
-            t_int = (p[varying] - self.root_lo[varying]) / scale
-            j = int(np.searchsorted(breaks, t_int, side="right") - 1)
-            j = max(0, min(j, breaks.size - 2))
-
-            def key_at(var_int):
-                key = [0, 0]
-                key[fixed_axis] = fixed_int
-                key[varying] = int(var_int)
-                return tuple(key)
-
-            k0, k1 = key_at(breaks[j]), key_at(breaks[j + 1])
-            c0 = self.root_lo + np.array(k0) * scale
-            c1 = self.root_lo + np.array(k1) * scale
-            return self._eval_edge(
-                c0, c1, self._corner_value(k0, scale), self._corner_value(k1, scale), p
-            )
-
-        pts_rel = []
         vals_list = []
         seen = set()
         for fixed_axis in range(2):
@@ -417,17 +492,25 @@ class WhitneyExtension:
                     if key in seen:
                         continue
                     seen.add(key)
-                    pts_rel.append(rel)
-                    vals_list.append(perimeter(rel))
-        return _cone_eval(
-            perimeter, np.array(pts_rel), np.array(vals_list), R, x - center, "linf"
-        )
+                    vals_list.append(self._perimeter(base, side, center, rel))
+        face = self._faces[(k, d)] = (center, R, base, side, _cone_plan(np.array(vals_list)))
+        return face
+
+    def _eval_face(self, k: tuple, d: int, x: np.ndarray) -> np.ndarray:
+        center, R, base, side, plan = self._face(k, d)
+
+        def perimeter(b):
+            return _sorted(plan.sorter, self._perimeter(base, side, center, b))
+
+        return _cone_apply(plan, R, x - center, "linf", perimeter)
 
     def evaluate(self, query) -> QTuple:
         """Value of the extension at a point of the domain box."""
         x = np.asarray(query, dtype=float).reshape(-1)
         if x.size != self.m:
             raise ValueError(f"query has dimension {x.size}, expected m={self.m}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"query {x.tolist()} is not finite")
         if not np.all((self.root_lo <= x) & (x <= self.box_hi)):
             raise ValueError(f"query {x.tolist()} lies outside the domain box")
         d_samples = np.abs(self.locs - x[None, :]).max(axis=1)
@@ -438,15 +521,10 @@ class WhitneyExtension:
         if kind == "near":
             return QTuple(self._nearest_sample_value(x))
         if self.m == 1:
-            scale = self.S / (1 << self.depth)
             side = 1 << (self.depth - d)
             lo_int = int(k[0]) * side
-            c0 = np.array([self.root_lo[0] + lo_int * scale])
-            c1 = np.array([self.root_lo[0] + (lo_int + side) * scale])
-            v0 = self._corner_value((lo_int,), scale)
-            v1 = self._corner_value((lo_int + side,), scale)
-            return QTuple(self._eval_edge(c0, c1, v0, v1, x))
-        return QTuple(self._eval_face(k, d, x))
+            return QTuple(self._eval_edge((lo_int,), (lo_int + side,), x))
+        return QTuple(self._eval_face(tuple(k.tolist()), d, x))
 
 
 def whitney_extend(A, domain_box, resolution: int, query) -> QTuple:

@@ -204,27 +204,35 @@ def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
     return report
 
 
-def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None) -> CheckReport:
+def _frame(frames: dict, n: int, Q: int) -> embed.DirectionFrame:
+    """The seed-7 frame for (n, Q), built on first use and kept in ``frames``."""
+    key = (n, Q)
+    if key not in frames:
+        frames[key] = embed.build_frame(n, Q, seed=7)
+    return frames[key]
+
+
+def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
+             frames: dict = None) -> CheckReport:
     """Upper bound, local isometry and norm identity of the frame embedding.
 
     The reported ratio is the empirical lower Lipschitz constant (the
     smallest observed |xi(v) - xi(w)| / G2(v, w)), which must stay positive.
+    Without a fixed ``frame`` each trial embeds with the seed-7 frame of
+    its (n, Q), taken from and added to the cache ``frames`` when given.
     """
     rng = _rng_for(cfg, "xi")
     tol_up = cfg.tolerances["xi_upper"]
     tol_loc = cfg.tolerances["xi_local"]
     tol_norm = cfg.tolerances["xi_norm"]
     report = CheckReport("xi", cfg.trials, 0, math.inf)
-    frames = {}
+    frames = {} if frames is None else frames
     for _ in range(cfg.trials):
         if frame is not None:
             Q, n, fr = frame.Q, frame.n, frame
         else:
             Q, n = _draw_Qn(rng, cfg)
-            key = (n, Q)
-            if key not in frames:
-                frames[key] = embed.build_frame(n, Q, seed=7)
-            fr = frames[key]
+            fr = _frame(frames, n, Q)
         v = random_tuple(rng, Q, n)
         w = random_tuple(rng, Q, n)
         g2, _ = dist(v, w, MetricKind.G2)
@@ -276,27 +284,25 @@ def _lipschitz_grid(rng, m: int, Q: int, n: int, N: int = 9) -> GridFunction:
     return GridFunction(m, n, Q, shape, h, mask, values)
 
 
-def check_sqrt_Q_bound(cfg: CheckConfig) -> CheckReport:
+def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
     """Embedded difference quotients stay below sqrt(Q) times the local slope.
 
     The local Lipschitz constant is measured in the max-pairing metric over
     the same neighbour pairs as the embedded quotient, which makes the
-    sqrt(Q) factor sharp (a two-branch sign flip attains it).
+    sqrt(Q) factor sharp (a two-branch sign flip attains it).  Frames come
+    from the cache ``frames`` as in ``check_xi``.
     """
     rng = _rng_for(cfg, "sqrt_q_bound")
     tol = cfg.tolerances["sqrt_q"]
     report = CheckReport("sqrt_q_bound", cfg.trials, 0, 0.0)
-    frames = {}
+    frames = {} if frames is None else frames
     trials = 0
     for _ in range(cfg.trials):
         Q = int(rng.integers(cfg.Q_range[0], min(cfg.Q_range[1], 3) + 1))
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))
         f = _lipschitz_grid(rng, m, Q, n, N=7)
-        key = (n, Q)
-        if key not in frames:
-            frames[key] = embed.build_frame(n, Q, seed=7)
-        fr = frames[key]
+        fr = _frame(frames, n, Q)
         emb = {}
         for idx in f.nodes():
             emb[idx] = embed.xi(QTuple(f.values[idx]), fr).coords
@@ -404,6 +410,16 @@ _ALL_CHECKS = (
 )
 
 
+# the checks that embed with the seed-7 frames; run_all lets them share one cache
+_EMBEDDING_CHECKS = (check_xi, check_sqrt_Q_bound)
+
+
 def run_all(cfg: CheckConfig) -> list:
-    """Run every check; reports in a fixed order."""
-    return [check(cfg) for check in _ALL_CHECKS]
+    """Run every check; reports in a fixed order.
+
+    The embedding checks share one frame cache for the call, so each
+    (n, Q) frame is built once per run, never carried over to the next.
+    """
+    frames = {}
+    return [check(cfg, frames=frames) if check in _EMBEDDING_CHECKS else check(cfg)
+            for check in _ALL_CHECKS]

@@ -316,7 +316,10 @@ def _split_clusters(points: np.ndarray, threshold: float) -> list:
 
 
 def cone_eval_reference(boundary_fn, sample_pts, sample_vals, R, x, norm):
-    """``extend._cone_eval`` with one ``dist(..., GINF)`` solve per sample pair."""
+    """The recursive cone extension at one point ``x``, as the library ran it
+    before it split the construction into a plan and an apply step: one
+    ``dist(..., GINF)`` solve per sample pair, and the oscillation, split
+    test and grouping redone on every call."""
     from qvalued.extend import _vec_norm
     from qvalued.qspace import MetricKind, QTuple, dist
 
@@ -367,6 +370,137 @@ def cone_eval_reference(boundary_fn, sample_pts, sample_vals, R, x, norm):
     proj = x * (R / r)
     bval = boundary_fn(proj)
     return (r / R) * bval + ((R - r) / R) * y1
+
+
+def cone_extend_reference(samples, query):
+    """``cone_extend`` as it was before the cone plan: every query reruns
+    the whole construction through ``cone_eval_reference``."""
+    from qvalued.qspace import QTuple
+
+    query = np.asarray(query, dtype=float).reshape(-1)
+    R = float(samples.R)
+    if query.size != samples.m:
+        raise ValueError(f"query has dimension {query.size}, expected m={samples.m}")
+    locs = samples.locations
+    radii = np.linalg.norm(locs, axis=1)
+    if np.abs(radii - R).max() > 1e-9 * max(1.0, R):
+        raise ValueError("sample locations must lie on the sphere of radius R to 1e-9")
+    if np.linalg.norm(query) > R * (1 + 1e-9):
+        raise ValueError("query must lie in the closed ball of radius R")
+    gaps = np.linalg.norm(locs - query, axis=1)
+    nearest = int(np.argmin(gaps))
+    if gaps[nearest] <= 1e-12 * max(1.0, R):
+        return samples.points[nearest][1]
+    vals = samples.value_array
+
+    def boundary_fn(b):
+        return vals[int(np.argmin(np.linalg.norm(locs - b, axis=1)))]
+
+    return QTuple(cone_eval_reference(boundary_fn, locs, vals, R, query, "l2"))
+
+
+def _edge_reference(c0, c1, v0, v1, x):
+    center = (c0 + c1) / 2.0
+    R = float(np.linalg.norm(c1 - c0)) / 2.0
+    pts = np.array([c0 - center, c1 - center])
+
+    def fn(b):
+        return v0 if np.dot(b, pts[0]) > 0 else v1
+
+    return cone_eval_reference(fn, pts, np.array([v0, v1]), R, x - center, "l2")
+
+
+def _face_reference(ext, k, d, x):
+    scale = ext.S / (1 << ext.depth)
+    side = 1 << (ext.depth - d)
+    base = np.asarray(k, dtype=np.int64) * side
+    center = ext.root_lo + (base + side / 2.0) * scale
+    R = side * scale / 2.0
+
+    def perimeter(b_rel):
+        p = center + b_rel
+        fixed_axis = int(np.argmax(np.abs(b_rel)))
+        varying = 1 - fixed_axis
+        fixed_int = int(round((p[fixed_axis] - ext.root_lo[fixed_axis]) / scale))
+        breaks = ext._subedge_breaks(
+            fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
+        )
+        t_int = (p[varying] - ext.root_lo[varying]) / scale
+        j = int(np.searchsorted(breaks, t_int, side="right") - 1)
+        j = max(0, min(j, breaks.size - 2))
+
+        def key_at(var_int):
+            key = [0, 0]
+            key[fixed_axis] = fixed_int
+            key[varying] = int(var_int)
+            return tuple(key)
+
+        k0, k1 = key_at(breaks[j]), key_at(breaks[j + 1])
+        c0 = ext.root_lo + np.array(k0) * scale
+        c1 = ext.root_lo + np.array(k1) * scale
+        return _edge_reference(
+            c0, c1, ext._corner_value(k0, scale), ext._corner_value(k1, scale), p
+        )
+
+    pts_rel = []
+    vals_list = []
+    seen = set()
+    for fixed_axis in range(2):
+        varying = 1 - fixed_axis
+        for fixed_int in (int(base[fixed_axis]), int(base[fixed_axis]) + side):
+            breaks = ext._subedge_breaks(
+                fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
+            )
+            stations = sorted(
+                set(float(t) for t in breaks)
+                | set((float(breaks[j]) + float(breaks[j + 1])) / 2.0
+                      for j in range(breaks.size - 1))
+            )
+            for t in stations:
+                p = np.empty(2)
+                p[fixed_axis] = ext.root_lo[fixed_axis] + fixed_int * scale
+                p[varying] = ext.root_lo[varying] + t * scale
+                rel = p - center
+                key = (round(rel[0] / scale, 9), round(rel[1] / scale, 9))
+                if key in seen:
+                    continue
+                seen.add(key)
+                pts_rel.append(rel)
+                vals_list.append(perimeter(rel))
+    return cone_eval_reference(
+        perimeter, np.array(pts_rel), np.array(vals_list), R, x - center, "linf"
+    )
+
+
+def whitney_evaluate_reference(ext, x):
+    """``WhitneyExtension.evaluate`` as it was before the cached cone plans:
+    each query rebuilds the cone construction of every minimal edge it
+    reaches, through ``cone_eval_reference``.  Uses only the structure of
+    ``ext`` (leaves, corner values, skeleton lines), never its plan caches."""
+    from qvalued.qspace import QTuple
+
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != ext.m:
+        raise ValueError(f"query has dimension {x.size}, expected m={ext.m}")
+    if not np.all((ext.root_lo <= x) & (x <= ext.box_hi)):
+        raise ValueError(f"query {x.tolist()} lies outside the domain box")
+    d_samples = np.abs(ext.locs - x[None, :]).max(axis=1)
+    hit = int(np.argmin(d_samples))
+    if d_samples[hit] <= 1e-12 * max(1.0, ext.S):
+        return QTuple(ext.vals[hit])
+    k, d, kind = ext._locate(x)
+    if kind == "near":
+        return QTuple(ext._nearest_sample_value(x))
+    if ext.m == 1:
+        scale = ext.S / (1 << ext.depth)
+        side = 1 << (ext.depth - d)
+        lo_int = int(k[0]) * side
+        c0 = np.array([ext.root_lo[0] + lo_int * scale])
+        c1 = np.array([ext.root_lo[0] + (lo_int + side) * scale])
+        v0 = ext._corner_value((lo_int,), scale)
+        v1 = ext._corner_value((lo_int + side,), scale)
+        return QTuple(_edge_reference(c0, c1, v0, v1, x))
+    return QTuple(_face_reference(ext, k, d, x))
 
 
 def whitney_structure_reference(ext):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,14 @@ class TestFrameEmbedDecode:
             QTuple([[0.3, -0.2], [1.0, 0.4]]).canonical().points,
             atol=1e-6,
         )
+
+    def test_decode_empty_csv(self, tmp_path, capsys):
+        frame_path = str(tmp_path / "frame.json")
+        assert main(["frame", "--n", "2", "--q", "2", "--seed", "1",
+                     "--out", frame_path]) == 0
+        empty = write(tmp_path / "z.csv", "")
+        assert main(["decode", "--frame", frame_path, "--in", empty]) == 1
+        assert "z.csv" in capsys.readouterr().err
 
     def test_frame_seed_reproducible(self, tmp_path):
         p1 = str(tmp_path / "f1.json")
@@ -158,6 +167,52 @@ class TestExtendCli:
         q = write(tmp_path / "q.csv", query)
         assert main(["extend", "whitney", "--in", data, "--query", q]) == 1
         assert named in capsys.readouterr().err
+
+    @staticmethod
+    def cone_file(tmp_path):
+        pts = [{"x": [1.0, 0.0], "value": [[0.0]]}, {"x": [0.0, 1.0], "value": [[1.0]]}]
+        return write(tmp_path / "cone.json", json.dumps({"m": 2, "R": 1.0, "points": pts}))
+
+    @pytest.mark.parametrize("mode", ["cone", "whitney"])
+    def test_nonfinite_query_named(self, tmp_path, capsys, mode):
+        if mode == "cone":
+            data = self.cone_file(tmp_path)
+        else:
+            data = write(tmp_path / "w.json", json.dumps(
+                {"box": [[0.0, 1.0], [0.0, 1.0]], "data": [{"x": [0.5, 0.5], "value": [[0.0]]}]}))
+        q = write(tmp_path / "q.csv", "0.1,0.2\nnan,0.2\n")
+        assert main(["extend", mode, "--in", data, "--query", q]) == 1
+        err = capsys.readouterr().err
+        assert "row 2" in err and "[nan, 0.2]" in err and "not finite" in err
+
+    @pytest.mark.parametrize("mode", ["cone", "whitney"])
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
+    def test_empty_query_csv(self, tmp_path, capsys, mode, text):
+        if mode == "cone":
+            data = self.cone_file(tmp_path)
+        else:
+            data = write(tmp_path / "w.json", json.dumps(
+                {"box": [[0.0, 1.0]], "data": [{"x": [0.5], "value": [[0.0]]}]}))
+        q = write(tmp_path / "q.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["extend", mode, "--in", data, "--query", q]) == 1
+        captured = capsys.readouterr()
+        assert "q.csv" in captured.err and captured.out == ""
+
+    def test_missing_query_file_option(self, tmp_path, capsys):
+        assert main(["extend", "cone", "--in", self.cone_file(tmp_path)]) == 1
+        assert "--query" in capsys.readouterr().err
+
+    def test_cone_plans_once_per_file(self, tmp_path, monkeypatch):
+        from qvalued import extend
+
+        plans = []
+        real = extend._cone_plan
+        monkeypatch.setattr(extend, "_cone_plan", lambda vals: plans.append(1) or real(vals))
+        q = write(tmp_path / "q.csv", "0.1,0.2\n0.0,0.0\n-0.3,0.5\n")
+        assert main(["extend", "cone", "--in", self.cone_file(tmp_path), "--query", q]) == 0
+        assert len(plans) == 1
 
     def test_plane(self, tmp_path):
         g = empty_grid(2, 1, 1, 7)

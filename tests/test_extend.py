@@ -5,6 +5,7 @@ import pytest
 
 from qvalued.extend import (
     BoundarySample,
+    ConeExtension,
     WhitneyExtension,
     cone_extend,
     extend_to_plane,
@@ -45,6 +46,18 @@ class TestConeExtend:
         for loc, val in s.points:
             out = cone_extend(s, loc)
             assert np.array_equal(out.points, val.points)
+
+    @pytest.mark.parametrize("query", [[math.nan, 0.2], [0.1, math.inf]])
+    def test_nonfinite_query_rejected(self, query):
+        s = circle_samples(lambda t: [[math.cos(t)]], 8)
+        with pytest.raises(ValueError, match=r"query \[.*\] is not finite"):
+            cone_extend(s, query)
+
+    def test_one_plan_answers_every_query(self):
+        s = circle_samples(lambda t: [[0.1 * math.cos(t)], [5.0 + 0.1 * math.sin(t)]], 12)
+        cone = ConeExtension(s)
+        for q in ([0.3, -0.2], [0.0, 0.0], [0.3, -0.2], [1.0, 0.0], [-0.5, 0.5]):
+            assert np.array_equal(cone.evaluate(q).points, cone_extend(s, q).points)
 
     def test_q1_center_value(self):
         # two antipodal samples; the center takes the first sample's value

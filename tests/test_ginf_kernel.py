@@ -2,20 +2,24 @@
 operators built on it, against brute force and the per-pair references."""
 
 import copy
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qvalued import extend
-from qvalued.extend import BoundarySample, WhitneyExtension, cone_extend
+from qvalued.extend import BoundarySample, ConeExtension, WhitneyExtension, cone_extend
 from qvalued.qspace import MetricKind, QTuple, dist, match_many
 
 from oracles import (
     _split_clusters,
     brute_force_dist,
-    cone_eval_reference,
+    cone_extend_reference,
     ginf_reference,
+    whitney_evaluate_reference,
     whitney_structure_reference,
 )
 
@@ -112,9 +116,12 @@ class TestConeHelpers:
 
 
 def clustered_values(rng, count, Q, n, centers):
-    """Tuples whose points sit near fixed, well-separated centers."""
+    """Tuples whose points sit near fixed, well-separated centers, listed
+    in a different order in each tuple (the tuples are unordered)."""
     base = np.asarray(centers, dtype=float)[:Q, :n]
-    return base[None] + rng.uniform(-0.05, 0.05, (count, Q, n))
+    vals = base[None] + rng.uniform(-0.05, 0.05, (count, Q, n))
+    order = rng.random((count, Q)).argsort(axis=1)
+    return vals[np.arange(count)[:, None], order]
 
 
 def count_splits(monkeypatch):
@@ -132,6 +139,11 @@ def count_splits(monkeypatch):
 CENTERS = [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]]
 
 
+def assert_same_values(fast, ref):
+    for a, b in zip(fast, ref, strict=True):
+        assert np.array_equal(a, b)
+
+
 class TestConeAgainstReference:
     @pytest.mark.parametrize("Q,n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)])
     def test_clustered_and_random(self, monkeypatch, Q, n):
@@ -143,23 +155,44 @@ class TestConeAgainstReference:
                     rng.integers(-2, 3, (count, Q, n)).astype(float)]
         # a repeated point makes a tie inside one tuple
         datasets[1][:, 0] = datasets[1][:, -1]
-        queries = np.vstack([rng.uniform(-1.4, 1.4, (12, 2)), [[0.0, 0.0]], locs[:2] * 0.5])
+        queries = np.vstack([rng.uniform(-1.4, 1.4, (12, 2)), [[0.0, 0.0]], locs[:2] * 0.5,
+                             locs[2:4]])
         for vals in datasets:
             sample = BoundarySample(points=list(zip(locs, vals)), R=2.0, m=2)
             splits = count_splits(monkeypatch)
-            fast = [cone_extend(sample, q).points for q in queries]
+            cone = ConeExtension(sample)
+            fast = [cone.evaluate(q).points for q in queries]
             if Q >= 2 and vals is datasets[0]:
                 assert splits, "the clustered data should take the split branch"
-            monkeypatch.setattr(extend, "_cone_eval", cone_eval_reference)
-            ref = [cone_extend(sample, q).points for q in queries]
             monkeypatch.undo()
-            for a, b in zip(fast, ref):
-                assert np.array_equal(a, b)
+            assert_same_values(fast, [cone_extend_reference(sample, q).points
+                                      for q in queries])
+            assert_same_values(fast, [cone_extend(sample, q).points for q in queries])
+
+    @pytest.mark.parametrize("kind", ["clustered", "ties"])
+    def test_one_dimensional_ball(self, monkeypatch, kind):
+        # m = 1: the sphere is the two points -R and R
+        rng = np.random.default_rng(len(kind))
+        if kind == "clustered":
+            vals = clustered_values(rng, 2, 3, 2, CENTERS)
+        else:
+            vals = np.array([[[1.0, 0.0], [1.0, 0.0], [-1.0, 2.0]],
+                             [[-1.0, 2.0], [1.0, 0.0], [0.0, 0.0]]])
+        sample = BoundarySample(points=[([-1.5], vals[0]), ([1.5], vals[1])], R=1.5, m=1)
+        splits = count_splits(monkeypatch)
+        queries = [[-1.5], [-1.0], [-1e-17], [0.0], [0.25], [1.2], [1.5]]
+        cone = ConeExtension(sample)
+        fast = [cone.evaluate(q).points for q in queries]
+        if kind == "clustered":
+            assert splits, "the clustered data should take the split branch"
+        monkeypatch.undo()
+        assert_same_values(fast, [cone_extend_reference(sample, q).points for q in queries])
 
 
 def reference_whitney(ext):
     ref = copy.copy(ext)
     ref._leaves, ref._corner_values, ref._columns, ref._rows = whitney_structure_reference(ext)
+    ref._edges, ref._faces = {}, {}
     return ref
 
 
@@ -175,20 +208,39 @@ def assert_same_structure(ext, ref):
                 assert np.array_equal(mine[key], theirs[key])
 
 
+def skeleton_queries(ext, rng, leaves=12):
+    """Centres, corners and side midpoints of some Whitney leaves."""
+    keys = sorted(key for key, kind in ext._leaves.items() if kind == "w")
+    out = []
+    for i in rng.choice(len(keys), min(leaves, len(keys)), replace=False):
+        k, d = keys[i]
+        size = ext.S / (1 << d)
+        lo = ext.root_lo + np.array(k) * size
+        for offset in np.ndindex(*(3,) * ext.m):
+            out.append(lo + np.array(offset) * (size / 2.0))
+    return np.unique(np.array(out), axis=0)
+
+
+def whitney_data(rng, m, kind, L=12, Q=3, n=2):
+    locs = rng.uniform(0.5, 1.0, (L, m))
+    # two samples at equal sup distance from the dyadic corner at 1/4
+    locs[0] = 0.25 - 0.125
+    locs[1] = 0.25 + 0.125
+    if kind == "clustered":
+        vals = clustered_values(rng, L, Q, n, CENTERS)
+    else:
+        vals = rng.integers(-2, 3, (L, Q, n)).astype(float)
+        # a repeated point makes a tie inside one tuple
+        vals[:, 0] = vals[:, -1]
+    return locs, vals
+
+
 class TestWhitneyAgainstReference:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("kind", ["clustered", "random"])
     def test_evaluate_and_structure(self, monkeypatch, m, kind):
         rng = np.random.default_rng(7 * m + len(kind))
-        L, Q, n = 12, 3, 2
-        locs = rng.uniform(0.5, 1.0, (L, m))
-        # two samples at equal sup distance from the dyadic corner at 1/4
-        locs[0] = 0.25 - 0.125
-        locs[1] = 0.25 + 0.125
-        if kind == "clustered":
-            vals = clustered_values(rng, L, Q, n, CENTERS)
-        else:
-            vals = rng.integers(-2, 3, (L, Q, n)).astype(float)
+        locs, vals = whitney_data(rng, m, kind)
         box = [[0.0, 1.0]] * m
         ext = WhitneyExtension(list(zip(locs, vals)), box, 6)
         ref = reference_whitney(ext)
@@ -201,11 +253,59 @@ class TestWhitneyAgainstReference:
         fast = [ext.evaluate(q).points for q in queries]
         if kind == "clustered":
             assert splits, "the clustered data should take the split branch"
-        monkeypatch.setattr(extend, "_cone_eval", cone_eval_reference)
-        slow = [ref.evaluate(q).points for q in queries]
         monkeypatch.undo()
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a, b)
+        assert_same_values(fast, [whitney_evaluate_reference(ref, q).points for q in queries])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["clustered", "random"])
+    def test_centres_corners_and_skeleton_edges(self, m, kind):
+        rng = np.random.default_rng(11 * m + len(kind))
+        locs, vals = whitney_data(rng, m, kind)
+        ext = WhitneyExtension(list(zip(locs, vals)), [[0.0, 1.0]] * m, 6)
+        queries = skeleton_queries(ext, rng)
+        assert len(queries) >= 12 * 2 * m
+        fast = [ext.evaluate(q).points for q in queries]
+        assert_same_values(fast, [whitney_evaluate_reference(ext, q).points
+                                  for q in queries])
+
+    @pytest.mark.parametrize("kind", ["clustered", "random"])
+    def test_queries_sharing_a_leaf_match_a_fresh_instance(self, kind):
+        rng = np.random.default_rng(len(kind))
+        locs, vals = whitney_data(rng, 2, kind)
+        data, box = list(zip(locs, vals)), [[0.0, 1.0], [0.0, 1.0]]
+        ext = WhitneyExtension(data, box, 6)
+        # the largest Whitney leaf, probed many times in a random order
+        (k, d) = min(key for key, kind in ext._leaves.items() if kind == "w")
+        size = ext.S / (1 << d)
+        lo = ext.root_lo + np.array(k) * size
+        queries = lo + size * rng.uniform(0.0, 1.0, (15, 2))
+        queries = np.vstack([queries, queries[::-1]])
+        shared = [ext.evaluate(q).points for q in queries]
+        assert list(ext._faces) == [(k, d)]
+        fresh = [WhitneyExtension(data, box, 6).evaluate(q).points for q in queries]
+        assert_same_values(shared, fresh)
+        assert_same_values(shared, [whitney_evaluate_reference(ext, q).points
+                                    for q in queries])
+
+    def test_concurrent_queries_match_sequential(self):
+        # the plan caches fill lazily; threads racing to build the same plan
+        # must store equal plans and return the sequential values
+        rng = np.random.default_rng(5)
+        locs, vals = whitney_data(rng, 2, "clustered")
+        data, box = list(zip(locs, vals)), [[0.0, 1.0], [0.0, 1.0]]
+        queries = np.vstack([rng.uniform(0.0, 1.0, (30, 2))] * 3)
+        expected = [WhitneyExtension(data, box, 6).evaluate(q).points for q in queries]
+        shared = WhitneyExtension(data, box, 6)
+        workers = min(16, (os.cpu_count() or 1) + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(shared.evaluate, q) for q in queries]
+                got = [f.result(timeout=120).points for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_values(got, expected)
 
     def test_structure_on_random_boxes(self):
         rng = np.random.default_rng(3)

@@ -56,6 +56,28 @@ def test_determinism(small_cfg):
     assert a == b
 
 
+def test_run_all_builds_each_frame_once_per_call(small_cfg, monkeypatch):
+    from qvalued import embed
+
+    built = []
+    real = embed.build_frame
+
+    def counted(*args, **kwargs):
+        built.append((args, tuple(sorted(kwargs.items()))))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(embed, "build_frame", counted)
+    shared = [r.to_dict() for r in run_all(small_cfg)]
+    assert built and len(built) == len(set(built))
+    first = len(built)
+    # the cache lives for one call: the next run builds its frames again
+    run_all(small_cfg)
+    assert len(built) == 2 * first
+    # sharing the frames leaves the reports as the checks make them alone
+    assert shared[2:4] == [check_xi(small_cfg).to_dict(),
+                           check_sqrt_Q_bound(small_cfg).to_dict()]
+
+
 def test_seed_changes_instances():
     r0 = check_zeta_bounds(CheckConfig(seed=0, trials=20))
     r1 = check_zeta_bounds(CheckConfig(seed=1, trials=20))
