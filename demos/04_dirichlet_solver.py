@@ -55,6 +55,13 @@ print(f"solver energy    {report.total:.6f}")
 print(f"candidate energy {discrete_energy(candidate, 2.0).total:.6f}")
 print(f"continuum value  {2 * math.pi:.6f}  (Dirichlet energy of the sqrt pair)")
 
+# --- p = 3: the same alternation, with iteratively reweighted solves inside ---
+_, report3, history3 = solve_dirichlet(boundary, grid, p=3.0, restarts=1)
+print(f"p = 3 converged: {report3.converged} after {report3.iterations} outer iterations")
+print("p = 3 energy history:", [round(e, 6) for e in history3])
+print(f"p = 3 solver energy    {report3.total:.6f}")
+print(f"p = 3 candidate energy {discrete_energy(candidate, 3.0).total:.6f}")
+
 # --- The trace is exactly the boundary data ---
 tr = trace(solution)
 exact = all(

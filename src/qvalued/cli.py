@@ -286,6 +286,9 @@ def _cmd_solve(args) -> int:
         json.dumps({"energy": report.total, "iterations": report.iterations,
                     "converged": report.converged}) + "\n"
     )
+    if not report.converged:
+        sys.stderr.write(f"warning: solver stopped after {report.iterations} "
+                         "outer iterations without converging\n")
     return 0
 
 

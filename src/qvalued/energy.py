@@ -4,8 +4,8 @@ The p-energy of a grid function sums, over axis-adjacent node pairs, the
 p-th power of the matched G2 difference quotient.  Minimizing it subject
 to boundary data alternates between two exact steps: recompute the optimal
 per-edge matchings, then, with matchings frozen, minimize the resulting
-vector p-Dirichlet energy on the branch-lifted graph (a linear solve for
-p = 2, damped gradient descent otherwise).
+vector p-Dirichlet energy on the branch-lifted graph (iteratively
+reweighted least squares: one weighted-Laplacian solve per iteration).
 
 All of it runs on flat arrays: the edges are the index arrays of
 ``GridFunction.edge_index``, one G2 call of ``qspace.match_many`` matches
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -185,10 +186,10 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
 
     Alternating minimization: recompute optimal per-edge matchings, then
     minimize the frozen-matching energy over the interior branch positions
-    (sparse linear solve for p = 2, Armijo-damped gradient descent for
-    general p).  The first pass starts from nearest-boundary values; the
-    remaining ``restarts`` start from randomized boundary assignments and
-    the best final energy wins.
+    by iteratively reweighted least squares, one sparse weighted-Laplacian
+    solve per inner iteration (a single exact solve at p = 2).  The first
+    pass starts from nearest-boundary values; the other ``restarts - 1``
+    start from randomized boundary assignments and the best energy wins.
 
     Parameters
     ----------
@@ -199,6 +200,9 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
         Supplies mask, shape, spacing, Q and n; its values are ignored.
     p : float
         Energy exponent, in (1, p_cap].
+    tol : float
+        An outer or inner loop ends when a pass lowers the energy E by less
+        than ``tol * (1 + E)``; finite and positive.
 
     Returns
     -------
@@ -210,6 +214,10 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
     """
     if not 1.0 < p <= p_cap:
         raise ValueError(f"p must lie in (1, {p_cap}]")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     bvals = _boundary_values(boundary, grid)
     bnodes = grid.node_index((BOUNDARY,))
     if not bnodes.size:
@@ -232,7 +240,7 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
 
     rng = np.random.default_rng(seed)
     best = None
-    for attempt in range(max(1, restarts)):
+    for attempt in range(restarts):
         values = np.zeros(grid.shape + (grid.Q, grid.n))
         values[grid.mask == OUTSIDE] = np.nan
         X = values.reshape(-1, grid.Q, grid.n)
@@ -279,10 +287,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     for outer in range(1, max_outer + 1):
         iterations = outer
         gb = v[:, None] * Q + perms
-        if p == 2.0:
-            _branch_step_linear(Y, ga, gb, slot, free)
-        else:
-            _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner)
+        _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner)
         sq, perms = match_many(X[u], X[v], MetricKind.G2)
         energy_new = w * float((sq ** (p / 2.0)).sum())
         if energy_new > energy + 1e-12 * (1.0 + energy):
@@ -296,78 +301,80 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     return values, history, iterations, converged
 
 
-def _branch_step_linear(Y, ga, gb, slot, free):
-    """Exact minimization of the frozen-matching 2-energy: one sparse solve.
+def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
+    """Lower the frozen-matching p-energy by iteratively reweighted least squares.
 
-    Position ``ga[e, i]`` is paired with ``gb[e, i]``; the unknowns are the
-    rows ``free`` of ``Y``, which receive the solution.
+    Edge ``e`` pairs positions ``ga[e]`` with ``gb[e]`` and contributes
+    ``w * S_e^(p/2)``, ``S_e`` its squared matched length.  Each iteration
+    weights it by ``S_e^((p-2)/2)``, solves the weighted Laplacian and moves
+    to the energy's minimum on the line through the solution.
+    """
+    if free.size == 0:
+        return
+    if p == 2.0:
+        # the weights are all 1 and one solve is the exact minimizer
+        Y[free] = _branch_step_linear(Y, ga, gb, slot, free, np.ones(len(ga)))
+        return
+    delta = Y[ga] - Y[gb]
+    S = np.einsum("eqn,eqn->e", delta, delta)
+    energy = w * float((S ** (p / 2.0)).sum())
+    for _ in range(max_inner):
+        # the floors, on S relative to 1 + max S and on the weight relative to the
+        # largest, keep every weight positive and the system's conditioning bounded
+        weight = np.maximum(S, 1e-12 * (1.0 + S.max())) ** ((p - 2.0) / 2.0)
+        weight = np.maximum(weight, 1e-8 * weight.max())
+        x0 = Y[free]
+        Y[free] = _branch_step_linear(Y, ga, gb, slot, free, weight)
+        step = Y[free] - x0
+        D = Y[ga] - Y[gb] - delta
+        b, c = np.einsum("eqn,eqn->e", delta, D), np.einsum("eqn,eqn->e", D, D)
+        Y[free] = x0 + _line_minimum(S, b, c, p) * step
+        delta = Y[ga] - Y[gb]
+        S = np.einsum("eqn,eqn->e", delta, delta)
+        e_new = w * float((S ** (p / 2.0)).sum())
+        if not e_new <= energy:
+            Y[free] = x0
+            return
+        if energy - e_new < tol * (1.0 + e_new):
+            return
+        energy = e_new
+
+
+def _line_minimum(S, b, c, p):
+    """The t in [0, 64] minimizing the convex ``sum((S + 2bt + ct^2)^(p/2))``."""
+    def slope(t):
+        s = np.maximum(S + t * (2.0 * b + t * c), 0.0)
+        pos = s > 0.0
+        return float((s[pos] ** (p / 2.0 - 1.0) * (b[pos] + t * c[pos])).sum())
+
+    if not slope(0.0) < 0.0:
+        return 0.0
+    return 64.0 if slope(64.0) < 0.0 else brentq(slope, 0.0, 64.0, xtol=1e-14, disp=False)
+
+
+def _branch_step_linear(Y, ga, gb, slot, free, weight):
+    """Minimizer of the frozen-matching weighted 2-energy: one sparse solve.
+
+    Position ``ga[e, i]`` is paired with ``gb[e, i]`` with weight
+    ``weight[e]``; the unknowns are the rows ``free`` of ``Y``.  Returns
+    their values at the minimizer, one row per unknown.
     """
     N = free.size
-    if N == 0:
-        return
     a, b = slot[ga].ravel(), slot[gb].ravel()
+    wt = np.repeat(weight, ga.shape[1])
     ka, kb = a >= 0, b >= 0
     both = ka & kb
-    diag = np.bincount(np.concatenate([a[ka], b[kb]]), minlength=N)
+    diag = np.bincount(np.concatenate([a[ka], b[kb]]), np.concatenate([wt[ka], wt[kb]]), N)
     rows = np.concatenate([a[both], b[both], np.arange(N)])
     cols = np.concatenate([b[both], a[both], np.arange(N)])
-    data = np.concatenate([np.full(2 * int(both.sum()), -1.0), diag])
-    # a pair with one known end adds that end's value to the other's right-hand side
+    data = np.concatenate([-wt[both], -wt[both], diag])
+    # a pair with one known end adds weight * that end's value to the other's right-hand side
     one = ka != kb
     rhs = np.zeros((N, Y.shape[1]))
-    np.add.at(rhs, np.where(ka, a, b)[one], Y[np.where(ka, gb.ravel(), ga.ravel())[one]])
+    np.add.at(rhs, np.where(ka, a, b)[one],
+              wt[one, None] * Y[np.where(ka, gb.ravel(), ga.ravel())[one]])
     L = csr_matrix((data, (rows, cols)), shape=(N, N)).tocsc()
-    Y[free] = splu(L).solve(rhs)
-
-
-def _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner):
-    """Armijo-damped gradient descent on the frozen-matching p-energy.
-
-    Same pairing and unknowns as ``_branch_step_linear``.
-    """
-    n = Y.shape[1]
-    # each pair pushes +part onto its first end and -part onto its second
-    targets = np.stack([slot[ga], slot[gb]], axis=-1).ravel()
-    free_end = targets >= 0
-    targets = targets[free_end]
-
-    def frozen_energy():
-        delta = Y[ga] - Y[gb]
-        S = (delta * delta).reshape(len(delta), -1).sum(axis=1)
-        return w * float((S ** (p / 2.0)).sum()), delta, S
-
-    def gradient(delta, S):
-        factor = np.zeros_like(S)
-        pos = S > 0.0
-        factor[pos] = w * p * S[pos] ** ((p - 2.0) / 2.0)
-        part = factor[:, None, None] * delta
-        pushes = np.stack([part, -part], axis=2).reshape(-1, n)
-        g = np.zeros((free.size, n))
-        np.add.at(g, targets, pushes[free_end])
-        return g
-
-    energy, delta, S = frozen_energy()
-    for _ in range(max_inner):
-        g = gradient(delta, S)
-        gnorm2 = float(np.einsum("ij,ij->", g, g))
-        if gnorm2 == 0.0:
-            break
-        x0 = Y[free]
-        step = 1.0
-        improved = False
-        while step > 1e-16:
-            Y[free] = x0 - step * g
-            e_trial, delta, S = frozen_energy()
-            if e_trial <= energy - 0.25 * step * gnorm2:
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
-            Y[free] = x0
-            break
-        if energy - e_trial < tol * (1.0 + e_trial):
-            break
-        energy = e_trial
+    return splu(L).solve(rhs)
 
 
 def lipschitz_truncation(f: GridFunction, t: float, p: float = 2.0):

@@ -228,56 +228,54 @@ def _branch_step_linear(values, grid, edges, matchings, unknown):
         values[idx][b] = sol[row]
 
 
-def _branch_step_gradient(values, grid, edges, matchings, unknown, w, p, tol,
-                          max_inner):
-    """Armijo-damped gradient descent on the frozen-matching p-energy."""
+def _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner):
+    """Armijo-damped gradient descent on the frozen-matching p-energy.
 
-    def frozen_energy(vals):
-        total = 0.0
-        for (u, v), perm in zip(edges, matchings):
-            delta = vals[u] - vals[v][perm]
-            total += float((delta * delta).sum()) ** (p / 2.0)
-        return w * total
+    The inner step the solver ran at p != 2 before it moved to iteratively
+    reweighted least squares; it takes the arguments of
+    ``qvalued.energy._minimize_frozen`` and works in place on ``Y`` the same way.
+    """
+    n = Y.shape[1]
+    # each pair pushes +part onto its first end and -part onto its second
+    targets = np.stack([slot[ga], slot[gb]], axis=-1).ravel()
+    free_end = targets >= 0
+    targets = targets[free_end]
 
-    def gradient(vals):
-        g = {key: np.zeros(grid.n) for key in unknown}
-        for (u, v), perm in zip(edges, matchings):
-            delta = vals[u] - vals[v][perm]
-            S = float((delta * delta).sum())
-            if S <= 0.0:
-                continue
-            factor = w * p * S ** ((p - 2.0) / 2.0)
-            for i in range(grid.Q):
-                a = (u, i)
-                b = (v, int(perm[i]))
-                if a in g:
-                    g[a] += factor * delta[i]
-                if b in g:
-                    g[b] -= factor * delta[i]
+    def frozen_energy():
+        delta = Y[ga] - Y[gb]
+        S = (delta * delta).reshape(len(delta), -1).sum(axis=1)
+        return w * float((S ** (p / 2.0)).sum()), delta, S
+
+    def gradient(delta, S):
+        factor = np.zeros_like(S)
+        pos = S > 0.0
+        factor[pos] = w * p * S[pos] ** ((p - 2.0) / 2.0)
+        part = factor[:, None, None] * delta
+        pushes = np.stack([part, -part], axis=2).reshape(-1, n)
+        g = np.zeros((free.size, n))
+        np.add.at(g, targets, pushes[free_end])
         return g
 
-    energy = frozen_energy(values)
+    energy, delta, S = frozen_energy()
     for _ in range(max_inner):
-        g = gradient(values)
-        gnorm2 = sum(float(v @ v) for v in g.values())
+        g = gradient(delta, S)
+        gnorm2 = float(np.einsum("ij,ij->", g, g))
         if gnorm2 == 0.0:
             break
+        x0 = Y[free]
         step = 1.0
         improved = False
         while step > 1e-16:
-            trial = values.copy()
-            for (idx, b), gv in g.items():
-                trial[idx][b] -= step * gv
-            e_trial = frozen_energy(trial)
+            Y[free] = x0 - step * g
+            e_trial, delta, S = frozen_energy()
             if e_trial <= energy - 0.25 * step * gnorm2:
-                values[...] = trial
                 improved = True
                 break
             step /= 2.0
         if not improved:
+            Y[free] = x0
             break
         if energy - e_trial < tol * (1.0 + e_trial):
-            energy = e_trial
             break
         energy = e_trial
 

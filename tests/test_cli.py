@@ -311,6 +311,46 @@ class TestSolveCli:
                               "curve": [{"x": [1.0, 0.0], "value": [[0.0]]}]}))
         assert main(["solve", "--boundary", b]) == 1
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--tol", "-1", "tol"), ("--tol", "0", "tol"), ("--tol", "nan", "tol"),
+        ("--tol", "inf", "tol"), ("--restarts", "0", "restarts"),
+        ("--restarts", "-3", "restarts"),
+    ])
+    def test_bad_tol_or_restarts_named(self, tmp_path, capsys, flag, value, field):
+        b = write(tmp_path / "b.json", empty_grid(2, 1, 1, 5).to_json())
+        assert main(["solve", "--boundary", b, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must ")
+        assert captured.out == ""
+
+    def test_unconverged_solve_warns(self, tmp_path, capsys, monkeypatch):
+        from qvalued import energy
+
+        solve = energy.solve_dirichlet
+
+        def capped(*args, **kwargs):
+            solution, report, history = solve(*args, **kwargs)
+            report.converged = False
+            return solution, report, history
+
+        b = write(tmp_path / "b.json", empty_grid(2, 1, 1, 5).to_json())
+        hist = tmp_path / "hist.csv"
+        argv = ["solve", "--boundary", b, "--history", str(hist),
+                "--out", str(tmp_path / "sol.json")]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        expect_hist = hist.read_text()
+        monkeypatch.setattr(energy, "solve_dirichlet", capped)
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        status = json.loads(out.out)
+        assert status["converged"] is False
+        assert out.out.replace("false", "true") == plain.out
+        assert hist.read_text() == expect_hist
+        assert out.err == (f"warning: solver stopped after {status['iterations']} "
+                           "outer iterations without converging\n")
+
 
 class TestGridLoader:
     def test_from_obj_matches_from_json(self):
