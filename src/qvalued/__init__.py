@@ -21,6 +21,8 @@ from .embed import (
     xi,
     xi0,
     xi_isometry_radius,
+    xi_isometry_radius_many,
+    xi_many,
     zeta_dual_gap,
 )
 from .energy import (
@@ -49,6 +51,7 @@ from .qspace import (
     SplitRadiusError,
     concatenate,
     dist,
+    dist_many,
     dist_sorted_1d,
     local_split,
     match_many,

@@ -7,6 +7,7 @@ offending field), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -338,7 +339,10 @@ def _cmd_verify(args) -> int:
     else:
         cfg = verify.CheckConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            raise DataError(f"--seed: {exc}")
     reports = verify.run_all(cfg)
     payload = json.dumps([r.to_dict() for r in reports], indent=2)
     if args.report:
@@ -350,6 +354,7 @@ def _cmd_verify(args) -> int:
             f"{r.name}: {status} ({r.trials} trials, {r.failures} failures, "
             f"ratio {r.worst_ratio:.6g})\n"
         )
+        sys.stderr.write(f"{r.name}: {r.seconds:.2f} s\n")
         failures += r.failures
     return 0 if failures == 0 else 1
 

@@ -5,7 +5,9 @@ Three constructions live here:
 * the sorted-projection embedding ``xi``: project a tuple onto every
   direction of a frame of orthonormal bases, sort each list of projections,
   and concatenate.  It is 1-Lipschitz, a local isometry, and injective once
-  the frame's directions separate well enough;
+  the frame's directions separate well enough.  ``xi_many`` embeds a
+  whole (E, Q, n) stack of tuples at once, and ``xi`` is its one-tuple
+  case;
 * the polynomial-coefficient embedding ``whitney_eta``: the coefficients of
   the monic polynomial whose roots (as linear forms) are the tuple's
   points, with a root-finding inverse in one (complex) variable;
@@ -127,19 +129,23 @@ def measured_separation(directions: np.ndarray, Q: int,
     For each draw of L = Q^2 random unit vectors, compute the best
     direction's worst absolute inner product; the certified epsilon is the
     minimum over draws.  The draw sequence is fixed, so the measurement is
-    reproducible and re-validation of a stored frame is exact.
+    reproducible and re-validation of a stored frame is exact.  Draws are
+    scored a chunk at a time, which keeps the (draws, K, L) score block
+    near 2 MB at any frame size.
     """
     directions = np.asarray(directions, dtype=float)
-    n = directions.shape[1]
+    K, n = directions.shape
     L = max(1, Q * Q)
     rng = np.random.default_rng(_VALIDATION_SEED)
+    chunk = max(1, (1 << 18) // (K * L))
     worst = math.inf
-    for _ in range(draws):
-        V = rng.standard_normal((L, n))
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        scores = np.abs(directions @ V.T)  # (K, L)
-        worst = min(worst, scores.min(axis=1).max())
-    return float(worst)
+    for lo in range(0, draws, chunk):
+        # consecutive (L, n) draws, one stream: the same numbers as one draw at a time
+        V = rng.standard_normal((min(chunk, draws - lo), L, n))
+        V /= np.linalg.norm(V, axis=2, keepdims=True)
+        scores = np.abs(np.matmul(directions, V.transpose(0, 2, 1)))  # (draws, K, L)
+        worst = min(worst, float(scores.min(axis=2).max(axis=1).min()))
+    return worst
 
 
 def _greedy_directions(pool: np.ndarray, K: int) -> np.ndarray:
@@ -242,18 +248,47 @@ def xi0(v: QTuple, basis) -> np.ndarray:
     return np.concatenate([pi_e(v, basis[j]) for j in range(v.n)])
 
 
+def _sorted_projections(X, frame: DirectionFrame) -> np.ndarray:
+    """Sorted projections of a (E, Q, n) stack onto each frame direction, (E, K*n, Q)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3:
+        raise ValueError(f"tuple stack must have shape (E, Q, n), got {X.shape}")
+    if X.shape[2] != frame.n:
+        raise ValueError(f"tuple has n={X.shape[2]}, frame has n={frame.n}")
+    return np.sort(np.matmul(frame._dirmat, X.transpose(0, 2, 1)), axis=2)
+
+
+def xi_many(X, frame: DirectionFrame) -> np.ndarray:
+    """The frame embedding of every tuple of a (E, Q, n) stack, one row each.
+
+    Row e is ``xi`` of the tuple with points ``X[e]``: per-direction sorted
+    projections, concatenated and scaled by K^(-1/2); shape (E, Q*n*K).
+    """
+    proj = _sorted_projections(X, frame)
+    E, R, Q = proj.shape
+    return proj.reshape(E, R * Q) / math.sqrt(frame.K)
+
+
 def xi(v: QTuple, frame: DirectionFrame) -> EmbeddedVector:
-    """The frame embedding: per-basis sorted projections, scaled by K^(-1/2)."""
-    if v.n != frame.n:
-        raise ValueError(f"tuple has n={v.n}, frame has n={frame.n}")
-    proj = frame._dirmat @ v.points.T  # (K*n, Q)
-    proj = np.sort(proj, axis=1)
-    return EmbeddedVector(proj.reshape(-1) / math.sqrt(frame.K))
+    """The frame embedding: per-basis sorted projections, scaled by K^(-1/2).
+
+    The one-tuple case of ``xi_many``.
+    """
+    return EmbeddedVector(xi_many(v.points[None], frame)[0])
 
 
 def _xi_raw(points: np.ndarray, dirmat: np.ndarray) -> np.ndarray:
     """Unnormalized embedding of a raw point array (internal fast path)."""
     return np.sort(dirmat @ points.T, axis=1)
+
+
+def xi_isometry_radius_many(X, frame: DirectionFrame) -> np.ndarray:
+    """``xi_isometry_radius`` of every tuple of a (E, Q, n) stack, shape (E,)."""
+    proj = _sorted_projections(X, frame)
+    E, R, Q = proj.shape
+    gaps = np.diff(proj, axis=2).reshape(E, R * (Q - 1))
+    # the positive gaps of the sorted values are the gaps of the distinct ones
+    return np.where(gaps > 0, gaps, math.inf).min(axis=1, initial=math.inf) / 2.0
 
 
 def xi_isometry_radius(v: QTuple, frame: DirectionFrame) -> float:
@@ -262,15 +297,7 @@ def xi_isometry_radius(v: QTuple, frame: DirectionFrame) -> float:
     Within this G2 radius around v the embedding is an exact isometry.
     Infinite when every projection collapses to a single value.
     """
-    if v.n != frame.n:
-        raise ValueError(f"tuple has n={v.n}, frame has n={frame.n}")
-    proj = frame._dirmat @ v.points.T
-    best = math.inf
-    for row in proj:
-        vals = np.unique(row)
-        if vals.size > 1:
-            best = min(best, float(np.diff(vals).min()))
-    return best / 2.0
+    return float(xi_isometry_radius_many(v.points[None], frame)[0])
 
 
 def _candidate_from_basis(blocks: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ A Q-tuple is a multiset of Q points (multiplicity counts).  The three
 metrics pair the points of two tuples optimally and aggregate the pairwise
 Euclidean distances by sum (G1), root-sum-of-squares (G2) or maximum
 (GINF).  ``match_many`` matches whole stacks of tuple pairs at once
-under any of the three; ``dist`` is its one-pair case.  This module also
+under any of the three, ``dist_many`` turns their costs into distances,
+and ``dist`` is the one-pair case of both.  This module also
 provides the splitting machinery: the minimum gap between distinct points
 of a tuple forces the optimal pairing for any sufficiently small
 perturbation, which is what makes local decompositions and branch
@@ -323,10 +324,34 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
     return cost, P.take(first, axis=0)  # same rows as P[first], several times faster
 
 
+def dist_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
+    """Assignment distances between matching rows of two stacks of Q-tuples.
+
+    ``match_many`` with its costs turned into distances, as ``dist``
+    reports them: G1 and GINF costs already are, G2 takes the square root
+    of the summed squares, except at Q = 1, where it takes the norm of the
+    one difference itself (the root of its rounded square can differ in
+    the last bit).
+
+    Returns
+    -------
+    value : ndarray, shape (E,)
+    perm : ndarray of int, shape (E, Q)
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    cost, perm = match_many(A, B, kind)
+    if kind is not MetricKind.G2:
+        return cost, perm
+    if A.shape[1] == 1:
+        return vector_norms(A[:, 0] - B[:, 0]), perm
+    return np.sqrt(cost), perm
+
+
 def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
     """Assignment distance between two Q-tuples with an optimal matching.
 
-    The one-pair case of ``match_many``.
+    The one-pair case of ``dist_many``.
 
     Parameters
     ----------
@@ -344,15 +369,8 @@ def dist(v: QTuple, w: QTuple, kind: MetricKind = MetricKind.G2):
         smallest permutation is returned.
     """
     _check_compatible(v, w)
-    cost, perm = match_many(v.points[None], w.points[None], kind)
-    if kind is not MetricKind.G2:
-        value = float(cost[0])
-    elif v.Q == 1:
-        # the norm itself: the root of its rounded square can differ in the last bit
-        value = float(vector_norms(v.points[0] - w.points[0]))
-    else:
-        value = math.sqrt(cost[0])
-    return value, Matching(tuple(perm[0]))
+    value, perm = dist_many(v.points[None], w.points[None], kind)
+    return float(value[0]), Matching(tuple(perm[0]))
 
 
 def dist_sorted_1d(v: QTuple, w: QTuple) -> float:

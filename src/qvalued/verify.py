@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import embed
 from .grids import GridFunction, square_mask
-from .qspace import MetricKind, QTuple, dist, match_many, split_distance
+from .qspace import (MetricKind, QTuple, dist, dist_many, match_many, split_distance,
+                     vector_norms)
 
 _CHECK_OFFSETS = {
     "metric_equivalence": 101,
@@ -53,12 +55,21 @@ class CheckConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for name, rng in (("Q_range", self.Q_range), ("n_range", self.n_range),
                           ("m_range", self.m_range)):
             if len(rng) != 2 or rng[0] > rng[1] or rng[0] < 1:
                 raise ValueError(f"{name} must be a nonempty range of positive integers")
+        for name, value in self.tolerances.items():
+            if name not in _DEFAULT_TOLERANCES:
+                raise ValueError(f"tolerances has unknown name {name!r}; expected one of "
+                                 f"{', '.join(_DEFAULT_TOLERANCES)}")
+            # every comparison with NaN is false: the check would pass or fail every trial
+            if not math.isfinite(value):
+                raise ValueError(f"tolerances[{name!r}] must be a finite number, got {value!r}")
         merged = dict(_DEFAULT_TOLERANCES)
         merged.update(self.tolerances)
         self.tolerances = merged
@@ -97,6 +108,8 @@ class CheckReport:
     failures: int
     worst_ratio: float
     witnesses: list = field(default_factory=list)
+    # wall time of the check, set by run_all; not part of the report itself
+    seconds: float = 0.0
 
     def record_failure(self, witness: str):
         self.failures += 1
@@ -161,6 +174,21 @@ def check_metric_equivalence(cfg: CheckConfig, _dist=None) -> CheckReport:
     return report
 
 
+def _grouped(rows: list):
+    """Trials stacked by the (Q, n) shape of their tuples, in first-seen order.
+
+    ``rows`` holds one tuple of arrays per trial, the first of shape (Q, n).
+    Yields, per shape, the positions of its trials in ``rows`` and one
+    stacked array per field.
+    """
+    groups = {}
+    for t, row in enumerate(rows):
+        groups.setdefault(row[0].shape, []).append(t)
+    for index in groups.values():
+        yield np.array(index), [np.array([rows[t][k] for t in index])
+                                for k in range(len(rows[index[0]]))]
+
+
 def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
     """Within half the splitting radius the constructed pairing is optimal.
 
@@ -172,6 +200,8 @@ def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
     rng = _rng_for(cfg, "splitting_lemma")
     tol = cfg.tolerances["splitting"]
     report = CheckReport("splitting_lemma", cfg.trials, 0, 0.0)
+    # draw every trial first (no draw depends on a distance), then match by shape
+    rows = []
     for trial in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
         v = random_tuple(rng, Q, n)
@@ -183,24 +213,23 @@ def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
             continue
         scale = radius if trial % 4 == 0 else radius * rng.uniform(0.1, 0.999)
         delta *= scale / total
-        w = QTuple(v.points + delta)
-        paired = np.linalg.norm(delta, axis=1)
+        rows.append((v.points, v.points + delta, delta))
+    ok = np.ones(len(rows), dtype=bool)
+    for index, (V, W, D) in _grouped(rows):
+        paired = np.linalg.norm(D, axis=2)
         targets = {
-            MetricKind.G1: paired.sum(),
-            MetricKind.G2: math.sqrt(float((paired * paired).sum())),
-            MetricKind.GINF: paired.max(),
+            MetricKind.G1: paired.sum(axis=1),
+            MetricKind.G2: np.sqrt((paired * paired).sum(axis=1)),
+            MetricKind.GINF: paired.max(axis=1),
         }
-        worst = 0.0
-        ok = True
         for kind, target in targets.items():
-            value, _ = dist(v, w, kind)
-            gap = abs(value - target)
-            worst = max(worst, gap / (1.0 + target))
-            if gap > tol * (1.0 + target):
-                ok = False
-        report.worst_ratio = max(report.worst_ratio, worst)
-        if not ok:
-            report.record_failure(json.dumps({"v": v.points.tolist(), "w": w.points.tolist()}))
+            value, _ = dist_many(V, W, kind)
+            gap = np.abs(value - target)
+            report.worst_ratio = max(report.worst_ratio, float((gap / (1.0 + target)).max()))
+            ok[index] &= gap <= tol * (1.0 + target)
+    for (v, w, _), good in zip(rows, ok):
+        if not good:
+            report.record_failure(json.dumps({"v": v.tolist(), "w": w.tolist()}))
     return report
 
 
@@ -227,39 +256,46 @@ def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
     tol_norm = cfg.tolerances["xi_norm"]
     report = CheckReport("xi", cfg.trials, 0, math.inf)
     frames = {} if frames is None else frames
+    # draw every trial first: the step towards ``near`` needs the isometry
+    # radius, but its direction and length factor are drawn regardless
+    rows, frame_of = [], {}
     for _ in range(cfg.trials):
         if frame is not None:
             Q, n, fr = frame.Q, frame.n, frame
         else:
             Q, n = _draw_Qn(rng, cfg)
             fr = _frame(frames, n, Q)
+        frame_of[(Q, n)] = fr
         v = random_tuple(rng, Q, n)
         w = random_tuple(rng, Q, n)
-        g2, _ = dist(v, w, MetricKind.G2)
-        dxi = float(np.linalg.norm(embed.xi(v, fr).coords - embed.xi(w, fr).coords))
-        ok = dxi <= g2 + tol_up
-        if g2 > 1e-12:
-            report.worst_ratio = min(report.worst_ratio, dxi / g2)
-        norm_gap = abs(
-            float(np.linalg.norm(embed.xi(v, fr).coords))
-            - dist(v, QTuple(np.zeros((Q, n))), MetricKind.G2)[0]
-        )
-        ok = ok and norm_gap <= tol_norm
-
-        r = embed.xi_isometry_radius(v, fr)
         delta = rng.standard_normal((Q, n))
         total = math.sqrt(float((delta * delta).sum()))
-        if total > 0:
-            reach = 0.5 * min(r, 10.0) if math.isfinite(r) else 1.0
-            delta *= reach * rng.uniform(0.05, 0.95) / total
-            near = QTuple(v.points + delta)
-            g2_near, _ = dist(v, near, MetricKind.G2)
-            dxi_near = float(
-                np.linalg.norm(embed.xi(v, fr).coords - embed.xi(near, fr).coords)
-            )
-            ok = ok and abs(dxi_near - g2_near) <= tol_loc
-        if not ok:
-            report.record_failure(json.dumps({"v": v.points.tolist(), "w": w.points.tolist()}))
+        length = rng.uniform(0.05, 0.95) if total > 0 else 0.0
+        rows.append((v.points, w.points, delta, total, length))
+    ok = np.ones(len(rows), dtype=bool)
+    for index, (V, W, D, total, length) in _grouped(rows):
+        Q, n = V.shape[1:]
+        fr = frame_of[(Q, n)]
+        xv = embed.xi_many(V, fr)
+        g2, _ = dist_many(V, W, MetricKind.G2)
+        dxi = vector_norms(xv - embed.xi_many(W, fr))
+        apart = g2 > 1e-12
+        if apart.any():
+            report.worst_ratio = min(report.worst_ratio, float((dxi[apart] / g2[apart]).min()))
+        norm_gap = np.abs(vector_norms(xv) - dist_many(V, np.zeros((1, Q, n)), MetricKind.G2)[0])
+        good = (dxi <= g2 + tol_up) & (norm_gap <= tol_norm)
+
+        moved = total > 0
+        r = embed.xi_isometry_radius_many(V[moved], fr)
+        reach = np.where(np.isfinite(r), 0.5 * np.minimum(r, 10.0), 1.0)
+        near = V[moved] + D[moved] * (reach * length[moved] / total[moved])[:, None, None]
+        g2_near, _ = dist_many(V[moved], near, MetricKind.G2)
+        dxi_near = vector_norms(xv[moved] - embed.xi_many(near, fr))
+        good[moved] &= np.abs(dxi_near - g2_near) <= tol_loc
+        ok[index] = good
+    for (v, w, *_), good in zip(rows, ok):
+        if not good:
+            report.record_failure(json.dumps({"v": v.tolist(), "w": w.tolist()}))
     if math.isinf(report.worst_ratio):
         report.worst_ratio = 0.0
     if report.worst_ratio <= 0.0 and report.failures == 0:
@@ -275,13 +311,12 @@ def _lipschitz_grid(rng, m: int, Q: int, n: int, N: int = 9) -> GridFunction:
     freq = rng.uniform(0.5, 2.0, size=(Q, n, m))
     phase = rng.uniform(0, 2 * math.pi, size=(Q, n))
     amp = rng.uniform(0.2, 1.0, size=(Q, n))
-    values = np.zeros(shape + (Q, n))
-    for idx in np.ndindex(*shape):
-        x = (np.asarray(idx, dtype=float) - (N - 1) / 2.0) * h
-        for i in range(Q):
-            for c in range(n):
-                values[idx][i, c] = amp[i, c] * math.sin(float(freq[i, c] @ x) + phase[i, c])
-    return GridFunction(m, n, Q, shape, h, mask, values)
+    x = (np.indices(shape).reshape(m, -1).T - (N - 1) / 2.0) * h  # (nodes, m), C order
+    # one dot product per (node, branch, coordinate): a stacked matmul rounds
+    # as freq[i, c] @ x does, where einsum or an explicit sum can differ
+    arg = (freq[None, :, :, None, :] @ x[:, None, None, :, None])[..., 0, 0]
+    values = amp * np.sin(arg + phase)
+    return GridFunction(m, n, Q, shape, h, mask, values.reshape(shape + (Q, n)))
 
 
 def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
@@ -290,33 +325,35 @@ def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
     The local Lipschitz constant is measured in the max-pairing metric over
     the same neighbour pairs as the embedded quotient, which makes the
     sqrt(Q) factor sharp (a two-branch sign flip attains it).  Frames come
-    from the cache ``frames`` as in ``check_xi``.
+    from the cache ``frames`` as in ``check_xi``.  Q stays at most 3 unless
+    ``Q_range`` starts above it.
     """
     rng = _rng_for(cfg, "sqrt_q_bound")
     tol = cfg.tolerances["sqrt_q"]
     report = CheckReport("sqrt_q_bound", cfg.trials, 0, 0.0)
     frames = {} if frames is None else frames
+    lo, hi = cfg.Q_range
     trials = 0
     for _ in range(cfg.trials):
-        Q = int(rng.integers(cfg.Q_range[0], min(cfg.Q_range[1], 3) + 1))
+        Q = int(rng.integers(lo, min(hi, max(lo, 3)) + 1))
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))
         f = _lipschitz_grid(rng, m, Q, n, N=7)
         fr = _frame(frames, n, Q)
-        emb = {}
-        for idx in f.nodes():
-            emb[idx] = embed.xi(QTuple(f.values[idx]), fr).coords
         X = f.values.reshape(-1, Q, n)
+        emb = embed.xi_many(X, fr)
         left, right = f.edge_index()
         ginf, _ = match_many(X[left], X[right], MetricKind.GINF)
-        for (u, v), gi in zip(f.edges(), ginf.tolist()):
-            trials += 1
-            quot = float(np.linalg.norm(emb[u] - emb[v])) / f.h
-            lip = gi / f.h
-            if lip > 0:
-                report.worst_ratio = max(report.worst_ratio, quot / (math.sqrt(Q) * lip))
-            if quot > math.sqrt(Q) * lip + tol:
-                report.record_failure(json.dumps({"edge": [list(u), list(v)]}))
+        quot = vector_norms(emb[left] - emb[right]) / f.h
+        bound = math.sqrt(Q) * (ginf / f.h)
+        trials += left.size
+        sloped = ginf > 0
+        if sloped.any():
+            report.worst_ratio = max(report.worst_ratio,
+                                     float((quot[sloped] / bound[sloped]).max()))
+        for e in np.flatnonzero(quot > bound + tol):
+            edge = [np.unravel_index(k, f.shape) for k in (left[e], right[e])]
+            report.record_failure(json.dumps({"edge": [[int(i) for i in u] for u in edge]}))
     report.trials = trials
     return report
 
@@ -415,11 +452,16 @@ _EMBEDDING_CHECKS = (check_xi, check_sqrt_Q_bound)
 
 
 def run_all(cfg: CheckConfig) -> list:
-    """Run every check; reports in a fixed order.
+    """Run every check; reports in a fixed order, each with its wall time.
 
     The embedding checks share one frame cache for the call, so each
     (n, Q) frame is built once per run, never carried over to the next.
     """
     frames = {}
-    return [check(cfg, frames=frames) if check in _EMBEDDING_CHECKS else check(cfg)
-            for check in _ALL_CHECKS]
+    reports = []
+    for check in _ALL_CHECKS:
+        start = time.perf_counter()
+        report = check(cfg, frames=frames) if check in _EMBEDDING_CHECKS else check(cfg)
+        report.seconds = time.perf_counter() - start
+        reports.append(report)
+    return reports

@@ -592,3 +592,52 @@ def sum_dist_reference(a: np.ndarray, b: np.ndarray, kind: str):
     perm = _lexmin_sum_assignment(C)
     value = float(C[np.arange(Q), perm].sum())
     return (value if kind == "g1" else math.sqrt(value)), tuple(int(j) for j in perm)
+
+
+def xi_reference(v, frame) -> np.ndarray:
+    """``embed.xi(v, frame).coords`` as it was before the stacked embedding."""
+    proj = np.sort(frame._dirmat @ v.points.T, axis=1)  # (K*n, Q)
+    return proj.reshape(-1) / math.sqrt(frame.K)
+
+
+def xi_isometry_radius_reference(v, frame) -> float:
+    """``embed.xi_isometry_radius`` as it was: one ``np.unique`` per projection row."""
+    proj = frame._dirmat @ v.points.T
+    best = math.inf
+    for row in proj:
+        vals = np.unique(row)
+        if vals.size > 1:
+            best = min(best, float(np.diff(vals).min()))
+    return best / 2.0
+
+
+def measured_separation_reference(directions, Q: int, draws: int = 500,
+                                  seed: int = 171717) -> float:
+    """``embed.measured_separation`` as it was: one (L, n) validation draw at a time."""
+    directions = np.asarray(directions, dtype=float)
+    n = directions.shape[1]
+    L = max(1, Q * Q)
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(draws):
+        V = rng.standard_normal((L, n))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        scores = np.abs(directions @ V.T)  # (K, L)
+        worst = min(worst, scores.min(axis=1).max())
+    return float(worst)
+
+
+def lipschitz_grid_values_reference(rng, m: int, Q: int, n: int, N: int) -> np.ndarray:
+    """The values of ``verify._lipschitz_grid`` as they were: node by node."""
+    shape = (N,) * m
+    h = 2.0 / (N - 1)
+    freq = rng.uniform(0.5, 2.0, size=(Q, n, m))
+    phase = rng.uniform(0, 2 * math.pi, size=(Q, n))
+    amp = rng.uniform(0.2, 1.0, size=(Q, n))
+    values = np.zeros(shape + (Q, n))
+    for idx in np.ndindex(*shape):
+        x = (np.asarray(idx, dtype=float) - (N - 1) / 2.0) * h
+        for i in range(Q):
+            for c in range(n):
+                values[idx][i, c] = amp[i, c] * math.sin(float(freq[i, c] @ x) + phase[i, c])
+    return values

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -381,6 +383,30 @@ class TestVerifyCli:
         cfg = write(tmp_path / "cfg.json", "[1, 2]")
         assert main(["verify", "--config", cfg]) == 1
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerances,named", [('{"sqrt_q": NaN}', "'sqrt_q'"),
+                                                  ('{"sqrt_q": Infinity}', "'sqrt_q'"),
+                                                  ('{"sqrtq": 1}', "'sqrtq'")])
+    def test_bad_tolerance_named(self, tmp_path, capsys, tolerances, named):
+        cfg = write(tmp_path / "cfg.json", '{"trials": 5, "tolerances": %s}' % tolerances)
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "tolerances" in err and named in err
+
+    def test_negative_seed_named(self, capsys):
+        assert main(["verify", "--seed", "-5"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_report_matches_golden_file(self, tmp_path, capsys):
+        golden = pathlib.Path(__file__).parent / "data" / "verify_seed3.json"
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--seed", "3", "--report", str(report_path)]) == 0
+        assert report_path.read_text() == golden.read_text()
+        captured = capsys.readouterr()
+        names = [r["name"] for r in json.loads(golden.read_text())]
+        # the seconds of each check go to stderr, never into the report or stdout
+        assert re.findall(r"^(\w+): \d+\.\d\d s$", captured.err, re.M) == names
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == names
 
     def test_pass_and_report(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json",

@@ -18,9 +18,17 @@ from qvalued.embed import (
     xi,
     xi0,
     xi_isometry_radius,
+    xi_isometry_radius_many,
+    xi_many,
     zeta_dual_gap,
 )
 from qvalued.qspace import MetricKind, QTuple, dist
+
+from oracles import (
+    measured_separation_reference,
+    xi_isometry_radius_reference,
+    xi_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +212,56 @@ class TestIsometryRadius:
                 if u.size > 1:
                     expected = min(expected, float(np.diff(u).min()))
         assert xi_isometry_radius(v, frame22) == expected / 2
+
+
+def _tuple_stack(rng, Q, n, E=60):
+    """Random tuples at three scales, with repeated and fully coincident points."""
+    X = rng.uniform(-1, 1, (E, Q, n)) * rng.choice([1e-3, 1.0, 1e3], (E, 1, 1))
+    X[:10] = X[:10, :1]  # one point Q times: every projection collapses
+    X[10:20, Q // 2:] = X[10:20, :1]  # a repeated point beside distinct ones
+    X[20:25] = 0.0
+    X[25:30] = np.round(X[25:30])  # exact ties between different points' projections
+    return X
+
+
+class TestStackedAgainstPerTuple:
+    """The stacked embedding paths hold the per-tuple code they replaced bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6])
+    def test_xi_and_radius(self, n, Q):
+        fr = build_frame(n, Q, seed=7)
+        X = _tuple_stack(np.random.default_rng(10 * Q + n), Q, n)
+        Z = xi_many(X, fr)
+        R = xi_isometry_radius_many(X, fr)
+        assert Z.shape == (X.shape[0], fr.ambient_length) and R.shape == (X.shape[0],)
+        for e in range(X.shape[0]):
+            v = QTuple(X[e])
+            ref = xi_reference(v, fr)
+            assert np.array_equal(Z[e], ref)
+            assert np.array_equal(xi(v, fr).coords, ref)
+            r = xi_isometry_radius_reference(v, fr)
+            assert R[e] == r and xi_isometry_radius(v, fr) == r
+        assert np.all(R[:10] == math.inf)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6])
+    def test_measured_separation(self, n, Q):
+        rng = np.random.default_rng(100 + 10 * Q + n)
+        # K = 512 spreads the draws over many score chunks, the last one partial
+        for K in (1, 2 * n, 512):
+            d = rng.standard_normal((K, n))
+            d /= np.linalg.norm(d, axis=1, keepdims=True)
+            assert measured_separation(d, Q) == measured_separation_reference(d, Q)
+        assert measured_separation(d, Q, draws=7) == measured_separation_reference(d, Q, draws=7)
+
+    def test_stack_shape_checked(self, frame22):
+        with pytest.raises(ValueError):
+            xi_many(np.zeros((4, 2, 3)), frame22)
+        with pytest.raises(ValueError):
+            xi_many(np.zeros((2, 2)), frame22)
+        assert xi_many(np.zeros((0, 2, 2)), frame22).shape == (0, frame22.ambient_length)
+        assert xi_isometry_radius_many(np.zeros((0, 2, 2)), frame22).shape == (0,)
 
 
 class TestDecode:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvalued.qspace import MetricKind, QTuple, dist, match_many
+from qvalued.qspace import MetricKind, QTuple, dist, dist_many, match_many
 
 from oracles import pairing_cost, sum_dist_reference
 
@@ -140,6 +140,17 @@ class TestBatching:
             one_cost, one_perm = match_many(A[e:e + 1], ref[None], kind)
             assert one_cost[0] == cost[e]
             assert np.array_equal(one_perm[0], perm[e])
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("Q", [1, 2, 4, 6])
+    def test_dist_many_rows_equal_dist(self, kind, Q):
+        rng = np.random.default_rng(7 * Q)
+        A = rng.standard_normal((25, Q, 3))
+        ref = rng.standard_normal((Q, 3))
+        value, perm = dist_many(A, ref[None], kind)
+        for e in range(25):
+            one, match = dist(QTuple(A[e]), QTuple(ref), kind)
+            assert value[e] == one and tuple(perm[e]) == match.perm
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.parametrize("Q", [1, 3, 6])

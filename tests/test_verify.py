@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qvalued.qspace import MetricKind, dist
 from qvalued.verify import (
     CheckConfig,
     CheckReport,
+    _lipschitz_grid,
     check_metric_equivalence,
     check_poincare,
     check_splitting_lemma,
@@ -15,6 +17,8 @@ from qvalued.verify import (
     check_zeta_bounds,
     run_all,
 )
+
+from oracles import lipschitz_grid_values_reference
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +34,17 @@ def test_config_validation():
     cfg = CheckConfig(tolerances={"equivalence": 1e-6})
     assert cfg.tolerances["equivalence"] == 1e-6
     assert cfg.tolerances["splitting"] == 1e-12  # defaults preserved
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1},
+    {"tolerances": {"sqrt_q": math.nan}},
+    {"tolerances": {"xi_upper": math.inf}},
+    {"tolerances": {"sqrtq": 1.0}},
+])
+def test_config_rejects(kwargs):
+    with pytest.raises(ValueError):
+        CheckConfig(**kwargs)
 
 
 def test_config_json_round_trip():
@@ -135,3 +150,30 @@ def test_individual_ratios(small_cfg):
     assert sp.worst_ratio <= 1e-12
     po = check_poincare(small_cfg)
     assert po.worst_ratio <= small_cfg.tolerances["poincare_c"]
+
+
+@pytest.mark.parametrize("Q", [4, 6])
+def test_q_range_above_three_runs(Q):
+    # the sqrt(Q) check caps Q at 3 only where the range reaches below it;
+    # Q = 6 takes the kernel's per-row solvers
+    reports = run_all(CheckConfig(Q_range=(Q, Q), trials=2))
+    assert [r.failures for r in reports] == [0] * 6
+    assert reports[3].trials > 0
+
+
+def test_run_all_times_each_check(small_cfg):
+    reports = run_all(small_cfg)
+    assert all(r.seconds >= 0.0 for r in reports)
+    assert all("seconds" not in r.to_dict() for r in reports)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("Q", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lipschitz_grid_matches_node_by_node(m, Q, n):
+    seed = 100 * m + 10 * Q + n
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    f = _lipschitz_grid(rng, m, Q, n, N=7)
+    assert np.array_equal(f.values, lipschitz_grid_values_reference(ref_rng, m, Q, n, N=7))
+    # both drew the same numbers, so later checks see the same stream
+    assert rng.random() == ref_rng.random()
