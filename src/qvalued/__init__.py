@@ -38,6 +38,7 @@ from .energy import (
 from .extend import (
     BoundarySample,
     ConeExtension,
+    QueryError,
     WhitneyExtension,
     cone_extend,
     extend_to_plane,

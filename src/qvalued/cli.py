@@ -214,6 +214,12 @@ def _cmd_extend(args) -> int:
             raise DataError(f"field 'box' in {args.infile} must hold a [low, high] pair "
                             f"per axis of 'x'")
         ext = extend.WhitneyExtension(data, box, depth)
+        try:
+            values = ext.evaluate_many(queries)
+        except extend.QueryError as exc:
+            raise DataError(f"row {exc.index + 1} of {args.query}: {exc.problem}")
+        _write(args.out, json.dumps(values.tolist()))
+        return 0
     values = []
     for row, q in enumerate(queries, start=1):
         try:

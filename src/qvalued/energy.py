@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .extend import BoundarySample, WhitneyExtension
-from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, index_tuples
+from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _nearest, index_tuples
 from .qspace import Matching, MetricKind, QTuple, match_many
 
 P_CAP = 8.0
@@ -152,16 +152,6 @@ def _boundary_values(boundary, grid: GridFunction) -> dict:
                 f"boundary value at {idx} has shape {arr.shape}, expected {(grid.Q, grid.n)}"
             )
         out[idx] = arr
-    return out
-
-
-def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> np.ndarray:
-    """Index of the first nearest site to each point, about ``budget`` distances at a time."""
-    rows = max(1, budget // max(1, len(sites)))
-    out = np.empty(len(points), dtype=np.intp)
-    for lo in range(0, len(points), rows):
-        d = np.linalg.norm(sites[None, :, :] - points[lo:lo + rows, None, :], axis=2)
-        out[lo:lo + rows] = np.argmin(d, axis=1)
     return out
 
 
@@ -404,7 +394,7 @@ def lipschitz_truncation(f: GridFunction, t: float, p: float = 2.0):
     np.maximum.at(quot, v, q)
     quot = quot.reshape(f.shape)
     keep = inside & (normf**p + quot**p <= t**p)
-    kept = {idx for idx in np.ndindex(*f.shape) if keep[idx]}
+    kept = set(map(tuple, np.argwhere(keep).tolist()))
 
     out = f.copy()
     if not kept:
@@ -415,14 +405,13 @@ def lipschitz_truncation(f: GridFunction, t: float, p: float = 2.0):
 
     if f.m not in (1, 2):
         raise ValueError("refilling requires m in {1, 2}")
-    data = [(f.node_coords(idx), QTuple(f.values[idx])) for idx in sorted(kept)]
     coords = f.all_coords()
+    data = list(zip(coords[keep], f.values[keep]))
     lo = coords.reshape(-1, f.m).min(axis=0) - f.h / 2
     hi = coords.reshape(-1, f.m).max(axis=0) + f.h / 2
     box = np.column_stack([lo, hi])
     depth = min(12, max(3, int(math.ceil(math.log2(max(f.shape)))) + 1))
     ext = WhitneyExtension(data, box, depth)
-    for idx in np.ndindex(*f.shape):
-        if inside[idx] and idx not in kept:
-            out.values[idx] = ext.evaluate(coords[idx]).points
+    dropped = inside & ~keep
+    out.values[dropped] = ext.evaluate_many(coords[dropped])
     return out, kept

@@ -8,28 +8,31 @@ propagates them across edges and faces with the cone construction.  A
 third operator reflects a unit-ball grid function onto the surrounding
 plane with linearly decaying branches, vanishing beyond radius 3/2.
 
-The cone construction runs in two steps.  The plan (``_cone_plan``)
-depends only on the witnessed boundary tuples: it measures the
-oscillation, runs the split test and the clustering, and recurses into
-each cluster, with one GINF call of ``qspace.match_many`` scoring every
-sample pair and one grouping every sample per level.  The apply step
-(``_cone_apply``) is all a query adds: the radius, the boundary value
-above the query put into the plan's row order, and the radial
-interpolation toward the center value.  ``ConeExtension`` plans once per
-boundary sample; ``WhitneyExtension`` plans each minimal edge and each
-leaf face on first use.
+The cone construction runs in two steps.  The plan depends only on the
+witnessed boundary tuples: it measures the oscillation, runs the split
+test and the clustering, and recurses into each cluster.
+``_cone_plan_many`` plans a whole stack of sample sets at once, with one
+GINF call of ``qspace.match_many`` scoring every sample pair of every set
+and one grouping the samples of every set that splits.  The apply step is
+all a query adds: the radius, the boundary value above the query put into
+the plan's row order, and the radial interpolation toward the center
+value.  ``ConeExtension`` plans once per boundary sample.
+``WhitneyExtension`` plans per batch of queries: ``evaluate_many`` plans
+every minimal edge and leaf face the batch reaches and has not planned
+before, in a few stacked calls, then applies the plans query by query.
 
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
 
 Extension structures are immutable once built, apart from the Whitney
 plan caches, which are filled lazily and idempotently: a plan depends only
-on its edge or face, so two queries that build it at once store equal
+on its edge or face, so two batches that build it at once store equal
 values.  Queries are pure and safe to issue concurrently.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -37,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE
+from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _nearest
 from .qspace import MetricKind, QTuple, match_many, vector_norms
 
 
@@ -85,12 +88,6 @@ class BoundarySample:
         return np.array([val.points for _, val in self.points])
 
 
-def _vec_norm(x: np.ndarray, kind: str) -> float:
-    if kind == "linf":
-        return float(np.abs(x).max())
-    return float(np.linalg.norm(x))
-
-
 @functools.lru_cache(maxsize=32)
 def _pairs(L: int):
     """Index arrays ``(i, j)`` of every pair i < j of L samples."""
@@ -99,42 +96,49 @@ def _pairs(L: int):
     return first, second
 
 
-def _oscillation(vals: np.ndarray) -> float:
-    """Largest GINF distance between two of the tuples ``vals``, 0 for one tuple.
+def _oscillation(vals: np.ndarray) -> np.ndarray:
+    """Largest GINF distance between two of the tuples in each row of the
+    stack ``vals`` (..., L, Q, n), 0 for one tuple.
 
-    The pairs go to the kernel 65,536 at a time; the running maximum does
-    not depend on the order, so chunking leaves the value unchanged.
+    The pairs of every row go to the kernel 65,536 at a time; a maximum does
+    not depend on the order, so chunking leaves the values unchanged.
     """
-    first, second = _pairs(vals.shape[0])
-    osc = 0.0
-    rows = 1 << 16
-    for lo in range(0, first.size, rows):
-        g, _ = match_many(vals[first[lo:lo + rows]], vals[second[lo:lo + rows]],
-                          MetricKind.GINF)
-        osc = max(osc, float(g.max()))
-    return osc
+    lead, (L, Q, n) = vals.shape[:-3], vals.shape[-3:]
+    flat = vals.reshape(-1, Q, n)
+    first, second = _pairs(L)
+    osc = np.zeros(flat.shape[0] // L)
+    pairs, rows = osc.size * first.size, 1 << 16
+    for lo in range(0, pairs, rows):
+        e, pair = np.divmod(np.arange(lo, min(lo + rows, pairs)), first.size)
+        g, _ = match_many(flat[e * L + first[pair]], flat[e * L + second[pair]], MetricKind.GINF)
+        np.maximum.at(osc, e, g)
+    return osc.reshape(lead)
 
 
-def _split_clusters(points: np.ndarray, threshold: float):
-    """Single-linkage clusters: points closer than the threshold are joined.
+def _split_clusters(points: np.ndarray, threshold):
+    """Single-linkage clusters of each tuple in the stack ``points`` (..., Q, n):
+    points closer than that tuple's threshold are joined.
 
-    Returns the number of clusters and the cluster of each point; clusters
-    are numbered in the order of their first point.
+    Returns per tuple the number of clusters and the cluster of each point;
+    clusters are numbered in the order of their first point.
     """
-    close = vector_norms(points[:, None, :] - points[None, :, :]) <= threshold
+    Q = points.shape[-2]
+    close = (vector_norms(points[..., :, None, :] - points[..., None, :, :])
+             <= np.asarray(threshold)[..., None, None])
     # each point takes the lowest index it reaches: its cluster's first point
-    lowest = np.arange(points.shape[0])
+    lowest = np.broadcast_to(np.arange(Q), close.shape[:-1])
     while True:
-        step = np.where(close, lowest, lowest.size).min(axis=1)
+        step = np.where(close, lowest[..., None, :], Q).min(axis=-1)
         if np.array_equal(step, lowest):
             break
         lowest = step
-    first, cluster_of = np.unique(lowest, return_inverse=True)
-    return first.size, cluster_of
+    first = lowest == np.arange(Q)
+    rank = np.cumsum(first, axis=-1) - 1
+    return first.sum(axis=-1), np.take_along_axis(rank, lowest, axis=-1)
 
 
 class _ConePlan(NamedTuple):
-    """The query-independent part of a cone extension (see ``_cone_plan``)."""
+    """The query-independent part of a cone extension (see ``_cone_plan_many``)."""
 
     Y: np.ndarray
     sorter: tuple | None
@@ -142,20 +146,61 @@ class _ConePlan(NamedTuple):
 
 
 def _group(vals: np.ndarray, ref: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
-    """Reorder the points of each tuple in the stack by the cluster of their
-    G-inf match in ``ref``, keeping the order within a cluster."""
-    _, perm = match_many(vals, ref[None], MetricKind.GINF)
-    order = np.argsort(cluster_of[perm], axis=1, kind="stable")
-    return vals[np.arange(len(vals))[:, None], order]
+    """Reorder the points of each tuple ``vals[s, l]`` by the cluster
+    ``cluster_of[s]`` of their G-inf match in ``ref[s]``, keeping the order
+    within a cluster.  ``vals`` is (S, L, Q, n), ``ref`` (S, Q, n)."""
+    S, L, Q, n = vals.shape
+    flat = vals.reshape(S * L, Q, n)
+    _, perm = match_many(flat, np.repeat(ref, L, axis=0), MetricKind.GINF)
+    labels = np.take_along_axis(np.repeat(cluster_of, L, axis=0), perm, axis=1)
+    order = np.argsort(labels, axis=1, kind="stable")
+    return np.take_along_axis(flat, order[:, :, None], axis=1).reshape(vals.shape)
 
 
-def _cone_plan(sample_vals: np.ndarray) -> _ConePlan:
-    """Plan the recursive cone extension of the witnessed tuples ``sample_vals``.
+def _plan_rows(stack: np.ndarray):
+    """``Y`` (E, Q, n), the sorters and ``samples`` (E, L, Q, n) of the cone
+    plans of the rows of ``stack``; see ``_cone_plan_many``."""
+    E, L, Qc, _ = stack.shape
+    Y = np.repeat(stack[:, :1, 0], Qc, axis=1)
+    sorters = [None] * E
+    if Qc < 2 or E == 0:
+        return Y, sorters, stack
+    osc = _oscillation(stack)
+    gaps = np.linalg.norm(stack[:, :, :, None, :] - stack[:, :, None, :, :], axis=4)
+    above = gaps.reshape(E, L, -1).max(axis=2) > 3.0 * Qc * osc[:, None]
+    rows = np.flatnonzero(above.any(axis=1))
+    if rows.size == 0:
+        return Y, sorters, stack
+    ref = stack[rows, above[rows].argmax(axis=1)]
+    _, cluster_of = _split_clusters(ref, 3.0 * osc[rows])
+    grouped = _group(stack[rows], ref, cluster_of)
+    samples = stack.copy()
+    patterns = {}
+    for s, labels in enumerate(map(tuple, cluster_of.tolist())):
+        patterns.setdefault(labels, []).append(s)
+    for labels, members in patterns.items():
+        ends = np.cumsum(np.bincount(labels)).tolist()
+        parts = [_plan_rows(grouped[members, :, lo:hi]) for lo, hi in zip([0] + ends, ends)]
+        at = rows[members]
+        Y[at] = np.concatenate([part[0] for part in parts], axis=1)
+        samples[at] = np.concatenate([part[2] for part in parts], axis=2)
+        for i, s in enumerate(members):
+            sorters[at[i]] = (ref[s], cluster_of[s], ends, [part[1][i] for part in parts])
+    return Y, sorters, samples
 
-    The oscillation and the split test are measured on the samples.  When
-    some tuple holds two points farther apart than 3*Q times the
-    oscillation, the points of every tuple are grouped by cluster, and each
-    cluster is planned on its own; otherwise the plan is a leaf.  Returns:
+
+def _cone_plan_many(stack: np.ndarray) -> list:
+    """Plan the recursive cone extension of each row of witnessed tuples in
+    ``stack`` (E, L, Q, n); one ``_ConePlan`` per row.
+
+    Per row, the oscillation and the split test are measured on the
+    samples.  When some tuple holds two points farther apart than 3*Q times
+    the oscillation, the points of every tuple are grouped by cluster, and
+    each cluster is planned on its own; otherwise the plan is a leaf.  The
+    rows are planned together: one G-inf kernel call scores every sample
+    pair of every row, one groups every split row's samples, and the split
+    rows recurse in one call per cluster slice of each cluster pattern.
+    A plan holds:
 
     ``Y`` (Q, n)
         per output row, the first point of the first witnessed tuple of
@@ -168,48 +213,23 @@ def _cone_plan(sample_vals: np.ndarray) -> _ConePlan:
     ``samples`` (L, Q, n)
         the witnessed tuples, each in output-row order.
     """
-    L, Qc, _ = sample_vals.shape
-    osc = _oscillation(sample_vals)
-    if Qc >= 2:
-        gaps = np.linalg.norm(sample_vals[:, :, None, :] - sample_vals[:, None, :, :], axis=3)
-        above = np.flatnonzero(gaps.reshape(L, -1).max(axis=1) > 3.0 * Qc * osc)
-        if above.size:
-            ref = sample_vals[above[0]]
-            count, cluster_of = _split_clusters(ref, 3.0 * osc)
-            ends = np.cumsum(np.bincount(cluster_of, minlength=count)).tolist()
-            grouped = _group(sample_vals, ref, cluster_of)
-            parts = [_cone_plan(grouped[:, lo:hi]) for lo, hi in zip([0] + ends, ends)]
-            return _ConePlan(
-                np.vstack([part.Y for part in parts]),
-                (ref, cluster_of, ends, [part.sorter for part in parts]),
-                np.concatenate([part.samples for part in parts], axis=1),
-            )
-    return _ConePlan(np.tile(sample_vals[0][0], (Qc, 1)), None, sample_vals)
+    return [_ConePlan(*plan) for plan in zip(*_plan_rows(stack))]
+
+
+def _cone_plan(sample_vals: np.ndarray) -> _ConePlan:
+    """The cone plan of one set of witnessed tuples (L, Q, n)."""
+    return _cone_plan_many(sample_vals[None])[0]
 
 
 def _sorted(sorter, value: np.ndarray) -> np.ndarray:
     """The points of the tuple ``value`` in the output-row order of a plan:
-    one G-inf match per split node, as ``_cone_plan`` grouped the samples."""
+    one G-inf match per split node, as ``_cone_plan_many`` grouped the samples."""
     if sorter is None:
         return value
     ref, cluster_of, ends, children = sorter
-    value = _group(value[None], ref, cluster_of)[0]
+    value = _group(value[None, None], ref[None], cluster_of[None])[0, 0]
     return np.concatenate([_sorted(child, value[lo:hi])
                            for child, lo, hi in zip(children, [0] + ends, ends)])
-
-
-def _cone_apply(plan: _ConePlan, R: float, x: np.ndarray, norm: str,
-                boundary_fn) -> np.ndarray:
-    """The planned cone extension over the ball of radius R centered at 0.
-
-    Interpolates radially between the boundary value above ``x`` and the
-    plan's center value ``Y``; ``boundary_fn(b)`` returns the boundary value
-    at a point ``b`` of the sphere in the plan's output-row order.
-    """
-    r = _vec_norm(x, norm)
-    if r <= 1e-15 * R:
-        return plan.Y
-    return (r / R) * boundary_fn(x * (R / r)) + ((R - r) / R) * plan.Y
 
 
 class ConeExtension:
@@ -232,10 +252,6 @@ class ConeExtension:
         self._values = [val for _, val in samples.points]
         self._plan = _cone_plan(samples.value_array)
 
-    def _boundary(self, b: np.ndarray) -> np.ndarray:
-        # the boundary value is a sample, so the plan already holds it sorted
-        return self._plan.samples[int(np.argmin(np.linalg.norm(self.locs - b, axis=1)))]
-
     def evaluate(self, query) -> QTuple:
         """Value at a point of the closed ball; a query on the boundary at a
         sample location returns that sample's value exactly."""
@@ -250,7 +266,15 @@ class ConeExtension:
         nearest = int(np.argmin(gaps))
         if gaps[nearest] <= 1e-12 * max(1.0, self.R):
             return self._values[nearest]
-        return QTuple(_cone_apply(self._plan, self.R, query, "l2", self._boundary))
+        plan, R = self._plan, self.R
+        r = float(np.linalg.norm(query))
+        if r <= 1e-15 * R:
+            return QTuple(plan.Y)
+        # the boundary value above the query is a sample, which the plan
+        # already holds in output-row order
+        b = query * (R / r)
+        boundary = plan.samples[int(np.argmin(np.linalg.norm(self.locs - b, axis=1)))]
+        return QTuple((r / R) * boundary + ((R - r) / R) * plan.Y)
 
 
 def cone_extend(samples: BoundarySample, query) -> QTuple:
@@ -258,11 +282,42 @@ def cone_extend(samples: BoundarySample, query) -> QTuple:
     return ConeExtension(samples).evaluate(query)
 
 
+class QueryError(ValueError):
+    """A query of a batch that cannot be evaluated; ``index`` is its 0-based
+    position in the batch and ``problem`` says what is wrong with it."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"query {index}: {problem}")
+        self.index, self.problem = index, problem
+
+
 def _lines(fixed: np.ndarray, along: np.ndarray) -> dict:
     """Map each value of ``fixed`` to the sorted values of ``along`` that share it."""
     order = np.lexsort((along, fixed))
     keys, starts = np.unique(fixed[order], return_index=True)
     return dict(zip(keys.tolist(), np.split(along[order], starts[1:])))
+
+
+class _Edge(NamedTuple):
+    """A minimal edge: center, radius, ``c0 - center`` and cone plan."""
+
+    center: np.ndarray
+    R: float
+    toward_k0: np.ndarray
+    plan: _ConePlan
+
+
+class _Face(NamedTuple):
+    """A leaf face: center, radius, integer base corner, side, the breaks of
+    its four sides (x = low, x = high, y = low, y = high, each a sorted
+    tuple of positions along the side) and cone plan."""
+
+    center: np.ndarray
+    R: float
+    base: np.ndarray
+    side: int
+    breaks: tuple
+    plan: _ConePlan | None
 
 
 class WhitneyExtension:
@@ -274,12 +329,14 @@ class WhitneyExtension:
     cone construction.  Cells that still touch the sample set at the depth
     cap evaluate pointwise by nearest sample.  Supports m in {1, 2}.
 
-    The cone plan of each minimal edge (keyed by its two integer corner
-    keys) and of each leaf face is built on the first query that needs it
-    and cached on the instance.  An edge's boundary values are its two
-    corner samples, which the plan holds already in row order, so a
-    perimeter station costs only arithmetic; a face query adds one edge
-    evaluation and one G-inf match per split level.
+    Plans are built per batch of queries (``evaluate_many``) and cached on
+    the instance: the batch's new leaf faces have their minimal edges (each
+    keyed by its two integer corner keys) planned in one stacked call, their
+    perimeter stations evaluated as array arithmetic on those edge plans,
+    and the faces planned in one call per station count.  An edge's
+    boundary values are its two corner samples, which the plan holds
+    already in row order, so a perimeter value costs only arithmetic; a
+    face query adds one G-inf match per split level.
 
     Parameters
     ----------
@@ -346,9 +403,7 @@ class WhitneyExtension:
 
         corners = np.unique(np.concatenate(corners), axis=0)
         scale = self.S / (1 << self.depth)
-        nearest = np.empty(len(corners), dtype=np.intp)
-        for lo in range(0, len(corners), 512):
-            nearest[lo:lo + 512] = self._nearest_samples(self.root_lo + corners[lo:lo + 512] * scale)
+        nearest, _ = self._nearest_samples(self.root_lo + corners * scale)
         self._corner_values = {tuple(c): self.vals[i]
                                for c, i in zip(corners.tolist(), nearest.tolist())}
         if self.m == 2:
@@ -369,13 +424,16 @@ class WhitneyExtension:
             gap[a:a + 512] = np.maximum(below, above).max(axis=2).min(axis=1)
         return gap
 
-    def _nearest_samples(self, x: np.ndarray) -> np.ndarray:
-        """Index of the first sup-norm-nearest sample to each row of ``x``."""
-        d = np.abs(self.locs[None, :, :] - x[:, None, :]).max(axis=2)
-        return np.argmin(d, axis=1)
-
-    def _nearest_sample_value(self, x: np.ndarray) -> np.ndarray:
-        return self.vals[int(self._nearest_samples(x[None, :])[0])]
+    def _nearest_samples(self, x: np.ndarray):
+        """Index of the first sup-norm-nearest sample to each row of ``x``, and
+        the sup-norm distance to it; 512 rows at a time."""
+        index = np.empty(len(x), dtype=np.intp)
+        gap = np.empty(len(x))
+        for lo in range(0, len(x), 512):
+            d = np.abs(self.locs[None, :, :] - x[lo:lo + 512, None, :]).max(axis=2)
+            index[lo:lo + 512] = np.argmin(d, axis=1)
+            gap[lo:lo + 512] = d[np.arange(len(d)), index[lo:lo + 512]]
+        return index, gap
 
     def _locate(self, x: np.ndarray):
         """The leaf holding ``x``; every descent ends in one by the depth cap."""
@@ -387,29 +445,39 @@ class WhitneyExtension:
             k = 2 * k + (x >= lo + self.S / (1 << d)).astype(np.int64)
         return k, d, self._leaves[(tuple(k), d)]
 
-    def _edge(self, k0: tuple, k1: tuple):
-        """Center, radius, ``c0 - center`` and cone plan of the minimal edge
-        between the corners with integer keys ``k0`` and ``k1``; cached."""
-        edge = self._edges.get((k0, k1))
-        if edge is None:
+    def _edges_for(self, keys: list) -> list:
+        """The minimal edge of each ``(k0, k1)`` pair of integer corner keys;
+        the uncached ones are planned together."""
+        new = list(dict.fromkeys(key for key in keys if key not in self._edges))
+        if new:
             scale = self.S / (1 << self.depth)
-            c0 = self.root_lo + np.array(k0) * scale
-            c1 = self.root_lo + np.array(k1) * scale
+            c0 = self.root_lo + np.array([k0 for k0, _ in new]) * scale
+            c1 = self.root_lo + np.array([k1 for _, k1 in new]) * scale
             center = (c0 + c1) / 2.0
-            R = float(np.linalg.norm(c1 - c0)) / 2.0
-            vals = np.array([self._corner_value(k0, scale), self._corner_value(k1, scale)])
-            edge = self._edges[(k0, k1)] = (center, R, c0 - center, _cone_plan(vals))
-        return edge
+            R = vector_norms(c1 - c0) / 2.0
+            plans = _cone_plan_many(np.array([[self._corner_values[k0], self._corner_values[k1]]
+                                              for k0, k1 in new]))
+            self._edges.update(zip(new, map(_Edge, center, R.tolist(), c0 - center, plans)))
+        return [self._edges[key] for key in keys]
 
-    def _eval_edge(self, k0: tuple, k1: tuple, x: np.ndarray) -> np.ndarray:
-        center, R, toward_k0, plan = self._edge(k0, k1)
-
-        def ends(b):
+    def _edge_values(self, keys: list, x: np.ndarray) -> np.ndarray:
+        """The cone extension along the minimal edge ``keys[i]`` at ``x[i]``."""
+        edges = self._edges_for(keys)
+        rel = x - np.array([edge.center for edge in edges])
+        R = np.array([edge.R for edge in edges])
+        out = np.array([edge.plan.Y for edge in edges])
+        r = vector_norms(rel)
+        far = np.flatnonzero(r > 1e-15 * R)
+        if far.size:
+            r, R = r[far], R[far]
+            b = rel[far] * (R / r)[:, None]
+            toward = np.array([edges[i].toward_k0 for i in far.tolist()])
             # an edge's boundary is its two ends, so the plan already holds
             # the value there in output-row order
-            return plan.samples[0 if np.dot(b, toward_k0) > 0 else 1]
-
-        return _cone_apply(plan, R, x - center, "l2", ends)
+            end = np.where((b * toward).sum(axis=1) > 0, 0, 1)
+            ends = np.array([edges[i].plan.samples[e] for i, e in zip(far.tolist(), end.tolist())])
+            out[far] = (r / R)[:, None, None] * ends + ((R - r) / R)[:, None, None] * out[far]
+        return out
 
     def _subedge_breaks(self, fixed_axis: int, fixed_int: int, lo_int: int, hi_int: int):
         """Skeleton positions subdividing one side of a cell, endpoints included.
@@ -428,103 +496,139 @@ class WhitneyExtension:
             breaks.update(int(t) for t in inner)
         return np.array(sorted(breaks))
 
-    def _corner_value(self, key: tuple, scale: float) -> np.ndarray:
-        val = self._corner_values.get(key)
-        if val is None:
-            val = self._nearest_sample_value(self.root_lo + np.array(key) * scale)
-        return val
-
-    def _perimeter(self, base: np.ndarray, side: int, center: np.ndarray,
-                   b_rel: np.ndarray) -> np.ndarray:
-        """Value on the boundary of a face at ``center + b_rel``: the cone
-        extension along the minimal edge of the face's side that holds it."""
+    def _perimeter_values(self, faces: list, rel: np.ndarray) -> np.ndarray:
+        """The value on the boundary of ``faces[i]`` at ``center + rel[i]``: the
+        cone extension along the minimal edge of the face's side that holds it."""
         scale = self.S / (1 << self.depth)
-        p = center + b_rel
-        fixed_axis = int(np.argmax(np.abs(b_rel)))
-        varying = 1 - fixed_axis
-        fixed_int = int(round((p[fixed_axis] - self.root_lo[fixed_axis]) / scale))
-        breaks = self._subedge_breaks(
-            fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
-        )
-        t_int = (p[varying] - self.root_lo[varying]) / scale
-        j = int(np.searchsorted(breaks, t_int, side="right") - 1)
-        j = max(0, min(j, breaks.size - 2))
+        rows = np.arange(len(faces))
+        p = np.array([face.center for face in faces]) + rel
+        base = np.array([face.base for face in faces])
+        fixed = np.argmax(np.abs(rel), axis=1)
+        varying = 1 - fixed
+        fixed_int = np.rint((p[rows, fixed] - self.root_lo[fixed]) / scale).astype(np.int64)
+        t_int = (p[rows, varying] - self.root_lo[varying]) / scale
+        high = fixed_int != base[rows, fixed]
+        keys = []
+        for face, axis, w, at, t in zip(faces, fixed.tolist(), (2 * fixed + high).tolist(),
+                                        fixed_int.tolist(), t_int.tolist()):
+            breaks = face.breaks[w]
+            j = min(max(bisect.bisect_right(breaks, t) - 1, 0), len(breaks) - 2)
+            if axis == 0:
+                keys.append(((at, breaks[j]), (at, breaks[j + 1])))
+            else:
+                keys.append(((breaks[j], at), (breaks[j + 1], at)))
+        return self._edge_values(keys, p)
 
-        def key_at(var_int):
-            key = [0, 0]
-            key[fixed_axis] = fixed_int
-            key[varying] = int(var_int)
-            return tuple(key)
-
-        return self._eval_edge(key_at(breaks[j]), key_at(breaks[j + 1]), p)
-
-    def _face(self, k: tuple, d: int):
-        """Center, radius, integer base corner, side and cone plan of the
-        leaf face ``(k, d)``; cached.  The plan's samples are the perimeter
-        values at every skeleton corner and minimal-edge midpoint."""
-        face = self._faces.get((k, d))
-        if face is not None:
-            return face
+    def _plan_faces(self, keys: list) -> list:
+        """Plan the leaf faces ``(k, d)``.  A face's samples are its perimeter
+        values at every skeleton corner and minimal-edge midpoint ("stations"):
+        each side in turn, in increasing position, the corners listed with
+        the sides x = low and x = high.  Station positions are integers in
+        half-units of the finest scale."""
         scale = self.S / (1 << self.depth)
-        side = 1 << (self.depth - d)
-        base = np.asarray(k, dtype=np.int64) * side
-        center = self.root_lo + (base + side / 2.0) * scale
-        R = side * scale / 2.0
-        vals_list = []
-        seen = set()
-        for fixed_axis in range(2):
-            varying = 1 - fixed_axis
-            for fixed_int in (int(base[fixed_axis]), int(base[fixed_axis]) + side):
-                breaks = self._subedge_breaks(
-                    fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
-                )
-                stations = sorted(
-                    set(float(t) for t in breaks)
-                    | set((float(breaks[j]) + float(breaks[j + 1])) / 2.0
-                          for j in range(breaks.size - 1))
-                )
-                for t in stations:
-                    p = np.empty(2)
-                    p[fixed_axis] = self.root_lo[fixed_axis] + fixed_int * scale
-                    p[varying] = self.root_lo[varying] + t * scale
-                    rel = p - center
-                    key = (round(rel[0] / scale, 9), round(rel[1] / scale, 9))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    vals_list.append(self._perimeter(base, side, center, rel))
-        face = self._faces[(k, d)] = (center, R, base, side, _cone_plan(np.array(vals_list)))
-        return face
+        side = np.array([1 << (self.depth - d) for _, d in keys])
+        base = np.array([k for k, _ in keys], dtype=np.int64) * side[:, None]
+        center = self.root_lo + (base + side[:, None] / 2.0) * scale
+        R = (side * scale / 2.0).tolist()
+        faces, owner, which, halves = [], [], [], []
+        for i, (lo, s) in enumerate(zip(base.tolist(), side.tolist())):
+            breaks = tuple(
+                tuple(self._subedge_breaks(axis, lo[axis] + end, lo[1 - axis],
+                                           lo[1 - axis] + s).tolist())
+                for axis in (0, 1) for end in (0, s)
+            )
+            faces.append(_Face(center[i], R[i], base[i], s, breaks, None))
+            for w, line in enumerate(breaks):
+                stations = [2 * line[0]]
+                for a, b in zip(line, line[1:]):
+                    stations += [a + b, 2 * b]
+                if w >= 2:
+                    stations = stations[1:-1]
+                owner += [i] * len(stations)
+                which += [w] * len(stations)
+                halves += stations
+        owner, which, halves = np.array(owner), np.array(which), np.array(halves)
+        rows = np.arange(owner.size)
+        fixed = which // 2
+        fixed_int = base[owner, fixed] + (which % 2) * side[owner]
+        p = np.empty((owner.size, 2))
+        p[rows, fixed] = self.root_lo[fixed] + fixed_int * scale
+        p[rows, 1 - fixed] = self.root_lo[1 - fixed] + (halves / 2) * scale
+        vals = self._perimeter_values([faces[i] for i in owner.tolist()], p - center[owner])
 
-    def _eval_face(self, k: tuple, d: int, x: np.ndarray) -> np.ndarray:
-        center, R, base, side, plan = self._face(k, d)
+        counts = np.bincount(owner, minlength=len(keys))
+        starts = np.cumsum(counts) - counts
+        by_count = {}
+        for i, count in enumerate(counts.tolist()):
+            by_count.setdefault(count, []).append(i)
+        for count, members in by_count.items():
+            stack = vals[starts[members][:, None] + np.arange(count)]
+            for i, plan in zip(members, _cone_plan_many(stack)):
+                faces[i] = faces[i]._replace(plan=plan)
+        return faces
 
-        def perimeter(b):
-            return _sorted(plan.sorter, self._perimeter(base, side, center, b))
+    def _faces_for(self, keys: list) -> list:
+        """The leaf face of each key ``(k, d)``; the uncached ones are planned
+        together."""
+        new = list(dict.fromkeys(key for key in keys if key not in self._faces))
+        if new:
+            self._faces.update(zip(new, self._plan_faces(new)))
+        return [self._faces[key] for key in keys]
 
-        return _cone_apply(plan, R, x - center, "linf", perimeter)
+    def evaluate_many(self, queries) -> np.ndarray:
+        """Values of the extension at the rows of ``queries`` (K, m), as a
+        (K, Q, n) array.  Every query is checked before any is evaluated; a
+        bad one raises ``QueryError`` naming its index."""
+        X = np.asarray(queries, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"queries must form a (K, m) array, got shape {X.shape}")
+        if X.shape[0] and X.shape[1] != self.m:
+            raise QueryError(0, f"query has dimension {X.shape[1]}, expected m={self.m}")
+        finite = np.isfinite(X).all(axis=1)
+        ok = finite & np.all((self.root_lo <= X) & (X <= self.box_hi), axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            problem = "lies outside the domain box" if finite[i] else "is not finite"
+            raise QueryError(i, f"query {X[i].tolist()} {problem}")
+
+        nearest, gap = self._nearest_samples(X)
+        # sample hits and cells at the depth cap take the nearest sample
+        out = self.vals[nearest]
+        rows, keys = [], []
+        for i in np.flatnonzero(gap > 1e-12 * max(1.0, self.S)).tolist():
+            k, d, kind = self._locate(X[i])
+            if kind == "w":
+                rows.append(i)
+                keys.append((tuple(k.tolist()), d))
+        if not rows:
+            return out
+        if self.m == 1:
+            edges = [((k << (self.depth - d),), ((k + 1) << (self.depth - d),))
+                     for (k,), d in keys]
+            out[rows] = self._edge_values(edges, X[rows])
+            return out
+
+        faces = self._faces_for(keys)
+        rel = X[rows] - np.array([face.center for face in faces])
+        R = np.array([face.R for face in faces])
+        r = np.abs(rel).max(axis=1)
+        for i, face in zip(rows, faces):
+            out[i] = face.plan.Y
+        far = np.flatnonzero(r > 1e-15 * R)
+        if not far.size:
+            return out
+        boundary = self._perimeter_values([faces[i] for i in far.tolist()],
+                                          rel[far] * (R[far] / r[far])[:, None])
+        for j, i in enumerate(far.tolist()):
+            face, ri, Ri = faces[i], r[i], R[i]
+            value = _sorted(face.plan.sorter, boundary[j])
+            out[rows[i]] = (ri / Ri) * value + ((Ri - ri) / Ri) * face.plan.Y
+        return out
 
     def evaluate(self, query) -> QTuple:
         """Value of the extension at a point of the domain box."""
-        x = np.asarray(query, dtype=float).reshape(-1)
-        if x.size != self.m:
-            raise ValueError(f"query has dimension {x.size}, expected m={self.m}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"query {x.tolist()} is not finite")
-        if not np.all((self.root_lo <= x) & (x <= self.box_hi)):
-            raise ValueError(f"query {x.tolist()} lies outside the domain box")
-        d_samples = np.abs(self.locs - x[None, :]).max(axis=1)
-        hit = int(np.argmin(d_samples))
-        if d_samples[hit] <= 1e-12 * max(1.0, self.S):
-            return QTuple(self.vals[hit])
-        k, d, kind = self._locate(x)
-        if kind == "near":
-            return QTuple(self._nearest_sample_value(x))
-        if self.m == 1:
-            side = 1 << (self.depth - d)
-            lo_int = int(k[0]) * side
-            return QTuple(self._eval_edge((lo_int,), (lo_int + side,), x))
-        return QTuple(self._eval_face(tuple(k.tolist()), d, x))
+        x = np.asarray(query, dtype=float).reshape(1, -1)
+        return QTuple(self.evaluate_many(x)[0])
 
 
 def whitney_extend(A, domain_box, resolution: int, query) -> QTuple:
@@ -539,7 +643,8 @@ def extend_to_plane(f: GridFunction) -> GridFunction:
     reflects through the sphere via ``phi(x) = (2/|x| - 1) x`` and takes the
     nearest node's branches scaled by ``2 |phi(x)| - 1``; beyond radius 3/2
     everything is the zero tuple.  The output grid keeps the input spacing
-    and contains the input lattice, padded to cover [-2, 2]^m.
+    and contains the input lattice, padded to cover [-2, 2]^m.  Ties for
+    the nearest node go to the first in C order.
     """
     N = f.shape[0]
     if any(s != N for s in f.shape):
@@ -560,23 +665,20 @@ def extend_to_plane(f: GridFunction) -> GridFunction:
     in_coords = f.all_coords()[inside]
     in_vals = f.values[inside]
 
-    for idx in np.ndindex(*shape_out):
-        in_idx = tuple(i - pad for i in idx)
-        aligned = all(0 <= j < N for j in in_idx)
-        if aligned and f.mask[in_idx] != OUTSIDE:
-            values[idx] = f.values[in_idx]
-            continue
-        x = (np.asarray(idx, dtype=float) - (N_out - 1) / 2.0) * f.h
-        r = float(np.linalg.norm(x))
-        if r >= 1.5:
-            continue  # zero tuple
-        if r < 1.0:
-            # inside the ball but off the sampled domain: nearest node
-            j = int(np.argmin(np.linalg.norm(in_coords - x[None, :], axis=1)))
-            values[idx] = in_vals[j]
-            continue
-        y = (2.0 / r - 1.0) * x
-        factor = 2.0 * float(np.linalg.norm(y)) - 1.0
-        j = int(np.argmin(np.linalg.norm(in_coords - y[None, :], axis=1)))
-        values[idx] = factor * in_vals[j]
+    # the input lattice sits at offset pad in the output grid
+    kept = np.zeros(shape_out, dtype=bool)
+    kept[(slice(pad, pad + N),) * f.m] = inside
+    values[kept] = in_vals
+    idx = np.indices(shape_out).reshape(f.m, -1).T
+    x = (idx - (N_out - 1) / 2.0) * f.h
+    r = vector_norms(x)
+    # inside the ball but off the sampled domain: the nearest node
+    ball = np.flatnonzero(~kept.ravel() & (r < 1.0))
+    flat = values.reshape(-1, f.Q, f.n)
+    flat[ball] = in_vals[_nearest(x[ball], in_coords)]
+    # the ring reflects through the sphere, scaled toward 0 at radius 3/2
+    ring = np.flatnonzero(~kept.ravel() & (r >= 1.0) & (r < 1.5))
+    y = (2.0 / r[ring] - 1.0)[:, None] * x[ring]
+    factor = 2.0 * vector_norms(y) - 1.0
+    flat[ring] = factor[:, None, None] * in_vals[_nearest(y, in_coords)]
     return GridFunction(f.m, f.n, f.Q, shape_out, f.h, mask, values)

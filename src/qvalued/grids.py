@@ -23,6 +23,16 @@ def index_tuples(flat, shape):
     return zip(*(c.tolist() for c in np.unravel_index(flat, shape)))
 
 
+def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> np.ndarray:
+    """Index of the first nearest site to each point, about ``budget`` distances at a time."""
+    rows = max(1, budget // max(1, len(sites)))
+    out = np.empty(len(points), dtype=np.intp)
+    for lo in range(0, len(points), rows):
+        d = np.linalg.norm(sites[None, :, :] - points[lo:lo + rows, None, :], axis=2)
+        out[lo:lo + rows] = np.argmin(d, axis=1)
+    return out
+
+
 @dataclass(eq=False)
 class GridFunction:
     """A Q-valued map sampled on a regular grid.

@@ -30,8 +30,6 @@ _CHECK_OFFSETS = {
 }
 
 _DEFAULT_TOLERANCES = {
-    "symmetry": 1e-12,
-    "triangle": 1e-9,
     "equivalence": 1e-9,
     "splitting": 1e-12,
     "xi_upper": 1e-9,

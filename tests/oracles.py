@@ -313,12 +313,17 @@ def _split_clusters(points: np.ndarray, threshold: float) -> list:
     return [np.array(g) for g in sorted(groups.values(), key=lambda g: g[0])]
 
 
+def _vec_norm(x: np.ndarray, kind: str) -> float:
+    if kind == "linf":
+        return float(np.abs(x).max())
+    return float(np.linalg.norm(x))
+
+
 def cone_eval_reference(boundary_fn, sample_pts, sample_vals, R, x, norm):
     """The recursive cone extension at one point ``x``, as the library ran it
     before it split the construction into a plan and an apply step: one
     ``dist(..., GINF)`` solve per sample pair, and the oscillation, split
     test and grouping redone on every call."""
-    from qvalued.extend import _vec_norm
     from qvalued.qspace import MetricKind, QTuple, dist
 
     L, Qc, _ = sample_vals.shape
@@ -408,6 +413,18 @@ def _edge_reference(c0, c1, v0, v1, x):
     return cone_eval_reference(fn, pts, np.array([v0, v1]), R, x - center, "l2")
 
 
+def _nearest_sample_value(ext, x):
+    d = np.abs(ext.locs - x[None, :]).max(axis=1)
+    return ext.vals[int(np.argmin(d))]
+
+
+def _corner_value(ext, key, scale):
+    val = ext._corner_values.get(key)
+    if val is None:
+        val = _nearest_sample_value(ext, ext.root_lo + np.array(key) * scale)
+    return val
+
+
 def _face_reference(ext, k, d, x):
     scale = ext.S / (1 << ext.depth)
     side = 1 << (ext.depth - d)
@@ -437,7 +454,7 @@ def _face_reference(ext, k, d, x):
         c0 = ext.root_lo + np.array(k0) * scale
         c1 = ext.root_lo + np.array(k1) * scale
         return _edge_reference(
-            c0, c1, ext._corner_value(k0, scale), ext._corner_value(k1, scale), p
+            c0, c1, _corner_value(ext, k0, scale), _corner_value(ext, k1, scale), p
         )
 
     pts_rel = []
@@ -488,15 +505,15 @@ def whitney_evaluate_reference(ext, x):
         return QTuple(ext.vals[hit])
     k, d, kind = ext._locate(x)
     if kind == "near":
-        return QTuple(ext._nearest_sample_value(x))
+        return QTuple(_nearest_sample_value(ext, x))
     if ext.m == 1:
         scale = ext.S / (1 << ext.depth)
         side = 1 << (ext.depth - d)
         lo_int = int(k[0]) * side
         c0 = np.array([ext.root_lo[0] + lo_int * scale])
         c1 = np.array([ext.root_lo[0] + (lo_int + side) * scale])
-        v0 = ext._corner_value((lo_int,), scale)
-        v1 = ext._corner_value((lo_int + side,), scale)
+        v0 = _corner_value(ext, (lo_int,), scale)
+        v1 = _corner_value(ext, (lo_int + side,), scale)
         return QTuple(_edge_reference(c0, c1, v0, v1, x))
     return QTuple(_face_reference(ext, k, d, x))
 
@@ -553,6 +570,129 @@ def whitney_structure_reference(ext):
             for key in d:
                 d[key] = np.array(sorted(set(d[key])))
     return leaves, corner_values, columns, rows
+
+
+def cone_plan_reference(sample_vals: np.ndarray):
+    """The cone plan of one set of witnessed tuples (L, Q, n), planned on its
+    own and recursing cluster by cluster, as ``extend._cone_plan`` did before
+    plans were built for whole stacks.  Returns ``(Y, sorter, samples)``."""
+    from qvalued.qspace import MetricKind, match_many, vector_norms
+
+    def oscillation(vals):
+        first, second = np.triu_indices(vals.shape[0], 1)
+        osc = 0.0
+        for lo in range(0, first.size, 1 << 16):
+            g, _ = match_many(vals[first[lo:lo + (1 << 16)]], vals[second[lo:lo + (1 << 16)]],
+                              MetricKind.GINF)
+            osc = max(osc, float(g.max()))
+        return osc
+
+    def split_clusters(points, threshold):
+        close = vector_norms(points[:, None, :] - points[None, :, :]) <= threshold
+        lowest = np.arange(points.shape[0])
+        while True:
+            step = np.where(close, lowest, lowest.size).min(axis=1)
+            if np.array_equal(step, lowest):
+                break
+            lowest = step
+        first, cluster_of = np.unique(lowest, return_inverse=True)
+        return first.size, cluster_of
+
+    L, Qc, _ = sample_vals.shape
+    osc = oscillation(sample_vals)
+    if Qc >= 2:
+        gaps = np.linalg.norm(sample_vals[:, :, None, :] - sample_vals[:, None, :, :], axis=3)
+        above = np.flatnonzero(gaps.reshape(L, -1).max(axis=1) > 3.0 * Qc * osc)
+        if above.size:
+            ref = sample_vals[above[0]]
+            count, cluster_of = split_clusters(ref, 3.0 * osc)
+            ends = np.cumsum(np.bincount(cluster_of, minlength=count)).tolist()
+            _, perm = match_many(sample_vals, ref[None], MetricKind.GINF)
+            order = np.argsort(cluster_of[perm], axis=1, kind="stable")
+            grouped = sample_vals[np.arange(L)[:, None], order]
+            parts = [cone_plan_reference(grouped[:, lo:hi]) for lo, hi in zip([0] + ends, ends)]
+            return (np.vstack([part[0] for part in parts]),
+                    (ref, cluster_of, ends, [part[1] for part in parts]),
+                    np.concatenate([part[2] for part in parts], axis=1))
+    return np.tile(sample_vals[0][0], (Qc, 1)), None, sample_vals
+
+
+def extend_to_plane_reference(f):
+    """``extend.extend_to_plane`` node by node, as it was before it ran on
+    arrays: one nearest-node search per output node off the input domain."""
+    from qvalued.grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE
+
+    N = f.shape[0]
+    pad = math.ceil((N - 1) / 2)
+    N_out = N + 2 * pad
+    shape_out = (N_out,) * f.m
+    mask = np.full(shape_out, INTERIOR, dtype=np.int8)
+    for axis in range(f.m):
+        sl = [slice(None)] * f.m
+        sl[axis] = 0
+        mask[tuple(sl)] = BOUNDARY
+        sl[axis] = N_out - 1
+        mask[tuple(sl)] = BOUNDARY
+    values = np.zeros(shape_out + (f.Q, f.n))
+    inside = f.mask != OUTSIDE
+    in_coords = f.all_coords()[inside]
+    in_vals = f.values[inside]
+    for idx in np.ndindex(*shape_out):
+        in_idx = tuple(i - pad for i in idx)
+        aligned = all(0 <= j < N for j in in_idx)
+        if aligned and f.mask[in_idx] != OUTSIDE:
+            values[idx] = f.values[in_idx]
+            continue
+        x = (np.asarray(idx, dtype=float) - (N_out - 1) / 2.0) * f.h
+        r = float(np.linalg.norm(x))
+        if r >= 1.5:
+            continue
+        if r < 1.0:
+            j = int(np.argmin(np.linalg.norm(in_coords - x[None, :], axis=1)))
+            values[idx] = in_vals[j]
+            continue
+        y = (2.0 / r - 1.0) * x
+        factor = 2.0 * float(np.linalg.norm(y)) - 1.0
+        j = int(np.argmin(np.linalg.norm(in_coords - y[None, :], axis=1)))
+        values[idx] = factor * in_vals[j]
+    return GridFunction(f.m, f.n, f.Q, shape_out, f.h, mask, values)
+
+
+def lipschitz_truncation_reference(f, t, p=2.0):
+    """``energy.lipschitz_truncation`` with its node-by-node loops: the kept
+    set walked with ``np.ndindex`` and one ``evaluate`` per refilled node."""
+    from qvalued.energy import _match_edges
+    from qvalued.extend import WhitneyExtension
+    from qvalued.grids import OUTSIDE
+    from qvalued.qspace import QTuple
+
+    inside = f.mask != OUTSIDE
+    normf = np.zeros(f.shape)
+    normf[inside] = np.sqrt(np.einsum("...qn,...qn->...", f.values[inside], f.values[inside]))
+    u, v, sq, _ = _match_edges(f)
+    q = np.sqrt(sq) / f.h
+    quot = np.zeros(f.mask.size)
+    np.maximum.at(quot, u, q)
+    np.maximum.at(quot, v, q)
+    quot = quot.reshape(f.shape)
+    keep = inside & (normf**p + quot**p <= t**p)
+    kept = {idx for idx in np.ndindex(*f.shape) if keep[idx]}
+    out = f.copy()
+    if not kept:
+        out.values[inside] = 0.0
+        return out, kept
+    if len(kept) == int(inside.sum()):
+        return out, kept
+    data = [(f.node_coords(idx), QTuple(f.values[idx])) for idx in sorted(kept)]
+    coords = f.all_coords()
+    lo = coords.reshape(-1, f.m).min(axis=0) - f.h / 2
+    hi = coords.reshape(-1, f.m).max(axis=0) + f.h / 2
+    depth = min(12, max(3, int(math.ceil(math.log2(max(f.shape)))) + 1))
+    ext = WhitneyExtension(data, np.column_stack([lo, hi]), depth)
+    for idx in np.ndindex(*f.shape):
+        if inside[idx] and idx not in kept:
+            out.values[idx] = ext.evaluate(coords[idx]).points
+    return out, kept
 
 
 def ginf_reference(a: np.ndarray, b: np.ndarray):

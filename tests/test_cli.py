@@ -187,6 +187,27 @@ class TestExtendCli:
         err = capsys.readouterr().err
         assert "row 2" in err and "[nan, 0.2]" in err and "not finite" in err
 
+    @pytest.mark.parametrize("bad,named", [("1.5,0.5", "outside the domain box"),
+                                           ("nan,0.2", "not finite"),
+                                           ("0.3,-inf", "not finite")])
+    def test_whitney_bad_middle_row_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                   bad, named):
+        from qvalued import extend
+
+        plans = []
+        real = extend._cone_plan_many
+        monkeypatch.setattr(extend, "_cone_plan_many",
+                            lambda stack: plans.append(1) or real(stack))
+        data = write(tmp_path / "w.json", json.dumps(
+            {"box": [[0.0, 1.0], [0.0, 1.0]], "depth": 4,
+             "data": [{"x": [0.2, 0.3], "value": [[0.0]]}, {"x": [0.7, 0.6], "value": [[1.0]]}]}))
+        q = write(tmp_path / "q.csv", f"0.1,0.2\n0.5,0.5\n{bad}\n0.9,0.9\n5,5\n")
+        out = tmp_path / "vals.json"
+        assert main(["extend", "whitney", "--in", data, "--query", q, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "row 3 of" in captured.err and "q.csv" in captured.err and named in captured.err
+        assert captured.out == "" and not out.exists() and plans == []
+
     @pytest.mark.parametrize("mode", ["cone", "whitney"])
     @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
     def test_empty_query_csv(self, tmp_path, capsys, mode, text):
@@ -392,6 +413,13 @@ class TestVerifyCli:
         assert main(["verify", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "tolerances" in err and named in err
+
+    @pytest.mark.parametrize("name", ["symmetry", "triangle"])
+    def test_tolerance_no_check_reads_is_rejected(self, tmp_path, capsys, name):
+        cfg = write(tmp_path / "cfg.json", '{"trials": 5, "tolerances": {"%s": -1}}' % name)
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "tolerances" in err and f"'{name}'" in err
 
     def test_negative_seed_named(self, capsys):
         assert main(["verify", "--seed", "-5"]) == 1

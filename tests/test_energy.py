@@ -23,7 +23,7 @@ from qvalued.grids import (
 )
 from qvalued.qspace import QTuple, dist
 
-from oracles import scalar_laplace_solve
+from oracles import lipschitz_truncation_reference, scalar_laplace_solve
 
 
 def fill(grid, fn):
@@ -402,6 +402,22 @@ class TestLipschitzTruncation:
         g = empty_grid(1, 1, 1, 4)
         with pytest.raises(ValueError):
             lipschitz_truncation(g, 0.0)
+
+    @pytest.mark.parametrize("m,N,t", [(1, 33, 3.0), (2, 17, 2.0), (2, 16, 1.5)])
+    def test_matches_node_by_node_refill(self, m, N, t):
+        rng = np.random.default_rng(N)
+        g = empty_grid(m, 2, 2, N, disk_mask(N) if m == 2 else None)
+        inside = g.mask != OUTSIDE
+        x = g.all_coords()[inside]
+        g.values[inside] = 0.3 * np.stack([np.stack([x[:, 0], x[:, -1]], axis=1),
+                                           np.stack([-x[:, -1], np.ones(len(x))], axis=1)],
+                                          axis=1)
+        spikes = rng.choice(np.flatnonzero(inside), 4, replace=False)
+        g.values.reshape(-1, 2, 2)[spikes] = 30.0
+        h, kept = lipschitz_truncation(g, t)
+        ref, ref_kept = lipschitz_truncation_reference(g, t)
+        assert kept == ref_kept and 0 < len(kept) < int(inside.sum())
+        assert np.array_equal(h.values[inside], ref.values[inside])
 
 class TestIterationCap:
     def test_unconverged_returns_best(self):

@@ -14,6 +14,8 @@ from qvalued.extend import (
 from qvalued.grids import OUTSIDE, disk_mask, empty_grid
 from qvalued.qspace import MetricKind, QTuple, dist
 
+from oracles import extend_to_plane_reference
+
 
 def circle_samples(values_fn, count, R=1.0, Q=1, n=1):
     pts = []
@@ -330,3 +332,19 @@ class TestExtendToPlane:
         out = extend_to_plane(disk_function)
         half_extent = (out.shape[0] - 1) / 2 * out.h
         assert half_extent >= 2.0 - 1e-12
+
+    @pytest.mark.parametrize("m,N", [(1, 9), (1, 10), (2, 9), (2, 12)])
+    def test_matches_node_by_node_reference(self, m, N):
+        rng = np.random.default_rng(N + m)
+        if m == 2:
+            g = empty_grid(2, 2, 3, N, disk_mask(N))
+        else:
+            g = empty_grid(1, 2, 3, N)
+        inside = g.mask != OUTSIDE
+        # small integers: many reflected lattice points tie for the nearest node
+        g.values[inside] = rng.integers(-2, 3, (int(inside.sum()), 3, 2))
+        out = extend_to_plane(g)
+        ref = extend_to_plane_reference(g)
+        assert out.shape == ref.shape and out.h == ref.h
+        assert np.array_equal(out.mask, ref.mask)
+        assert np.array_equal(out.values, ref.values)

@@ -18,6 +18,7 @@ from oracles import (
     _split_clusters,
     brute_force_dist,
     cone_extend_reference,
+    cone_plan_reference,
     ginf_reference,
     whitney_evaluate_reference,
     whitney_structure_reference,
@@ -101,6 +102,29 @@ class TestConeHelpers:
         i, j = np.triu_indices(400, 1)
         value, _ = match_many(vals[i], vals[j], MetricKind.GINF)
         assert extend._oscillation(vals) == value.max()
+
+    def test_oscillation_of_a_stack_across_chunks(self):
+        # 3 rows of 220 samples make 72,270 pairs: the chunk boundary falls
+        # inside the third row
+        rng = np.random.default_rng(2)
+        stack = rng.uniform(-3, 3, (3, 220, 2, 2))
+        got = extend._oscillation(stack)
+        assert got.shape == (3,)
+        for e in range(3):
+            i, j = np.triu_indices(220, 1)
+            value, _ = match_many(stack[e, i], stack[e, j], MetricKind.GINF)
+            assert got[e] == value.max()
+
+    def test_split_clusters_of_a_stack_match_one_by_one(self):
+        rng = np.random.default_rng(3)
+        for Q in range(1, 7):
+            pts = rng.integers(-3, 4, (40, Q, 2)).astype(float)
+            threshold = rng.choice([0.0, 1.0, 2.0, np.sqrt(2.0), 3.0], 40)
+            count, cluster_of = extend._split_clusters(pts, threshold)
+            for s in range(40):
+                one_count, one_cluster_of = extend._split_clusters(pts[s], threshold[s])
+                assert count[s] == one_count
+                assert np.array_equal(cluster_of[s], one_cluster_of)
 
     def test_split_clusters_match_union_find(self):
         rng = np.random.default_rng(1)
@@ -187,6 +211,82 @@ class TestConeAgainstReference:
             assert splits, "the clustered data should take the split branch"
         monkeypatch.undo()
         assert_same_values(fast, [cone_extend_reference(sample, q).points for q in queries])
+
+
+def assert_same_sorter(got, want):
+    if want is None:
+        assert got is None
+        return
+    ref, cluster_of, ends, children = got
+    assert np.array_equal(ref, want[0]) and np.array_equal(cluster_of, want[1])
+    assert ends == want[2] and len(children) == len(want[3])
+    for child, other in zip(children, want[3]):
+        assert_same_sorter(child, other)
+
+
+def plan_stack(rng, E, L, Q, n):
+    """A stack of E sample sets that mixes split and leaf rows: clustered
+    tuples, small integer tuples with a repeated point, one tuple
+    witnessed L times (oscillation 0) and tuples of one repeated point."""
+    centers = 3.0 * np.column_stack([np.arange(Q), np.arange(Q) % 2, np.zeros(Q)])
+    kinds = [
+        lambda: clustered_values(rng, L, Q, n, centers),
+        lambda: rng.integers(-2, 3, (L, Q, n)).astype(float),
+        lambda: np.repeat(rng.uniform(-1, 1, (1, Q, n)), L, axis=0),
+        lambda: np.repeat(rng.uniform(-1, 1, (L, 1, n)), Q, axis=1),
+        lambda: rng.uniform(-1, 1, (L, Q, n)),
+    ]
+    rows = [kinds[e % len(kinds)]() for e in range(E)]
+    rows[1][:, 0] = rows[1][:, -1]
+    return np.array(rows)
+
+
+class TestConePlanMany:
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("L", [1, 2, 8, 14])
+    def test_rows_match_the_recursive_plan(self, monkeypatch, Q, L):
+        rng = np.random.default_rng(10 * Q + L)
+        n = 1 + (Q + L) % 3
+        stack = plan_stack(rng, 3 if Q == 6 else 7, L, Q, n)
+        splits = count_splits(monkeypatch)
+        plans = extend._cone_plan_many(stack)
+        if Q >= 2 and L >= 2:
+            assert splits, "the clustered row should take the split branch"
+        monkeypatch.undo()
+        assert len(plans) == len(stack)
+        for plan, row in zip(plans, stack):
+            Y, sorter, samples = cone_plan_reference(row)
+            assert np.array_equal(plan.Y, Y)
+            assert np.array_equal(plan.samples, samples)
+            assert_same_sorter(plan.sorter, sorter)
+            one = extend._cone_plan(row)
+            assert np.array_equal(one.Y, Y) and np.array_equal(one.samples, samples)
+            assert_same_sorter(one.sorter, sorter)
+
+    def test_identical_corners_split_by_repeated_points(self):
+        # the Whitney edge case: both ends share a sample, so the oscillation
+        # is 0 and the clusters are the groups of equal points
+        value = np.array([[1.0, 0.0], [1.0, 0.0], [-2.0, 1.0], [0.5, 0.5]])
+        stack = np.array([[value, value], [value, value[::-1]]])
+        for plan, row in zip(extend._cone_plan_many(stack), stack):
+            Y, sorter, samples = cone_plan_reference(row)
+            assert np.array_equal(plan.Y, Y) and np.array_equal(plan.samples, samples)
+            assert_same_sorter(plan.sorter, sorter)
+        assert extend._cone_plan_many(stack)[0].sorter[2] == [2, 3, 4]
+
+    def test_reference_tuple_is_the_first_above_the_threshold(self):
+        # oscillation 1: only the second tuple's gap, 6.1, exceeds 3 * Q * 1
+        row = np.array([[[1.0], [5.1]], [[0.0], [6.1]]])
+        stack = np.array([row, row[::-1]])
+        plans = extend._cone_plan_many(stack)
+        for plan, sample_vals in zip(plans, stack):
+            Y, sorter, samples = cone_plan_reference(sample_vals)
+            assert np.array_equal(plan.Y, Y) and np.array_equal(plan.samples, samples)
+            assert_same_sorter(plan.sorter, sorter)
+        assert np.array_equal(plans[0].sorter[0], [[0.0], [6.1]])
+
+    def test_empty_stack(self):
+        assert extend._cone_plan_many(np.zeros((0, 2, 3, 2))) == []
 
 
 def reference_whitney(ext):
@@ -317,3 +417,64 @@ class TestWhitneyAgainstReference:
             box = [[-0.5, 1.2], [0.1, 1.0]][:m]
             ext = WhitneyExtension(list(zip(locs, vals)), box, int(rng.integers(0, 8)))
             assert_same_structure(ext, reference_whitney(ext))
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["clustered", "random"])
+    def test_matches_reference_and_single_queries(self, monkeypatch, m, kind):
+        rng = np.random.default_rng(13 * m + len(kind))
+        locs, vals = whitney_data(rng, m, kind)
+        data, box = list(zip(locs, vals)), [[0.0, 1.0]] * m
+        ext = WhitneyExtension(data, box, 6)
+        queries = np.vstack([rng.uniform(0.0, 1.0, (40, m)), locs[:3], np.full((1, m), 0.25),
+                             skeleton_queries(ext, rng, leaves=6)])
+        queries = np.vstack([queries, queries[::7]])
+        splits = count_splits(monkeypatch)
+        got = ext.evaluate_many(queries)
+        if kind == "clustered":
+            assert splits, "the clustered data should take the split branch"
+        monkeypatch.undo()
+        assert got.shape == (len(queries), 3, 2)
+        assert_same_values(got, [whitney_evaluate_reference(ext, q).points for q in queries])
+        one = WhitneyExtension(data, box, 6)
+        assert_same_values(got, [one.evaluate(q).points for q in queries])
+        # a second batch on the same instance reuses the cached plans
+        again = ext.evaluate_many(queries[::-1])
+        assert_same_values(again[::-1], got)
+        # a face's samples are one corner and one midpoint per minimal edge
+        for face in ext._faces.values():
+            edges = sum(len(breaks) - 1 for breaks in face.breaks)
+            assert face.plan.samples.shape[0] == 2 * edges
+
+    def test_batches_of_any_split_agree(self):
+        rng = np.random.default_rng(8)
+        locs, vals = whitney_data(rng, 2, "clustered")
+        data, box = list(zip(locs, vals)), [[0.0, 1.0], [0.0, 1.0]]
+        queries = rng.uniform(0.0, 1.0, (60, 2))
+        whole = WhitneyExtension(data, box, 6).evaluate_many(queries)
+        ext = WhitneyExtension(data, box, 6)
+        parts = [ext.evaluate_many(queries[lo:lo + 7]) for lo in range(0, 60, 7)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert WhitneyExtension(data, box, 6).evaluate_many(np.zeros((0, 2))).shape == (0, 3, 2)
+
+    @pytest.mark.parametrize("bad,problem", [([0.5, np.nan], "is not finite"),
+                                             ([1.5, 0.5], "outside the domain box"),
+                                             ([np.inf, 9.0], "is not finite")])
+    def test_bad_query_named_by_index_before_any_planning(self, monkeypatch, bad, problem):
+        rng = np.random.default_rng(9)
+        locs, vals = whitney_data(rng, 2, "random")
+        ext = WhitneyExtension(list(zip(locs, vals)), [[0.0, 1.0], [0.0, 1.0]], 6)
+        queries = rng.uniform(0.0, 1.0, (6, 2))
+        queries[2] = bad
+        queries[4] = [2.0, np.nan]
+        plans = []
+        real = extend._cone_plan_many
+        monkeypatch.setattr(extend, "_cone_plan_many",
+                            lambda stack: plans.append(1) or real(stack))
+        with pytest.raises(extend.QueryError, match=problem) as info:
+            ext.evaluate_many(queries)
+        assert info.value.index == 2 and str(info.value).startswith("query 2: ")
+        assert plans == [] and ext._edges == {} and ext._faces == {}
+        with pytest.raises(ValueError, match="dimension 3"):
+            ext.evaluate_many(np.zeros((2, 3)))

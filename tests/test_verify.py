@@ -41,6 +41,8 @@ def test_config_validation():
     {"tolerances": {"sqrt_q": math.nan}},
     {"tolerances": {"xi_upper": math.inf}},
     {"tolerances": {"sqrtq": 1.0}},
+    {"tolerances": {"symmetry": 1e-12}},
+    {"tolerances": {"triangle": -1.0}},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(ValueError):
