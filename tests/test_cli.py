@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from qvalued.cli import main
-from qvalued.grids import BOUNDARY, GridFunction, OUTSIDE, empty_grid
+from qvalued.grids import BOUNDARY, GridFunction, OUTSIDE, disk_mask, empty_grid
 from qvalued.qspace import QTuple
+
+
+# the history and stdout of `qv solve` on the problem of tests/data/solve_p2_n16.json
+HISTORY_P2_N16 = ("iteration,total_energy\n0,20.020841989658752\n1,6.122382218610829\n"
+                  "2,6.122382218610829\n")
+STDOUT_P2_N16 = '{"energy": 6.122382218610829, "iterations": 2, "converged": true}\n'
 
 
 def write(path, text):
@@ -237,6 +243,25 @@ class TestExtendCli:
         assert main(["extend", "cone", "--in", self.cone_file(tmp_path), "--query", q]) == 0
         assert len(plans) == 1
 
+    def test_whitney_matches_golden_file(self, tmp_path):
+        # 40 samples, Q = 3, depth 8; the queries are uniform points, five
+        # sample locations and five points on dyadic lines and corners
+        rng = np.random.default_rng(1402)
+        locs = rng.uniform(0.0, 1.0, (40, 2))
+        vals = rng.uniform(-1.0, 1.0, (40, 3, 2))
+        queries = np.concatenate([rng.uniform(0.0, 1.0, (40, 2)), locs[[3, 11, 17, 29, 38]],
+                                  [[0.5, 0.5], [0.25, 0.75], [0.5, 0.125], [0.0, 1.0],
+                                   [0.375, 0.0]]])
+        data = write(tmp_path / "w.json", json.dumps({
+            "box": [[0.0, 1.0], [0.0, 1.0]], "depth": 8,
+            "data": [{"x": x.tolist(), "value": v.tolist()} for x, v in zip(locs, vals)],
+        }))
+        q = write(tmp_path / "q.csv", "".join(f"{a!r},{b!r}\n" for a, b in queries.tolist()))
+        out = tmp_path / "vals.json"
+        assert main(["extend", "whitney", "--in", data, "--query", q, "--out", str(out)]) == 0
+        golden = pathlib.Path(__file__).parent / "data" / "whitney_golden.json"
+        assert out.read_text() == golden.read_text()
+
     def test_plane(self, tmp_path):
         g = empty_grid(2, 1, 1, 7)
         g.values[g.mask != OUTSIDE] = [[2.0]]
@@ -296,6 +321,22 @@ class TestSolveCli:
         assert sol.Q == 2 and sol.n == 2
         status = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert status["converged"]
+
+    def test_disk_sqrt_p2_matches_golden_file(self, tmp_path, capsys):
+        # the N = 16 disk with the two branches of the complex square root on its boundary
+        grid = empty_grid(2, 2, 2, 16, disk_mask(16))
+        for idx in grid.nodes(kinds=(BOUNDARY,)):
+            x = grid.node_coords(idx)
+            t = math.atan2(x[1], x[0]) / 2.0
+            grid.values[idx] = [[math.cos(t), math.sin(t)], [-math.cos(t), -math.sin(t)]]
+        b = write(tmp_path / "b.json", grid.to_json())
+        sol, hist = tmp_path / "sol.json", tmp_path / "hist.csv"
+        assert main(["solve", "--boundary", b, "--p", "2", "--out", str(sol),
+                     "--history", str(hist)]) == 0
+        golden = pathlib.Path(__file__).parent / "data" / "solve_p2_n16.json"
+        assert sol.read_text() == golden.read_text()
+        assert hist.read_text() == HISTORY_P2_N16
+        assert capsys.readouterr().out == STDOUT_P2_N16
 
     def test_curve_spec_non_integer_q_named(self, tmp_path, capsys):
         b = write(tmp_path / "b.json",
