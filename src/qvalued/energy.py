@@ -274,8 +274,16 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     history = [energy]
     converged = False
     iterations = 0
+    solved = None
     for outer in range(1, max_outer + 1):
         iterations = outer
+        if p == 2.0 and solved is not None and np.array_equal(perms, solved):
+            # the p = 2 solve depends on nothing but the matching, so it would
+            # return the values it gave last time, at the same energy
+            history.append(energy)
+            converged = True
+            break
+        solved = perms
         gb = v[:, None] * Q + perms
         _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner)
         sq, perms = match_many(X[u], X[v], MetricKind.G2)

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _nearest
+from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _blocks, _nearest
 from .qspace import MetricKind, QTuple, match_many, vector_norms
 
 
@@ -401,7 +401,12 @@ class WhitneyExtension:
             else:
                 cells = (2 * cells[:, None, :] + delta).reshape(-1, self.m)
 
-        corners = np.unique(np.concatenate(corners), axis=0)
+        # the corners in lexicographic order, deduplicated by their flat
+        # index on the (2**depth + 1)**m lattice, which keeps that order
+        corners = np.concatenate(corners)
+        lattice = ((1 << self.depth) + 1,) * self.m
+        _, first = np.unique(np.ravel_multi_index(corners.T, lattice), return_index=True)
+        corners = corners[first]
         scale = self.S / (1 << self.depth)
         nearest, _ = self._nearest_samples(self.root_lo + corners * scale)
         self._corner_values = {tuple(c): self.vals[i]
@@ -414,25 +419,34 @@ class WhitneyExtension:
         self._edges = {}
         self._faces = {}
 
-    def _dist_inf_to_cells(self, lo: np.ndarray, size: float) -> np.ndarray:
+    def _sup_gaps(self, lo: np.ndarray, size: float, budget: int):
+        """The sup-norm distance from each cell ``[lo, lo + size]`` to each
+        sample, as ``(block, distances)`` for blocks of about ``budget``
+        cell-sample pairs, built one coordinate at a time."""
+        for block in _blocks(len(lo), len(self.locs), budget):
+            cells = lo[block]
+            d = np.zeros((len(cells), len(self.locs)))
+            for c, s in zip(cells.T, self.locs.T):
+                np.maximum(d, c[:, None] - s, out=d)
+                np.maximum(d, s - (c + size)[:, None], out=d)
+            yield block, d
+
+    def _dist_inf_to_cells(self, lo: np.ndarray, size: float,
+                           budget: int = 1 << 16) -> np.ndarray:
         """Sup-norm distance from the sample set to each cell ``[lo, lo + size]``."""
         gap = np.empty(len(lo))
-        for a in range(0, len(lo), 512):
-            cell = lo[a:a + 512, None, :]
-            below = np.maximum(cell - self.locs, 0.0)
-            above = np.maximum(self.locs - (cell + size), 0.0)
-            gap[a:a + 512] = np.maximum(below, above).max(axis=2).min(axis=1)
+        for block, d in self._sup_gaps(lo, size, budget):
+            gap[block] = d.min(axis=1)
         return gap
 
-    def _nearest_samples(self, x: np.ndarray):
+    def _nearest_samples(self, x: np.ndarray, budget: int = 1 << 16):
         """Index of the first sup-norm-nearest sample to each row of ``x``, and
-        the sup-norm distance to it; 512 rows at a time."""
+        the sup-norm distance to it."""
         index = np.empty(len(x), dtype=np.intp)
         gap = np.empty(len(x))
-        for lo in range(0, len(x), 512):
-            d = np.abs(self.locs[None, :, :] - x[lo:lo + 512, None, :]).max(axis=2)
-            index[lo:lo + 512] = np.argmin(d, axis=1)
-            gap[lo:lo + 512] = d[np.arange(len(d)), index[lo:lo + 512]]
+        for block, d in self._sup_gaps(x, 0.0, budget):
+            index[block] = np.argmin(d, axis=1)
+            gap[block] = d[np.arange(len(d)), index[block]]
         return index, gap
 
     def _locate(self, x: np.ndarray):

@@ -23,13 +23,28 @@ def index_tuples(flat, shape):
     return zip(*(c.tolist() for c in np.unravel_index(flat, shape)))
 
 
+def _blocks(rows: int, width: int, budget: int) -> list:
+    """Slices of ``range(rows)`` of about ``budget // width`` rows each, so a
+    block of rows against ``width`` columns holds about ``budget`` entries."""
+    step = max(1, budget // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> np.ndarray:
-    """Index of the first nearest site to each point, about ``budget`` distances at a time."""
-    rows = max(1, budget // max(1, len(sites)))
+    """Index of the first nearest site to each point, about ``budget`` distances at a time.
+
+    Squared distances are summed one coordinate at a time, in coordinate
+    order, which is the order ``np.linalg.norm`` sums fewer than 8 squares
+    in, so the distances, and the first minimum, are the ones it gives.
+    """
     out = np.empty(len(points), dtype=np.intp)
-    for lo in range(0, len(points), rows):
-        d = np.linalg.norm(sites[None, :, :] - points[lo:lo + rows, None, :], axis=2)
-        out[lo:lo + rows] = np.argmin(d, axis=1)
+    for block in _blocks(len(points), len(sites), budget):
+        rows = points[block]
+        d = np.zeros((len(rows), len(sites)))
+        for p, s in zip(rows.T, sites.T):
+            diff = s - p[:, None]
+            d += diff * diff
+        out[block] = np.argmin(np.sqrt(d), axis=1)
     return out
 
 
@@ -75,7 +90,7 @@ class GridFunction:
             raise ValueError(f"m={self.m} does not match shape of length {len(self.shape)}")
         if self.h <= 0:
             raise ValueError("grid spacing h must be positive")
-        if not np.isin(self.mask, (INTERIOR, BOUNDARY, OUTSIDE)).all():
+        if not ((self.mask >= INTERIOR) & (self.mask <= OUTSIDE)).all():
             raise ValueError("mask entries must be INTERIOR, BOUNDARY or OUTSIDE")
         inside = self.mask != OUTSIDE
         if not np.all(np.isfinite(self.values[inside])):
@@ -101,7 +116,10 @@ class GridFunction:
 
     def node_index(self, kinds=(INTERIOR, BOUNDARY)) -> np.ndarray:
         """Flat (C-order) indices of the nodes whose mask is in ``kinds``."""
-        return np.flatnonzero(np.isin(self.mask, list(kinds)))
+        # a lookup table indexed by the mask, which holds only the three kinds
+        kinds = tuple(kinds)
+        wanted = np.array([kind in kinds for kind in (INTERIOR, BOUNDARY, OUTSIDE)])
+        return np.flatnonzero(wanted[self.mask])
 
     def edge_index(self):
         """Flat node indices ``(u, v)`` of every axis edge between non-outside nodes.

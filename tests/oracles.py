@@ -781,3 +781,25 @@ def lipschitz_grid_values_reference(rng, m: int, Q: int, n: int, N: int) -> np.n
             for c in range(n):
                 values[idx][i, c] = amp[i, c] * math.sin(float(freq[i, c] @ x) + phase[i, c])
     return values
+
+
+def dist_inf_to_cells_reference(locs: np.ndarray, lo: np.ndarray, size: float) -> np.ndarray:
+    """``WhitneyExtension._dist_inf_to_cells`` as it was: one reduction over a
+    trailing coordinate axis, all cells at once."""
+    below = np.maximum(lo[:, None, :] - locs, 0.0)
+    above = np.maximum(locs - (lo[:, None, :] + size), 0.0)
+    return np.maximum(below, above).max(axis=2).min(axis=1)
+
+
+def nearest_samples_reference(locs: np.ndarray, x: np.ndarray):
+    """``WhitneyExtension._nearest_samples`` as it was: the first sup-norm-nearest
+    sample to each row of ``x`` and the distance to it."""
+    d = np.abs(locs[None, :, :] - x[:, None, :]).max(axis=2)
+    index = np.argmin(d, axis=1)
+    return index, d[np.arange(len(x)), index]
+
+
+def nearest_reference(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """``grids._nearest`` as it was: ``np.linalg.norm`` over the coordinate axis."""
+    d = np.linalg.norm(sites[None, :, :] - points[:, None, :], axis=2)
+    return np.argmin(d, axis=1)

@@ -88,6 +88,22 @@ class TestEdgeIndex:
         g.mask[1, 1] = OUTSIDE
         assert g.edge_index()[0].size == before - 4
 
+    def test_node_index_every_kind_subset(self):
+        g = random_grid(np.random.default_rng(4), 2, (6, 7))
+        kinds = (INTERIOR, BOUNDARY, OUTSIDE)
+        for r in range(4):
+            for subset in itertools.combinations(kinds, r):
+                expect = [i for i, k in enumerate(g.mask.ravel().tolist()) if k in subset]
+                assert g.node_index(subset).tolist() == expect
+                assert g.node_index(iter(subset)).tolist() == expect
+
+    @pytest.mark.parametrize("bad", [-1, 3, 127, -128])
+    def test_mask_outside_the_three_kinds_rejected(self, bad):
+        mask = square_mask(4)
+        mask[1, 2] = bad
+        with pytest.raises(ValueError, match="mask entries must be INTERIOR, BOUNDARY or OUTSIDE"):
+            GridFunction(2, 1, 1, (4, 4), 1.0, mask, np.zeros((4, 4, 1, 1)))
+
 
 def int_tuples(Q, n):
     return st.lists(
@@ -204,15 +220,37 @@ class TestFrozenSteps:
         assert np.allclose(sol.values[inside], expect[inside], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name,problem", PROBLEMS)
-    def test_p2_one_solve_per_outer_iteration(self, name, problem, monkeypatch):
+    def test_p2_one_solve_per_matching(self, name, problem, monkeypatch):
         grid, boundary = problem
         calls = []
         solve = energy._branch_step_linear
         monkeypatch.setattr(energy, "_branch_step_linear",
-                            lambda *a: calls.append(a[-1]) or solve(*a))
-        _, report, _ = solve_dirichlet(boundary, grid, 2.0, restarts=1)
-        assert len(calls) == report.iterations
-        assert all(np.array_equal(w, np.ones(len(w))) for w in calls)
+                            lambda *a: calls.append((a[2].copy(), a[-1])) or solve(*a))
+        sol, report, history = solve_dirichlet(boundary, grid, 2.0, restarts=1)
+        # one solve per distinct matching: the pass that meets the last
+        # solved matching again ends the run without a solve
+        matchings = {gb.tobytes() for gb, _ in calls}
+        assert len(matchings) == len(calls) == report.iterations - 1
+        assert all(np.array_equal(w, np.ones(len(w))) for _, w in calls)
+        assert history[-1] == history[-2]
+        again, _, _ = solve_dirichlet(boundary, grid, 2.0, restarts=1,
+                                      max_outer=report.iterations - 1)
+        assert np.array_equal(sol.values, again.values, equal_nan=True)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("name,problem", PROBLEMS)
+    def test_other_p_minimizes_again_on_a_repeated_matching(self, name, problem, p,
+                                                             monkeypatch):
+        # away from p = 2 the frozen minimum is reached iteratively, so a
+        # pass that meets its last matching again can still lower the energy
+        grid, boundary = problem
+        matchings = []
+        step = energy._minimize_frozen
+        monkeypatch.setattr(energy, "_minimize_frozen",
+                            lambda *a: matchings.append(a[2].tobytes()) or step(*a))
+        _, report, _ = solve_dirichlet(boundary, grid, p, restarts=1)
+        assert len(matchings) == report.iterations
+        assert len(set(matchings)) < len(matchings)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
     @pytest.mark.parametrize("name,problem", PROBLEMS)
