@@ -477,6 +477,21 @@ class TestVerifyCli:
         assert re.findall(r"^(\w+): \d+\.\d\d s$", captured.err, re.M) == names
         assert [line.split(":")[0] for line in captured.out.splitlines()] == names
 
+    def test_failing_report_matches_golden_file(self, tmp_path):
+        # negative tolerances make five checks fail, so the report pins which
+        # trials become witnesses and in what order
+        golden = pathlib.Path(__file__).parent / "data" / "verify_witnesses.json"
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            "seed": 5, "trials": 60, "Q_range": [1, 5], "n_range": [1, 3], "m_range": [1, 2],
+            "tolerances": {"equivalence": -0.001, "splitting": -1e-12, "sqrt_q": -0.001,
+                           "poincare_c": 0.05, "zeta": -0.001}}))
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--report", str(report_path)]) == 1
+        assert report_path.read_text() == golden.read_text()
+        witnessed = [r["name"] for r in json.loads(golden.read_text()) if r["witnesses"]]
+        assert witnessed == ["metric_equivalence", "splitting_lemma", "sqrt_q_bound",
+                             "poincare", "zeta_bounds"]
+
     def test_pass_and_report(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.json",
                     json.dumps({"seed": 0, "trials": 15}))
