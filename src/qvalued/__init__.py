@@ -24,6 +24,7 @@ from .embed import (
     xi_isometry_radius_many,
     xi_many,
     zeta_dual_gap,
+    zeta_dual_gap_many,
 )
 from .energy import (
     EnergyReport,
@@ -58,6 +59,7 @@ from .qspace import (
     match_many,
     select_branches,
     split_distance,
+    split_distance_many,
     support_sigma,
 )
 from .verify import CheckConfig, CheckReport, run_all

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qspace import MetricKind, QTuple, dist
+from .qspace import MetricKind, QTuple, dist_many
 
 _VALIDATION_SEED = 171717
 _VALIDATION_DRAWS = 500
@@ -515,15 +515,44 @@ def whitney_eta_inverse_1d(coeffs, as_complex: bool = None) -> QTuple:
     return QTuple(roots.real.reshape(-1, 1))
 
 
-def zeta_dual_gap(v: QTuple, w: QTuple, dictionary_size: int = 64, basepoint=None, *,
-                  seed: int = 0):
+def zeta_dual_gap_many(V, W, seeds, dictionary_size: int = 64):
+    """``zeta_dual_gap`` of matching rows of two (E, Q, n) stacks of tuples.
+
+    Row e draws its random anchors from ``default_rng(seeds[e])``, as the
+    one-pair call with ``seed=seeds[e]`` does.
+
+    Returns
+    -------
+    (lower, upper) : pair of ndarrays, shape (E,)
+    """
+    V = np.asarray(V, dtype=float)
+    W = np.asarray(W, dtype=float)
+    upper, _ = dist_many(V, W, MetricKind.G1)
+    pts = np.concatenate([V, W], axis=1)
+    lo = pts.min(axis=1)
+    hi = pts.max(axis=1)
+    span = hi - lo
+    low, high = lo - 0.5 * span - 0.1, hi + 0.5 * span + 0.1
+    E, _, n = V.shape
+    extra = np.empty((E, dictionary_size, n))
+    for e, seed in enumerate(seeds):
+        extra[e] = np.random.default_rng(seed).uniform(low[e], high[e], size=(dictionary_size, n))
+    anchors = np.concatenate([pts, extra], axis=1)  # (E, A, n)
+    dv = np.linalg.norm(V[:, None, :, :] - anchors[:, :, None, :], axis=3).sum(axis=2)
+    dw = np.linalg.norm(W[:, None, :, :] - anchors[:, :, None, :], axis=3).sum(axis=2)
+    return np.abs(dv - dw).max(axis=1), upper
+
+
+def zeta_dual_gap(v: QTuple, w: QTuple, dictionary_size: int = 64, *, seed: int = 0):
     """Bracket the dual-norm distance of the summation functionals of v and w.
 
     The upper bound is the G1 distance (exact).  The lower bound maximizes
     ``|sum_i u(y_i) - sum_i u(y'_i)|`` over the dictionary of 1-Lipschitz
-    cone functions ``u_a(y) = d(y, a) - d(a, y0)`` anchored at the points
-    of both tuples plus ``dictionary_size`` random anchors.  Always
-    ``lower <= true dual norm <= upper``.
+    cone functions ``u_a(y) = d(y, a)`` anchored at the points of both
+    tuples plus ``dictionary_size`` random anchors.  A basepoint term
+    ``- d(a, y0)`` would shift both sums by Q times the same constant, so
+    no basepoint enters.  Always ``lower <= true dual norm <= upper``.
+    The one-pair case of ``zeta_dual_gap_many``.
 
     Returns
     -------
@@ -531,19 +560,5 @@ def zeta_dual_gap(v: QTuple, w: QTuple, dictionary_size: int = 64, basepoint=Non
     """
     if v.Q != w.Q or v.n != w.n:
         raise ValueError("tuples must share Q and n")
-    upper, _ = dist(v, w, MetricKind.G1)
-    pts = np.vstack([v.points, w.points])
-    if basepoint is None:
-        basepoint = np.zeros(v.n)
-    basepoint = np.asarray(basepoint, dtype=float).reshape(v.n)
-    rng = np.random.default_rng(seed)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = hi - lo
-    extra = rng.uniform(lo - 0.5 * span - 0.1, hi + 0.5 * span + 0.1,
-                        size=(dictionary_size, v.n))
-    anchors = np.vstack([pts, extra])
-    dv = np.linalg.norm(v.points[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
-    dw = np.linalg.norm(w.points[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
-    lower = float(np.abs(dv - dw).max())
-    return lower, upper
+    lower, upper = zeta_dual_gap_many(v.points[None], w.points[None], [seed], dictionary_size)
+    return float(lower[0]), float(upper[0])

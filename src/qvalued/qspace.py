@@ -388,24 +388,30 @@ def dist_sorted_1d(v: QTuple, w: QTuple) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def split_distance_many(X: np.ndarray) -> np.ndarray:
+    """``split_distance`` of every tuple of a (E, Q, n) stack, shape (E,).
+
+    Takes the minimum over the pairs ``i < j`` of points whose difference
+    is nonzero, so equal points count once, as in the support.
+    """
+    X = np.asarray(X, dtype=float)
+    i, j = np.triu_indices(X.shape[1], 1)
+    d = X[:, i] - X[:, j]
+    m = np.abs(d).max(axis=2)
+    apart = m > 0
+    # scale before squaring so subnormal gaps do not underflow to 0
+    scaled = d / np.where(apart, m, 1.0)[..., None]
+    gaps = np.where(apart, m * vector_norms(scaled), math.inf)
+    return gaps.min(axis=1, initial=math.inf)
+
+
 def split_distance(v: QTuple) -> float:
     """Minimum distance between distinct support points; +inf if all coincide.
 
     Distinctness is exact coordinate equality; callers needing a tolerance
-    pre-quantize their points.
+    pre-quantize their points.  The one-tuple case of ``split_distance_many``.
     """
-    support = np.unique(v.points, axis=0)
-    k = support.shape[0]
-    if k == 1:
-        return math.inf
-    best = math.inf
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = support[i] - support[j]
-            m = float(np.abs(d).max())
-            # scale before squaring so subnormal gaps do not underflow to 0
-            best = min(best, m * float(np.linalg.norm(d / m)))
-    return best
+    return float(split_distance_many(v.points[None])[0])
 
 
 def concatenate(v: QTuple, w: QTuple) -> QTuple:

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embed
-from .grids import GridFunction, square_mask
-from .qspace import (MetricKind, QTuple, dist, dist_many, match_many, split_distance,
-                     vector_norms)
+from .grids import GridFunction, _blocks, square_mask
+# ``dist`` is no longer called here; the benchmark's tracer test pins its binding
+from .qspace import (MetricKind, QTuple, dist, dist_many, match_many,  # noqa: F401
+                     split_distance_many, vector_norms)
 
 _CHECK_OFFSETS = {
     "metric_equivalence": 101,
@@ -124,6 +125,12 @@ class CheckReport:
         }
 
 
+# tuple pairs per stacked assignment-kernel call, and embedded coordinates
+# per stacked embedding call: both bound the memory a stacked check takes
+_KERNEL_ROWS = 2048
+_EMBED_ENTRIES = 1 << 15
+
+
 def _rng_for(cfg: CheckConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(cfg.seed * 1000003 + _CHECK_OFFSETS[name])
 
@@ -146,38 +153,41 @@ def _draw_Qn(rng, cfg):
     return Q, n
 
 
-def check_metric_equivalence(cfg: CheckConfig, _dist=None) -> CheckReport:
-    """G_inf <= G2 <= G1 <= Q G_inf and G2 <= sqrt(Q) G_inf on random pairs."""
-    d = _dist or dist
+def check_metric_equivalence(cfg: CheckConfig, _dist_many=None) -> CheckReport:
+    """G_inf <= G2 <= G1 <= Q G_inf and G2 <= sqrt(Q) G_inf on random pairs.
+
+    ``_dist_many`` replaces ``dist_many`` as the source of the distances.
+    """
+    d = _dist_many or dist_many
     rng = _rng_for(cfg, "metric_equivalence")
     tol = cfg.tolerances["equivalence"]
     report = CheckReport("metric_equivalence", cfg.trials, 0, 0.0)
+    rows = []
     for _ in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
         v = random_tuple(rng, Q, n)
         w = random_tuple(rng, Q, n)
-        g1, _ = d(v, w, MetricKind.G1)
-        g2, _ = d(v, w, MetricKind.G2)
-        gi, _ = d(v, w, MetricKind.GINF)
-        ok = (
-            gi <= g2 + tol
-            and g2 <= g1 + tol
-            and g1 <= Q * gi + tol
-            and g2 <= math.sqrt(Q) * gi + tol
-        )
-        if gi > 0:
-            report.worst_ratio = max(report.worst_ratio, g1 / (Q * gi))
-        if not ok:
-            report.record_failure(json.dumps({"v": v.points.tolist(), "w": w.points.tolist()}))
+        rows.append((v.points, w.points))
+    ok = np.ones(len(rows), dtype=bool)
+    for index, (V, W) in _grouped(rows):
+        Q = V.shape[1]
+        g1, g2, gi = (_in_blocks(d, V, W, kind) for kind in MetricKind)
+        ok[index] = ((gi <= g2 + tol) & (g2 <= g1 + tol) & (g1 <= Q * gi + tol)
+                     & (g2 <= math.sqrt(Q) * gi + tol))
+        apart = gi > 0
+        if apart.any():
+            report.worst_ratio = max(report.worst_ratio, float((g1[apart] / (Q * gi[apart])).max()))
+    _record_pairs(report, rows, ok)
     return report
 
 
 def _grouped(rows: list):
-    """Trials stacked by the (Q, n) shape of their tuples, in first-seen order.
+    """Trials stacked by the shape of their first field, in first-seen order.
 
-    ``rows`` holds one tuple of arrays per trial, the first of shape (Q, n).
-    Yields, per shape, the positions of its trials in ``rows`` and one
-    stacked array per field.
+    ``rows`` holds one tuple of fields per trial, the first an array: the
+    (Q, n) points of a tuple, or a (nodes, Q, n) stack of them.  Yields, per
+    shape, the positions of its trials in ``rows`` and one stacked array per
+    field.
     """
     groups = {}
     for t, row in enumerate(rows):
@@ -185,6 +195,29 @@ def _grouped(rows: list):
     for index in groups.values():
         yield np.array(index), [np.array([rows[t][k] for t in index])
                                 for k in range(len(rows[index[0]]))]
+
+
+def _in_blocks(kernel, A, B, kind, left=None, right=None) -> np.ndarray:
+    """``kernel(A[left], B[right], kind)[0]``, a block of pairs gathered per call.
+
+    ``kernel`` is ``match_many`` or ``dist_many`` and ``A``, ``B`` are (E, Q, n)
+    stacks; ``left`` and ``right`` default to every row in order.  Each call
+    takes at most ``_KERNEL_ROWS`` pairs.
+    """
+    if left is None:
+        left = right = np.arange(len(A))
+    out = np.empty(left.size)
+    for block in _blocks(left.size, 1, _KERNEL_ROWS):
+        out[block] = kernel(A[left[block]], B[right[block]], kind)[0]
+    return out
+
+
+def _record_pairs(report: CheckReport, rows, ok: np.ndarray) -> None:
+    """Record the tuples v and w, the first two fields of ``rows[t]``, of every
+    trial t that failed, in trial order."""
+    for t in np.flatnonzero(~ok):
+        v, w = rows[t][:2]
+        report.record_failure(json.dumps({"v": v.tolist(), "w": w.tolist()}))
 
 
 def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
@@ -198,22 +231,25 @@ def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
     rng = _rng_for(cfg, "splitting_lemma")
     tol = cfg.tolerances["splitting"]
     report = CheckReport("splitting_lemma", cfg.trials, 0, 0.0)
-    # draw every trial first (no draw depends on a distance), then match by shape
+    # draw every trial first (no draw depends on a distance), then work by shape
     rows = []
     for trial in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
         v = random_tuple(rng, Q, n)
-        s = split_distance(v)
-        radius = 1.0 if math.isinf(s) else s / 2.0
         delta = rng.standard_normal((Q, n))
         total = math.sqrt(float((delta * delta).sum()))
         if total == 0.0:
             continue
-        scale = radius if trial % 4 == 0 else radius * rng.uniform(0.1, 0.999)
-        delta *= scale / total
-        rows.append((v.points, v.points + delta, delta))
+        # radius * 1.0 is the radius itself: the boundary case
+        factor = 1.0 if trial % 4 == 0 else rng.uniform(0.1, 0.999)
+        rows.append((v.points, delta, total, factor))
     ok = np.ones(len(rows), dtype=bool)
-    for index, (V, W, D) in _grouped(rows):
+    pairs = [None] * len(rows)
+    for index, (V, D, total, factor) in _grouped(rows):
+        s = split_distance_many(V)
+        radius = np.where(np.isinf(s), 1.0, s / 2.0)
+        D = D * (radius * factor / total)[:, None, None]
+        W = V + D
         paired = np.linalg.norm(D, axis=2)
         targets = {
             MetricKind.G1: paired.sum(axis=1),
@@ -221,13 +257,13 @@ def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
             MetricKind.GINF: paired.max(axis=1),
         }
         for kind, target in targets.items():
-            value, _ = dist_many(V, W, kind)
+            value = _in_blocks(dist_many, V, W, kind)
             gap = np.abs(value - target)
             report.worst_ratio = max(report.worst_ratio, float((gap / (1.0 + target)).max()))
             ok[index] &= gap <= tol * (1.0 + target)
-    for (v, w, _), good in zip(rows, ok):
-        if not good:
-            report.record_failure(json.dumps({"v": v.tolist(), "w": w.tolist()}))
+        for t, v, w in zip(index, V, W):
+            pairs[t] = (v, w)
+    _record_pairs(report, pairs, ok)
     return report
 
 
@@ -291,9 +327,7 @@ def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
         dxi_near = vector_norms(xv[moved] - embed.xi_many(near, fr))
         good[moved] &= np.abs(dxi_near - g2_near) <= tol_loc
         ok[index] = good
-    for (v, w, *_), good in zip(rows, ok):
-        if not good:
-            report.record_failure(json.dumps({"v": v.tolist(), "w": w.tolist()}))
+    _record_pairs(report, rows, ok)
     if math.isinf(report.worst_ratio):
         report.worst_ratio = 0.0
     if report.worst_ratio <= 0.0 and report.failures == 0:
@@ -301,20 +335,27 @@ def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
     return report
 
 
-def _lipschitz_grid(rng, m: int, Q: int, n: int, N: int = 9) -> GridFunction:
-    """A Lipschitz Q-valued grid function built from smooth branches."""
-    mask = square_mask(N, m)
-    shape = (N,) * m
+def _lipschitz_grid(rng, m: int, Q: int, n: int, N: int = 9) -> np.ndarray:
+    """A Lipschitz Q-valued map on the N^m grid over [-1, 1]^m, from smooth branches.
+
+    Returns its values at the nodes in C order, shape (N**m, Q, n).
+    """
     h = 2.0 / (N - 1)
     freq = rng.uniform(0.5, 2.0, size=(Q, n, m))
     phase = rng.uniform(0, 2 * math.pi, size=(Q, n))
     amp = rng.uniform(0.2, 1.0, size=(Q, n))
-    x = (np.indices(shape).reshape(m, -1).T - (N - 1) / 2.0) * h  # (nodes, m), C order
+    x = (np.indices((N,) * m).reshape(m, -1).T - (N - 1) / 2.0) * h  # (nodes, m), C order
     # one dot product per (node, branch, coordinate): a stacked matmul rounds
     # as freq[i, c] @ x does, where einsum or an explicit sum can differ
     arg = (freq[None, :, :, None, :] @ x[:, None, None, :, None])[..., 0, 0]
-    values = amp * np.sin(arg + phase)
-    return GridFunction(m, n, Q, shape, h, mask, values.reshape(shape + (Q, n)))
+    return amp * np.sin(arg + phase)
+
+
+def _grid_edges(N: int, m: int):
+    """``GridFunction.edge_index`` of the full N^m grid that ``_lipschitz_grid`` samples."""
+    shape = (N,) * m
+    grid = GridFunction(m, 1, 1, shape, 2.0 / (N - 1), square_mask(N, m), np.zeros(shape + (1, 1)))
+    return grid.edge_index()
 
 
 def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
@@ -331,28 +372,45 @@ def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
     report = CheckReport("sqrt_q_bound", cfg.trials, 0, 0.0)
     frames = {} if frames is None else frames
     lo, hi = cfg.Q_range
-    trials = 0
+    N = 7
+    h = 2.0 / (N - 1)
+    # draw every trial first (no draw depends on a distance), then work by shape
+    rows = []
     for _ in range(cfg.trials):
         Q = int(rng.integers(lo, min(hi, max(lo, 3)) + 1))
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))
-        f = _lipschitz_grid(rng, m, Q, n, N=7)
+        rows.append((_lipschitz_grid(rng, m, Q, n, N=N), m))
+    edges, failed = {}, []
+    report.trials = 0
+    for index, (X, M) in _grouped(rows):
+        T, nodes, Q, n = X.shape
+        m = int(M[0])
+        if m not in edges:
+            edges[m] = _grid_edges(N, m)
+        u, v = edges[m]
         fr = _frame(frames, n, Q)
-        X = f.values.reshape(-1, Q, n)
-        emb = embed.xi_many(X, fr)
-        left, right = f.edge_index()
-        ginf, _ = match_many(X[left], X[right], MetricKind.GINF)
-        quot = vector_norms(emb[left] - emb[right]) / f.h
-        bound = math.sqrt(Q) * (ginf / f.h)
-        trials += left.size
+        flat = X.reshape(-1, Q, n)
+        offset = (np.arange(T) * nodes)[:, None]
+        ginf = _in_blocks(match_many, flat, flat, MetricKind.GINF, (u + offset).ravel(),
+                          (v + offset).ravel()).reshape(T, u.size)
+        quot = np.empty((T, u.size))
+        # whole trials per block, so each block's edges stay inside it
+        for block in _blocks(T, nodes * fr.ambient_length, _EMBED_ENTRIES):
+            emb = embed.xi_many(X[block].reshape(-1, Q, n), fr).reshape(-1, nodes, fr.ambient_length)
+            quot[block] = vector_norms(emb[:, u] - emb[:, v]) / h
+        bound = math.sqrt(Q) * (ginf / h)
+        report.trials += ginf.size
         sloped = ginf > 0
         if sloped.any():
             report.worst_ratio = max(report.worst_ratio,
                                      float((quot[sloped] / bound[sloped]).max()))
-        for e in np.flatnonzero(quot > bound + tol):
-            edge = [np.unravel_index(k, f.shape) for k in (left[e], right[e])]
-            report.record_failure(json.dumps({"edge": [[int(i) for i in u] for u in edge]}))
-    report.trials = trials
+        for t, e in zip(*np.nonzero(quot > bound + tol)):
+            failed.append((index[t], e, m))
+    for _, e, m in sorted(failed):
+        u, v = edges[m]
+        edge = [np.unravel_index(k, (N,) * m) for k in (u[e], v[e])]
+        report.record_failure(json.dumps({"edge": [[int(i) for i in a] for a in edge]}))
     return report
 
 
@@ -365,38 +423,58 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
     rng = _rng_for(cfg, "poincare")
     cap = cfg.tolerances["poincare_c"]
     report = CheckReport("poincare", cfg.trials, 0, 0.0)
+    N = 7
+    h = 2.0 / (N - 1)
+    # draw every trial first (no draw depends on a distance), then work by shape
+    trials = []
     for _ in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
         m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))
         q = float(rng.choice([1.0, 2.0]))
-        N = 7
-        f = _lipschitz_grid(rng, m, Q, n, N=N)
+        values = _lipschitz_grid(rng, m, Q, n, N=N)
         width = int(rng.integers(2, N + 1))
         lo = [int(rng.integers(0, N - width + 1)) for _ in range(m)]
-        window = np.indices((width,) * m).reshape(m, -1) + np.array(lo)[:, None]
-        nodes = np.ravel_multi_index(tuple(window), f.shape)
-        k = nodes.size
-        cell = f.h**m
-        diam = f.h * (width - 1) * math.sqrt(m)
-        u, v = f.edge_index()
-        in_window = np.zeros(f.mask.size, dtype=bool)
-        in_window[nodes] = True
-        inner = in_window[u] & in_window[v]
-        # one kernel call: the window's edges, then every (node, candidate) pair
-        left = np.concatenate([u[inner], np.tile(nodes, k)])
-        right = np.concatenate([v[inner], np.repeat(nodes, k)])
-        X = f.values.reshape(-1, Q, n)
-        sq, _ = match_many(X[left], X[right], MetricKind.G2)
-        terms = sq ** (q / 2.0)
-        n_inner = int(inner.sum())
-        energy = f.h ** (m - q) * float(terms[:n_inner].sum())
-        best = float((terms[n_inner:].reshape(k, k) * cell).sum(axis=1).min())
-        rhs = diam**q * energy
-        if rhs == 0.0:
-            if best > 1e-12:
+        trials.append((values, m, q, width, lo))
+    groups, edges = {}, {}
+    for t, (values, *_) in enumerate(trials):
+        groups.setdefault(values.shape[1:], []).append(t)
+    best, rhs = np.empty(len(trials)), np.empty(len(trials))
+    for index in groups.values():
+        # one kernel call per shape: each trial's window edges, then every
+        # (node, candidate) pair of its window, at that trial's node offset
+        left, right, counts, offset = [], [], [], 0
+        for t in index:
+            values, m, _, width, lo = trials[t]
+            if m not in edges:
+                edges[m] = _grid_edges(N, m)
+            u, v = edges[m]
+            window = tuple(slice(a, a + width) for a in lo)
+            nodes = np.arange(len(values)).reshape((N,) * m)[window].ravel()
+            in_window = np.zeros(len(values), dtype=bool)
+            in_window[nodes] = True
+            inner = in_window[u] & in_window[v]
+            k = nodes.size
+            left += [u[inner] + offset, np.tile(nodes, k) + offset]
+            right += [v[inner] + offset, np.repeat(nodes, k) + offset]
+            counts.append((int(inner.sum()), k))
+            offset += len(values)
+        X = np.concatenate([trials[t][0] for t in index])
+        sq = _in_blocks(match_many, X, X, MetricKind.G2, np.concatenate(left),
+                        np.concatenate(right))
+        start = 0
+        for t, (n_inner, k) in zip(index, counts):
+            _, m, q, width, _ = trials[t]
+            terms = sq[start:start + n_inner + k * k] ** (q / 2.0)
+            start += n_inner + k * k
+            energy = h ** (m - q) * float(terms[:n_inner].sum())
+            best[t] = float((terms[n_inner:].reshape(k, k) * h**m).sum(axis=1).min())
+            rhs[t] = (h * (width - 1) * math.sqrt(m)) ** q * energy
+    for t, (_, _, _, width, lo) in enumerate(trials):
+        if rhs[t] == 0.0:
+            if best[t] > 1e-12:
                 report.record_failure(json.dumps({"window": lo, "width": width}))
             continue
-        C = best / rhs
+        C = float(best[t] / rhs[t])
         report.worst_ratio = max(report.worst_ratio, C)
         if C > cap:
             report.record_failure(json.dumps({"window": lo, "width": width, "C": C}))
@@ -412,24 +490,27 @@ def check_zeta_bounds(cfg: CheckConfig) -> CheckReport:
     rng = _rng_for(cfg, "zeta_bounds")
     tol = cfg.tolerances["zeta"]
     report = CheckReport("zeta_bounds", cfg.trials, 0, math.inf)
+    rows = []
     for trial in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
         if trial % 3 == 0:
             Q = 1
         v = random_tuple(rng, Q, n)
         w = random_tuple(rng, Q, n)
-        lower, upper = embed.zeta_dual_gap(v, w, dictionary_size=64,
-                                           seed=int(rng.integers(0, 2**31)))
-        ok = lower <= upper + tol
-        if Q == 1 and upper > 1e-9:
-            ok = ok and abs(lower - upper) <= 1e-12 * (1.0 + upper)
-        if upper > 1e-12:
-            ratio = lower / upper
-            report.worst_ratio = min(report.worst_ratio, ratio)
-            if ratio <= 0.0:
-                ok = False
-        if not ok:
-            report.record_failure(json.dumps({"v": v.points.tolist(), "w": w.points.tolist()}))
+        rows.append((v.points, w.points, int(rng.integers(0, 2**31))))
+    ok = np.ones(len(rows), dtype=bool)
+    for index, (V, W, seeds) in _grouped(rows):
+        lower, upper = embed.zeta_dual_gap_many(V, W, seeds, dictionary_size=64)
+        good = lower <= upper + tol
+        if V.shape[1] == 1:
+            good &= (upper <= 1e-9) | (np.abs(lower - upper) <= 1e-12 * (1.0 + upper))
+        positive = upper > 1e-12
+        if positive.any():
+            ratio = lower[positive] / upper[positive]
+            report.worst_ratio = min(report.worst_ratio, float(ratio.min()))
+            good[positive] &= ratio > 0.0
+        ok[index] = good
+    _record_pairs(report, rows, ok)
     if math.isinf(report.worst_ratio):
         report.worst_ratio = 0.0
     return report

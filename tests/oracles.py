@@ -803,3 +803,39 @@ def nearest_reference(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """``grids._nearest`` as it was: ``np.linalg.norm`` over the coordinate axis."""
     d = np.linalg.norm(sites[None, :, :] - points[:, None, :], axis=2)
     return np.argmin(d, axis=1)
+
+
+def split_distance_reference(points: np.ndarray) -> float:
+    """``qspace.split_distance`` as it was: one tuple, a loop over the pairs of
+    its ``np.unique`` support."""
+    support = np.unique(points, axis=0)
+    k = support.shape[0]
+    if k == 1:
+        return math.inf
+    best = math.inf
+    for i in range(k):
+        for j in range(i + 1, k):
+            d = support[i] - support[j]
+            m = float(np.abs(d).max())
+            best = min(best, m * float(np.linalg.norm(d / m)))
+    return best
+
+
+def zeta_dual_gap_reference(v_pts, w_pts, dictionary_size: int = 64, seed: int = 0):
+    """``embed.zeta_dual_gap`` as it was: one pair, one (anchors, Q) norm matrix
+    per tuple.  The upper bound is the library's G1 distance, as it was."""
+    from qvalued.qspace import MetricKind, QTuple, dist
+
+    v_pts, w_pts = np.asarray(v_pts, dtype=float), np.asarray(w_pts, dtype=float)
+    upper, _ = dist(QTuple(v_pts), QTuple(w_pts), MetricKind.G1)
+    pts = np.vstack([v_pts, w_pts])
+    rng = np.random.default_rng(seed)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = hi - lo
+    extra = rng.uniform(lo - 0.5 * span - 0.1, hi + 0.5 * span + 0.1,
+                        size=(dictionary_size, pts.shape[1]))
+    anchors = np.vstack([pts, extra])
+    dv = np.linalg.norm(v_pts[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
+    dw = np.linalg.norm(w_pts[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
+    return float(np.abs(dv - dw).max()), upper

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qvalued.qspace import MetricKind, dist
+from qvalued.qspace import MetricKind, dist_many
 from qvalued.verify import (
     CheckConfig,
     CheckReport,
@@ -103,13 +103,13 @@ def test_seed_changes_instances():
 
 def test_injected_bug_detected(small_cfg):
     # negative control: a deliberately wrong metric must be caught
-    def bad_dist(v, w, kind=MetricKind.G2):
-        value, match = dist(v, w, kind)
+    def bad_dist_many(A, B, kind):
+        value, perm = dist_many(A, B, kind)
         if kind is MetricKind.G1:
             value = value * 0.4  # breaks G2 <= G1
-        return value, match
+        return value, perm
 
-    report = check_metric_equivalence(small_cfg, _dist=bad_dist)
+    report = check_metric_equivalence(small_cfg, _dist_many=bad_dist_many)
     assert report.failures > 0
     assert report.witnesses
 
@@ -175,7 +175,8 @@ def test_run_all_times_each_check(small_cfg):
 def test_lipschitz_grid_matches_node_by_node(m, Q, n):
     seed = 100 * m + 10 * Q + n
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    f = _lipschitz_grid(rng, m, Q, n, N=7)
-    assert np.array_equal(f.values, lipschitz_grid_values_reference(ref_rng, m, Q, n, N=7))
+    values = _lipschitz_grid(rng, m, Q, n, N=7)
+    reference = lipschitz_grid_values_reference(ref_rng, m, Q, n, N=7)
+    assert np.array_equal(values, reference.reshape(-1, Q, n))
     # both drew the same numbers, so later checks see the same stream
     assert rng.random() == ref_rng.random()
