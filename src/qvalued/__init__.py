@@ -37,13 +37,13 @@ from .energy import (
     truncate_coords,
 )
 from .extend import (
+    ArgumentError,
     BoundarySample,
     ConeExtension,
     QueryError,
     WhitneyExtension,
     cone_extend,
     extend_to_plane,
-    whitney_extend,
 )
 from .grids import BOUNDARY, INTERIOR, OUTSIDE, GridFunction, disk_mask, empty_grid, square_mask
 from .qspace import (

@@ -75,18 +75,33 @@ def _grid_from_obj(obj, path: str) -> GridFunction:
 
 
 def _load_query_csv(path: str) -> np.ndarray:
+    """The rows of a CSV file of numbers; blank and comment lines hold no row,
+    and a bad row is named by its number among the rows."""
     try:
         with open(path) as fh:
-            # blank and comment lines hold no row; loadtxt skips them too
             lines = [line for line in fh
                      if line.strip() and not line.lstrip().startswith("#")]
-        if not lines:
-            raise DataError(f"no rows in {path}")
-        return np.loadtxt(lines, delimiter=",", ndmin=2)
     except OSError:
         raise DataError(f"cannot open {path}")
     except ValueError as exc:
         raise DataError(f"malformed CSV in {path}: {exc}")
+    if not lines:
+        raise DataError(f"no rows in {path}")
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError:
+        pass
+    width = None
+    for row, line in enumerate(lines, start=1):
+        try:
+            cols = np.loadtxt([line], delimiter=",", ndmin=2).shape[1]
+        except ValueError:
+            raise DataError(f"row {row} of {path}: {line.strip()!r} is not a "
+                            f"comma-separated list of numbers")
+        if width is not None and cols != width:
+            raise DataError(f"row {row} of {path} has {cols} columns, row 1 has {width}")
+        width = cols
+    raise DataError(f"malformed CSV in {path}")
 
 
 def _write(path: str, text: str):
@@ -140,25 +155,39 @@ def _cmd_decode(args) -> int:
     return 0
 
 
+def _is_numeric(value) -> bool:
+    """Whether ``value`` is a JSON number or nested lists of them."""
+    if isinstance(value, list):
+        return all(map(_is_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numbers(value, name: str, path: str) -> np.ndarray:
-    """``value`` as a float array, which must hold only finite numbers."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
+    """``value`` as a float array, which must hold only finite JSON numbers."""
+    arr = None
+    if _is_numeric(value):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except ValueError:
+            pass
     if arr is None or not np.all(np.isfinite(arr)):
         raise DataError(f"field '{name}' in {path} must hold finite numbers, got {value!r}")
     return arr
 
 
 def _sample_entries(obj: dict, name: str, path: str) -> list:
-    """The ``(x, value)`` pairs of the list field ``name``, one per object in it."""
+    """The ``(x, value)`` pairs of the list field ``name``, one per object in
+    it; each ``x`` is a flat list of numbers."""
     entries = _field(obj, name, path)
     if not isinstance(entries, list):
         raise DataError(f"field '{name}' in {path} must be a list of objects")
     pairs = []
     for entry in entries:
-        x = _numbers(_field(entry, "x", path), "x", path)
+        x = _field(entry, "x", path)
+        if not (isinstance(x, list) and x and not any(isinstance(c, list) for c in x)):
+            raise DataError(f"field 'x' in {path} must be a nonempty flat list of numbers, "
+                            f"got {x!r}")
+        x = _numbers(x, "x", path)
         try:
             value = QTuple(_field(entry, "value", path))
         except (TypeError, ValueError) as exc:
@@ -210,10 +239,11 @@ def _cmd_extend(args) -> int:
         box = _numbers(_field(obj, "box", args.infile), "box", args.infile)
         depth = _int_field(obj, "depth", args.infile, lowest=0) if "depth" in obj else 6
         data = _sample_entries(obj, "data", args.infile)
-        if data and box.size != 2 * data[0][0].size:
-            raise DataError(f"field 'box' in {args.infile} must hold a [low, high] pair "
-                            f"per axis of 'x'")
-        ext = extend.WhitneyExtension(data, box, depth)
+        try:
+            ext = extend.WhitneyExtension(data, box, depth)
+        except extend.ArgumentError as exc:
+            field = "box" if exc.name == "domain_box" else exc.name
+            raise DataError(f"bad field '{field}' in {args.infile}: {exc}")
         try:
             values = ext.evaluate_many(queries)
         except extend.QueryError as exc:

@@ -17,9 +17,14 @@ and one grouping the samples of every set that splits.  The apply step is
 all a query adds: the radius, the boundary value above the query put into
 the plan's row order, and the radial interpolation toward the center
 value.  ``ConeExtension`` plans once per boundary sample.
-``WhitneyExtension`` plans per batch of queries: ``evaluate_many`` plans
-every minimal edge and leaf face the batch reaches and has not planned
-before, in a few stacked calls, then applies the plans query by query.
+``WhitneyExtension`` holds its dyadic tree as sorted integer keys: per
+level, the flat indices of the leaf cells; the flat lattice indices of the
+cell corners; and one key array of the skeleton lines.  ``evaluate_many``
+locates a whole batch of queries with one ``searchsorted`` per level and
+finds the breaks of every face side and the minimal edge under every
+perimeter point by ``searchsorted`` in the line keys.  It plans every
+minimal edge and leaf face the batch reaches and has not planned before,
+in a few stacked calls, then applies the plans query by query.
 
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
@@ -32,7 +37,6 @@ values.  Queries are pure and safe to issue concurrently.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -291,33 +295,21 @@ class QueryError(ValueError):
         self.index, self.problem = index, problem
 
 
-def _lines(fixed: np.ndarray, along: np.ndarray) -> dict:
-    """Map each value of ``fixed`` to the sorted values of ``along`` that share it."""
-    order = np.lexsort((along, fixed))
-    keys, starts = np.unique(fixed[order], return_index=True)
-    return dict(zip(keys.tolist(), np.split(along[order], starts[1:])))
+class ArgumentError(ValueError):
+    """A bad argument of ``WhitneyExtension``; ``name`` is the parameter at fault."""
+
+    def __init__(self, name: str, problem: str):
+        super().__init__(problem)
+        self.name = name
 
 
-class _Edge(NamedTuple):
-    """A minimal edge: center, radius, ``c0 - center`` and cone plan."""
-
-    center: np.ndarray
-    R: float
-    toward_k0: np.ndarray
-    plan: _ConePlan
-
-
-class _Face(NamedTuple):
-    """A leaf face: center, radius, integer base corner, side, the breaks of
-    its four sides (x = low, x = high, y = low, y = high, each a sorted
-    tuple of positions along the side) and cone plan."""
-
-    center: np.ndarray
-    R: float
-    base: np.ndarray
-    side: int
-    breaks: tuple
-    plan: _ConePlan | None
+def _flat(cells: np.ndarray, d: int) -> np.ndarray:
+    """Row-major flat index of each cell ``cells[i]`` of level ``d`` on its
+    (2**d)**m grid."""
+    flat = cells[:, 0].copy()
+    for column in cells.T[1:]:
+        flat = (flat << d) + column
+    return flat
 
 
 class WhitneyExtension:
@@ -329,12 +321,22 @@ class WhitneyExtension:
     cone construction.  Cells that still touch the sample set at the depth
     cap evaluate pointwise by nearest sample.  Supports m in {1, 2}.
 
-    Plans are built per batch of queries (``evaluate_many``) and cached on
-    the instance: the batch's new leaf faces have their minimal edges (each
-    keyed by its two integer corner keys) planned in one stacked call, their
-    perimeter stations evaluated as array arithmetic on those edge plans,
-    and the faces planned in one call per station count.  An edge's
-    boundary values are its two corner samples, which the plan holds
+    The tree is held as sorted integer keys.  The leaves of level ``d`` are
+    the row-major flat indices of their cells on the (2**d)**m grid, with a
+    flag for Whitney (against depth-cap) leaves; ``evaluate_many`` descends
+    every query at once, one ``searchsorted`` per level.  The skeleton lines
+    are one sorted key array: per fixed axis, line and position along it,
+    so the corners on one side of a cell are one contiguous range of it,
+    and a minimal edge runs from an entry to the next; an entry's index
+    names its edge.  Its first part, the lines of fixed x (the only line in
+    1-D), is the flat indices of the corners on the (2**depth + 1)**m
+    lattice of the finest scale, and each corner keeps its nearest sample.
+
+    Plans are built per batch of queries and cached on the instance: the
+    batch's new leaf faces have their minimal edges planned in one stacked
+    call, their perimeter stations evaluated as array arithmetic on those
+    edge plans, and the faces planned in one call per station count.  An
+    edge's boundary values are its two corner samples, which the plan holds
     already in row order, so a perimeter value costs only arithmetic; a
     face query adds one G-inf match per split level.
 
@@ -347,15 +349,22 @@ class WhitneyExtension:
         enclosing square, and queries must lie in the box.
     depth : int
         Dyadic subdivision cap.
+
+    A bad argument raises ``ArgumentError`` naming its parameter.
     """
 
     def __init__(self, data, domain_box, depth: int):
         if not data:
-            raise ValueError("sample set must be nonempty")
-        locs = np.array([np.asarray(loc, dtype=float).reshape(-1) for loc, _ in data])
-        self.m = locs.shape[1]
+            raise ArgumentError("data", "sample set must be nonempty")
+        locs = [np.asarray(loc, dtype=float).reshape(-1) for loc, _ in data]
+        self.m = locs[0].size
+        if any(loc.size != self.m for loc in locs):
+            raise ArgumentError("data", "sample locations must all have the same dimension")
         if self.m not in (1, 2):
-            raise ValueError(f"only m in {{1, 2}} is supported, got m={self.m}")
+            raise ArgumentError("data", f"only m in {{1, 2}} is supported, got m={self.m}")
+        locs = np.array(locs)
+        if not np.isfinite(locs).all():
+            raise ArgumentError("data", "sample locations must be finite")
         vals = []
         Q = n = None
         for _, value in data:
@@ -364,59 +373,77 @@ class WhitneyExtension:
             if Q is None:
                 Q, n = value.Q, value.n
             elif (value.Q, value.n) != (Q, n):
-                raise ValueError("all sample values must share Q and n")
+                raise ArgumentError("data", "all sample values must share Q and n")
             vals.append(value.points)
         if np.unique(locs, axis=0).shape[0] != locs.shape[0]:
-            raise ValueError("sample locations must be distinct")
+            raise ArgumentError("data", "sample locations must be distinct")
         self.Q, self.n = Q, n
         self.locs = locs
         self.vals = np.array(vals)
-        box = np.asarray(domain_box, dtype=float).reshape(self.m, 2)
+        box = np.asarray(domain_box, dtype=float)
+        if box.size != 2 * self.m:
+            raise ArgumentError("domain_box", f"domain box must hold a [low, high] pair for "
+                                              f"each of the m={self.m} axes")
+        box = box.reshape(self.m, 2)
         if np.any(box[:, 0] > box[:, 1]):
-            raise ValueError(f"domain box {box.tolist()} has a low end above its high end")
+            raise ArgumentError("domain_box",
+                                f"domain box {box.tolist()} has a low end above its high end")
         self.root_lo = box[:, 0].copy()
         self.box_hi = box[:, 1].copy()
         self.S = float((box[:, 1] - box[:, 0]).max())
-        if self.S <= 0:
-            raise ValueError("domain box must have positive extent")
+        if not 0 < self.S < math.inf:
+            raise ArgumentError("domain_box", "domain box must have positive finite extent")
         self.depth = int(depth)
         if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
+            raise ArgumentError("depth", "depth must be nonnegative")
         if self.depth > 24:
-            raise ValueError(f"depth cap exceeded: {self.depth} > 24")
+            raise ArgumentError("depth", f"depth cap exceeded: {self.depth} > 24")
 
-        self._leaves = {}
         delta = np.array(list(np.ndindex(*(2,) * self.m)), dtype=np.int64)
         cells = np.zeros((1, self.m), dtype=np.int64)
-        corners = []
+        keys, whitneys, corners = [], [], []
         for d in range(self.depth + 1):
             size = self.S / (1 << d)
             whitney = size < self._dist_inf_to_cells(self.root_lo + cells * size, size)
-            self._leaves.update(((tuple(k), d), "w") for k in cells[whitney].tolist())
             side = 1 << (self.depth - d)
             corners.append(((cells[whitney] * side)[:, None, :] + delta * side).reshape(-1, self.m))
-            cells = cells[~whitney]
-            if d == self.depth:
-                self._leaves.update(((tuple(k), d), "near") for k in cells.tolist())
-            else:
-                cells = (2 * cells[:, None, :] + delta).reshape(-1, self.m)
+            # every cell left at the depth cap is a leaf
+            leaf = whitney if d < self.depth else np.ones_like(whitney)
+            flat = _flat(cells[leaf], d)
+            order = np.argsort(flat)
+            keys.append(flat[order])
+            whitneys.append(whitney[leaf][order])
+            if d < self.depth:
+                cells = (2 * cells[~whitney][:, None, :] + delta).reshape(-1, self.m)
+        # the leaves of level d are _leaf_keys[_level_start[d]:_level_start[d + 1]];
+        # a leaf's index in _leaf_keys keys its face plan
+        self._level_start = np.cumsum([0] + [len(k) for k in keys]).tolist()
+        self._leaf_keys = np.concatenate(keys)
+        self._leaf_whitney = np.concatenate(whitneys)
 
         # the corners in lexicographic order, deduplicated by their flat
         # index on the (2**depth + 1)**m lattice, which keeps that order
         corners = np.concatenate(corners)
-        lattice = ((1 << self.depth) + 1,) * self.m
-        _, first = np.unique(np.ravel_multi_index(corners.T, lattice), return_index=True)
-        corners = corners[first]
+        L = (1 << self.depth) + 1
+        self._lines, first = np.unique(np.ravel_multi_index(corners.T, (L,) * self.m),
+                                       return_index=True)
+        self._corners = corners[first]
         scale = self.S / (1 << self.depth)
-        nearest, _ = self._nearest_samples(self.root_lo + corners * scale)
-        self._corner_values = {tuple(c): self.vals[i]
-                               for c, i in zip(corners.tolist(), nearest.tolist())}
+        self._corner_nearest, _ = self._nearest_samples(self.root_lo + self._corners * scale)
+        # skeleton lines: in 2-D the key of a corner on the line where axis
+        # a is fixed is (a, fixed, along) in base L, so the columns are the
+        # corner keys themselves; in 1-D the one line is the corner keys
+        self._line_corner = np.arange(len(first))
         if self.m == 2:
-            self._columns = _lines(corners[:, 0], corners[:, 1])
-            self._rows = _lines(corners[:, 1], corners[:, 0])
-        # cone plans, built on first use: (k0, k1) corner keys -> minimal
-        # edge, (k, d) -> leaf face
-        self._edges = {}
+            by_row = self._corners[:, 1] * L + self._corners[:, 0]
+            order = np.argsort(by_row)
+            self._lines = np.concatenate([self._lines, L * L + by_row[order]])
+            self._line_corner = np.concatenate([self._line_corner, order])
+        # cone plans, built on first use: minimal edges as arrays indexed
+        # like _lines, leaf faces by leaf index
+        self._edge_planned = np.zeros(len(self._lines), dtype=bool)
+        self._edge_Y = np.empty((len(self._lines), Q, n))
+        self._edge_ends = np.empty((len(self._lines), 2, Q, n))
         self._faces = {}
 
     def _sup_gaps(self, lo: np.ndarray, size: float, budget: int):
@@ -449,128 +476,137 @@ class WhitneyExtension:
             gap[block] = d[np.arange(len(d)), index[block]]
         return index, gap
 
-    def _locate(self, x: np.ndarray):
-        """The leaf holding ``x``; every descent ends in one by the depth cap."""
-        k = np.zeros(self.m, dtype=np.int64)
-        d = 0
-        while (tuple(k), d) not in self._leaves:
-            lo = self.root_lo + k * (self.S / (1 << d))
-            d += 1
-            k = 2 * k + (x >= lo + self.S / (1 << d)).astype(np.int64)
-        return k, d, self._leaves[(tuple(k), d)]
+    def _locate(self, X: np.ndarray):
+        """The leaf holding each row of ``X``: its index in ``_leaf_keys``, its
+        cell ``k`` and its level ``d``.  All rows descend together, one level
+        at a time; every descent ends in a leaf by the depth cap."""
+        leaf = np.empty(len(X), dtype=np.intp)
+        k_out = np.empty(X.shape, dtype=np.int64)
+        d_out = np.empty(len(X), dtype=np.int64)
+        todo = np.arange(len(X))
+        k = np.zeros(X.shape, dtype=np.int64)
+        for d in range(self.depth + 1):
+            lo = self._level_start[d]
+            keys, flat = self._leaf_keys[lo:self._level_start[d + 1]], _flat(k, d)
+            at = np.searchsorted(keys, flat)
+            hit = at < len(keys)
+            hit[hit] = keys[at[hit]] == flat[hit]
+            found = todo[hit]
+            leaf[found], k_out[found], d_out[found] = lo + at[hit], k[hit], d
+            todo, k = todo[~hit], k[~hit]
+            if not todo.size:
+                break
+            # the float test of a one-query descent, so dyadic boundaries
+            # fall on the same side
+            corner = self.root_lo + k * (self.S / (1 << d))
+            k = 2 * k + (X[todo] >= corner + self.S / (1 << (d + 1))).astype(np.int64)
+        return leaf, k_out, d_out
 
-    def _edges_for(self, keys: list) -> list:
-        """The minimal edge of each ``(k0, k1)`` pair of integer corner keys;
-        the uncached ones are planned together."""
-        new = list(dict.fromkeys(key for key in keys if key not in self._edges))
-        if new:
-            scale = self.S / (1 << self.depth)
-            c0 = self.root_lo + np.array([k0 for k0, _ in new]) * scale
-            c1 = self.root_lo + np.array([k1 for _, k1 in new]) * scale
-            center = (c0 + c1) / 2.0
-            R = vector_norms(c1 - c0) / 2.0
-            plans = _cone_plan_many(np.array([[self._corner_values[k0], self._corner_values[k1]]
-                                              for k0, k1 in new]))
-            self._edges.update(zip(new, map(_Edge, center, R.tolist(), c0 - center, plans)))
-        return [self._edges[key] for key in keys]
+    def _plan_edges(self, ids: np.ndarray):
+        """Plan the minimal edges ``ids`` that are not planned yet, together."""
+        new = np.unique(ids[~self._edge_planned[ids]])
+        if new.size:
+            ends = self._corner_nearest[self._line_corner[np.stack([new, new + 1], axis=1)]]
+            Y, _, samples = _plan_rows(self.vals[ends])
+            self._edge_Y[new] = Y
+            self._edge_ends[new] = samples
+            self._edge_planned[new] = True
 
-    def _edge_values(self, keys: list, x: np.ndarray) -> np.ndarray:
-        """The cone extension along the minimal edge ``keys[i]`` at ``x[i]``."""
-        edges = self._edges_for(keys)
-        rel = x - np.array([edge.center for edge in edges])
-        R = np.array([edge.R for edge in edges])
-        out = np.array([edge.plan.Y for edge in edges])
+    def _edge_values(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The cone extension along the minimal edge ``ids[i]`` at ``x[i]``."""
+        self._plan_edges(ids)
+        scale = self.S / (1 << self.depth)
+        c0 = self.root_lo + self._corners[self._line_corner[ids]] * scale
+        c1 = self.root_lo + self._corners[self._line_corner[ids + 1]] * scale
+        center = (c0 + c1) / 2.0
+        R = vector_norms(c1 - c0) / 2.0
+        rel = x - center
+        out = self._edge_Y[ids]
         r = vector_norms(rel)
         far = np.flatnonzero(r > 1e-15 * R)
         if far.size:
             r, R = r[far], R[far]
             b = rel[far] * (R / r)[:, None]
-            toward = np.array([edges[i].toward_k0 for i in far.tolist()])
             # an edge's boundary is its two ends, so the plan already holds
             # the value there in output-row order
-            end = np.where((b * toward).sum(axis=1) > 0, 0, 1)
-            ends = np.array([edges[i].plan.samples[e] for i, e in zip(far.tolist(), end.tolist())])
+            end = np.where((b * (c0 - center)[far]).sum(axis=1) > 0, 0, 1)
+            ends = self._edge_ends[ids[far], end]
             out[far] = (r / R)[:, None, None] * ends + ((R - r) / R)[:, None, None] * out[far]
         return out
 
-    def _subedge_breaks(self, fixed_axis: int, fixed_int: int, lo_int: int, hi_int: int):
-        """Skeleton positions subdividing one side of a cell, endpoints included.
+    def _sides(self, base: np.ndarray, side: np.ndarray):
+        """Where the breaks of each side of each face lie in ``_lines``, as
+        ``start`` and ``stop`` arrays (F, 4).  The faces have integer base
+        corners ``base`` and sides ``side`` in units of the finest scale; the
+        sides are x = low, x = high, y = low and y = high.  A side's breaks
+        are every skeleton corner on it, endpoints included: they split it
+        into the minimal edges over which the cone construction is applied."""
+        L = (1 << self.depth) + 1
+        axis = np.array([0, 0, 1, 1])
+        key = axis * (L * L) + (base[:, axis] + np.array([0, 1, 0, 1]) * side[:, None]) * L
+        lo = key + base[:, 1 - axis]
+        return (np.searchsorted(self._lines, lo),
+                np.searchsorted(self._lines, lo + side[:, None], side="right"))
 
-        The side lies on the line where coordinate ``fixed_axis`` equals
-        ``fixed_int`` (in units of the finest dyadic scale) and runs from
-        ``lo_int`` to ``hi_int`` along the other axis.  Corners of smaller
-        neighbouring cells that fall on the side split it into the minimal
-        edges over which the cone construction is applied.
-        """
-        lines = self._columns if fixed_axis == 0 else self._rows
-        pos = lines.get(fixed_int)
-        breaks = {lo_int, hi_int}
-        if pos is not None:
-            inner = pos[(pos >= lo_int) & (pos <= hi_int)]
-            breaks.update(int(t) for t in inner)
-        return np.array(sorted(breaks))
-
-    def _perimeter_values(self, faces: list, rel: np.ndarray) -> np.ndarray:
-        """The value on the boundary of ``faces[i]`` at ``center + rel[i]``: the
-        cone extension along the minimal edge of the face's side that holds it."""
+    def _perimeter_edges(self, base: np.ndarray, side: np.ndarray, p: np.ndarray,
+                         rel: np.ndarray) -> np.ndarray:
+        """The minimal edge holding the point ``p[i] = center + rel[i]`` on the
+        boundary of the face ``(base[i], side[i])``: the side is the one
+        across the largest coordinate of ``rel[i]``."""
+        L = (1 << self.depth) + 1
         scale = self.S / (1 << self.depth)
-        rows = np.arange(len(faces))
-        p = np.array([face.center for face in faces]) + rel
-        base = np.array([face.base for face in faces])
+        rows = np.arange(len(p))
         fixed = np.argmax(np.abs(rel), axis=1)
         varying = 1 - fixed
         fixed_int = np.rint((p[rows, fixed] - self.root_lo[fixed]) / scale).astype(np.int64)
-        t_int = (p[rows, varying] - self.root_lo[varying]) / scale
-        high = fixed_int != base[rows, fixed]
-        keys = []
-        for face, axis, w, at, t in zip(faces, fixed.tolist(), (2 * fixed + high).tolist(),
-                                        fixed_int.tolist(), t_int.tolist()):
-            breaks = face.breaks[w]
-            j = min(max(bisect.bisect_right(breaks, t) - 1, 0), len(breaks) - 2)
-            if axis == 0:
-                keys.append(((at, breaks[j]), (at, breaks[j + 1])))
-            else:
-                keys.append(((breaks[j], at), (breaks[j + 1], at)))
-        return self._edge_values(keys, p)
+        # breaks are integers, so b <= t exactly when b <= floor(t)
+        t = np.floor((p[rows, varying] - self.root_lo[varying]) / scale).astype(np.int64)
+        key = fixed * (L * L) + fixed_int * L
+        lo = key + base[rows, varying]
+        start = np.searchsorted(self._lines, lo)
+        stop = np.searchsorted(self._lines, lo + side, side="right")
+        return np.clip(np.searchsorted(self._lines, key + t, side="right") - 1, start, stop - 2)
 
-    def _plan_faces(self, keys: list) -> list:
-        """Plan the leaf faces ``(k, d)``.  A face's samples are its perimeter
-        values at every skeleton corner and minimal-edge midpoint ("stations"):
-        each side in turn, in increasing position, the corners listed with
-        the sides x = low and x = high.  Station positions are integers in
-        half-units of the finest scale."""
+    def _perimeter_values(self, base: np.ndarray, side: np.ndarray, center: np.ndarray,
+                          rel: np.ndarray) -> np.ndarray:
+        """The value on the boundary of the face ``(base[i], side[i])`` at
+        ``center[i] + rel[i]``: the cone extension along the minimal edge of
+        the face's side that holds it."""
+        p = center + rel
+        return self._edge_values(self._perimeter_edges(base, side, p, rel), p)
+
+    def _plan_faces(self, base: np.ndarray, side: np.ndarray) -> list:
+        """Plan the leaf faces ``(base[i], side[i])``.  A face's samples are
+        its perimeter values at every skeleton corner and minimal-edge
+        midpoint ("stations"): each side in turn, in increasing position, the
+        corners listed with the sides x = low and x = high.  Station
+        positions are integers in half-units of the finest scale."""
+        L = (1 << self.depth) + 1
         scale = self.S / (1 << self.depth)
-        side = np.array([1 << (self.depth - d) for _, d in keys])
-        base = np.array([k for k, _ in keys], dtype=np.int64) * side[:, None]
         center = self.root_lo + (base + side[:, None] / 2.0) * scale
-        R = (side * scale / 2.0).tolist()
-        faces, owner, which, halves = [], [], [], []
-        for i, (lo, s) in enumerate(zip(base.tolist(), side.tolist())):
-            breaks = tuple(
-                tuple(self._subedge_breaks(axis, lo[axis] + end, lo[1 - axis],
-                                           lo[1 - axis] + s).tolist())
-                for axis in (0, 1) for end in (0, s)
-            )
-            faces.append(_Face(center[i], R[i], base[i], s, breaks, None))
-            for w, line in enumerate(breaks):
-                stations = [2 * line[0]]
-                for a, b in zip(line, line[1:]):
-                    stations += [a + b, 2 * b]
-                if w >= 2:
-                    stations = stations[1:-1]
-                owner += [i] * len(stations)
-                which += [w] * len(stations)
-                halves += stations
-        owner, which, halves = np.array(owner), np.array(which), np.array(halves)
+        start, stop = self._sides(base, side)
+        start, stop = start.ravel(), stop.ravel()
+        count = stop - start
+        segment = np.repeat(np.arange(count.size), count)
+        entry = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+        pos = self._lines[entry] % L
+        after = self._lines[np.minimum(entry + 1, len(self._lines) - 1)] % L
+        first, last = entry == start[segment], entry == stop[segment] - 1
+        # per break: the corner, then the midpoint of the edge it starts
+        halves = np.stack([2 * pos, pos + after], axis=1).ravel()
+        keep = np.stack([~((first | last) & (segment % 4 >= 2)), ~last], axis=1).ravel()
+        halves = halves[keep]
+        owner, which = np.divmod(np.repeat(segment, 2)[keep], 4)
         rows = np.arange(owner.size)
         fixed = which // 2
         fixed_int = base[owner, fixed] + (which % 2) * side[owner]
         p = np.empty((owner.size, 2))
         p[rows, fixed] = self.root_lo[fixed] + fixed_int * scale
         p[rows, 1 - fixed] = self.root_lo[1 - fixed] + (halves / 2) * scale
-        vals = self._perimeter_values([faces[i] for i in owner.tolist()], p - center[owner])
+        vals = self._perimeter_values(base[owner], side[owner], center[owner], p - center[owner])
 
-        counts = np.bincount(owner, minlength=len(keys))
+        plans = [None] * len(base)
+        counts = np.bincount(owner, minlength=len(base))
         starts = np.cumsum(counts) - counts
         by_count = {}
         for i, count in enumerate(counts.tolist()):
@@ -578,16 +614,18 @@ class WhitneyExtension:
         for count, members in by_count.items():
             stack = vals[starts[members][:, None] + np.arange(count)]
             for i, plan in zip(members, _cone_plan_many(stack)):
-                faces[i] = faces[i]._replace(plan=plan)
-        return faces
+                plans[i] = plan
+        return plans
 
-    def _faces_for(self, keys: list) -> list:
-        """The leaf face of each key ``(k, d)``; the uncached ones are planned
-        together."""
-        new = list(dict.fromkeys(key for key in keys if key not in self._faces))
+    def _faces_for(self, leaf: np.ndarray, base: np.ndarray, side: np.ndarray) -> list:
+        """The cone plan of the leaf face ``leaf[i]`` with corner ``base[i]``
+        and side ``side[i]``; the uncached ones are planned together."""
+        ids, first = np.unique(leaf, return_index=True)
+        new = [(i, f) for i, f in zip(ids.tolist(), first.tolist()) if i not in self._faces]
         if new:
-            self._faces.update(zip(new, self._plan_faces(new)))
-        return [self._faces[key] for key in keys]
+            at = [f for _, f in new]
+            self._faces.update(zip([i for i, _ in new], self._plan_faces(base[at], side[at])))
+        return [self._faces[i] for i in leaf.tolist()]
 
     def evaluate_many(self, queries) -> np.ndarray:
         """Values of the extension at the rows of ``queries`` (K, m), as a
@@ -608,46 +646,40 @@ class WhitneyExtension:
         nearest, gap = self._nearest_samples(X)
         # sample hits and cells at the depth cap take the nearest sample
         out = self.vals[nearest]
-        rows, keys = [], []
-        for i in np.flatnonzero(gap > 1e-12 * max(1.0, self.S)).tolist():
-            k, d, kind = self._locate(X[i])
-            if kind == "w":
-                rows.append(i)
-                keys.append((tuple(k.tolist()), d))
-        if not rows:
+        rows = np.flatnonzero(gap > 1e-12 * max(1.0, self.S))
+        leaf, k, d = self._locate(X[rows])
+        whitney = self._leaf_whitney[leaf]
+        rows, leaf, k, d = rows[whitney], leaf[whitney], k[whitney], d[whitney]
+        if not rows.size:
             return out
+        side = np.left_shift(1, self.depth - d)
+        base = k * side[:, None]
         if self.m == 1:
-            edges = [((k << (self.depth - d),), ((k + 1) << (self.depth - d),))
-                     for (k,), d in keys]
-            out[rows] = self._edge_values(edges, X[rows])
+            out[rows] = self._edge_values(np.searchsorted(self._lines, base[:, 0]), X[rows])
             return out
 
-        faces = self._faces_for(keys)
-        rel = X[rows] - np.array([face.center for face in faces])
-        R = np.array([face.R for face in faces])
+        plans = self._faces_for(leaf, base, side)
+        scale = self.S / (1 << self.depth)
+        center = self.root_lo + (base + side[:, None] / 2.0) * scale
+        R = side * scale / 2.0
+        rel = X[rows] - center
         r = np.abs(rel).max(axis=1)
-        for i, face in zip(rows, faces):
-            out[i] = face.plan.Y
+        out[rows] = [plan.Y for plan in plans]
         far = np.flatnonzero(r > 1e-15 * R)
         if not far.size:
             return out
-        boundary = self._perimeter_values([faces[i] for i in far.tolist()],
+        boundary = self._perimeter_values(base[far], side[far], center[far],
                                           rel[far] * (R[far] / r[far])[:, None])
         for j, i in enumerate(far.tolist()):
-            face, ri, Ri = faces[i], r[i], R[i]
-            value = _sorted(face.plan.sorter, boundary[j])
-            out[rows[i]] = (ri / Ri) * value + ((Ri - ri) / Ri) * face.plan.Y
+            plan, ri, Ri = plans[i], r[i], R[i]
+            value = _sorted(plan.sorter, boundary[j])
+            out[rows[i]] = (ri / Ri) * value + ((Ri - ri) / Ri) * plan.Y
         return out
 
     def evaluate(self, query) -> QTuple:
         """Value of the extension at a point of the domain box."""
         x = np.asarray(query, dtype=float).reshape(1, -1)
         return QTuple(self.evaluate_many(x)[0])
-
-
-def whitney_extend(A, domain_box, resolution: int, query) -> QTuple:
-    """One-shot dyadic extension query; see WhitneyExtension for batches."""
-    return WhitneyExtension(A, domain_box, resolution).evaluate(query)
 
 
 def extend_to_plane(f: GridFunction) -> GridFunction:

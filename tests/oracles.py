@@ -413,58 +413,89 @@ def _edge_reference(c0, c1, v0, v1, x):
     return cone_eval_reference(fn, pts, np.array([v0, v1]), R, x - center, "l2")
 
 
-def _nearest_sample_value(ext, x):
+def _nearest_sample_index(ext, x):
     d = np.abs(ext.locs - x[None, :]).max(axis=1)
-    return ext.vals[int(np.argmin(d))]
+    return int(np.argmin(d))
 
 
-def _corner_value(ext, key, scale):
-    val = ext._corner_values.get(key)
+def _nearest_sample_value(ext, x):
+    return ext.vals[_nearest_sample_index(ext, x)]
+
+
+def _corner_value(ext, structure, key, scale):
+    val = structure[1].get(key)
     if val is None:
         val = _nearest_sample_value(ext, ext.root_lo + np.array(key) * scale)
     return val
 
 
-def _face_reference(ext, k, d, x):
+def whitney_locate_reference(ext, leaves, x):
+    """``WhitneyExtension._locate`` for one query as it was on the dict tree:
+    descend from the root until ``leaves`` holds the cell.  Returns
+    ``(k, d, kind)`` with ``kind`` "w" or "near"."""
+    k = np.zeros(ext.m, dtype=np.int64)
+    d = 0
+    while (tuple(k), d) not in leaves:
+        lo = ext.root_lo + k * (ext.S / (1 << d))
+        d += 1
+        k = 2 * k + (x >= lo + ext.S / (1 << d)).astype(np.int64)
+    return k, d, leaves[(tuple(k), d)]
+
+
+def whitney_breaks_reference(structure, fixed_axis, fixed_int, lo_int, hi_int):
+    """The skeleton positions subdividing one side of a cell, endpoints
+    included, as ``WhitneyExtension._subedge_breaks`` found them in the dict
+    skeleton lines of ``structure``: the side lies on the line where
+    coordinate ``fixed_axis`` equals ``fixed_int`` and runs from ``lo_int``
+    to ``hi_int`` along the other axis."""
+    lines = structure[2] if fixed_axis == 0 else structure[3]
+    pos = lines.get(fixed_int)
+    breaks = {lo_int, hi_int}
+    if pos is not None:
+        inner = pos[(pos >= lo_int) & (pos <= hi_int)]
+        breaks.update(int(t) for t in inner)
+    return np.array(sorted(breaks))
+
+
+def whitney_perimeter_edge_reference(ext, structure, base, side, b_rel):
+    """The corner keys ``(k0, k1)`` of the minimal edge holding the point
+    ``center + b_rel`` on the boundary of the face with integer base corner
+    ``base`` and side ``side``, by bisection in the side's breaks."""
     scale = ext.S / (1 << ext.depth)
-    side = 1 << (ext.depth - d)
-    base = np.asarray(k, dtype=np.int64) * side
-    center = ext.root_lo + (base + side / 2.0) * scale
-    R = side * scale / 2.0
+    center = ext.root_lo + (np.asarray(base) + side / 2.0) * scale
+    p = center + b_rel
+    fixed_axis = int(np.argmax(np.abs(b_rel)))
+    varying = 1 - fixed_axis
+    fixed_int = int(round((p[fixed_axis] - ext.root_lo[fixed_axis]) / scale))
+    breaks = whitney_breaks_reference(
+        structure, fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
+    )
+    t_int = (p[varying] - ext.root_lo[varying]) / scale
+    j = int(np.searchsorted(breaks, t_int, side="right") - 1)
+    j = max(0, min(j, breaks.size - 2))
 
-    def perimeter(b_rel):
-        p = center + b_rel
-        fixed_axis = int(np.argmax(np.abs(b_rel)))
-        varying = 1 - fixed_axis
-        fixed_int = int(round((p[fixed_axis] - ext.root_lo[fixed_axis]) / scale))
-        breaks = ext._subedge_breaks(
-            fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
-        )
-        t_int = (p[varying] - ext.root_lo[varying]) / scale
-        j = int(np.searchsorted(breaks, t_int, side="right") - 1)
-        j = max(0, min(j, breaks.size - 2))
+    def key_at(var_int):
+        key = [0, 0]
+        key[fixed_axis] = fixed_int
+        key[varying] = int(var_int)
+        return tuple(key)
 
-        def key_at(var_int):
-            key = [0, 0]
-            key[fixed_axis] = fixed_int
-            key[varying] = int(var_int)
-            return tuple(key)
+    return key_at(breaks[j]), key_at(breaks[j + 1])
 
-        k0, k1 = key_at(breaks[j]), key_at(breaks[j + 1])
-        c0 = ext.root_lo + np.array(k0) * scale
-        c1 = ext.root_lo + np.array(k1) * scale
-        return _edge_reference(
-            c0, c1, _corner_value(ext, k0, scale), _corner_value(ext, k1, scale), p
-        )
 
-    pts_rel = []
-    vals_list = []
+def whitney_stations_reference(ext, structure, base, side):
+    """The perimeter stations of a face, relative to its center, in the order
+    of its cone samples: each side in turn, the corners with the sides
+    x = low and x = high, every break and every minimal-edge midpoint."""
+    scale = ext.S / (1 << ext.depth)
+    center = ext.root_lo + (np.asarray(base) + side / 2.0) * scale
+    out = []
     seen = set()
     for fixed_axis in range(2):
         varying = 1 - fixed_axis
         for fixed_int in (int(base[fixed_axis]), int(base[fixed_axis]) + side):
-            breaks = ext._subedge_breaks(
-                fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
+            breaks = whitney_breaks_reference(
+                structure, fixed_axis, fixed_int, int(base[varying]), int(base[varying] + side)
             )
             stations = sorted(
                 set(float(t) for t in breaks)
@@ -480,20 +511,41 @@ def _face_reference(ext, k, d, x):
                 if key in seen:
                     continue
                 seen.add(key)
-                pts_rel.append(rel)
-                vals_list.append(perimeter(rel))
+                out.append(rel)
+    return np.array(out)
+
+
+def _face_reference(ext, structure, k, d, x):
+    scale = ext.S / (1 << ext.depth)
+    side = 1 << (ext.depth - d)
+    base = np.asarray(k, dtype=np.int64) * side
+    center = ext.root_lo + (base + side / 2.0) * scale
+    R = side * scale / 2.0
+
+    def perimeter(b_rel):
+        k0, k1 = whitney_perimeter_edge_reference(ext, structure, base, side, b_rel)
+        c0 = ext.root_lo + np.array(k0) * scale
+        c1 = ext.root_lo + np.array(k1) * scale
+        return _edge_reference(c0, c1, _corner_value(ext, structure, k0, scale),
+                               _corner_value(ext, structure, k1, scale), center + b_rel)
+
+    pts_rel = whitney_stations_reference(ext, structure, base, side)
+    vals_list = [perimeter(rel) for rel in pts_rel]
     return cone_eval_reference(
-        perimeter, np.array(pts_rel), np.array(vals_list), R, x - center, "linf"
+        perimeter, pts_rel, np.array(vals_list), R, x - center, "linf"
     )
 
 
-def whitney_evaluate_reference(ext, x):
+def whitney_evaluate_reference(ext, x, structure=None):
     """``WhitneyExtension.evaluate`` as it was before the cached cone plans:
     each query rebuilds the cone construction of every minimal edge it
-    reaches, through ``cone_eval_reference``.  Uses only the structure of
-    ``ext`` (leaves, corner values, skeleton lines), never its plan caches."""
+    reaches, through ``cone_eval_reference``.  Uses only the samples, box and
+    depth of ``ext`` and the dict tree ``structure`` (leaves, corner values,
+    skeleton lines), by default ``whitney_structure_reference(ext)``."""
     from qvalued.qspace import QTuple
 
+    if structure is None:
+        structure = whitney_structure_reference(ext)
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != ext.m:
         raise ValueError(f"query has dimension {x.size}, expected m={ext.m}")
@@ -503,7 +555,7 @@ def whitney_evaluate_reference(ext, x):
     hit = int(np.argmin(d_samples))
     if d_samples[hit] <= 1e-12 * max(1.0, ext.S):
         return QTuple(ext.vals[hit])
-    k, d, kind = ext._locate(x)
+    k, d, kind = whitney_locate_reference(ext, structure[0], x)
     if kind == "near":
         return QTuple(_nearest_sample_value(ext, x))
     if ext.m == 1:
@@ -512,10 +564,56 @@ def whitney_evaluate_reference(ext, x):
         lo_int = int(k[0]) * side
         c0 = np.array([ext.root_lo[0] + lo_int * scale])
         c1 = np.array([ext.root_lo[0] + (lo_int + side) * scale])
-        v0 = _corner_value(ext, (lo_int,), scale)
-        v1 = _corner_value(ext, (lo_int + side,), scale)
+        v0 = _corner_value(ext, structure, (lo_int,), scale)
+        v1 = _corner_value(ext, structure, (lo_int + side,), scale)
         return QTuple(_edge_reference(c0, c1, v0, v1, x))
-    return QTuple(_face_reference(ext, k, d, x))
+    return QTuple(_face_reference(ext, structure, k, d, x))
+
+
+def whitney_values_reference(ext, queries):
+    """``whitney_evaluate_reference`` at each row of ``queries``, as arrays,
+    on one reference tree."""
+    structure = whitney_structure_reference(ext)
+    return [whitney_evaluate_reference(ext, q, structure).points for q in queries]
+
+
+def whitney_tree_as_dicts(ext):
+    """The array tree of a ``WhitneyExtension`` in the dict form of
+    ``whitney_structure_reference``: ``(leaves, corner_values, columns,
+    rows)``.  Checks on the way that every key array is strictly increasing
+    and that the corner coordinates and skeleton entries agree with their keys."""
+    m, depth = ext.m, ext.depth
+    leaves = {}
+    for d in range(depth + 1):
+        lo, hi = ext._level_start[d], ext._level_start[d + 1]
+        keys = ext._leaf_keys[lo:hi]
+        assert np.all(np.diff(keys) > 0)
+        for flat, whitney in zip(keys.tolist(), ext._leaf_whitney[lo:hi].tolist()):
+            k = tuple(int(c) for c in np.unravel_index(flat, (1 << d,) * m))
+            leaves[(k, d)] = "w" if whitney else "near"
+    L = (1 << depth) + 1
+    # the corner keys lead the skeleton line keys
+    corner_keys = ext._lines[:len(ext._corners)]
+    assert np.all(np.diff(corner_keys) > 0)
+    corners = np.array(np.unravel_index(corner_keys, (L,) * m)).T.reshape(-1, m)
+    assert np.array_equal(corners, ext._corners)
+    corner_values = {tuple(c): ext.vals[i]
+                     for c, i in zip(corners.tolist(), ext._corner_nearest.tolist())}
+    columns, rows = {}, {}
+    if m == 2:
+        assert np.all(np.diff(ext._lines) > 0)
+        for key, corner in zip(ext._lines.tolist(), ext._line_corner.tolist()):
+            axis, rest = divmod(key, L * L)
+            line, pos = divmod(rest, L)
+            assert corners[corner].tolist() == ([line, pos] if axis == 0 else [pos, line])
+            (columns if axis == 0 else rows).setdefault(line, []).append(pos)
+        for lines in (columns, rows):
+            for key in lines:
+                lines[key] = np.array(lines[key])
+    else:
+        assert len(ext._lines) == len(corners)
+        assert np.array_equal(ext._line_corner, np.arange(len(corners)))
+    return leaves, corner_values, columns, rows
 
 
 def whitney_structure_reference(ext):

@@ -140,7 +140,9 @@ class TestExtendCli:
         assert vals[2] == [[1.0]]
 
     @pytest.mark.parametrize("mode", ["cone", "whitney"])
-    @pytest.mark.parametrize("field,value", [("x", {"a": 1}), ("value", {"a": 1})])
+    @pytest.mark.parametrize("field,value", [("x", {"a": 1}), ("value", {"a": 1}),
+                                             ("x", [[1.0, 0.0]]), ("x", ["1.0", "0.0"]),
+                                             ("x", [True, 0.0]), ("x", [])])
     def test_bad_sample_field_named(self, tmp_path, capsys, mode, field, value):
         entry = {"x": [1.0, 0.0], "value": [[0.0]]}
         entry[field] = value
@@ -153,8 +155,15 @@ class TestExtendCli:
         assert main(["extend", mode, "--in", data, "--query", q]) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [("depth", 4.7), ("depth", -1),
-                                             ("box", "unit"), ("box", [[0.0, 1.0]])])
+    @pytest.mark.parametrize("field,value", [
+        ("depth", 4.7), ("depth", -1), ("depth", 30), ("box", "unit"), ("box", [[0.0, 1.0]]),
+        ("box", [[1.0, 0.0], [0.0, 1.0]]), ("box", [[0.0, 0.0], [0.5, 0.5]]),
+        ("box", [[0.0, "1"], [0.0, 1.0]]), ("data", []),
+        ("data", [{"x": [0.5, 0.5], "value": [[0.0]]}, {"x": [0.5, 0.5], "value": [[1.0]]}]),
+        ("data", [{"x": [0.5, 0.5], "value": [[0.0]]}, {"x": [0.1, 0.5], "value": [[1.0], [2.0]]}]),
+        ("data", [{"x": [0.5, 0.5], "value": [[0.0]]}, {"x": [0.1], "value": [[1.0]]}]),
+        ("data", [{"x": [0.5, 0.5, 0.5], "value": [[0.0]]}]),
+    ])
     def test_bad_whitney_field_named(self, tmp_path, capsys, field, value):
         obj = {"box": [[0.0, 1.0], [0.0, 1.0]], "depth": 4,
                "data": [{"x": [0.5, 0.5], "value": [[0.0]]}]}

@@ -9,7 +9,6 @@ from qvalued.extend import (
     WhitneyExtension,
     cone_extend,
     extend_to_plane,
-    whitney_extend,
 )
 from qvalued.grids import OUTSIDE, disk_mask, empty_grid
 from qvalued.qspace import MetricKind, QTuple, dist
@@ -166,9 +165,9 @@ class TestWhitneyExtend:
         assert ext.evaluate([0.0]).points[0, 0] == 0.0
         assert ext.evaluate([1.0]).points[0, 0] == 1.0
 
-    def test_one_shot_wrapper(self):
+    def test_single_query(self):
         A = [([0.0], QTuple([[0.0]])), ([1.0], QTuple([[1.0]]))]
-        out = whitney_extend(A, [[0.0, 1.0]], 6, [0.25])
+        out = WhitneyExtension(A, [[0.0, 1.0]], 6).evaluate([0.25])
         assert out.Q == 1
 
     def test_m1_lipschitz_envelope(self):

@@ -20,8 +20,11 @@ from oracles import (
     cone_extend_reference,
     cone_plan_reference,
     ginf_reference,
-    whitney_evaluate_reference,
+    nearest_samples_reference,
+    whitney_breaks_reference,
     whitney_structure_reference,
+    whitney_tree_as_dicts,
+    whitney_values_reference,
 )
 
 
@@ -290,27 +293,76 @@ class TestConePlanMany:
 
 
 def reference_whitney(ext):
+    """A copy of ``ext`` whose array tree is built from the dict tree of
+    ``whitney_structure_reference``, with empty plan caches."""
+    leaves, corner_values, columns, rows = whitney_structure_reference(ext)
+    m, depth = ext.m, ext.depth
+    L = (1 << depth) + 1
     ref = copy.copy(ext)
-    ref._leaves, ref._corner_values, ref._columns, ref._rows = whitney_structure_reference(ext)
-    ref._edges, ref._faces = {}, {}
+    keys, whitney, ref._level_start = [], [], [0]
+    for d in range(depth + 1):
+        level = sorted((int(np.ravel_multi_index(k, (1 << d,) * m)), kind == "w")
+                       for (k, at), kind in leaves.items() if at == d)
+        keys += [key for key, _ in level]
+        whitney += [w for _, w in level]
+        ref._level_start.append(len(keys))
+    ref._leaf_keys = np.array(keys, dtype=np.int64)
+    ref._leaf_whitney = np.array(whitney, dtype=bool)
+    corners = sorted(corner_values)
+    ref._corners = np.array(corners, dtype=np.int64).reshape(-1, m)
+    scale = ext.S / (1 << depth)
+    ref._corner_nearest, _ = nearest_samples_reference(ext.locs, ext.root_lo + ref._corners * scale)
+    for c, i in zip(corners, ref._corner_nearest):
+        assert np.array_equal(ext.vals[i], corner_values[c])
+    index = {c: i for i, c in enumerate(corners)}
+    if m == 1:
+        entries = [(c[0], index[c]) for c in corners]
+    else:
+        entries = [(line * L + pos, index[(line, pos)])
+                   for line in sorted(columns) for pos in columns[line].tolist()]
+        entries += [(L * L + line * L + pos, index[(pos, line)])
+                    for line in sorted(rows) for pos in rows[line].tolist()]
+    ref._lines = np.array([key for key, _ in entries], dtype=np.int64)
+    ref._line_corner = np.array([c for _, c in entries], dtype=np.intp)
+    ref._edge_planned = np.zeros(len(entries), dtype=bool)
+    ref._edge_Y = np.empty((len(entries), ext.Q, ext.n))
+    ref._edge_ends = np.empty((len(entries), 2, ext.Q, ext.n))
+    ref._faces = {}
     return ref
 
 
 def assert_same_structure(ext, ref):
-    assert ext._leaves == ref._leaves
-    assert ext._corner_values.keys() == ref._corner_values.keys()
-    for key, val in ref._corner_values.items():
-        assert np.array_equal(ext._corner_values[key], val)
-    if ext.m == 2:
-        for mine, theirs in ((ext._columns, ref._columns), (ext._rows, ref._rows)):
-            assert mine.keys() == theirs.keys()
-            for key in theirs:
-                assert np.array_equal(mine[key], theirs[key])
+    for name in ("_leaf_keys", "_leaf_whitney", "_corners", "_corner_nearest", "_lines",
+                 "_line_corner"):
+        assert np.array_equal(getattr(ext, name), getattr(ref, name)), name
+    assert ext._level_start == ref._level_start
+    mine, theirs = whitney_tree_as_dicts(ext), whitney_tree_as_dicts(ref)
+    assert mine[0] == theirs[0]
+    assert mine[1].keys() == theirs[1].keys()
+    for key, val in theirs[1].items():
+        assert np.array_equal(mine[1][key], val)
+    for got, want in zip(mine[2:], theirs[2:]):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+
+
+def whitney_leaves(ext):
+    """The Whitney leaves ``(k, d)`` of ``ext``, sorted."""
+    return sorted(key for key, kind in whitney_tree_as_dicts(ext)[0].items() if kind == "w")
+
+
+def leaf_face(ext, leaf):
+    """The integer base corner and side of the leaf at index ``leaf``."""
+    d = int(np.searchsorted(ext._level_start, leaf, side="right")) - 1
+    k = np.array(np.unravel_index(int(ext._leaf_keys[leaf]), (1 << d,) * ext.m))
+    side = 1 << (ext.depth - d)
+    return k * side, side
 
 
 def skeleton_queries(ext, rng, leaves=12):
     """Centres, corners and side midpoints of some Whitney leaves."""
-    keys = sorted(key for key, kind in ext._leaves.items() if kind == "w")
+    keys = whitney_leaves(ext)
     out = []
     for i in rng.choice(len(keys), min(leaves, len(keys)), replace=False):
         k, d = keys[i]
@@ -345,7 +397,7 @@ class TestWhitneyAgainstReference:
         ext = WhitneyExtension(list(zip(locs, vals)), box, 6)
         ref = reference_whitney(ext)
         assert_same_structure(ext, ref)
-        assert np.array_equal(ext._corner_values[(16,) * m], vals[0])
+        assert np.array_equal(whitney_tree_as_dicts(ext)[1][(16,) * m], vals[0])
 
         queries = np.vstack([rng.uniform(0.0, 1.0, (25, m)), locs[:3],
                              np.full((1, m), 0.25)])
@@ -354,7 +406,9 @@ class TestWhitneyAgainstReference:
         if kind == "clustered":
             assert splits, "the clustered data should take the split branch"
         monkeypatch.undo()
-        assert_same_values(fast, [whitney_evaluate_reference(ref, q).points for q in queries])
+        assert_same_values(fast, whitney_values_reference(ext, queries))
+        # the array code on the tree built from the reference
+        assert_same_values(fast, ref.evaluate_many(queries))
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("kind", ["clustered", "random"])
@@ -365,8 +419,7 @@ class TestWhitneyAgainstReference:
         queries = skeleton_queries(ext, rng)
         assert len(queries) >= 12 * 2 * m
         fast = [ext.evaluate(q).points for q in queries]
-        assert_same_values(fast, [whitney_evaluate_reference(ext, q).points
-                                  for q in queries])
+        assert_same_values(fast, whitney_values_reference(ext, queries))
 
     @pytest.mark.parametrize("kind", ["clustered", "random"])
     def test_queries_sharing_a_leaf_match_a_fresh_instance(self, kind):
@@ -375,17 +428,18 @@ class TestWhitneyAgainstReference:
         data, box = list(zip(locs, vals)), [[0.0, 1.0], [0.0, 1.0]]
         ext = WhitneyExtension(data, box, 6)
         # the largest Whitney leaf, probed many times in a random order
-        (k, d) = min(key for key, kind in ext._leaves.items() if kind == "w")
+        (k, d) = min(whitney_leaves(ext))
         size = ext.S / (1 << d)
         lo = ext.root_lo + np.array(k) * size
         queries = lo + size * rng.uniform(0.0, 1.0, (15, 2))
         queries = np.vstack([queries, queries[::-1]])
         shared = [ext.evaluate(q).points for q in queries]
-        assert list(ext._faces) == [(k, d)]
+        [leaf] = ext._faces
+        base, side = leaf_face(ext, leaf)
+        assert side == 1 << (ext.depth - d) and base.tolist() == (np.array(k) * side).tolist()
         fresh = [WhitneyExtension(data, box, 6).evaluate(q).points for q in queries]
         assert_same_values(shared, fresh)
-        assert_same_values(shared, [whitney_evaluate_reference(ext, q).points
-                                    for q in queries])
+        assert_same_values(shared, whitney_values_reference(ext, queries))
 
     def test_concurrent_queries_match_sequential(self):
         # the plan caches fill lazily; threads racing to build the same plan
@@ -436,16 +490,20 @@ class TestEvaluateMany:
             assert splits, "the clustered data should take the split branch"
         monkeypatch.undo()
         assert got.shape == (len(queries), 3, 2)
-        assert_same_values(got, [whitney_evaluate_reference(ext, q).points for q in queries])
+        assert_same_values(got, whitney_values_reference(ext, queries))
         one = WhitneyExtension(data, box, 6)
         assert_same_values(got, [one.evaluate(q).points for q in queries])
         # a second batch on the same instance reuses the cached plans
         again = ext.evaluate_many(queries[::-1])
         assert_same_values(again[::-1], got)
         # a face's samples are one corner and one midpoint per minimal edge
-        for face in ext._faces.values():
-            edges = sum(len(breaks) - 1 for breaks in face.breaks)
-            assert face.plan.samples.shape[0] == 2 * edges
+        structure = whitney_structure_reference(ext)
+        for leaf, plan in ext._faces.items():
+            base, side = leaf_face(ext, leaf)
+            edges = sum(whitney_breaks_reference(structure, axis, base[axis] + end,
+                                                 base[1 - axis], base[1 - axis] + side).size - 1
+                        for axis in (0, 1) for end in (0, side))
+            assert plan.samples.shape[0] == 2 * edges
 
     def test_batches_of_any_split_agree(self):
         rng = np.random.default_rng(8)
@@ -475,6 +533,6 @@ class TestEvaluateMany:
         with pytest.raises(extend.QueryError, match=problem) as info:
             ext.evaluate_many(queries)
         assert info.value.index == 2 and str(info.value).startswith("query 2: ")
-        assert plans == [] and ext._edges == {} and ext._faces == {}
+        assert plans == [] and not ext._edge_planned.any() and ext._faces == {}
         with pytest.raises(ValueError, match="dimension 3"):
             ext.evaluate_many(np.zeros((2, 3)))

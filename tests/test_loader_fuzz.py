@@ -1,0 +1,182 @@
+"""Fuzz test of the ``qv extend whitney`` loaders.  Hypothesis writes a valid
+``samples.json`` and ``queries.csv`` and then breaks them in up to three
+ways.  Every run must end in exit code 0, 1 or 2 and never in a traceback;
+a run with a fault must exit 1 with a message that names a faulty field or
+CSV row, and a run without one must exit 0 with one value per row."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from qvalued.cli import main
+
+# each fault breaks one thing in a valid pair of files, and names what a
+# message about it must mention
+FIELD_FAULTS = {
+    "empty data": "data", "missing data": "data", "data not a list": "data",
+    "duplicate x": "data", "mixed Q": "data", "mixed n": "data", "m = 3": "data",
+    "x lengths differ": "data", "nested x": "x", "x not numbers": "x", "empty x": "x",
+    "x not finite": "x", "entry not an object": "x", "missing x": "x",
+    "missing value": "value", "value not numbers": "value", "ragged value": "value",
+    "missing box": "box", "reversed box": "box", "zero box": "box", "box shape": "box",
+    "box not numbers": "box", "box not finite": "box", "depth over cap": "depth",
+    "negative depth": "depth", "fractional depth": "depth", "depth not a number": "depth",
+    "not an object": "box",
+}
+# applied after the others, in this order, since each replaces what they change
+LAST = ("entry not an object", "empty data", "missing data", "data not a list",
+        "not an object")
+ROW_FAULTS = ("row width", "row not finite", "row outside the box", "row not numbers",
+              "no rows")
+
+NAMES = {field: re.compile(f"'{field}'") for field in set(FIELD_FAULTS.values())}
+NAMES["row"] = re.compile(r"row \d+ of ")
+NAMES["no rows"] = re.compile("no rows in ")
+
+
+@st.composite
+def cases(draw):
+    """``(samples object, CSV lines, faults)`` for a random valid case broken
+    by the faults drawn."""
+    m = draw(st.sampled_from([1, 2]))
+    Q, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lo = [draw(st.floats(-1.0, 1.0)) for _ in range(m)]
+    hi = [a + draw(st.floats(0.1, 3.0)) for a in lo]
+
+    def point():
+        return [min(b, a + draw(st.floats(0.0, 1.0)) * (b - a)) for a, b in zip(lo, hi)]
+
+    def value(rows=Q, cols=n):
+        return [[draw(st.floats(-1.0, 1.0)) for _ in range(cols)] for _ in range(rows)]
+
+    locs = {tuple(point()) for _ in range(draw(st.integers(1, 5)))}
+    data = [{"x": list(x), "value": value()} for x in sorted(locs)]
+    obj = {"box": [[a, b] for a, b in zip(lo, hi)], "data": data}
+    if draw(st.booleans()):
+        obj["depth"] = draw(st.integers(0, 10))
+    rows = [point() for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rows.append(list(data[0]["x"]))
+    lines = [",".join(map(repr, row)) for row in rows]
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "  "])))
+
+    faults = draw(st.lists(st.sampled_from(sorted(FIELD_FAULTS) + list(ROW_FAULTS)),
+                           max_size=3, unique=True))
+    faults.sort(key=lambda fault: LAST.index(fault) if fault in LAST else -1)
+    far = [b + 1.0 for b in hi]  # a location no sample has
+    first = list(data[0]["x"])
+    for fault in faults:
+        entry = draw(st.sampled_from(data))
+        if fault == "empty data":
+            obj["data"] = []
+        elif fault == "missing data":
+            obj.pop("data", None)
+        elif fault == "data not a list":
+            obj["data"] = draw(st.sampled_from([{}, "data", 3]))
+        elif fault == "duplicate x":
+            data.append({"x": first, "value": value()})
+        elif fault == "mixed Q":
+            data.append({"x": far, "value": value(rows=Q + 1)})
+        elif fault == "mixed n":
+            data.append({"x": far, "value": value(cols=n + 1)})
+        elif fault == "m = 3":
+            for e in data:
+                if isinstance(e.get("x"), list):
+                    e["x"] = e["x"] + [0.5] * (3 - m)
+            obj["box"] = [[0.0, 1.0]] * 3
+        elif fault == "x lengths differ":
+            data.append({"x": far + [0.5] if m == 1 else far[:1], "value": value()})
+        elif fault == "nested x":
+            entry["x"] = [[c] for c in first]
+        elif fault == "x not numbers":
+            entry["x"] = draw(st.sampled_from(["0.5", None, True, 0.5, [None], [True] * m,
+                                               list(map(str, first))]))
+        elif fault == "empty x":
+            entry["x"] = []
+        elif fault == "x not finite":
+            entry["x"] = [draw(st.sampled_from([math.nan, math.inf]))] * m
+        elif fault == "entry not an object":
+            data[data.index(entry)] = draw(st.sampled_from([1, "e", []]))
+        elif fault == "missing x":
+            entry.pop("x", None)
+        elif fault == "missing value":
+            entry.pop("value", None)
+        elif fault == "value not numbers":
+            entry["value"] = draw(st.sampled_from(["v", None, [["a"]], [[math.nan]], []]))
+        elif fault == "ragged value":
+            entry["value"] = [[0.5] * n, [0.5] * (n + 1)]
+        elif fault == "missing box":
+            obj.pop("box", None)
+        elif fault == "reversed box":
+            obj["box"] = [[b, a] for a, b in zip(lo, hi)]
+        elif fault == "zero box":
+            obj["box"] = [[a, a] for a in lo]
+        elif fault == "box shape":
+            obj["box"] = [[0.0, 1.0]] * (3 - m)
+        elif fault == "box not numbers":
+            obj["box"] = draw(st.sampled_from(["unit", None, [[a, str(b)] for a, b in zip(lo, hi)],
+                                               [[a, [b]] for a, b in zip(lo, hi)]]))
+        elif fault == "box not finite":
+            obj["box"] = [[a, math.inf] for a in lo]
+        elif fault == "depth over cap":
+            obj["depth"] = draw(st.integers(25, 40))
+        elif fault == "negative depth":
+            obj["depth"] = draw(st.integers(-3, -1))
+        elif fault == "fractional depth":
+            obj["depth"] = 4.5
+        elif fault == "depth not a number":
+            obj["depth"] = draw(st.sampled_from(["6", None, True, [6]]))
+        elif fault == "not an object":
+            obj = draw(st.sampled_from([[], "samples", 7]))
+        elif fault == "row width":
+            lines.append(",".join(["0.5"] * (m + 1)))
+        elif fault == "row not finite":
+            lines.append(",".join(["nan"] * m))
+        elif fault == "row outside the box":
+            lines.append(",".join(map(repr, far)))
+        elif fault == "row not numbers":
+            lines.append(draw(st.sampled_from(["a,b", "0.5;0.5", "0.5,,0.5", "0x1"])))
+        elif fault == "no rows":
+            lines = ["# nothing"]
+    return obj, lines, faults
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases())
+def test_whitney_loader_exits_cleanly_and_names_the_fault(case):
+    obj, lines, faults = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "samples.json")
+        query = os.path.join(tmp, "queries.csv")
+        out = os.path.join(tmp, "values.json")
+        with open(data, "w") as fh:
+            json.dump(obj, fh)
+        with open(query, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(["extend", "whitney", "--in", data, "--query", query,
+                             "--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        message = err.getvalue()
+        assert code in (0, 1, 2), message
+        assert "Traceback" not in message
+        if not faults:
+            assert code == 0, message
+            with open(out) as fh:
+                values = json.load(fh)
+            assert len(values) == sum(1 for line in lines
+                                      if line.strip() and not line.lstrip().startswith("#"))
+            return
+        assert code == 1, (faults, message)
+        named = {FIELD_FAULTS.get(fault, "no rows" if fault == "no rows" else "row")
+                 for fault in faults}
+        assert any(NAMES[name].search(message) for name in named), (faults, message)

@@ -14,6 +14,7 @@ from oracles import (
     nearest_reference,
     nearest_samples_reference,
     whitney_structure_reference,
+    whitney_tree_as_dicts,
 )
 
 
@@ -24,15 +25,15 @@ def build(locs, box, depth, Q=2):
 
 def assert_structure_matches_reference(ext):
     leaves, corner_values, columns, rows = whitney_structure_reference(ext)
-    assert ext._leaves == leaves
-    # the deduplicated corners keep lexicographic order
-    assert list(ext._corner_values) == sorted(corner_values)
+    # the conversion checks that the corners keep lexicographic order
+    mine = whitney_tree_as_dicts(ext)
+    assert mine[0] == leaves
+    assert mine[1].keys() == corner_values.keys()
     for key, val in corner_values.items():
-        assert np.array_equal(ext._corner_values[key], val)
-    if ext.m == 2:
-        for mine, theirs in ((ext._columns, columns), (ext._rows, rows)):
-            assert mine.keys() == theirs.keys()
-            assert all(np.array_equal(mine[key], theirs[key]) for key in theirs)
+        assert np.array_equal(mine[1][key], val)
+    for got, theirs in zip(mine[2:], (columns, rows)):
+        assert got.keys() == theirs.keys()
+        assert all(np.array_equal(got[key], theirs[key]) for key in theirs)
 
 
 def cells_at(ext, d):
@@ -71,7 +72,7 @@ class TestSupNormSearches:
         ext = build(locs, [[0.0, 1.0]] * m, 5)
         scale = ext.S / (1 << ext.depth)
         x = np.vstack([rng.uniform(0.0, 1.0, (200, m)), locs,
-                       ext.root_lo + np.array(list(ext._corner_values)) * scale])
+                       ext.root_lo + ext._corners * scale])
         index, gap = ext._nearest_samples(x)
         ref_index, ref_gap = nearest_samples_reference(ext.locs, x)
         assert np.array_equal(index, ref_index) and np.array_equal(gap, ref_gap)
@@ -84,7 +85,7 @@ class TestSupNormSearches:
             ext = build(np.vstack([order, np.full((1, m), 0.9)]), [[0.0, 1.0]] * m, 6)
             index, gap = ext._nearest_samples(corner)
             assert index.tolist() == [0] and gap.tolist() == [0.125]
-            assert np.array_equal(ext._corner_values[(16,) * m], ext.vals[0])
+            assert np.array_equal(whitney_tree_as_dicts(ext)[1][(16,) * m], ext.vals[0])
             assert_structure_matches_reference(ext)
 
     @pytest.mark.parametrize("depth", [0, 3])
