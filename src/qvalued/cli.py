@@ -348,6 +348,11 @@ def _load_check_config(path: str) -> verify.CheckConfig:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise DataError(f"expected a JSON object in {path}")
+    known = [f.name for f in dataclasses.fields(verify.CheckConfig)]
+    for name in obj:
+        if name not in known:
+            raise DataError(f"unknown field '{name}' in {path}; expected one of "
+                            f"{', '.join(known)}")
     if "seed" in obj:
         _int_field(obj, "seed", path, lowest=0)
     if "trials" in obj:

@@ -23,9 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 from .extend import BoundarySample, WhitneyExtension
 from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _nearest, index_tuples
@@ -158,7 +155,8 @@ def _boundary_values(boundary, grid: GridFunction) -> dict:
 def _stranded(size: int, u: np.ndarray, v: np.ndarray, bnodes: np.ndarray,
               interior: np.ndarray) -> np.ndarray:
     """Interior nodes whose component of the edge graph holds no boundary node."""
-    # local import: csgraph adds ~1 MB and ~5 ms to every `qv` start-up otherwise
+    # local import: scipy.sparse and csgraph add ~0.35 s to every `qv` start-up otherwise
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     graph = csr_matrix((np.ones(u.size), (u, v)), shape=(size, size))
@@ -347,6 +345,9 @@ def _line_minimum(S, b, c, p):
 
     if not slope(0.0) < 0.0:
         return 0.0
+    # local import: scipy.optimize adds ~0.3 s to scipy.sparse, and only p != 2 needs it
+    from scipy.optimize import brentq
+
     return 64.0 if slope(64.0) < 0.0 else brentq(slope, 0.0, 64.0, xtol=1e-14, disp=False)
 
 
@@ -357,6 +358,10 @@ def _branch_step_linear(Y, ga, gb, slot, free, weight):
     ``weight[e]``; the unknowns are the rows ``free`` of ``Y``.  Returns
     their values at the minimizer, one row per unknown.
     """
+    # local import: scipy.sparse.linalg costs ~0.35 s at start-up, and only `qv solve` needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import splu
+
     N = free.size
     a, b = slot[ga].ravel(), slot[gb].ravel()
     wt = np.repeat(weight, ga.shape[1])

@@ -268,7 +268,7 @@ class ConeExtension:
             raise ValueError("query must lie in the closed ball of radius R")
         gaps = np.linalg.norm(self.locs - query, axis=1)
         nearest = int(np.argmin(gaps))
-        if gaps[nearest] <= 1e-12 * max(1.0, self.R):
+        if gaps[nearest] <= 1e-12 * self.R:
             return self._values[nearest]
         plan, R = self._plan, self.R
         r = float(np.linalg.norm(query))
@@ -646,7 +646,7 @@ class WhitneyExtension:
         nearest, gap = self._nearest_samples(X)
         # sample hits and cells at the depth cap take the nearest sample
         out = self.vals[nearest]
-        rows = np.flatnonzero(gap > 1e-12 * max(1.0, self.S))
+        rows = np.flatnonzero(gap > 1e-12 * self.S)
         leaf, k, d = self._locate(X[rows])
         whitney = self._leaf_whitney[leaf]
         rows, leaf, k, d = rows[whitney], leaf[whitney], k[whitney], d[whitney]

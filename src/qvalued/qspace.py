@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class SplitRadiusError(ValueError):
@@ -148,6 +147,9 @@ def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
     row to the smallest feasible column, re-solving the remaining block to
     confirm optimality is preserved.
     """
+    # local import: scipy.optimize costs ~0.6 s at start-up, and only G1/G2 at Q > 5 need it
+    from scipy.optimize import linear_sum_assignment
+
     Q = cost.shape[0]
     rows, cols = linear_sum_assignment(cost)
     # relative, so that the rule does not depend on the scale of the data

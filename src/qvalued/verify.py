@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -60,14 +61,17 @@ class CheckConfig:
             raise ValueError("trials must be at least 1")
         for name, rng in (("Q_range", self.Q_range), ("n_range", self.n_range),
                           ("m_range", self.m_range)):
-            if len(rng) != 2 or rng[0] > rng[1] or rng[0] < 1:
-                raise ValueError(f"{name} must be a nonempty range of positive integers")
+            # the draws take int64 bounds; past 2**31 the sizes are out of reach anyway
+            if len(rng) != 2 or not 1 <= rng[0] <= rng[1] < 2**31:
+                raise ValueError(f"{name} must be a nonempty range of positive integers "
+                                 "below 2**31")
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ValueError(f"tolerances has unknown name {name!r}; expected one of "
                                  f"{', '.join(_DEFAULT_TOLERANCES)}")
-            # every comparison with NaN is false: the check would pass or fail every trial
-            if not math.isfinite(value):
+            # every comparison with NaN is false: the check would pass or fail every
+            # trial; an int past the largest float would not convert
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"tolerances[{name!r}] must be a finite number, got {value!r}")
         merged = dict(_DEFAULT_TOLERANCES)
         merged.update(self.tolerances)

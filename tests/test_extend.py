@@ -157,6 +157,22 @@ class TestConeExtend:
         assert math.isfinite(worst)
         assert worst <= 50 * lip_boundary  # recorded envelope, Q=2
 
+    def test_values_do_not_depend_on_the_scale(self):
+        # a sample hit is a query within 1e-12 R of a sample, relative to R
+        # alone, so a small ball answers as the unit ball does
+        rng = np.random.default_rng(4)
+        angles = rng.uniform(0, 2 * math.pi, 5)
+        vals = rng.uniform(-1, 1, (5, 2, 2))
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        queries = np.vstack([rng.uniform(-0.6, 0.6, (6, 2)), dirs[:2]])
+        out = []
+        for scale in (1.0, 1e-6, 1e-13):
+            ext = ConeExtension(BoundarySample(list(zip(scale * dirs, vals)), R=scale, m=2))
+            out.append(np.array([ext.evaluate(scale * q).points for q in queries]))
+        for got in out[1:]:
+            np.testing.assert_allclose(got, out[0], rtol=0, atol=1e-12)
+        assert np.array_equal(out[2][-2:], vals[:2])
+
 
 class TestWhitneyExtend:
     def test_sample_reproduction_m1(self):
@@ -269,6 +285,21 @@ class TestWhitneyExtend:
                 [([0.5], QTuple([[1.0]])), ([0.5], QTuple([[2.0]]))],
                 [[0.0, 1.0]], 4,
             )
+
+    def test_values_do_not_depend_on_the_scale(self):
+        # a sample hit is a query within 1e-12 S of a sample, relative to the
+        # box extent S alone, so a small box answers as the unit box does
+        rng = np.random.default_rng(4)
+        locs = rng.uniform(0, 1, (6, 2))
+        vals = rng.uniform(-1, 1, (6, 2, 1))
+        queries = np.vstack([rng.uniform(0, 1, (8, 2)), locs[:2]])
+        out = []
+        for scale in (1.0, 1e-6, 1e-13):
+            ext = WhitneyExtension(list(zip(scale * locs, vals)), [[0, scale], [0, scale]], 8)
+            out.append(ext.evaluate_many(scale * queries))
+        for got in out[1:]:
+            np.testing.assert_allclose(got, out[0], rtol=0, atol=1e-12)
+        assert np.array_equal(out[2][-2:], vals[:2])
 
 
 @pytest.fixture(scope="module")

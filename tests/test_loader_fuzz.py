@@ -1,8 +1,8 @@
-"""Fuzz test of the ``qv extend whitney`` loaders.  Hypothesis writes a valid
-``samples.json`` and ``queries.csv`` and then breaks them in up to three
+"""Fuzz tests of the ``qv extend whitney`` and ``qv verify --config`` loaders.
+Hypothesis writes valid input files and then breaks them in up to three
 ways.  Every run must end in exit code 0, 1 or 2 and never in a traceback;
-a run with a fault must exit 1 with a message that names a faulty field or
-CSV row, and a run without one must exit 0 with one value per row."""
+a run with a fault must exit 1 with a message that names a faulty field (or
+CSV row), and a run without one must exit 0."""
 
 import contextlib
 import io
@@ -15,6 +15,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from qvalued.cli import main
+from qvalued.verify import _DEFAULT_TOLERANCES as TOLERANCES
 
 # each fault breaks one thing in a valid pair of files, and names what a
 # message about it must mention
@@ -180,3 +181,96 @@ def test_whitney_loader_exits_cleanly_and_names_the_fault(case):
         named = {FIELD_FAULTS.get(fault, "no rows" if fault == "no rows" else "row")
                  for fault in faults}
         assert any(NAMES[name].search(message) for name in named), (faults, message)
+
+
+# each fault of a check config sets one field to a value that breaks it
+RANGE_FAULTS = {
+    "not a list": [3, "1-3", None, {"lo": 1}],
+    "length": [[], [1], [1, 2, 3]],
+    "not integers": [[1.0, 2], [True, 2], ["1", 2], [1, None]],
+    "reversed": [[3, 1], [2, 1]],
+    "not positive": [[0, 2], [-1, 1]],
+    "too large": [[1, 2**31], [2**70, 2**70]],
+}
+CONFIG_FAULTS = {
+    "negative seed": ("seed", [-1, -7]),
+    "seed not an integer": ("seed", [1.5, "3", None, True, [3]]),
+    "zero trials": ("trials", [0, -2]),
+    "trials not an integer": ("trials", [2.0, "5", None, False, {}]),
+    **{f"{field} {fault}": (field, values)
+       for field in ("Q_range", "n_range", "m_range")
+       for fault, values in RANGE_FAULTS.items()},
+    "tolerances not an object": ("tolerances", [[], 1, None, "tight"]),
+    "tolerance not a number": ("tolerances", [{"zeta": "1e-9"}, {"xi_norm": None},
+                                              {"sqrt_q": True}, {"poincare_c": [64]}]),
+    "unknown tolerance": ("tolerances", [{"triangle": 1e-9}, {"sqrtq": 1}]),
+    "tolerance not finite": ("tolerances", [{"zeta": math.nan}, {"sqrt_q": math.inf},
+                                            {"poincare_c": -math.inf}, {"splitting": 10**400}]),
+}
+# whole-file faults, applied after the others; each names what its message says
+FILE_FAULTS = {"not an object": "JSON object", "malformed JSON": "malformed JSON"}
+UNKNOWN_FIELDS = ("trails", "Q", "tolerance", "seeds")
+
+
+@st.composite
+def configs(draw):
+    """``(config text, names the error message may give)`` for a random small
+    valid config broken by the faults drawn; no names when there is none."""
+    obj = {"trials": draw(st.integers(1, 3))}  # the default 200 would be slow
+    if draw(st.booleans()):
+        obj["seed"] = draw(st.integers(0, 2**64))
+    for field, top in (("Q_range", 3), ("n_range", 2), ("m_range", 2)):
+        if draw(st.booleans()):
+            lo = draw(st.integers(1, top))
+            obj[field] = [lo, draw(st.integers(lo, top))]
+    if draw(st.booleans()):
+        # larger tolerances only loosen a check, so a valid config passes
+        names = draw(st.lists(st.sampled_from(sorted(TOLERANCES)), unique=True))
+        obj["tolerances"] = {name: TOLERANCES[name] * draw(st.floats(1.0, 100.0))
+                             for name in names}
+
+    faults = draw(st.lists(st.sampled_from(sorted(CONFIG_FAULTS) + ["unknown field"]
+                                           + list(FILE_FAULTS)), max_size=3, unique=True))
+    faults.sort(key=lambda fault: fault in FILE_FAULTS)
+    named = set()
+    for fault in faults:
+        if fault == "unknown field":
+            field = draw(st.sampled_from(UNKNOWN_FIELDS))
+            obj[field] = draw(st.sampled_from([5, None, [1, 2]]))
+        elif fault in CONFIG_FAULTS:
+            field, values = CONFIG_FAULTS[fault]
+            obj[field] = draw(st.sampled_from(values))
+        elif fault == "not an object":
+            obj, field = draw(st.sampled_from([[], "cfg", 7, None])), FILE_FAULTS[fault]
+        else:
+            field = FILE_FAULTS[fault]
+        named.add(field)
+    text = json.dumps(obj)
+    if "malformed JSON" in faults:
+        text = draw(st.sampled_from([text[:-1], text + "}", "", "{'trials': 2}"]))
+    return text, named
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_check_config_loader_exits_cleanly_and_names_the_fault(case):
+    text, named = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(["verify", "--config", path])
+            except SystemExit as exc:
+                code = exc.code
+        message = err.getvalue().replace(path, "")
+    assert code in (0, 1, 2), message
+    assert "Traceback" not in message
+    if not named:
+        assert code == 0, (text, message)
+        return
+    assert code == 1, (text, message)
+    assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message) for name in named), \
+        (text, message)
