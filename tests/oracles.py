@@ -41,6 +41,37 @@ def brute_force_dist(v_pts, w_pts, kind):
     return best, arg
 
 
+def all_pairing_costs(v_pts, w_pts, kind):
+    """The cost of every pairing, with the permutations in lexicographic order.
+
+    G1 sums the paired distances, G2 sums their squares (exactly, on
+    integer points) and GINF takes their maximum.  Up to Q = 6 each pairing
+    is priced in Python; above that, where Q! reaches 40,320, the pairings
+    are priced at once over the kernel's permutation table.
+
+    Returns
+    -------
+    costs : ndarray, shape (Q!,)
+    perms : ndarray of int, shape (Q!, Q)
+    """
+    v = np.asarray(v_pts, dtype=float)
+    w = np.asarray(w_pts, dtype=float)
+    Q = v.shape[0]
+    if Q <= 6:
+        perms = np.array(list(itertools.permutations(range(Q))), dtype=int)
+        if kind == "g2":
+            costs = [sum(((v[i] - w[p[i]]) ** 2).sum() for i in range(Q)) for p in perms]
+        else:
+            costs = [pairing_cost(v, w, p, kind) for p in perms]
+        return np.array(costs), perms
+    from qvalued.qspace import _perm_table
+
+    perms = _perm_table(Q)
+    S = ((v[:, None, :] - w[None, :, :]) ** 2).sum(axis=2)
+    picked = (S if kind == "g2" else np.sqrt(S))[np.arange(Q), perms]
+    return (picked.max(axis=1) if kind == "ginf" else picked.sum(axis=1)), perms
+
+
 def brute_force_dist_batch(v_pts, w_pts, kind, perms):
     """Vectorized brute force given a precomputed permutation array."""
     v = np.asarray(v_pts)

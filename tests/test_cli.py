@@ -44,6 +44,22 @@ class TestDist:
         assert main(["dist", "--kind", "g2", "--a", a, "--b", b]) == 0
         assert json.loads(capsys.readouterr().out)["match"] == [0, 1]
 
+    def test_ties_above_q5_match_golden_file(self, tmp_path, capsys):
+        # integer points in [-2, 2]^n tie many pairings, so the file pins the
+        # tie rule of the assignment solvers beyond the enumerated Q <= 5
+        rng = np.random.default_rng(1306)
+        out = []
+        for Q in (6, 8, 12):
+            for n in (1, 2):
+                for _ in range(2):
+                    a = write(tmp_path / "a.json", json.dumps(rng.integers(-2, 3, (Q, n)).tolist()))
+                    b = write(tmp_path / "b.json", json.dumps(rng.integers(-2, 3, (Q, n)).tolist()))
+                    for kind in ("g1", "g2", "ginf"):
+                        assert main(["dist", "--kind", kind, "--a", a, "--b", b]) == 0
+                        out.append(capsys.readouterr().out)
+        golden = pathlib.Path(__file__).parent / "data" / "dist_ties_q6_12.jsonl"
+        assert "".join(out) == golden.read_text()
+
     def test_bad_kind(self, tuples, capsys):
         a, b = tuples
         assert main(["dist", "--kind", "g7", "--a", a, "--b", b]) == 1
@@ -485,6 +501,14 @@ class TestVerifyCli:
         # the seconds of each check go to stderr, never into the report or stdout
         assert re.findall(r"^(\w+): \d+\.\d\d s$", captured.err, re.M) == names
         assert [line.split(":")[0] for line in captured.out.splitlines()] == names
+
+    def test_report_above_q5_matches_golden_file(self, tmp_path):
+        # every tuple pair has Q in 6..8, so each check runs the assignment solvers
+        golden = pathlib.Path(__file__).parent / "data" / "verify_q6_8.json"
+        cfg = write(tmp_path / "cfg.json", json.dumps({"Q_range": [6, 8], "trials": 10}))
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--seed", "3", "--config", cfg, "--report", str(report_path)]) == 0
+        assert report_path.read_text() == golden.read_text()
 
     def test_failing_report_matches_golden_file(self, tmp_path):
         # negative tolerances make five checks fail, so the report pins which

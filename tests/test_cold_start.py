@@ -70,3 +70,13 @@ def test_p2_solve_loads_sparse_but_not_optimize(tmp_path):
                    "--restarts", "1", "--out", str(tmp_path / "solution.json")]),
     ])
     assert loaded == {"import": [], "solve": [0, "scipy.sparse", "scipy.sparse.linalg"]}
+
+
+def test_ginf_dist_loads_no_scipy_up_to_q5(tmp_path):
+    steps = []
+    for Q in (5,):
+        a, b = tmp_path / f"a{Q}.json", tmp_path / f"b{Q}.json"
+        a.write_text(json.dumps([[i, 0.5 * i] for i in range(Q)]))
+        b.write_text(json.dumps([[Q - i, 1.0] for i in range(Q)]))
+        steps.append((f"Q={Q}", ["dist", "--kind", "ginf", "--a", str(a), "--b", str(b)]))
+    assert loaded_after(steps) == {"import": [], "Q=5": [0]}
