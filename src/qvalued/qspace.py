@@ -138,35 +138,30 @@ def _check_compatible(v: QTuple, w: QTuple) -> None:
         raise ValueError(f"dimension mismatch: n={v.n} vs n={w.n}")
 
 
-def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost assignment; ties broken by lexicographically smallest perm.
-
-    Costs within 1e-12 relative of the minimum count as tied.
-
-    Runs the Hungarian solver once for the optimum, then greedily pins each
-    row to the smallest feasible column, re-solving the remaining block to
-    confirm optimality is preserved.
-    """
-    # local import: scipy.optimize costs ~0.6 s at start-up, and only G1/G2 at Q > 5 need it
+def _optimum(cost: np.ndarray) -> float:
+    """The least total cost of an assignment on ``cost``: one Hungarian solve."""
+    # local import: scipy.optimize costs ~0.6 s at start-up, and only Q > 5 needs it
     from scipy.optimize import linear_sum_assignment
 
-    Q = cost.shape[0]
     rows, cols = linear_sum_assignment(cost)
-    # relative, so that the rule does not depend on the scale of the data
-    limit = float(cost[rows, cols].sum()) * (1.0 + 1e-12)
+    return float(cost[rows, cols].sum())
+
+
+def _lexmin_assignment(cost: np.ndarray, limit: float) -> np.ndarray:
+    """The lexicographically smallest assignment whose cost is at most ``limit``.
+
+    Each row in turn takes the smallest free column from which the remaining
+    rows can still be assigned within ``limit``, as a solve on the remaining
+    block confirms.
+    """
+    Q = cost.shape[0]
     free = list(range(Q))
     perm = np.empty(Q, dtype=int)
     prefix = 0.0
     for i in range(Q):
         for j in free:
-            rest_rows = np.arange(i + 1, Q)
             rest_cols = np.array([c for c in free if c != j], dtype=int)
-            if rest_rows.size == 0:
-                rest = 0.0
-            else:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                rr, cc = linear_sum_assignment(sub)
-                rest = float(sub[rr, cc].sum())
+            rest = _optimum(cost[np.ix_(np.arange(i + 1, Q), rest_cols)]) if i + 1 < Q else 0.0
             if prefix + cost[i, j] + rest <= limit:
                 perm[i] = j
                 prefix += cost[i, j]
@@ -177,64 +172,26 @@ def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    """Kuhn's augmenting-path test for a perfect matching in a boolean matrix."""
-    rows, cols = allowed.shape
-    if rows > cols:
-        return False
-    match_col = [-1] * cols
-
-    def augment(r, seen):
-        for c in range(cols):
-            if allowed[r, c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] < 0 or augment(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(rows):
-        if not augment(r, [False] * cols):
-            return False
-    return True
-
-
 def _bottleneck_assignment(D: np.ndarray):
-    """Exact bottleneck assignment by bisection over the pairwise distance set."""
-    Q = D.shape[0]
+    """Exact bottleneck assignment by bisection over the pairwise distance set.
+
+    A threshold t is feasible when the pairs farther apart than t can all be
+    avoided, that is when the 0/1 cost ``D > t`` has an assignment of cost 0;
+    sums of zeros and ones are exact, so the test is too.
+    """
     levels = np.unique(D)
-    lo, hi = 0, levels.size - 1
     # every row and column needs at least its own minimum
     forced = max(D.min(axis=1).max(), D.min(axis=0).max())
-    lo = int(np.searchsorted(levels, forced))
+    lo, hi = int(np.searchsorted(levels, forced)), levels.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(D <= levels[mid]):
+        if _optimum((D > levels[mid]).astype(float)) == 0.0:
             hi = mid
         else:
             lo = mid + 1
     t = float(levels[lo])
-    allowed = D <= t
     # lexicographically smallest perfect matching at the optimal threshold
-    perm = np.empty(Q, dtype=int)
-    free = list(range(Q))
-    for i in range(Q):
-        for j in free:
-            if not allowed[i, j]:
-                continue
-            rest_cols = [c for c in free if c != j]
-            if i + 1 == Q:
-                perm[i] = j
-                free.remove(j)
-                break
-            sub = allowed[np.ix_(np.arange(i + 1, Q), rest_cols)]
-            if _has_perfect_matching(sub):
-                perm[i] = j
-                free.remove(j)
-                break
-        else:  # pragma: no cover
-            raise AssertionError("bottleneck refinement failed")
-    return t, perm
+    return t, _lexmin_assignment((D > t).astype(float), 0.0)
 
 
 def vector_norms(d: np.ndarray) -> np.ndarray:
@@ -277,9 +234,10 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         Q <= 5 every permutation is scored in lexicographic order: GINF
         takes the first minimum, G1 and G2 the first permutation within
         1e-12 relative of the minimum, with that permutation's cost.
-        Beyond that each row runs a solver that keeps the same rule: the
-        bisection solver for GINF and the refined assignment solver for
-        G1 and G2.
+        Beyond that each row keeps the same rule with Hungarian solves: it
+        finds the optimum (for GINF, the optimal threshold, by bisection
+        over the paired distances), then gives each point in turn the
+        smallest column from which the rest can still be paired within it.
     """
     if not isinstance(kind, MetricKind):
         raise ValueError(f"unknown metric kind {kind!r}")
@@ -305,7 +263,8 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
             if bottleneck:
                 cost[e], perm[e] = _bottleneck_assignment(C[e])
             else:
-                perm[e] = _lexmin_sum_assignment(C[e])
+                # relative, so that the tie rule does not depend on the scale of the data
+                perm[e] = _lexmin_assignment(C[e], _optimum(C[e]) * (1.0 + 1e-12))
                 cost[e] = C[e, np.arange(Q), perm[e]].sum()
         return cost, perm
     P = _perm_table(Q)

@@ -824,10 +824,107 @@ def lipschitz_truncation_reference(f, t, p=2.0):
     return out, kept
 
 
+# -- the Q > 5 solvers that qspace.match_many ran before its Hungarian-only path
+
+
+def _lexmin_sum_assignment(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost assignment; ties broken by lexicographically smallest perm.
+
+    Costs within 1e-12 relative of the minimum count as tied.
+
+    Runs the Hungarian solver once for the optimum, then greedily pins each
+    row to the smallest feasible column, re-solving the remaining block to
+    confirm optimality is preserved.
+    """
+    Q = cost.shape[0]
+    rows, cols = linear_sum_assignment(cost)
+    # relative, so that the rule does not depend on the scale of the data
+    limit = float(cost[rows, cols].sum()) * (1.0 + 1e-12)
+    free = list(range(Q))
+    perm = np.empty(Q, dtype=int)
+    prefix = 0.0
+    for i in range(Q):
+        for j in free:
+            rest_rows = np.arange(i + 1, Q)
+            rest_cols = np.array([c for c in free if c != j], dtype=int)
+            if rest_rows.size == 0:
+                rest = 0.0
+            else:
+                sub = cost[np.ix_(rest_rows, rest_cols)]
+                rr, cc = linear_sum_assignment(sub)
+                rest = float(sub[rr, cc].sum())
+            if prefix + cost[i, j] + rest <= limit:
+                perm[i] = j
+                prefix += cost[i, j]
+                free.remove(j)
+                break
+        else:  # pragma: no cover - the optimal column always qualifies
+            raise AssertionError("assignment refinement failed")
+    return perm
+
+
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Kuhn's augmenting-path test for a perfect matching in a boolean matrix."""
+    rows, cols = allowed.shape
+    if rows > cols:
+        return False
+    match_col = [-1] * cols
+
+    def augment(r, seen):
+        for c in range(cols):
+            if allowed[r, c] and not seen[c]:
+                seen[c] = True
+                if match_col[c] < 0 or augment(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in range(rows):
+        if not augment(r, [False] * cols):
+            return False
+    return True
+
+
+def _bottleneck_assignment(D: np.ndarray):
+    """Exact bottleneck assignment by bisection over the pairwise distance set."""
+    Q = D.shape[0]
+    levels = np.unique(D)
+    lo, hi = 0, levels.size - 1
+    # every row and column needs at least its own minimum
+    forced = max(D.min(axis=1).max(), D.min(axis=0).max())
+    lo = int(np.searchsorted(levels, forced))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(D <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    t = float(levels[lo])
+    allowed = D <= t
+    # lexicographically smallest perfect matching at the optimal threshold
+    perm = np.empty(Q, dtype=int)
+    free = list(range(Q))
+    for i in range(Q):
+        for j in free:
+            if not allowed[i, j]:
+                continue
+            rest_cols = [c for c in free if c != j]
+            if i + 1 == Q:
+                perm[i] = j
+                free.remove(j)
+                break
+            sub = allowed[np.ix_(np.arange(i + 1, Q), rest_cols)]
+            if _has_perfect_matching(sub):
+                perm[i] = j
+                free.remove(j)
+                break
+        else:  # pragma: no cover
+            raise AssertionError("bottleneck refinement failed")
+    return t, perm
+
+
 def ginf_reference(a: np.ndarray, b: np.ndarray):
     """``dist(..., GINF)`` as it was before the batched kernel: value and perm."""
-    from qvalued.qspace import _bottleneck_assignment
-
     Q = a.shape[0]
     if Q == 1:
         return float(np.linalg.norm(a[0] - b[0])), (0,)
@@ -842,8 +939,6 @@ def ginf_reference(a: np.ndarray, b: np.ndarray):
 
 def sum_dist_reference(a: np.ndarray, b: np.ndarray, kind: str):
     """``dist(..., G1 or G2)`` as it was before the one kernel: value and perm."""
-    from qvalued.qspace import _lexmin_sum_assignment
-
     Q = a.shape[0]
     if Q == 1:
         return float(np.linalg.norm(a[0] - b[0])), (0,)

@@ -72,11 +72,16 @@ def test_p2_solve_loads_sparse_but_not_optimize(tmp_path):
     assert loaded == {"import": [], "solve": [0, "scipy.sparse", "scipy.sparse.linalg"]}
 
 
-def test_ginf_dist_loads_no_scipy_up_to_q5(tmp_path):
+def test_ginf_dist_loads_optimize_only_above_q5(tmp_path):
+    # up to Q = 5 the kernel scores every permutation; above, it runs Hungarian solves
     steps = []
-    for Q in (5,):
+    for Q in (5, 6):
         a, b = tmp_path / f"a{Q}.json", tmp_path / f"b{Q}.json"
         a.write_text(json.dumps([[i, 0.5 * i] for i in range(Q)]))
         b.write_text(json.dumps([[Q - i, 1.0] for i in range(Q)]))
         steps.append((f"Q={Q}", ["dist", "--kind", "ginf", "--a", str(a), "--b", str(b)]))
-    assert loaded_after(steps) == {"import": [], "Q=5": [0]}
+    # scipy.optimize imports scipy.sparse itself
+    assert loaded_after(steps) == {
+        "import": [], "Q=5": [0],
+        "Q=6": [0, "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg"],
+    }
