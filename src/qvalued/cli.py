@@ -123,7 +123,10 @@ def _cmd_dist(args) -> int:
 
 def _cmd_frame(args) -> int:
     K = "auto" if args.k is None else args.k
-    frame = embed.build_frame(args.n, args.q, K, seed=args.seed)
+    try:
+        frame = embed.build_frame(args.n, args.q, K, seed=args.seed)
+    except embed.FrameConstructionError as exc:
+        raise DataError(f"--q {args.q}, --k {K}: {exc}")
     _write(args.out, frame.to_json())
     return 0
 
@@ -150,7 +153,10 @@ def _cmd_decode(args) -> int:
     frame = _load_frame(args.frame)
     coords = _load_query_csv(args.infile).reshape(-1)
     hint = _load_tuple(args.hint) if args.hint else None
-    v = embed.decode(coords, frame, hint)
+    try:
+        v = embed.decode(coords, frame, hint)
+    except embed.DecodeFailure as exc:
+        raise DataError(f"cannot decode the vector in {args.infile}: {exc}")
     _write(args.out, v.to_text())
     return 0
 
@@ -384,7 +390,11 @@ def _cmd_verify(args) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         except ValueError as exc:
             raise DataError(f"--seed: {exc}")
-    reports = verify.run_all(cfg)
+    try:
+        reports = verify.run_all(cfg)
+    except embed.FrameConstructionError as exc:
+        raise DataError(f"Q_range {list(cfg.Q_range)} and n_range {list(cfg.n_range)} "
+                        f"reach a shape with no seed-7 frame: {exc}")
     payload = json.dumps([r.to_dict() for r in reports], indent=2)
     if args.report:
         _write(args.report, payload)

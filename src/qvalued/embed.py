@@ -208,7 +208,8 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
             bases = np.array([_complete_basis(d, rng) for d in dirs])
             return DirectionFrame(n, Q, bases, eps)
     raise FrameConstructionError(
-        f"no frame with K <= {max_K} reached eps_floor={eps_floor} (best {last_eps})"
+        f"no frame for n={n}, Q={Q} with K <= {max_K} reached eps_floor={eps_floor} "
+        f"(best {last_eps})"
     )
 
 

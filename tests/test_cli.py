@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qvalued import embed
 from qvalued.cli import main
 from qvalued.grids import BOUNDARY, GridFunction, OUTSIDE, disk_mask, empty_grid
 from qvalued.qspace import QTuple
@@ -114,6 +115,25 @@ class TestFrameEmbedDecode:
         main(["frame", "--n", "3", "--q", "2", "--seed", "7", "--out", p1])
         main(["frame", "--n", "3", "--q", "2", "--seed", "7", "--out", p2])
         assert open(p1).read() == open(p2).read()
+
+    def test_frame_that_cannot_separate_names_q(self, capsys):
+        # no frame of at most 512 directions reaches the separation floor at Q = 10
+        assert main(["frame", "--n", "2", "--q", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: --q 10, --k auto: ")
+
+    def test_decode_failure_names_input(self, tmp_path, capsys, monkeypatch):
+        frame_path = str(tmp_path / "frame.json")
+        assert main(["frame", "--n", "2", "--q", "2", "--seed", "1", "--out", frame_path]) == 0
+        z = write(tmp_path / "z.csv", ",".join(["0.5"] * 8))
+
+        def fail(coords, frame, hint):
+            raise embed.DecodeFailure("coordinate refinement hit its evaluation budget",
+                                      QTuple(np.zeros((2, 2))))
+
+        monkeypatch.setattr(embed, "decode", fail)
+        assert main(["decode", "--frame", frame_path, "--in", z]) == 1
+        err = capsys.readouterr().err
+        assert "z.csv" in err and "evaluation budget" in err
 
     def test_missing_frame_field(self, tmp_path):
         bad = write(tmp_path / "frame.json", json.dumps({"n": 2, "Q": 1}))
@@ -486,6 +506,13 @@ class TestVerifyCli:
         assert main(["verify", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "tolerances" in err and f"'{name}'" in err
+
+    def test_range_without_a_frame_named(self, tmp_path, capsys):
+        # no seed-7 frame separates Q = 12 tuples in the plane
+        cfg = write(tmp_path / "cfg.json", json.dumps({"Q_range": [12, 12], "trials": 2}))
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "Q_range [12, 12]" in err and "n_range [1, 3]" in err
 
     def test_negative_seed_named(self, capsys):
         assert main(["verify", "--seed", "-5"]) == 1
