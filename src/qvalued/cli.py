@@ -53,6 +53,13 @@ def _int_field(obj: dict, name: str, path: str, lowest: int = 1) -> int:
     return value
 
 
+def _positive_field(obj: dict, name: str, path: str) -> float:
+    value = _field(obj, name, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise DataError(f"field '{name}' in {path} must be a positive number, got {value!r}")
+    return value
+
+
 def _load_tuple(path: str) -> QTuple:
     obj = _load_json(path)
     try:
@@ -133,12 +140,16 @@ def _cmd_frame(args) -> int:
 
 def _load_frame(path: str) -> embed.DirectionFrame:
     obj = _load_json(path)
-    for name in ("n", "Q", "K", "epsilon", "bases"):
-        _field(obj, name, path)
+    n, Q, K = (_int_field(obj, name, path) for name in ("n", "Q", "K"))
+    epsilon = _positive_field(obj, "epsilon", path)
+    bases = _numbers(_field(obj, "bases", path), "bases", path)
+    if bases.shape != (K, n, n):
+        raise DataError(f"field 'bases' in {path} must have shape (K, n, n) = {(K, n, n)}, "
+                        f"got {bases.shape}")
     try:
-        return embed.DirectionFrame(obj["n"], obj["Q"], obj["bases"], obj["epsilon"])
+        return embed.DirectionFrame(n, Q, bases, epsilon)
     except embed.FrameConstructionError as exc:
-        raise DataError(f"bad frame in {path}: {exc}")
+        raise DataError(f"fields 'bases' and 'epsilon' in {path} do not form a frame: {exc}")
 
 
 def _cmd_embed(args) -> int:
@@ -206,9 +217,7 @@ def _sample_entries(obj: dict, name: str, path: str) -> list:
 def _load_boundary_sample(path: str) -> extend.BoundarySample:
     obj = _load_json(path)
     m = _int_field(obj, "m", path)
-    R = _field(obj, "R", path)
-    if isinstance(R, bool) or not isinstance(R, (int, float)) or not 0 < R < math.inf:
-        raise DataError(f"field 'R' in {path} must be a positive number, got {R!r}")
+    R = _positive_field(obj, "R", path)
     points = _sample_entries(obj, "points", path)
     try:
         return extend.BoundarySample(points=points, R=R, m=m)

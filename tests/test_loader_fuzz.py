@@ -1,4 +1,5 @@
-"""Fuzz tests of the ``qv extend whitney`` and ``qv verify --config`` loaders.
+"""Fuzz tests of the ``qv extend whitney``, ``qv verify --config`` and frame
+(``qv embed --frame``) loaders.
 Hypothesis writes valid input files and then breaks them in up to three
 ways.  Every run must end in exit code 0, 1 or 2 and never in a traceback;
 a run with a fault must exit 1 with a message that names a faulty field (or
@@ -11,10 +12,12 @@ import math
 import os
 import re
 import tempfile
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
 from qvalued.cli import main
+from qvalued.embed import build_frame
 from qvalued.verify import _DEFAULT_TOLERANCES as TOLERANCES
 
 # each fault breaks one thing in a valid pair of files, and names what a
@@ -274,3 +277,97 @@ def test_check_config_loader_exits_cleanly_and_names_the_fault(case):
     assert code == 1, (text, message)
     assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message) for name in named), \
         (text, message)
+
+
+# each fault of a frame file breaks one field, and names the field its message must give
+FRAME_FAULTS = {
+    "missing n": "n", "n not an integer": "n", "n not positive": "n", "n mismatch": "bases",
+    "missing Q": "Q", "Q not an integer": "Q", "Q not positive": "Q",
+    "missing K": "K", "K not an integer": "K", "K not positive": "K", "K mismatch": "bases",
+    "missing epsilon": "epsilon", "epsilon not a number": "epsilon",
+    "epsilon not positive": "epsilon", "epsilon not finite": "epsilon",
+    "epsilon above separation": "epsilon",
+    "missing bases": "bases", "bases not numbers": "bases", "bases not finite": "bases",
+    "row too long": "bases", "basis dropped": "bases", "not orthonormal": "bases",
+    "not an object": "n",
+}
+NOT_INTEGERS = [2.0, "2", None, True, [2]]
+# applied after the others, in this order, since each replaces what they change
+FRAME_LAST = ("missing bases", "bases not numbers", "not an object")
+
+
+@lru_cache(maxsize=None)
+def frame_object(n, Q):
+    return json.loads(build_frame(n, Q, seed=7).to_json())
+
+
+@st.composite
+def frames(draw):
+    """``(frame object, tuple, faults)`` for a valid seed-7 frame and a tuple
+    it embeds, with the frame broken by the faults drawn."""
+    n, Q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    obj = dict(frame_object(n, Q))
+    # a smaller epsilon than the frame certifies is still a valid frame
+    obj["epsilon"] *= draw(st.sampled_from([1.0, 0.5]))
+    points = [[draw(st.floats(-2.0, 2.0)) for _ in range(n)] for _ in range(Q)]
+    faults = draw(st.lists(st.sampled_from(sorted(FRAME_FAULTS)), max_size=3, unique=True))
+    faults.sort(key=lambda fault: FRAME_LAST.index(fault) if fault in FRAME_LAST else -1)
+    bases = frame_object(n, Q)["bases"]
+    for fault in faults:
+        field = FRAME_FAULTS[fault]
+        if fault.startswith("missing "):
+            obj.pop(field, None)
+        elif fault.endswith("not an integer"):
+            obj[field] = draw(st.sampled_from(NOT_INTEGERS))
+        elif fault.endswith("not positive"):
+            obj[field] = draw(st.sampled_from([0, -1] if field != "epsilon" else [0, 0.0, -0.1]))
+        elif fault == "n mismatch":
+            obj["n"] = n + 1
+        elif fault == "K mismatch":
+            obj["K"] = len(bases) + 1
+        elif fault == "epsilon not a number":
+            obj["epsilon"] = draw(st.sampled_from([[0.1], None, "0.1", True, {}]))
+        elif fault == "epsilon not finite":
+            obj["epsilon"] = draw(st.sampled_from([math.nan, math.inf]))
+        elif fault == "epsilon above separation":
+            obj["epsilon"] = frame_object(n, Q)["epsilon"] + 0.01
+        elif fault == "bases not numbers":
+            obj["bases"] = draw(st.sampled_from(["b", None, 1.0, [[["x"] * n] * n]]))
+        elif fault == "bases not finite":
+            obj["bases"] = [[[math.nan] * n] * n] + bases[1:]
+        elif fault == "row too long":
+            obj["bases"] = [[bases[0][0] + [0.0]] + bases[0][1:]] + bases[1:]
+        elif fault == "basis dropped":
+            obj["bases"] = bases[:-1]
+        elif fault == "not orthonormal":
+            obj["bases"] = [[[2.0 * c for c in row] for row in basis] for basis in bases]
+        elif fault == "not an object":
+            obj = draw(st.sampled_from([[], "frame", 7, None]))
+    return obj, points, faults
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames())
+def test_frame_loader_exits_cleanly_and_names_the_fault(case):
+    obj, points, faults = case
+    with tempfile.TemporaryDirectory() as tmp:
+        frame, tup = os.path.join(tmp, "frame.json"), os.path.join(tmp, "tuple.json")
+        with open(frame, "w") as fh:
+            json.dump(obj, fh)
+        with open(tup, "w") as fh:
+            json.dump(points, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["embed", "--frame", frame, "--tuple", tup])
+            except SystemExit as exc:
+                code = exc.code
+        message = err.getvalue().replace(tmp, "")
+    assert code in (0, 1, 2), message
+    assert "Traceback" not in message
+    if not faults:
+        assert code == 0, message
+        assert len(out.getvalue().split(",")) == len(points) * len(points[0]) * obj["K"]
+        return
+    assert code == 1, (faults, message)
+    assert any(f"'{FRAME_FAULTS[fault]}'" in message for fault in faults), (faults, message)
