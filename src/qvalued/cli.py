@@ -196,8 +196,9 @@ def _sample_entries(obj: dict, name: str, path: str) -> list:
     """The ``(x, value)`` pairs of the list field ``name``, one per object in
     it; each ``x`` is a flat list of numbers."""
     entries = _field(obj, name, path)
-    if not isinstance(entries, list):
-        raise DataError(f"field '{name}' in {path} must be a list of objects")
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise DataError(f"field '{name}' in {path} must be a list of objects with fields "
+                        f"'x' and 'value'")
     pairs = []
     for entry in entries:
         x = _field(entry, "x", path)
@@ -292,8 +293,8 @@ def _load_solver_inputs(path: str, resolution: int):
     domain = _field(obj, "domain", path)
     Q = _int_field(obj, "Q", path)
     n = _int_field(obj, "n", path)
-    curve = _field(obj, "curve", path)
-    if not isinstance(curve, list) or not curve or not all(isinstance(e, dict) for e in curve):
+    curve = _sample_entries(obj, "curve", path)
+    if not curve:
         raise DataError(f"field 'curve' in {path} must be a nonempty list of objects")
     if resolution is None:
         raise DataError("--grid is required with a boundary-curve spec")
@@ -306,13 +307,10 @@ def _load_solver_inputs(path: str, resolution: int):
     else:
         raise DataError(f"unknown domain {domain!r} in {path}")
     grid = empty_grid(m, n, Q, resolution, mask)
-    try:
-        locs = np.array([np.asarray(_field(e, "x", path), dtype=float) for e in curve])
-        vals = [np.asarray(_field(e, "value", path), dtype=float) for e in curve]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad entry in field 'curve' of {path}: {exc}")
-    if locs.shape != (len(curve), m):
+    if any(x.size != m for x, _ in curve):
         raise DataError(f"each 'x' in field 'curve' of {path} must hold {m} numbers")
+    locs = np.array([x for x, _ in curve])
+    vals = [value.points for _, value in curve]
     if any(val.shape != (Q, n) for val in vals):
         raise DataError(f"each 'value' in field 'curve' of {path} must have shape {(Q, n)}")
     boundary = {}

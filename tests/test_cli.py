@@ -398,6 +398,21 @@ class TestSolveCli:
             assert main(["solve", "--boundary", b, "--grid", "8"]) == 1
             assert "'curve'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,field", [
+        ('{"x": [NaN, 0.0], "value": [[0.0]]}', "x"),
+        ('{"x": [[1.0, 0.0]], "value": [[0.0]]}', "x"),
+        ('{"x": [], "value": [[0.0]]}', "x"),
+        ('{"x": [1.0, 0.0], "value": [[Infinity]]}', "value"),
+        ('{"x": [1.0, 0.0], "value": "v"}', "value"),
+        ("", "curve"),
+    ])
+    def test_curve_spec_bad_sample_named(self, tmp_path, capsys, entry, field):
+        # Python's json reads NaN and Infinity, so the loader must reject them itself
+        b = write(tmp_path / "b.json",
+                  '{"domain": "disk", "Q": 1, "n": 1, "curve": [%s]}' % entry)
+        assert main(["solve", "--boundary", b, "--grid", "8"]) == 1
+        assert f"field '{field}'" in capsys.readouterr().err
+
     def test_bad_grid_function_boundary(self, tmp_path, capsys):
         grid = json.loads(empty_grid(2, 1, 1, 5).to_json())
         grid["Q"] = "one"
