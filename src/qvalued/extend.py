@@ -251,8 +251,9 @@ class ConeExtension:
         self.m = samples.m
         self.locs = samples.locations
         radii = np.linalg.norm(self.locs, axis=1)
-        if np.abs(radii - self.R).max() > 1e-9 * max(1.0, self.R):
-            raise ValueError("sample locations must lie on the sphere of radius R to 1e-9")
+        # relative, as the sample hits are, so that scaled data get the same answer
+        if np.abs(radii - self.R).max() > 1e-9 * self.R:
+            raise ValueError("sample locations must lie on the sphere of radius R to 1e-9 R")
         self._values = [val for _, val in samples.points]
         self._plan = _cone_plan(samples.value_array)
 

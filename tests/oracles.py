@@ -417,8 +417,8 @@ def cone_extend_reference(samples, query):
         raise ValueError(f"query has dimension {query.size}, expected m={samples.m}")
     locs = samples.locations
     radii = np.linalg.norm(locs, axis=1)
-    if np.abs(radii - R).max() > 1e-9 * max(1.0, R):
-        raise ValueError("sample locations must lie on the sphere of radius R to 1e-9")
+    if np.abs(radii - R).max() > 1e-9 * R:
+        raise ValueError("sample locations must lie on the sphere of radius R to 1e-9 R")
     if np.linalg.norm(query) > R * (1 + 1e-9):
         raise ValueError("query must lie in the closed ball of radius R")
     gaps = np.linalg.norm(locs - query, axis=1)

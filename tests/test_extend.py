@@ -41,6 +41,19 @@ class TestBoundarySample:
             cone_extend(s, [0.0, 0.0])
 
 
+    @pytest.mark.parametrize("R", [1e-13, 1e-6, 1.0, 1e6])
+    def test_sphere_check_does_not_depend_on_scale(self, R):
+        # off the sphere by 3e-10 R is on it to 1e-9 R, by 3e-9 R or a whole R is not
+        for off, accepted in ((3e-10, True), (3e-9, False), (-0.5, False)):
+            s = BoundarySample(points=[([R, 0.0], QTuple([[1.0]])),
+                                       ([0.0, R * (1 + off)], QTuple([[2.0]]))], R=R, m=2)
+            if accepted:
+                ConeExtension(s)
+            else:
+                with pytest.raises(ValueError, match="sphere"):
+                    ConeExtension(s)
+
+
 class TestConeExtend:
     def test_sample_reproduction(self):
         s = circle_samples(lambda t: [[math.cos(t)]], 16)
