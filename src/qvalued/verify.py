@@ -19,7 +19,7 @@ import numpy as np
 from . import embed
 from .grids import GridFunction, _blocks, square_mask
 # ``dist`` is no longer called here; the benchmark's tracer test pins its binding
-from .qspace import (MetricKind, QTuple, dist, dist_many, match_many,  # noqa: F401
+from .qspace import (MetricKind, dist, dist_many, match_many,  # noqa: F401
                      split_distance_many, vector_norms)
 
 _CHECK_OFFSETS = {
@@ -139,16 +139,16 @@ def _rng_for(cfg: CheckConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(cfg.seed * 1000003 + _CHECK_OFFSETS[name])
 
 
-def random_tuple(rng: np.random.Generator, Q: int, n: int,
-                 cluster: bool = True) -> QTuple:
-    """Points uniform in [-1, 1]^n, sometimes clustered to shrink the split gap."""
+def random_points(rng: np.random.Generator, Q: int, n: int,
+                  cluster: bool = True) -> np.ndarray:
+    """The (Q, n) points of a random tuple: uniform in [-1, 1]^n, sometimes
+    clustered to shrink the split gap."""
     if cluster and Q > 1 and rng.random() < 0.4:
         k = int(rng.integers(1, Q + 1))
         centers = rng.uniform(-1.0, 1.0, size=(k, n))
         assign = rng.integers(0, k, size=Q)
-        pts = centers[assign] + 0.02 * rng.standard_normal((Q, n))
-        return QTuple(pts)
-    return QTuple(rng.uniform(-1.0, 1.0, size=(Q, n)))
+        return centers[assign] + 0.02 * rng.standard_normal((Q, n))
+    return rng.uniform(-1.0, 1.0, size=(Q, n))
 
 
 def _draw_Qn(rng, cfg):
@@ -169,9 +169,9 @@ def check_metric_equivalence(cfg: CheckConfig, _dist_many=None) -> CheckReport:
     rows = []
     for _ in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
-        v = random_tuple(rng, Q, n)
-        w = random_tuple(rng, Q, n)
-        rows.append((v.points, w.points))
+        v = random_points(rng, Q, n)
+        w = random_points(rng, Q, n)
+        rows.append((v, w))
     ok = np.ones(len(rows), dtype=bool)
     for index, (V, W) in _grouped(rows):
         Q = V.shape[1]
@@ -239,14 +239,14 @@ def check_splitting_lemma(cfg: CheckConfig) -> CheckReport:
     rows = []
     for trial in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
-        v = random_tuple(rng, Q, n)
+        v = random_points(rng, Q, n)
         delta = rng.standard_normal((Q, n))
         total = math.sqrt(float((delta * delta).sum()))
         if total == 0.0:
             continue
         # radius * 1.0 is the radius itself: the boundary case
         factor = 1.0 if trial % 4 == 0 else rng.uniform(0.1, 0.999)
-        rows.append((v.points, delta, total, factor))
+        rows.append((v, delta, total, factor))
     ok = np.ones(len(rows), dtype=bool)
     pairs = [None] * len(rows)
     for index, (V, D, total, factor) in _grouped(rows):
@@ -304,12 +304,12 @@ def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
             Q, n = _draw_Qn(rng, cfg)
             fr = _frame(frames, n, Q)
         frame_of[(Q, n)] = fr
-        v = random_tuple(rng, Q, n)
-        w = random_tuple(rng, Q, n)
+        v = random_points(rng, Q, n)
+        w = random_points(rng, Q, n)
         delta = rng.standard_normal((Q, n))
         total = math.sqrt(float((delta * delta).sum()))
         length = rng.uniform(0.05, 0.95) if total > 0 else 0.0
-        rows.append((v.points, w.points, delta, total, length))
+        rows.append((v, w, delta, total, length))
     ok = np.ones(len(rows), dtype=bool)
     for index, (V, W, D, total, length) in _grouped(rows):
         Q, n = V.shape[1:]
@@ -499,9 +499,9 @@ def check_zeta_bounds(cfg: CheckConfig) -> CheckReport:
         Q, n = _draw_Qn(rng, cfg)
         if trial % 3 == 0:
             Q = 1
-        v = random_tuple(rng, Q, n)
-        w = random_tuple(rng, Q, n)
-        rows.append((v.points, w.points, int(rng.integers(0, 2**31))))
+        v = random_points(rng, Q, n)
+        w = random_points(rng, Q, n)
+        rows.append((v, w, int(rng.integers(0, 2**31))))
     ok = np.ones(len(rows), dtype=bool)
     for index, (V, W, seeds) in _grouped(rows):
         lower, upper = embed.zeta_dual_gap_many(V, W, seeds, dictionary_size=64)
