@@ -160,8 +160,8 @@ def _lexmin_assignment(cost: np.ndarray, limit: float) -> np.ndarray:
     prefix = 0.0
     for i in range(Q):
         for j in free:
-            rest_cols = np.array([c for c in free if c != j], dtype=int)
-            rest = _optimum(cost[np.ix_(np.arange(i + 1, Q), rest_cols)]) if i + 1 < Q else 0.0
+            rest_cols = [c for c in free if c != j]
+            rest = _optimum(cost[np.ix_(np.arange(i + 1, Q), rest_cols)]) if rest_cols else 0.0
             if prefix + cost[i, j] + rest <= limit:
                 perm[i] = j
                 prefix += cost[i, j]

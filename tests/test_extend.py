@@ -40,7 +40,6 @@ class TestBoundarySample:
         with pytest.raises(ValueError):
             cone_extend(s, [0.0, 0.0])
 
-
     @pytest.mark.parametrize("R", [1e-13, 1e-6, 1.0, 1e6])
     def test_sphere_check_does_not_depend_on_scale(self, R):
         # off the sphere by 3e-10 R is on it to 1e-9 R, by 3e-9 R or a whole R is not
