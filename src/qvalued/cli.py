@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import embed, energy, extend, verify
-from .grids import BOUNDARY, GridFunction, disk_mask, empty_grid, square_mask
+from .grids import BOUNDARY, INTERIOR, OUTSIDE, GridFunction, disk_mask, empty_grid, square_mask
 from .qspace import MetricKind, QTuple, dist
 
 
@@ -31,6 +31,12 @@ def _load_json(path: str):
         raise DataError(f"cannot open {path}")
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed JSON in {path}: {exc}")
+
+
+def _short(value) -> str:
+    """The repr of ``value``, cut to 80 characters for a message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _field(obj: dict, name: str, path: str):
@@ -49,14 +55,17 @@ def _int_field(obj: dict, name: str, path: str, lowest: int = 1) -> int:
     value = _field(obj, name, path)
     if not _is_int(value) or value < lowest:
         raise DataError(f"field '{name}' in {path} must be an integer >= {lowest}, "
-                        f"got {value!r}")
+                        f"got {_short(value)}")
     return value
 
 
 def _positive_field(obj: dict, name: str, path: str) -> float:
+    """A positive JSON number that a float can hold, as it was written."""
     value = _field(obj, name, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise DataError(f"field '{name}' in {path} must be a positive number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise DataError(f"field '{name}' in {path} must be a positive number, "
+                        f"got {_short(value)}")
     return value
 
 
@@ -73,12 +82,38 @@ def _load_grid(path: str) -> GridFunction:
 
 
 def _grid_from_obj(obj, path: str) -> GridFunction:
-    for name in ("m", "n", "Q", "shape", "h", "mask", "values"):
-        _field(obj, name, path)
+    """The grid function of the parsed JSON object that ``GridFunction.to_json``
+    writes, as ``GridFunction.from_obj`` builds it; a bad field is named."""
     try:
-        return GridFunction.from_obj(obj)
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"bad grid function in {path}: {exc}")
+        m, n, Q = (_int_field(obj, name, path) for name in ("m", "n", "Q"))
+        shape = _field(obj, "shape", path)
+        if not (isinstance(shape, list) and len(shape) == m
+                and all(_is_int(s) and s >= 1 for s in shape)):
+            raise DataError(f"field 'shape' in {path} must list m={m} positive integers, "
+                            f"got {_short(shape)}")
+        h = _positive_field(obj, "h", path)
+        nodes = math.prod(shape)
+        mask = _number_array(_field(obj, "mask", path), "mask", path).reshape(-1)
+        if mask.size != nodes or not np.isin(mask, (INTERIOR, BOUNDARY, OUTSIDE)).all():
+            raise DataError(f"field 'mask' in {path} must hold {nodes} entries, one per node, "
+                            f"each {INTERIOR} (interior), {BOUNDARY} (boundary) or "
+                            f"{OUTSIDE} (outside)")
+        values = _number_array(_field(obj, "values", path), "values", path)
+        if values.size != nodes * Q * n:
+            raise DataError(f"field 'values' in {path} must hold a (Q, n) = {(Q, n)} tuple "
+                            f"per node, {nodes * Q * n} numbers in all, got {values.size}")
+        values = values.reshape(nodes, Q, n)
+        # outside nodes hold no value: any number there is replaced by NaN
+        inside = mask != OUTSIDE
+        if not np.isfinite(values[inside]).all():
+            raise DataError(f"field 'values' in {path} must be finite on interior and "
+                            f"boundary nodes")
+    except DataError as exc:
+        raise DataError(f"bad grid function: {exc}")
+    values[~inside] = np.nan
+    shape = tuple(shape)
+    return GridFunction(m, n, Q, shape, h, mask.astype(np.int8).reshape(shape),
+                        values.reshape(shape + (Q, n)))
 
 
 def _load_query_csv(path: str) -> np.ndarray:
@@ -185,11 +220,26 @@ def _numbers(value, name: str, path: str) -> np.ndarray:
     if _is_numeric(value):
         try:
             arr = np.asarray(value, dtype=float)
-        except ValueError:
+        except (ValueError, OverflowError):  # ragged lists, or an int past float range
             pass
     if arr is None or not np.all(np.isfinite(arr)):
-        raise DataError(f"field '{name}' in {path} must hold finite numbers, got {value!r}")
+        raise DataError(f"field '{name}' in {path} must hold finite numbers, got {_short(value)}")
     return arr
+
+
+def _number_array(value, name: str, path: str) -> np.ndarray:
+    """``value``, nested lists of JSON numbers of equal length, as a float
+    array.  Numbers are told by the dtype numpy gives the lists, which is a
+    few times faster than ``_is_numeric`` on a large grid; true and false
+    among numbers pass as 1 and 0."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged lists
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DataError(f"field '{name}' in {path} must hold numbers in nested lists of "
+                        f"equal length, got {_short(value)}")
+    return arr.astype(float, copy=False)
 
 
 def _sample_entries(obj: dict, name: str, path: str) -> list:
@@ -220,10 +270,12 @@ def _load_boundary_sample(path: str) -> extend.BoundarySample:
     m = _int_field(obj, "m", path)
     R = _positive_field(obj, "R", path)
     points = _sample_entries(obj, "points", path)
+    if any(x.size != m for x, _ in points):
+        raise DataError(f"each 'x' in field 'points' of {path} must hold m={m} numbers")
     try:
         return extend.BoundarySample(points=points, R=R, m=m)
-    except ValueError as exc:
-        raise DataError(f"bad boundary sample in {path}: {exc}")
+    except ValueError as exc:  # no points, or values of different Q or n
+        raise DataError(f"bad field 'points' in {path}: {exc}")
 
 
 def _boundary_sample_json(sample: extend.BoundarySample) -> str:
@@ -242,14 +294,21 @@ def _boundary_sample_json(sample: extend.BoundarySample) -> str:
 def _cmd_extend(args) -> int:
     if args.mode == "plane":
         f = _load_grid(args.infile)
-        out = extend.extend_to_plane(f)
+        try:
+            out = extend.extend_to_plane(f)
+        except ValueError as exc:  # the grid's extents differ
+            raise DataError(f"field 'shape' in {args.infile}: {exc}")
         _write(args.out, out.to_json())
         return 0
     if args.query is None:
         raise DataError(f"extend {args.mode} needs --query")
     queries = _load_query_csv(args.query)
     if args.mode == "cone":
-        ext = extend.ConeExtension(_load_boundary_sample(args.infile))
+        sample = _load_boundary_sample(args.infile)
+        try:
+            ext = extend.ConeExtension(sample)
+        except ValueError as exc:  # a location off the sphere
+            raise DataError(f"fields 'x' and 'R' in {args.infile}: {exc}")
     else:
         obj = _load_json(args.infile)
         box = _numbers(_field(obj, "box", args.infile), "box", args.infile)
@@ -352,7 +411,10 @@ def _cmd_energy(args) -> int:
 
 def _cmd_trace(args) -> int:
     f = _load_grid(args.infile)
-    sample = energy.trace(f)
+    try:
+        sample = energy.trace(f)
+    except ValueError as exc:  # no boundary node
+        raise DataError(f"field 'mask' in {args.infile}: {exc}")
     _write(args.out, _boundary_sample_json(sample))
     return 0
 

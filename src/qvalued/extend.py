@@ -24,7 +24,10 @@ locates a whole batch of queries with one ``searchsorted`` per level and
 finds the breaks of every face side and the minimal edge under every
 perimeter point by ``searchsorted`` in the line keys.  It plans every
 minimal edge and leaf face the batch reaches and has not planned before,
-in a few stacked calls, then applies the plans query by query.
+in a few stacked calls, then applies them to the whole batch: the far
+queries' boundary values go into row order one split level at a time
+(``_sorted_many``), and one array expression blends them with the center
+values.
 
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
@@ -212,8 +215,8 @@ def _cone_plan_many(stack: np.ndarray) -> list:
     ``sorter``
         ``None`` at a leaf, else ``(ref, cluster_of, ends, children)``: the
         split's reference tuple, the cluster of each of its points, the end
-        row of each cluster and one sorter per cluster.  ``_sorted`` applies
-        it to put any tuple into output-row order;
+        row of each cluster and one sorter per cluster.  ``_sorted_many``
+        applies it to put any tuple into output-row order;
     ``samples`` (L, Q, n)
         the witnessed tuples, each in output-row order.
     """
@@ -225,15 +228,34 @@ def _cone_plan(sample_vals: np.ndarray) -> _ConePlan:
     return _cone_plan_many(sample_vals[None])[0]
 
 
-def _sorted(sorter, value: np.ndarray) -> np.ndarray:
-    """The points of the tuple ``value`` in the output-row order of a plan:
-    one G-inf match per split node, as ``_cone_plan_many`` grouped the samples."""
-    if sorter is None:
-        return value
-    ref, cluster_of, ends, children = sorter
-    value = _group(value[None, None], ref[None], cluster_of[None])[0, 0]
-    return np.concatenate([_sorted(child, value[lo:hi])
-                           for child, lo, hi in zip(children, [0] + ends, ends)])
+def _sorted_many(sorters: list, values: np.ndarray) -> np.ndarray:
+    """The points of each tuple ``values[k]`` (K, Q, n) in the output-row
+    order of the plan whose sorter is ``sorters[k]``, as ``_cone_plan_many``
+    grouped the samples.
+
+    The sorter trees are applied one split level at a time.  A split node
+    reorders its cluster slice by one G-inf match to its reference, and the
+    slices of a level that have the same width go to one ``_group`` call;
+    the slices of their children wait for the next level.
+    """
+    out = np.array(values, dtype=float)
+    # (row, offset of the slice in the row, split node), for the current level
+    level = [(k, 0, sorter) for k, sorter in enumerate(sorters) if sorter is not None]
+    while level:
+        by_width = {}
+        for node in level:
+            by_width.setdefault(len(node[2][1]), []).append(node)
+        level = []
+        for width, nodes in by_width.items():
+            k = np.array([row for row, _, _ in nodes])[:, None]
+            at = np.array([offset for _, offset, _ in nodes])[:, None] + np.arange(width)
+            ref = np.stack([sorter[0] for _, _, sorter in nodes])
+            cluster_of = np.stack([sorter[1] for _, _, sorter in nodes])
+            out[k, at] = _group(out[k, at][:, None], ref, cluster_of)[:, 0]
+            for row, offset, (_, _, ends, children) in nodes:
+                level += [(row, offset + lo, child)
+                          for child, lo in zip(children, [0] + ends) if child is not None]
+    return out
 
 
 class ConeExtension:
@@ -338,8 +360,10 @@ class WhitneyExtension:
     call, their perimeter stations evaluated as array arithmetic on those
     edge plans, and the faces planned in one call per station count.  An
     edge's boundary values are its two corner samples, which the plan holds
-    already in row order, so a perimeter value costs only arithmetic; a
-    face query adds one G-inf match per split level.
+    already in row order, so a perimeter value costs only arithmetic.  The
+    far face queries of a batch are put into row order together: one G-inf
+    match per split level and cluster width for the whole batch, whatever
+    the number of queries.
 
     Parameters
     ----------
@@ -669,12 +693,13 @@ class WhitneyExtension:
         far = np.flatnonzero(r > 1e-15 * R)
         if not far.size:
             return out
+        r, R = r[far], R[far]
         boundary = self._perimeter_values(base[far], side[far], center[far],
-                                          rel[far] * (R[far] / r[far])[:, None])
-        for j, i in enumerate(far.tolist()):
-            plan, ri, Ri = plans[i], r[i], R[i]
-            value = _sorted(plan.sorter, boundary[j])
-            out[rows[i]] = (ri / Ri) * value + ((Ri - ri) / Ri) * plan.Y
+                                          rel[far] * (R / r)[:, None])
+        value = _sorted_many([plans[i].sorter for i in far.tolist()], boundary)
+        # out holds each plan's Y already
+        out[rows[far]] = ((r / R)[:, None, None] * value
+                          + ((R - r) / R)[:, None, None] * out[rows[far]])
         return out
 
     def evaluate(self, query) -> QTuple:

@@ -152,7 +152,9 @@ def _lexmin_assignment(cost: np.ndarray, limit: float) -> np.ndarray:
 
     Each row in turn takes the smallest free column from which the remaining
     rows can still be assigned within ``limit``, as a solve on the remaining
-    block confirms.
+    block confirms.  A column whose own cost already takes the prefix past
+    ``limit`` is skipped unsolved: the rest costs at least 0 and rounding is
+    monotone, so the full test would reject it too.
     """
     Q = cost.shape[0]
     free = list(range(Q))
@@ -160,6 +162,8 @@ def _lexmin_assignment(cost: np.ndarray, limit: float) -> np.ndarray:
     prefix = 0.0
     for i in range(Q):
         for j in free:
+            if prefix + cost[i, j] > limit:
+                continue
             rest_cols = [c for c in free if c != j]
             rest = _optimum(cost[np.ix_(np.arange(i + 1, Q), rest_cols)]) if rest_cols else 0.0
             if prefix + cost[i, j] + rest <= limit:

@@ -445,7 +445,8 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
     best, rhs = np.empty(len(trials)), np.empty(len(trials))
     for index in groups.values():
         # one kernel call per shape: each trial's window edges, then every
-        # (node, candidate) pair of its window, at that trial's node offset
+        # (node, candidate) pair of its window but the k pairs of a node with
+        # itself, whose G2 cost is exactly 0, at that trial's node offset
         left, right, counts, offset = [], [], [], 0
         for t in index:
             values, m, _, width, lo = trials[t]
@@ -458,20 +459,23 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
             in_window[nodes] = True
             inner = in_window[u] & in_window[v]
             k = nodes.size
-            left += [u[inner] + offset, np.tile(nodes, k) + offset]
-            right += [v[inner] + offset, np.repeat(nodes, k) + offset]
-            counts.append((int(inner.sum()), k))
+            apart = ~np.eye(k, dtype=bool).ravel()
+            left += [u[inner] + offset, np.tile(nodes, k)[apart] + offset]
+            right += [v[inner] + offset, np.repeat(nodes, k)[apart] + offset]
+            counts.append((int(inner.sum()), k, apart))
             offset += len(values)
         X = np.concatenate([trials[t][0] for t in index])
         sq = _in_blocks(match_many, X, X, MetricKind.G2, np.concatenate(left),
                         np.concatenate(right))
         start = 0
-        for t, (n_inner, k) in zip(index, counts):
+        for t, (n_inner, k, apart) in zip(index, counts):
             _, m, q, width, _ = trials[t]
-            terms = sq[start:start + n_inner + k * k] ** (q / 2.0)
-            start += n_inner + k * k
+            terms = sq[start:start + n_inner + k * k - k] ** (q / 2.0)
+            start += n_inner + k * k - k
             energy = h ** (m - q) * float(terms[:n_inner].sum())
-            best[t] = float((terms[n_inner:].reshape(k, k) * h**m).sum(axis=1).min())
+            pairs = np.zeros(k * k)
+            pairs[apart] = terms[n_inner:]
+            best[t] = float((pairs.reshape(k, k) * h**m).sum(axis=1).min())
             rhs[t] = (h * (width - 1) * math.sqrt(m)) ** q * energy
     for t, (_, _, _, width, lo) in enumerate(trials):
         if rhs[t] == 0.0:

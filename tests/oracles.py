@@ -746,6 +746,26 @@ def cone_plan_reference(sample_vals: np.ndarray):
     return np.tile(sample_vals[0][0], (Qc, 1)), None, sample_vals
 
 
+def _group(vals: np.ndarray, ref: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
+    """``extend._group``, the one G-inf grouping step that ``_sorted`` calls."""
+    from qvalued.extend import _group as group
+
+    return group(vals, ref, cluster_of)
+
+
+# the per-query sorter of ``extend``, as it was before ``_sorted_many``
+# applied the sorters of a whole batch one split level at a time
+def _sorted(sorter, value: np.ndarray) -> np.ndarray:
+    """The points of the tuple ``value`` in the output-row order of a plan:
+    one G-inf match per split node, as ``_cone_plan_many`` grouped the samples."""
+    if sorter is None:
+        return value
+    ref, cluster_of, ends, children = sorter
+    value = _group(value[None, None], ref[None], cluster_of[None])[0, 0]
+    return np.concatenate([_sorted(child, value[lo:hi])
+                           for child, lo, hi in zip(children, [0] + ends, ends)])
+
+
 def extend_to_plane_reference(f):
     """``extend.extend_to_plane`` node by node, as it was before it ran on
     arrays: one nearest-node search per output node off the input domain."""

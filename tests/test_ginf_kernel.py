@@ -15,6 +15,7 @@ from qvalued.extend import BoundarySample, ConeExtension, WhitneyExtension, cone
 from qvalued.qspace import MetricKind, QTuple, dist, match_many
 
 from oracles import (
+    _sorted,
     _split_clusters,
     all_pairing_costs,
     cone_extend_reference,
@@ -85,6 +86,44 @@ class TestGinfMatchMany:
     def test_empty_stack(self, Q):
         value, perm = match_many(np.zeros((0, Q, 2)), np.zeros((0, Q, 2)), MetricKind.GINF)
         assert value.shape == (0,) and perm.shape == (0, Q)
+
+    def test_lexmin_skips_columns_past_the_limit_unsolved(self, monkeypatch):
+        # on the 0/1 costs of G-inf at Q = 8 many columns already pass the
+        # limit 0 on their own; they are skipped without a sub-solve
+        from qvalued import qspace
+
+        rng = np.random.default_rng(8)
+        A, B = rng.standard_normal((2, 6, 8, 3))
+        solves, searches = [], []
+        optimum, lexmin = qspace._optimum, qspace._lexmin_assignment
+
+        def counted_lexmin(cost, limit):
+            before = len(solves)
+            perm = lexmin(cost, limit)
+            searches.append((cost, limit, perm, len(solves) - before))
+            return perm
+
+        monkeypatch.setattr(qspace, "_optimum", lambda cost: solves.append(1) or optimum(cost))
+        monkeypatch.setattr(qspace, "_lexmin_assignment", counted_lexmin)
+        value, perm = match_many(A, B, MetricKind.GINF)
+        monkeypatch.undo()
+        for e in range(6):
+            assert (value[e], tuple(perm[e])) == ginf_reference(A[e], B[e])
+        assert len(searches) == 6
+        skipped = 0
+        for cost, limit, taken, made in searches:
+            # without the skip, each row but the last solves for every free
+            # column up to the one it takes
+            prefix, free, row_tried, row_skipped = 0.0, list(range(8)), 0, 0
+            for i, j in enumerate(taken[:-1].tolist()):
+                for c in free[:free.index(j) + 1]:
+                    row_tried += 1
+                    row_skipped += prefix + cost[i, c] > limit
+                prefix += cost[i, j]
+                free.remove(j)
+            assert made == row_tried - row_skipped
+            skipped += row_skipped
+        assert skipped > 0
 
 
 class TestConeHelpers:
@@ -536,3 +575,105 @@ class TestEvaluateMany:
         assert plans == [] and not ext._edge_planned.any() and ext._faces == {}
         with pytest.raises(ValueError, match="dimension 3"):
             ext.evaluate_many(np.zeros((2, 3)))
+
+
+def nested_values(rng, L, Q, n):
+    """L >= 2 witnessed tuples whose plan splits three times at Q >= 4.
+
+    Three near points a, b, c sit at 0, 0.1 and 2 on the first axis and the
+    other Q - 3 points 2 apart from 100 on.  Between tuples the far points
+    move by 1, c by 0.05 and a and b by less than 0.001, so the first split
+    keeps a, b and c together, the second splits off c and the third splits
+    a from b.  The first tuple, whose point order numbers the clusters, is
+    listed in that order.
+    """
+    centers = np.zeros((Q, n))
+    far = max(Q - 3, 0)
+    centers[:, 0] = np.concatenate([[0.0, 0.1, 2.0], 100.0 + 2.0 * np.arange(far)])[:Q]
+    move = np.concatenate([[0.0, 0.0, 0.025], np.full(far, 0.5)])[:Q]
+    shift = move[None, :] * (-1.0) ** np.arange(L)[:, None]
+    vals = centers[None] + shift[:, :, None] + 0.0004 * rng.uniform(-1.0, 1.0, (L, Q, n))
+    order = rng.random((L, Q)).argsort(axis=1)
+    order[0] = np.arange(Q)
+    return vals[np.arange(L)[:, None], order]
+
+
+def split_nodes(sorter, level=0):
+    """The (level, width) of each split node of a sorter tree, one entry per node."""
+    if sorter is None:
+        return []
+    _, cluster_of, _, children = sorter
+    return [(level, cluster_of.size)] + [node for child in children
+                                         for node in split_nodes(child, level + 1)]
+
+
+def depth(sorter):
+    return 0 if sorter is None else 1 + max(depth(child) for child in sorter[3])
+
+
+class TestSortedMany:
+    @pytest.mark.parametrize("Q", [2, 3, 4, 5, 6])
+    def test_matches_the_per_query_sorter(self, monkeypatch, Q):
+        rng = np.random.default_rng(30 + Q)
+        n, L = 1 + Q % 2, 6
+        nested = nested_values(rng, L, Q, n)
+        # the deeper splits in the first cluster, and with the order of every
+        # tuple reversed, in the last, away from the start of the tuple
+        stack = np.concatenate([nested[None], nested[None, :, ::-1],
+                                plan_stack(rng, 3 if Q == 6 else 6, L, Q, n)])
+        plans = extend._cone_plan_many(stack)
+        assert {depth(plan.sorter) for plan in plans[2:]} >= {0, 1}
+        assert depth(plans[0].sorter) == depth(plans[1].sorter) == min(Q - 1, 3)
+        # per plan: its witnessed tuples reordered and moved a little, a
+        # random tuple and tuples with a repeated point (ties in the match)
+        sorters, values = [], []
+        for plan, row in zip(plans, stack):
+            moved = row + rng.uniform(-0.01, 0.01, row.shape)
+            moved = moved[np.arange(L)[:, None], rng.random((L, Q)).argsort(axis=1)]
+            tied = moved[:2].copy()
+            tied[:, 0] = tied[:, -1]
+            batch = np.concatenate([moved, tied, rng.uniform(-3.0, 3.0, (1, Q, n))])
+            sorters += [plan.sorter] * len(batch)
+            values.append(batch)
+        values = np.concatenate(values)
+        calls = []
+        real = extend.match_many
+        monkeypatch.setattr(extend, "match_many",
+                            lambda A, B, kind: calls.append(len(A)) or real(A, B, kind))
+        got = extend._sorted_many(sorters, values)
+        monkeypatch.undo()
+        assert got.shape == values.shape
+        for sorter, value, row in zip(sorters, values, got):
+            assert np.array_equal(row, _sorted(sorter, value))
+        # one kernel call per (level, width), scoring each split node once
+        nodes = [node for sorter in sorters for node in split_nodes(sorter)]
+        assert len(calls) <= len(set(nodes)) and sum(calls) == len(nodes)
+
+    def test_leaves_and_empty_batches(self):
+        rng = np.random.default_rng(40)
+        values = rng.uniform(-1.0, 1.0, (4, 3, 2))
+        got = extend._sorted_many([None] * 4, values)
+        assert np.array_equal(got, values) and got is not values
+        assert extend._sorted_many([], np.zeros((0, 3, 2))).shape == (0, 3, 2)
+
+    def test_a_far_batch_makes_one_kernel_call_per_level_and_width(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        locs, vals = whitney_data(rng, 2, "clustered")
+        ext = WhitneyExtension(list(zip(locs, vals)), [[0.0, 1.0], [0.0, 1.0]], 6)
+        queries = rng.uniform(0.0, 1.0, (80, 2))
+        first = ext.evaluate_many(queries)
+        # the plans are cached now, so the sorters make every kernel call
+        calls, batches = [], []
+        match, sorted_many = extend.match_many, extend._sorted_many
+
+        def recorded(sorters, values):
+            batches.append(sorters)
+            return sorted_many(sorters, values)
+
+        monkeypatch.setattr(extend, "match_many",
+                            lambda A, B, kind: calls.append(1) or match(A, B, kind))
+        monkeypatch.setattr(extend, "_sorted_many", recorded)
+        assert np.array_equal(ext.evaluate_many(queries), first)
+        [sorters] = batches
+        nodes = {node for sorter in sorters for node in split_nodes(sorter)}
+        assert 0 < len(calls) <= len(nodes) < sum(s is not None for s in sorters)

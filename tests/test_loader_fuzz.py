@@ -1,5 +1,6 @@
-"""Fuzz tests of the ``qv extend whitney``, ``qv verify --config`` and frame
-(``qv embed --frame``) loaders.
+"""Fuzz tests of the ``qv extend whitney``, ``qv extend cone``, ``qv verify
+--config``, frame (``qv embed --frame``) and grid-function (``qv energy``,
+``qv trace``, ``qv extend plane``) loaders.
 Hypothesis writes valid input files and then breaks them in up to three
 ways.  Every run must end in exit code 0, 1 or 2 and never in a traceback;
 a run with a fault must exit 1 with a message that names a faulty field (or
@@ -14,6 +15,7 @@ import re
 import tempfile
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qvalued.cli import main
@@ -371,3 +373,299 @@ def test_frame_loader_exits_cleanly_and_names_the_fault(case):
         return
     assert code == 1, (faults, message)
     assert any(f"'{FRAME_FAULTS[fault]}'" in message for fault in faults), (faults, message)
+
+
+def run_cli(argv):
+    """``(exit code, stdout, stderr)`` of one in-process ``qv`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# each fault of a cone sample file, and the fields a message about it may name
+CONE_FAULTS = {
+    "missing m": {"m"}, "m not an integer": {"m"}, "m not positive": {"m"},
+    "m mismatch": {"x"}, "missing R": {"R"}, "R not a number": {"R"},
+    "R not positive": {"R"}, "R not finite": {"R"}, "R past float range": {"R"},
+    "R off the sphere": {"x", "R"}, "missing points": {"points"},
+    "points not a list": {"points"}, "empty points": {"points"},
+    "entry not an object": {"points"}, "missing x": {"x"}, "x not numbers": {"x"},
+    "nested x": {"x"}, "empty x": {"x"}, "x not finite": {"x"}, "x past float range": {"x"},
+    "missing value": {"value"}, "value not numbers": {"value"}, "ragged value": {"value"},
+    "mixed Q": {"points"}, "mixed n": {"points"}, "not an object": {"m"},
+}
+# applied after the others, in this order, since each replaces what they change
+CONE_LAST = ("entry not an object", "empty points", "missing points", "points not a list",
+             "not an object")
+CONE_ROW_FAULTS = ("row width", "row not finite", "row outside the ball", "row not numbers",
+                   "no rows")
+
+
+@st.composite
+def cone_cases(draw):
+    """``(sample object, CSV lines, names)`` for a random valid cone sample
+    broken by the faults drawn; ``names`` are the fields and rows a message
+    may name, none when there is no fault."""
+    m = draw(st.integers(1, 3))
+    Q, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    R = draw(st.floats(0.1, 10.0))
+
+    def direction():
+        u = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(m)])
+        norm = np.linalg.norm(u)
+        return u / norm if norm > 0.1 else np.eye(m)[0]
+
+    def value(rows=Q, cols=n):
+        return [[draw(st.floats(-1.0, 1.0)) for _ in range(cols)] for _ in range(rows)]
+
+    points = [{"x": (R * direction()).tolist(), "value": value()}
+              for _ in range(draw(st.integers(1, 6)))]
+    obj = {"m": m, "R": R, "points": points}
+    rows = [(R * draw(st.floats(0.0, 1.0)) * direction()).tolist()
+            for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rows.append(list(points[0]["x"]))
+    lines = [",".join(map(repr, row)) for row in rows]
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note"])))
+
+    faults = draw(st.lists(st.sampled_from(sorted(CONE_FAULTS) + list(CONE_ROW_FAULTS)),
+                           max_size=3, unique=True))
+    faults.sort(key=lambda fault: CONE_LAST.index(fault) if fault in CONE_LAST else -1)
+    names = set()
+    for fault in faults:
+        names |= CONE_FAULTS.get(fault, {"no rows" if fault == "no rows" else "row"})
+        entry = draw(st.sampled_from(points))
+        if fault == "missing m":
+            obj.pop("m")
+        elif fault == "m not an integer":
+            obj["m"] = draw(st.sampled_from([2.0, "2", None, True, [2]]))
+        elif fault == "m not positive":
+            obj["m"] = draw(st.sampled_from([0, -1]))
+        elif fault == "m mismatch":
+            obj["m"] = m + 1
+        elif fault == "missing R":
+            obj.pop("R")
+        elif fault == "R not a number":
+            obj["R"] = draw(st.sampled_from(["1", None, True, [1.0]]))
+        elif fault == "R not positive":
+            obj["R"] = draw(st.sampled_from([0, 0.0, -1.5]))
+        elif fault == "R not finite":
+            obj["R"] = draw(st.sampled_from([math.inf, math.nan]))
+        elif fault == "R past float range":
+            obj["R"] = 10**400
+        elif fault == "R off the sphere":
+            obj["R"] = 2.0 * R
+        elif fault == "missing points":
+            obj.pop("points")
+        elif fault == "points not a list":
+            obj["points"] = draw(st.sampled_from([{}, "points", 3]))
+        elif fault == "empty points":
+            obj["points"] = []
+        elif fault == "entry not an object":
+            points[points.index(entry)] = draw(st.sampled_from([1, "e", []]))
+        elif fault == "missing x":
+            entry.pop("x", None)
+        elif fault == "x not numbers":
+            entry["x"] = draw(st.sampled_from(["0.5", None, True, [None] * m, [True] * m]))
+        elif fault == "nested x":
+            entry["x"] = [[c] for c in (R * direction()).tolist()]
+        elif fault == "empty x":
+            entry["x"] = []
+        elif fault == "x not finite":
+            entry["x"] = [draw(st.sampled_from([math.nan, math.inf]))] * m
+        elif fault == "x past float range":
+            entry["x"] = [10**400] * m
+        elif fault == "missing value":
+            entry.pop("value", None)
+        elif fault == "value not numbers":
+            entry["value"] = draw(st.sampled_from(["v", None, [["a"]], [[math.nan]], []]))
+        elif fault == "ragged value":
+            entry["value"] = [[0.5] * n, [0.5] * (n + 1)]
+        elif fault == "mixed Q":
+            points.append({"x": (R * direction()).tolist(), "value": value(rows=Q + 1)})
+        elif fault == "mixed n":
+            points.append({"x": (R * direction()).tolist(), "value": value(cols=n + 1)})
+        elif fault == "not an object":
+            obj = draw(st.sampled_from([[], "sample", 7]))
+        elif fault == "row width":
+            lines.append(",".join(["0.0"] * (m + 1)))
+        elif fault == "row not finite":
+            lines.append(",".join(["nan"] * m))
+        elif fault == "row outside the ball":
+            lines.append(",".join([repr(2.0 * R + 1.0)] * m))
+        elif fault == "row not numbers":
+            lines.append(draw(st.sampled_from(["a,b", "0.5;0.5", "0.5,,0.5", "0x1"])))
+        elif fault == "no rows":
+            lines = ["# nothing"]
+    return obj, lines, names
+
+
+NAMES["points"] = re.compile("'points'")
+NAMES["m"] = re.compile("'m'")
+NAMES["R"] = re.compile("'R'")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_cases())
+def test_cone_loader_exits_cleanly_and_names_the_fault(case):
+    obj, lines, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "sample.json")
+        query = os.path.join(tmp, "queries.csv")
+        out = os.path.join(tmp, "values.json")
+        with open(data, "w") as fh:
+            json.dump(obj, fh)
+        with open(query, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        code, _, message = run_cli(["extend", "cone", "--in", data, "--query", query,
+                                    "--out", out])
+        assert code in (0, 1, 2), message
+        assert "Traceback" not in message
+        if not names:
+            assert code == 0, message
+            with open(out) as fh:
+                values = json.load(fh)
+            assert len(values) == sum(1 for line in lines
+                                      if line.strip() and not line.lstrip().startswith("#"))
+            return
+    assert code == 1, (names, message)
+    assert any(NAMES[name].search(message) for name in names), (names, message)
+
+
+# each fault of a grid-function file, and the field a message about it names
+GRID_FAULTS = {
+    **{f"missing {field}": field for field in ("m", "n", "Q", "shape", "h", "mask", "values")},
+    **{f"{field} not an integer": field for field in ("m", "n", "Q")},
+    **{f"{field} not positive": field for field in ("m", "n", "Q")},
+    "m mismatch": "shape", "Q mismatch": "values", "n mismatch": "values",
+    "shape not a list": "shape", "bad extent": "shape", "h not a number": "h",
+    "h not positive": "h", "h not finite": "h", "h past float range": "h",
+    "mask size": "mask", "bad mask entry": "mask", "mask not a list": "mask",
+    "values size": "values", "values not numbers": "values", "ragged values": "values",
+    "values not finite inside": "values", "values past float range": "values",
+    "not an object": "m",
+}
+# faults that break only one command, with the field its message names
+COMMAND_FAULTS = {"extents differ": ("plane", "shape"), "no boundary node": ("trace", "mask")}
+# "extents differ" goes first and "not an object" last, since each replaces
+# what the faults before it change
+GRID_ORDER = {"extents differ": -1, "not an object": 1}
+COMMANDS = {"energy": ["energy"], "trace": ["trace"], "plane": ["extend", "plane"]}
+for _field in ("n", "Q", "shape", "h", "mask", "values"):
+    NAMES.setdefault(_field, re.compile(f"'{_field}'"))
+
+
+@st.composite
+def grid_cases(draw):
+    """``(command, grid object, names)`` for a random valid grid function
+    broken by the faults drawn; ``names`` are the fields a message may name,
+    none when the command should succeed."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    m, Q, n = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    N = draw(st.integers(2, 5))
+    shape = [N] * m
+    nodes = N**m
+    mask = [draw(st.integers(0, 2)) for _ in range(nodes)]
+    mask[draw(st.integers(0, nodes - 1))] = 1
+    values = [[[draw(st.floats(-1.0, 1.0)) for _ in range(n)] for _ in range(Q)]
+              for _ in range(nodes)]
+    for node, kind in enumerate(mask):
+        # outside nodes hold no value; to_json writes 0.0 there
+        if kind == 2 and draw(st.booleans()):
+            values[node] = [[draw(st.sampled_from([0.0, math.nan]))] * n] * Q
+    obj = {"m": m, "n": n, "Q": Q, "shape": shape, "h": draw(st.floats(0.01, 2.0)),
+           "mask": mask, "values": values}
+
+    faults = draw(st.lists(st.sampled_from(sorted(GRID_FAULTS) + sorted(COMMAND_FAULTS)),
+                           max_size=3, unique=True))
+    faults.sort(key=lambda fault: GRID_ORDER.get(fault, 0))
+    names = set()
+    for fault in faults:
+        if fault in COMMAND_FAULTS:
+            target, field = COMMAND_FAULTS[fault]
+            # a one-axis grid has one extent
+            if command == target and (fault != "extents differ" or m == 2):
+                names.add(field)
+        else:
+            names.add(GRID_FAULTS[fault])
+        field = GRID_FAULTS.get(fault)
+        if fault.startswith("missing "):
+            obj.pop(field, None)
+        elif fault.endswith("not an integer"):
+            obj[field] = draw(st.sampled_from([2.0, "2", None, True, [2]]))
+        elif fault.endswith("not positive"):
+            obj[field] = draw(st.sampled_from([0, -1]))
+        elif fault == "m mismatch":
+            obj["m"] = m + 1
+        elif fault == "Q mismatch":
+            obj["Q"] = Q + 1
+        elif fault == "n mismatch":
+            obj["n"] = n + 1
+        elif fault == "shape not a list":
+            obj["shape"] = draw(st.sampled_from(["5", N, None, {}]))
+        elif fault == "bad extent":
+            obj["shape"] = [draw(st.sampled_from([0, -2, 2.5, True, "3", None]))] + shape[1:]
+        elif fault == "h not a number":
+            obj["h"] = draw(st.sampled_from(["0.1", None, True, [0.1]]))
+        elif fault == "h not positive":
+            obj["h"] = draw(st.sampled_from([0, 0.0, -0.5]))
+        elif fault == "h not finite":
+            obj["h"] = draw(st.sampled_from([math.inf, math.nan]))
+        elif fault == "h past float range":
+            obj["h"] = 10**400
+        elif fault == "mask size":
+            mask.pop()
+        elif fault == "bad mask entry":
+            mask[draw(st.integers(0, len(mask) - 1))] = draw(st.sampled_from(
+                [3, -1, 1.5, "1", None, [1]]))
+        elif fault == "mask not a list":
+            obj["mask"] = draw(st.sampled_from(["mask", None, {}]))
+        elif fault == "values size":
+            values.pop()
+        elif fault == "values not numbers":
+            values[draw(st.integers(0, len(values) - 1))][0][0] = draw(st.sampled_from(
+                ["a", None, {}]))
+        elif fault == "ragged values":
+            values[-1] = values[-1] + [[0.5] * n]
+        elif fault == "values not finite inside":
+            inside = [node for node, kind in enumerate(mask[:len(values)]) if kind in (0, 1)]
+            if inside:
+                values[draw(st.sampled_from(inside))][0][0] = draw(st.sampled_from(
+                    [math.nan, math.inf]))
+            else:
+                values[0][0][0] = "a"
+        elif fault == "values past float range":
+            values[0][0][0] = 10**400
+        elif fault == "extents differ" and m == 2:
+            obj["shape"] = [N, N + 1]
+            mask += [2] * N
+            values += [[[0.0] * n] * Q] * N
+        elif fault == "no boundary node":
+            mask[:] = [0 if kind == 1 else kind for kind in mask]
+        elif fault == "not an object":
+            obj = draw(st.sampled_from([[], "grid", 7, None]))
+    return command, obj, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_grid_loader_exits_cleanly_and_names_the_fault(case):
+    command, obj, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "grid.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        code, _, message = run_cli(COMMANDS[command] + ["--in", path, "--out", out])
+        assert code in (0, 1, 2), message
+        assert "Traceback" not in message
+        if not names:
+            assert code == 0, (command, message)
+            with open(out) as fh:
+                json.load(fh)
+            return
+    assert code == 1, (command, names, message)
+    assert any(NAMES[name].search(message) for name in names), (command, names, message)

@@ -154,6 +154,23 @@ def test_individual_ratios(small_cfg):
     assert po.worst_ratio <= small_cfg.tolerances["poincare_c"]
 
 
+def test_poincare_scores_no_node_against_itself(small_cfg, monkeypatch):
+    # a node's G2 cost against itself is exactly 0, so the check writes 0
+    # for those pairs instead of scoring them
+    from qvalued import verify
+
+    pairs = []
+    real = verify._in_blocks
+
+    def recorded(kernel, A, B, kind, left=None, right=None):
+        pairs.append((left, right))
+        return real(kernel, A, B, kind, left, right)
+
+    monkeypatch.setattr(verify, "_in_blocks", recorded)
+    check_poincare(small_cfg)
+    assert pairs and all(left.size and (left != right).all() for left, right in pairs)
+
+
 @pytest.mark.parametrize("Q", [4, 6])
 def test_q_range_above_three_runs(Q):
     # the sqrt(Q) check caps Q at 3 only where the range reaches below it;
