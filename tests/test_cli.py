@@ -19,9 +19,33 @@ HISTORY_P2_N16 = ("iteration,total_energy\n0,20.020841989658752\n1,6.12238221861
 STDOUT_P2_N16 = '{"energy": 6.122382218610829, "iterations": 2, "converged": true}\n'
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def sqrt_curve(samples):
+    """Curve-spec entries: the two branches of the complex square root at
+    ``samples`` equally spaced points of the unit circle."""
+    return [{"x": [math.cos(t), math.sin(t)],
+             "value": [[math.cos(t / 2), math.sin(t / 2)],
+                       [-math.cos(t / 2), -math.sin(t / 2)]]}
+            for t in np.linspace(0, 2 * math.pi, samples, endpoint=False)]
+
+
+def square_curve(per_side):
+    """Curve-spec entries: ``per_side`` samples along each side of the frame
+    of [-1, 1]^2, valued {x + 2y, -(x + 2y)}, whose branches cross."""
+    ends = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    entries = []
+    for (x0, y0), (x1, y1) in zip(ends, ends[1:] + ends[:1]):
+        for s in np.linspace(0.0, 1.0, per_side, endpoint=False):
+            x, y = x0 + s * (x1 - x0), y0 + s * (y1 - y0)
+            entries.append({"x": [x, y], "value": [[x + 2 * y], [-(x + 2 * y)]]})
+    return entries
 
 
 @pytest.fixture()
@@ -382,6 +406,31 @@ class TestSolveCli:
         assert sol.read_text() == golden.read_text()
         assert hist.read_text() == HISTORY_P2_N16
         assert capsys.readouterr().out == STDOUT_P2_N16
+
+    @pytest.mark.parametrize("name,spec,argv", [
+        ("solve_disk_curve_p2", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(64)},
+         ["--grid", "16"]),
+        ("solve_square_curve_p2",
+         {"domain": "square", "m": 2, "Q": 2, "n": 1, "curve": square_curve(5)},
+         ["--grid", "12"]),
+        ("solve_disk_curve_p3", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
+         ["--grid", "12", "--p", "3", "--restarts", "2"]),
+    ])
+    def test_curve_spec_matches_golden_files(self, tmp_path, capsys, name, spec, argv):
+        # each boundary node takes its nearest sample's value; the solution,
+        # the history and stdout are pinned byte for byte
+        b = write(tmp_path / "b.json", json.dumps(spec))
+        sol, hist = tmp_path / "sol.json", tmp_path / "hist.csv"
+        assert main(["solve", "--boundary", b, "--out", str(sol),
+                     "--history", str(hist)] + argv) == 0
+        assert sol.read_text() == (DATA / f"{name}.json").read_text()
+        assert hist.read_text() == (DATA / f"{name}_history.csv").read_text()
+        assert capsys.readouterr().out == (DATA / f"{name}_stdout.txt").read_text()
+
+    def test_trace_matches_golden_file(self, tmp_path):
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--in", str(DATA / "solve_p2_n16.json"), "--out", str(out)]) == 0
+        assert out.read_text() == (DATA / "trace_p2_n16.json").read_text()
 
     def test_curve_spec_non_integer_q_named(self, tmp_path, capsys):
         b = write(tmp_path / "b.json",
