@@ -57,7 +57,6 @@ from .qspace import (
     dist_sorted_1d,
     local_split,
     match_many,
-    select_branches,
     split_distance,
     split_distance_many,
     support_sigma,

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import embed, energy, extend, verify
-from .grids import BOUNDARY, INTERIOR, OUTSIDE, GridFunction, disk_mask, empty_grid, square_mask
+from .grids import (BOUNDARY, INTERIOR, OUTSIDE, GridFunction, _nearest, disk_mask, empty_grid,
+                    square_mask)
 from .qspace import MetricKind, QTuple, dist
 
 
@@ -335,20 +336,18 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _load_solver_inputs(path: str, resolution: int):
-    """Boundary data plus a grid template.
+def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
+    """The grid to solve on, its boundary nodes holding the Dirichlet data.
 
-    Accepts either a full grid-function JSON (detected by a ``mask`` field,
-    boundary values read off the boundary nodes) or a boundary-curve spec
+    Accepts either a full grid-function JSON (detected by a ``mask`` field),
+    returned as it is, or a boundary-curve spec
     ``{"domain": "disk"|"square", "Q", "n", "curve": [{"x", "value"}]}``
-    sampled onto a grid of the requested resolution, each boundary node
-    taking the nearest curve sample's value.
+    sampled onto the empty grid of the requested resolution: each boundary
+    node takes the value of the first curve sample nearest to it.
     """
     obj = _load_json(path)
     if isinstance(obj, dict) and "mask" in obj:
-        f = _grid_from_obj(obj, path)
-        boundary = {idx: f.values[idx] for idx in f.nodes(kinds=(BOUNDARY,))}
-        return boundary, f
+        return _grid_from_obj(obj, path)
     domain = _field(obj, "domain", path)
     Q = _int_field(obj, "Q", path)
     n = _int_field(obj, "n", path)
@@ -357,6 +356,8 @@ def _load_solver_inputs(path: str, resolution: int):
         raise DataError(f"field 'curve' in {path} must be a nonempty list of objects")
     if resolution is None:
         raise DataError("--grid is required with a boundary-curve spec")
+    if resolution < 2:
+        raise DataError(f"--grid must be an integer >= 2, got {resolution}")
     if domain == "disk":
         mask = disk_mask(resolution)
         m = 2
@@ -368,22 +369,20 @@ def _load_solver_inputs(path: str, resolution: int):
     grid = empty_grid(m, n, Q, resolution, mask)
     if any(x.size != m for x, _ in curve):
         raise DataError(f"each 'x' in field 'curve' of {path} must hold {m} numbers")
-    locs = np.array([x for x, _ in curve])
-    vals = [value.points for _, value in curve]
-    if any(val.shape != (Q, n) for val in vals):
+    if any(value.points.shape != (Q, n) for _, value in curve):
         raise DataError(f"each 'value' in field 'curve' of {path} must have shape {(Q, n)}")
-    boundary = {}
-    for idx in grid.nodes(kinds=(BOUNDARY,)):
-        x = grid.node_coords(idx)
-        j = int(np.argmin(np.linalg.norm(locs - x[None, :], axis=1)))
-        boundary[idx] = vals[j]
-    return boundary, grid
+    locs = np.array([x for x, _ in curve])
+    vals = np.array([value.points for _, value in curve])
+    bnodes = grid.node_index((BOUNDARY,))
+    coords = grid.all_coords().reshape(-1, m)
+    grid.values.reshape(-1, Q, n)[bnodes] = vals[_nearest(coords[bnodes], locs)]
+    return grid
 
 
 def _cmd_solve(args) -> int:
-    boundary, grid = _load_solver_inputs(args.boundary, args.grid)
+    grid = _load_solver_inputs(args.boundary, args.grid)
     solution, report, history = energy.solve_dirichlet(
-        boundary, grid, args.p, tol=args.tol, seed=args.seed,
+        grid, grid, args.p, tol=args.tol, seed=args.seed,
         restarts=args.restarts,
     )
     _write(args.out, solution.to_json())

@@ -26,7 +26,7 @@ import numpy as np
 
 from .extend import BoundarySample, WhitneyExtension
 from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _nearest, index_tuples
-from .qspace import Matching, MetricKind, QTuple, match_many
+from .qspace import Matching, MetricKind, QTuple, match_many, vector_norms
 
 P_CAP = 8.0
 
@@ -119,15 +119,12 @@ def trace(f: GridFunction) -> BoundarySample:
     they sit within one grid cell of the circle, for square masks on the
     frame.  R is the largest location norm.
     """
-    points = []
-    R = 0.0
-    for idx in f.nodes(kinds=(BOUNDARY,)):
-        x = f.node_coords(idx)
-        R = max(R, float(np.linalg.norm(x)))
-        points.append((x, QTuple(f.values[idx])))
-    if not points:
+    bnodes = f.node_index((BOUNDARY,))
+    if not bnodes.size:
         raise ValueError("grid has no boundary nodes")
-    return BoundarySample(points=points, R=R, m=f.m)
+    locs = f.all_coords().reshape(-1, f.m)[bnodes]
+    points = [(x, QTuple(value)) for x, value in zip(locs, _tuples(f)[bnodes])]
+    return BoundarySample(points=points, R=float(vector_norms(locs).max()), m=f.m)
 
 
 def max_difference_quotient(f: GridFunction) -> float:
@@ -136,20 +133,29 @@ def max_difference_quotient(f: GridFunction) -> float:
     return float(np.sqrt(sq).max(initial=0.0)) / f.h
 
 
-def _boundary_values(boundary, grid: GridFunction) -> dict:
+def _boundary_values(boundary, grid: GridFunction, bnodes: np.ndarray) -> np.ndarray:
+    """The (B, Q, n) Dirichlet data at the B flat node indices ``bnodes``: read off a
+    grid function on ``grid``'s grid, or gathered from a dict of (Q, n) values by node."""
     if isinstance(boundary, GridFunction):
         _check_same_grid(boundary, grid)
-        return {idx: boundary.values[idx] for idx in grid.nodes(kinds=(BOUNDARY,))}
-    out = {}
-    for idx, value in boundary.items():
-        idx = tuple(int(i) for i in idx)
-        arr = value.points if isinstance(value, QTuple) else np.asarray(value, dtype=float)
-        if arr.shape != (grid.Q, grid.n):
-            raise ValueError(
-                f"boundary value at {idx} has shape {arr.shape}, expected {(grid.Q, grid.n)}"
-            )
-        out[idx] = arr
-    return out
+        values = _tuples(boundary)[bnodes]
+    else:
+        given = {}
+        for idx, value in boundary.items():
+            idx = tuple(int(i) for i in idx)
+            arr = value.points if isinstance(value, QTuple) else np.asarray(value, dtype=float)
+            if arr.shape != (grid.Q, grid.n):
+                raise ValueError(f"boundary value at {idx} has shape {arr.shape}, "
+                                 f"expected {(grid.Q, grid.n)}")
+            given[idx] = arr
+        values = np.empty((bnodes.size, grid.Q, grid.n))
+        for row, idx in enumerate(index_tuples(bnodes, grid.shape)):
+            if idx not in given:
+                raise ValueError(f"boundary value missing at node {idx}")
+            values[row] = given[idx]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("boundary values must be finite")
+    return values
 
 
 def _stranded(size: int, u: np.ndarray, v: np.ndarray, bnodes: np.ndarray,
@@ -206,17 +212,10 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    bvals = _boundary_values(boundary, grid)
     bnodes = grid.node_index((BOUNDARY,))
+    bvalue_arr = _boundary_values(boundary, grid, bnodes)
     if not bnodes.size:
         raise ValueError("grid has no boundary nodes")
-    boundary_nodes = list(index_tuples(bnodes, grid.shape))
-    missing = [idx for idx in boundary_nodes if idx not in bvals]
-    if missing:
-        raise ValueError(f"boundary value missing at node {missing[0]}")
-    bvalue_arr = np.array([bvals[idx] for idx in boundary_nodes])
-    if not np.all(np.isfinite(bvalue_arr)):
-        raise ValueError("boundary values must be finite")
     interior = grid.node_index((INTERIOR,))
     u, v = grid.edge_index()
     stranded = _stranded(grid.mask.size, u, v, bnodes, interior)

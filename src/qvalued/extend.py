@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _blocks, _nearest
+from .grids import GridFunction, OUTSIDE, _blocks, _nearest, square_mask
 from .qspace import MetricKind, QTuple, match_many, vector_norms
 
 
@@ -724,13 +724,7 @@ def extend_to_plane(f: GridFunction) -> GridFunction:
     pad = math.ceil((N - 1) / 2)
     N_out = N + 2 * pad
     shape_out = (N_out,) * f.m
-    mask = np.full(shape_out, INTERIOR, dtype=np.int8)
-    for axis in range(f.m):
-        sl = [slice(None)] * f.m
-        sl[axis] = 0
-        mask[tuple(sl)] = BOUNDARY
-        sl[axis] = N_out - 1
-        mask[tuple(sl)] = BOUNDARY
+    mask = square_mask(N_out, f.m)
     values = np.zeros(shape_out + (f.Q, f.n))
 
     inside = f.mask != OUTSIDE

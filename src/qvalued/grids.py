@@ -182,14 +182,8 @@ class GridFunction:
 
 def square_mask(resolution: int, m: int = 2) -> np.ndarray:
     """Full box domain: frame nodes are boundary, the rest interior."""
-    shape = (resolution,) * m
-    mask = np.full(shape, INTERIOR, dtype=np.int8)
-    for axis in range(m):
-        sl = [slice(None)] * m
-        sl[axis] = 0
-        mask[tuple(sl)] = BOUNDARY
-        sl[axis] = resolution - 1
-        mask[tuple(sl)] = BOUNDARY
+    mask = np.full((resolution,) * m, BOUNDARY, dtype=np.int8)
+    mask[(slice(1, -1),) * m] = INTERIOR
     return mask
 
 
@@ -201,27 +195,12 @@ def disk_mask(resolution: int) -> np.ndarray:
     """
     h = 2.0 / (resolution - 1)
     c = (resolution - 1) / 2.0
-    idx = np.indices((resolution, resolution)).astype(float)
-    x = (idx[0] - c) * h
-    y = (idx[1] - c) * h
-    r = np.sqrt(x * x + y * y)
-    inside = r < 1.0
-    mask = np.full((resolution, resolution), OUTSIDE, dtype=np.int8)
-    mask[inside] = INTERIOR
-    for axis, step in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        shifted = np.roll(inside, step, axis=axis)
-        if step == 1:
-            if axis == 0:
-                shifted[0, :] = False
-            else:
-                shifted[:, 0] = False
-        else:
-            if axis == 0:
-                shifted[-1, :] = False
-            else:
-                shifted[:, -1] = False
-        mask[(mask == OUTSIDE) & shifted] = BOUNDARY
-    return mask
+    x, y = (np.indices((resolution, resolution)).astype(float) - c) * h
+    inside = np.sqrt(x * x + y * y) < 1.0
+    # a node is next to the disk when one of its four axis neighbours is inside it
+    padded = np.pad(inside, 1)
+    near = padded[:-2, 1:-1] | padded[2:, 1:-1] | padded[1:-1, :-2] | padded[1:-1, 2:]
+    return np.where(inside, INTERIOR, np.where(near, BOUNDARY, OUTSIDE)).astype(np.int8)
 
 
 def empty_grid(m: int, n: int, Q: int, resolution: int, mask: np.ndarray = None, *,

@@ -8,8 +8,8 @@ under any of the three, ``dist_many`` turns their costs into distances,
 and ``dist`` is the one-pair case of both.  This module also
 provides the splitting machinery: the minimum gap between distinct points
 of a tuple forces the optimal pairing for any sufficiently small
-perturbation, which is what makes local decompositions and branch
-selection work.
+perturbation, which is what makes local decompositions (``local_split``)
+work.
 
 All values here are immutable after construction and every operation is
 a pure function, so concurrent use needs no locking.
@@ -21,7 +21,6 @@ import functools
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -442,64 +441,3 @@ def local_split(center: QTuple, v: QTuple):
             position[i] = offset + k
         offset += idx.size
     return parts, Matching(tuple(position))
-
-
-def select_branches(f) -> list:
-    """Split a grid-sampled Q-valued map into Q single-valued grid fields.
-
-    Labels are propagated by breadth-first region growing: across each
-    visited edge the optimal G2 matching carries branch labels over, except
-    where the matched distance exceeds half the splitting radius of the
-    already-labelled endpoint (a branch collision), in which case the new
-    node falls back to the lexicographic ordering of its points.  The
-    concatenation of the branches reproduces f at every node.
-
-    Parameters
-    ----------
-    f : GridFunction
-
-    Returns
-    -------
-    branches : list of Q arrays, each of shape ``(*f.shape, n)``
-        NaN outside the domain.
-    """
-    from .grids import OUTSIDE  # local import: grids has no dependency on qspace
-
-    shape = f.shape
-    Q, n = f.Q, f.n
-    branches = np.full((Q,) + tuple(shape) + (n,), np.nan)
-    visited = np.zeros(shape, dtype=bool)
-    inside = f.mask != OUTSIDE
-
-    def node_tuple(idx):
-        return QTuple(f.values[idx])
-
-    for seed in np.ndindex(*shape):
-        if not inside[seed] or visited[seed]:
-            continue
-        order = np.lexsort(f.values[seed].T[::-1])
-        branches[(slice(None),) + seed] = f.values[seed][order]
-        visited[seed] = True
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            vu = QTuple(branches[(slice(None),) + u])
-            su = split_distance(vu)
-            for axis in range(len(shape)):
-                for step in (-1, 1):
-                    w = list(u)
-                    w[axis] += step
-                    w = tuple(w)
-                    if not (0 <= w[axis] < shape[axis]):
-                        continue
-                    if not inside[w] or visited[w]:
-                        continue
-                    value, match = dist(vu, node_tuple(w), MetricKind.G2)
-                    if value <= su / 2:
-                        branches[(slice(None),) + w] = f.values[w][list(match.perm)]
-                    else:
-                        order = np.lexsort(f.values[w].T[::-1])
-                        branches[(slice(None),) + w] = f.values[w][order]
-                    visited[w] = True
-                    queue.append(w)
-    return [branches[i] for i in range(Q)]

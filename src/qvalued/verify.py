@@ -43,6 +43,16 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+# tuple pairs per stacked assignment-kernel call, and embedded coordinates
+# per stacked embedding call: both bound the memory a stacked check takes
+_KERNEL_ROWS = 2048
+_EMBED_ENTRIES = 1 << 15
+# the most numbers a config may ask one array of a check to hold, 128 MB as
+# float64: check_poincare's window pairs (trials * 49**m) and grid points
+# (trials * 7**m * Q * n), and a kernel call's point differences (Q * Q * n a row)
+_MAX_ENTRIES = 1 << 24
+
+
 @dataclass
 class CheckConfig:
     """Scale and tolerances of the random-instance checks."""
@@ -65,6 +75,20 @@ class CheckConfig:
             if len(rng) != 2 or not 1 <= rng[0] <= rng[1] < 2**31:
                 raise ValueError(f"{name} must be a nonempty range of positive integers "
                                  "below 2**31")
+        Q, n, m = self.Q_range[1], self.n_range[1], self.m_range[1]
+        nodes = 7 ** min(m, 5)  # from m = 5 on, one trial's window pairs pass the bound
+        for entries, what, fields in (
+            (self.trials * nodes * nodes, "window pairs in check_poincare", "m_range trials"),
+            (self.trials * nodes * Q * n, "grid points in check_poincare",
+             "Q_range n_range m_range trials"),
+            (max(self.trials, _KERNEL_ROWS) * Q * Q * n,
+             "point differences in one assignment-kernel call", "Q_range n_range trials"),
+        ):
+            if entries > _MAX_ENTRIES:
+                given = ", ".join(f"{name} {json.dumps(getattr(self, name))}"
+                                  for name in fields.split())
+                raise ValueError(f"{given} ask for over {_MAX_ENTRIES} {what}; "
+                                 "lower one of them")
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ValueError(f"tolerances has unknown name {name!r}; expected one of "
@@ -129,10 +153,6 @@ class CheckReport:
         }
 
 
-# tuple pairs per stacked assignment-kernel call, and embedded coordinates
-# per stacked embedding call: both bound the memory a stacked check takes
-_KERNEL_ROWS = 2048
-_EMBED_ENTRIES = 1 << 15
 
 
 def _rng_for(cfg: CheckConfig, name: str) -> np.random.Generator:

@@ -373,16 +373,8 @@ class TestSolveCli:
         )
 
     def test_curve_spec_boundary(self, tmp_path, capsys):
-        curve = [
-            {
-                "x": [math.cos(t), math.sin(t)],
-                "value": [[math.cos(t / 2), math.sin(t / 2)],
-                          [-math.cos(t / 2), -math.sin(t / 2)]],
-            }
-            for t in np.linspace(0, 2 * math.pi, 64, endpoint=False)
-        ]
         b = write(tmp_path / "sqrt2.json",
-                  json.dumps({"domain": "disk", "Q": 2, "n": 2, "curve": curve}))
+                  json.dumps({"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(64)}))
         sol_path = str(tmp_path / "sol.json")
         assert main(["solve", "--boundary", b, "--grid", "16", "--p", "2",
                      "--restarts", "1", "--out", sol_path]) == 0
@@ -487,11 +479,14 @@ class TestSolveCli:
     @pytest.mark.parametrize("flag,value,field", [
         ("--tol", "-1", "tol"), ("--tol", "0", "tol"), ("--tol", "nan", "tol"),
         ("--tol", "inf", "tol"), ("--restarts", "0", "restarts"),
-        ("--restarts", "-3", "restarts"),
+        ("--restarts", "-3", "restarts"), ("--grid", "1", "--grid"),
+        ("--grid", "0", "--grid"), ("--grid", "-3", "--grid"),
     ])
     def test_bad_tol_or_restarts_named(self, tmp_path, capsys, flag, value, field):
-        b = write(tmp_path / "b.json", empty_grid(2, 1, 1, 5).to_json())
-        assert main(["solve", "--boundary", b, flag, value]) == 1
+        # a curve spec, which --grid sizes; a later --grid replaces the first
+        b = write(tmp_path / "b.json", json.dumps(
+            {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(8)}))
+        assert main(["solve", "--boundary", b, "--grid", "5", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field} must ")
         assert captured.out == ""
@@ -577,6 +572,21 @@ class TestVerifyCli:
         assert main(["verify", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "Q_range [12, 12]" in err and "n_range [1, 3]" in err
+
+    @pytest.mark.parametrize("config,field", [({"m_range": [1, 12]}, "m_range"),
+                                              ({"Q_range": [1, 1073741824]}, "Q_range")])
+    def test_config_past_the_memory_bound_named(self, tmp_path, capsys, monkeypatch,
+                                                config, field):
+        from qvalued import verify
+
+        def ran(cfg):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "run_all", ran)
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad check config") and field in err
 
     def test_negative_seed_named(self, capsys):
         assert main(["verify", "--seed", "-5"]) == 1

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvalued.grids import OUTSIDE, empty_grid
 from qvalued.qspace import (
     Matching,
     MetricKind,
@@ -15,7 +14,6 @@ from qvalued.qspace import (
     dist,
     dist_sorted_1d,
     local_split,
-    select_branches,
     split_distance,
     support_sigma,
 )
@@ -355,59 +353,3 @@ class TestSplittingLemma:
         value, match = dist(qt(0, 10), qt(0.5, 9.5), MetricKind.G2)
         assert match.perm == (0, 1)
         assert value == pytest.approx(math.sqrt(0.5), abs=1e-12)
-
-
-class TestSelectBranches:
-    def test_two_branch_line(self):
-        g = empty_grid(1, 1, 2, 21)
-        for idx in g.nodes():
-            x = g.node_coords(idx)[0]
-            g.values[idx] = [[x], [-x]]
-        branches = select_branches(g)
-        for idx in g.nodes():
-            got = QTuple(np.array([branches[0][idx], branches[1][idx]]))
-            assert got == QTuple(g.values[idx])
-        # away from the collision region each branch value is one of +-x
-        for idx in g.nodes():
-            x = g.node_coords(idx)[0]
-            for b in branches:
-                assert min(abs(b[idx][0] - x), abs(b[idx][0] + x)) < 1e-12
-
-    def test_constant(self):
-        g = empty_grid(2, 1, 3, 5)
-        g.values[g.mask != OUTSIDE] = [[1.0], [1.0], [2.0]]
-        branches = select_branches(g)
-        for b in branches:
-            assert np.allclose(b[g.mask != OUTSIDE], b[(0, 0)])
-
-    def test_sqrt_circle_collision(self):
-        # two-valued square root around a discrete annulus: branches exist,
-        # reconstruct the data, and at least one seam swaps the labels (no
-        # continuous selection exists around the circle)
-        N = 24
-        h = 2.0 / (N - 1)
-        c = (N - 1) / 2
-        ring = np.full((N, N), OUTSIDE, dtype=np.int8)
-        for i in range(N):
-            for j in range(N):
-                if 0.55 <= math.hypot((i - c) * h, (j - c) * h) <= 1.0:
-                    ring[i, j] = 0
-        g = empty_grid(2, 2, 2, N, ring)
-        for idx in g.nodes():
-            x = g.node_coords(idx)
-            t = math.atan2(x[1], x[0]) / 2.0
-            g.values[idx] = [
-                [math.cos(t), math.sin(t)],
-                [-math.cos(t), -math.sin(t)],
-            ]
-        branches = select_branches(g)
-        for idx in g.nodes():
-            got = QTuple(np.array([branches[0][idx], branches[1][idx]]))
-            assert got == QTuple(g.values[idx])
-        seam = False
-        for u, v in g.edges():
-            stay = np.linalg.norm(branches[0][u] - branches[0][v])
-            swap = np.linalg.norm(branches[0][u] - branches[1][v])
-            if swap < stay:
-                seam = True
-        assert seam

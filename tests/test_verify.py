@@ -49,6 +49,30 @@ def test_config_rejects(kwargs):
         CheckConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,named,what", [
+    ({"m_range": (1, 12)}, ("m_range [1, 12]", "trials 200"), "window pairs"),
+    ({"m_range": (1, 2**31 - 1)}, ("m_range",), "window pairs"),
+    ({"m_range": (1, 3), "trials": 143}, ("m_range [1, 3]", "trials 143"), "window pairs"),
+    ({"m_range": (4, 4), "trials": 3}, ("m_range [4, 4]",), "window pairs"),
+    ({"Q_range": (1, 2**30)}, ("Q_range [1, 1073741824]",), "grid points"),
+    ({"n_range": (1, 2**31 - 1), "trials": 1}, ("n_range",), "grid points"),
+    ({"Q_range": (1, 60)}, ("Q_range [1, 60]", "n_range [1, 3]"), "point differences"),
+])
+def test_config_past_the_memory_bound_names_its_fields(kwargs, named, what):
+    with pytest.raises(ValueError, match=what) as info:
+        CheckConfig(**kwargs)
+    assert all(name in str(info.value) for name in named)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"m_range": (1, 3), "trials": 142},  # 142 * 49**3 window pairs, just under 2**24
+    {"m_range": (4, 4), "trials": 2},
+    {"Q_range": (1, 52)},  # 2048 rows * 52 * 52 * 3 point differences
+])
+def test_config_at_the_memory_bound_is_accepted(kwargs):
+    CheckConfig(**kwargs)  # built, never run
+
+
 def test_config_json_round_trip():
     cfg = CheckConfig(seed=3, trials=17, Q_range=(2, 3))
     back = CheckConfig.from_json(cfg.to_json())
