@@ -407,6 +407,10 @@ class TestSolveCli:
          ["--grid", "12"]),
         ("solve_disk_curve_p3", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
          ["--grid", "12", "--p", "3", "--restarts", "2"]),
+        ("solve_disk_curve_p1_5", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
+         ["--grid", "12", "--p", "1.5", "--restarts", "2"]),
+        ("solve_disk_curve_p8", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
+         ["--grid", "12", "--p", "8", "--restarts", "2"]),
     ])
     def test_curve_spec_matches_golden_files(self, tmp_path, capsys, name, spec, argv):
         # each boundary node takes its nearest sample's value; the solution,
