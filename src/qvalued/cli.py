@@ -343,7 +343,8 @@ def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
     returned as it is, or a boundary-curve spec
     ``{"domain": "disk"|"square", "Q", "n", "curve": [{"x", "value"}]}``
     sampled onto the empty grid of the requested resolution: each boundary
-    node takes the value of the first curve sample nearest to it.
+    node takes the value of the first curve sample nearest to it.  A grid
+    of over ``verify._MAX_ENTRIES`` values is refused before it is built.
     """
     obj = _load_json(path)
     if isinstance(obj, dict) and "mask" in obj:
@@ -359,13 +360,17 @@ def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
     if resolution < 2:
         raise DataError(f"--grid must be an integer >= 2, got {resolution}")
     if domain == "disk":
-        mask = disk_mask(resolution)
         m = 2
     elif domain == "square":
         m = _int_field(obj, "m", path) if "m" in obj else 2
-        mask = square_mask(resolution, m)
     else:
         raise DataError(f"unknown domain {domain!r} in {path}")
+    # the values hold resolution**m * Q * n floats; past m = 24 that is over the
+    # bound at any resolution, and the power is not formed
+    if m > 24 or resolution**m * Q * n > verify._MAX_ENTRIES:
+        raise DataError(f"m {m} and --grid {resolution} (with Q {Q}, n {n}) ask for over "
+                        f"{verify._MAX_ENTRIES} grid values; lower one of them")
+    mask = disk_mask(resolution) if domain == "disk" else square_mask(resolution, m)
     grid = empty_grid(m, n, Q, resolution, mask)
     if any(x.size != m for x, _ in curve):
         raise DataError(f"each 'x' in field 'curve' of {path} must hold {m} numbers")

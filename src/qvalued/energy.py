@@ -6,6 +6,11 @@ to boundary data alternates between two exact steps: recompute the optimal
 per-edge matchings, then, with matchings frozen, minimize the resulting
 vector p-Dirichlet energy on the branch-lifted graph (iteratively
 reweighted least squares: one weighted-Laplacian solve per iteration).
+The Laplacian's sparsity pattern depends only on the matching, so it is
+built once per matching and an iteration only writes its weights into it.
+Each iteration then steps to the energy's minimum along its direction, the
+root of the slope found by ``_brent``, a port of scipy's ``brentq`` that
+keeps ``scipy.optimize`` out of ``qv solve``.
 
 All of it runs on flat arrays: the edges are the index arrays of
 ``GridFunction.edge_index``, one G2 call of ``qspace.match_many`` matches
@@ -97,9 +102,13 @@ def discrete_energy(f: GridFunction, p: float) -> EnergyReport:
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    u, v, sq, perms = _match_edges(f)
-    contributions = f.h ** (f.m - p) * sq ** (p / 2.0)
-    return EnergyReport(float(contributions.sum()), p, f.shape, u, v,
+    return _energy_report(f, p, *_match_edges(f))
+
+
+def _energy_report(grid: GridFunction, p: float, u, v, sq, perms) -> EnergyReport:
+    """The report of the edges ``(u, v)`` of ``grid``, their squared G2 lengths and matchings."""
+    contributions = grid.h ** (grid.m - p) * sq ** (p / 2.0)
+    return EnergyReport(float(contributions.sum()), p, grid.shape, u, v,
                         contributions, perms)
 
 
@@ -240,10 +249,11 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
                             tol=tol, max_outer=max_outer, max_inner=max_inner)
         if best is None or result[1][-1] < best[1][-1]:
             best = result
-    values, history, iterations, converged = best
+    values, history, iterations, converged, sq, perms = best
     solution = GridFunction(grid.m, grid.n, grid.Q, grid.shape, grid.h,
                             grid.mask.copy(), values)
-    report = discrete_energy(solution, p)
+    # the last matching pass of the winning restart matched these very values
+    report = _energy_report(solution, p, u, v, sq, perms)
     report.iterations = iterations
     report.converged = converged
     return solution, report, history
@@ -252,7 +262,9 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
 def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     """Alternate matching passes and frozen-matching steps, in place on ``values``.
 
-    Branch position ``node * Q + branch`` is a row of ``Y``; ``slot`` maps
+    Returns the values, the energy history, the outer iteration count, whether
+    the run converged, and the last pass's squared edge lengths and matchings,
+    which are those of the returned values.  Branch position ``node * Q + branch`` is a row of ``Y``; ``slot`` maps
     it to its unknown's index, or -1 on the boundary.
     """
     Q = grid.Q
@@ -293,7 +305,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
             energy = energy_new
             break
         energy = energy_new
-    return values, history, iterations, converged
+    return values, history, iterations, converged, sq, perms
 
 
 def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
@@ -302,13 +314,16 @@ def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
     Edge ``e`` pairs positions ``ga[e]`` with ``gb[e]`` and contributes
     ``w * S_e^(p/2)``, ``S_e`` its squared matched length.  Each iteration
     weights it by ``S_e^((p-2)/2)``, solves the weighted Laplacian and moves
-    to the energy's minimum on the line through the solution.
+    to the energy's minimum on the line through the solution.  The
+    Laplacian's pattern is built once for the matching; an iteration writes
+    its weights into it and factorizes.
     """
     if free.size == 0:
         return
+    laplacian = _FrozenLaplacian(Y, ga, gb, slot, free)
     if p == 2.0:
         # the weights are all 1 and one solve is the exact minimizer
-        Y[free] = _branch_step_linear(Y, ga, gb, slot, free, np.ones(len(ga)))
+        Y[free] = laplacian.solve(np.ones(len(ga)))
         return
     delta = Y[ga] - Y[gb]
     S = np.einsum("eqn,eqn->e", delta, delta)
@@ -319,7 +334,7 @@ def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
         weight = np.maximum(S, 1e-12 * (1.0 + S.max())) ** ((p - 2.0) / 2.0)
         weight = np.maximum(weight, 1e-8 * weight.max())
         x0 = Y[free]
-        Y[free] = _branch_step_linear(Y, ga, gb, slot, free, weight)
+        Y[free] = laplacian.solve(weight)
         step = Y[free] - x0
         D = Y[ga] - Y[gb] - delta
         b, c = np.einsum("eqn,eqn->e", delta, D), np.einsum("eqn,eqn->e", D, D)
@@ -336,47 +351,143 @@ def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
 
 
 def _line_minimum(S, b, c, p):
-    """The t in [0, 64] minimizing the convex ``sum((S + 2bt + ct^2)^(p/2))``."""
+    """The t in [0, 64] minimizing the convex ``sum((S + 2bt + ct^2)^(p/2))``:
+    the root of its slope, found by ``_brent`` to within 1e-14."""
+    b2, power = 2.0 * b, p / 2.0 - 1.0
+
     def slope(t):
-        s = np.maximum(S + t * (2.0 * b + t * c), 0.0)
+        s = np.maximum(S + t * (b2 + t * c), 0.0)
         pos = s > 0.0
-        return float((s[pos] ** (p / 2.0 - 1.0) * (b[pos] + t * c[pos])).sum())
+        if pos.all():
+            return float((s ** power * (b + t * c)).sum())
+        return float((s[pos] ** power * (b[pos] + t * c[pos])).sum())
 
-    if not slope(0.0) < 0.0:
+    f0 = slope(0.0)
+    if not f0 < 0.0:
         return 0.0
-    # local import: scipy.optimize adds ~0.3 s to scipy.sparse, and only p != 2 needs it
-    from scipy.optimize import brentq
-
-    return 64.0 if slope(64.0) < 0.0 else brentq(slope, 0.0, 64.0, xtol=1e-14, disp=False)
+    f64 = slope(64.0)
+    return 64.0 if f64 < 0.0 else _brent(slope, 0.0, 64.0, f0, f64, 1e-14)
 
 
-def _branch_step_linear(Y, ga, gb, slot, free, weight):
-    """Minimizer of the frozen-matching weighted 2-energy: one sparse solve.
+# brentq's least and default relative tolerance
+_RTOL = 4 * float(np.finfo(float).eps)
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol, maxiter=100):
+    """A root of ``f`` between ``xpre`` and ``xcur``, where it takes the values
+    ``fpre`` and ``fcur`` of opposite signs, by Brent's method.
+
+    Step for step the ``brentq`` of scipy (``scipy/optimize/Zeros/brentq.c``),
+    so it returns the same float.  Like ``brentq(..., disp=False)`` it returns
+    the last iterate when ``maxiter`` iterations do not converge, and it raises
+    ``ValueError`` on a NaN value of ``f``.
+    """
+    for fx in (fpre, fcur):
+        if math.isnan(fx):
+            raise ValueError("the function value is NaN; Brent's method cannot continue")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to an infinity or a NaN, which fails the test below
+                stry = math.inf
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN; "
+                             "Brent's method cannot continue")
+    return xcur
+
+
+class _FrozenLaplacian:
+    """The weighted Laplacian of one frozen matching, solved for any edge weights.
 
     Position ``ga[e, i]`` is paired with ``gb[e, i]`` with weight
-    ``weight[e]``; the unknowns are the rows ``free`` of ``Y``.  Returns
-    their values at the minimizer, one row per unknown.
+    ``weight[e]``; the unknowns are the rows ``free`` of ``Y``.  The sparsity
+    pattern, the order that puts the entries into CSC order, and the pairs
+    with one known end are found once; ``system`` only writes the weights
+    into them.
     """
-    # local import: scipy.sparse.linalg costs ~0.35 s at start-up, and only `qv solve` needs it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import splu
 
-    N = free.size
-    a, b = slot[ga].ravel(), slot[gb].ravel()
-    wt = np.repeat(weight, ga.shape[1])
-    ka, kb = a >= 0, b >= 0
-    both = ka & kb
-    diag = np.bincount(np.concatenate([a[ka], b[kb]]), np.concatenate([wt[ka], wt[kb]]), N)
-    rows = np.concatenate([a[both], b[both], np.arange(N)])
-    cols = np.concatenate([b[both], a[both], np.arange(N)])
-    data = np.concatenate([-wt[both], -wt[both], diag])
-    # a pair with one known end adds weight * that end's value to the other's right-hand side
-    one = ka != kb
-    rhs = np.zeros((N, Y.shape[1]))
-    np.add.at(rhs, np.where(ka, a, b)[one],
-              wt[one, None] * Y[np.where(ka, gb.ravel(), ga.ravel())[one]])
-    L = csr_matrix((data, (rows, cols)), shape=(N, N)).tocsc()
-    return splu(L).solve(rhs)
+    def __init__(self, Y, ga, gb, slot, free):
+        # local import: scipy.sparse costs ~0.35 s at start-up, and only `qv solve` needs it
+        from scipy.sparse import csc_matrix
+
+        N, E = free.size, len(ga)
+        a, b = slot[ga].ravel(), slot[gb].ravel()
+        edge = np.repeat(np.arange(E), ga.shape[1])
+        ka, kb = a >= 0, b >= 0
+        both = ka & kb
+        self.diag_at = np.concatenate([a[ka], b[kb]])
+        self.diag_edge = np.concatenate([edge[ka], edge[kb]])
+        rows = np.concatenate([a[both], b[both], np.arange(N)])
+        cols = np.concatenate([b[both], a[both], np.arange(N)])
+        key = cols * N + rows
+        order = np.argsort(key)
+        key = key[order]
+        # grid edges join distinct node pairs, so no entry of the matrix repeats
+        assert (key[1:] > key[:-1]).all(), "repeated Laplacian entry"
+        # entry k of the matrix holds -weight[pick[k]], or a diagonal sum for pick[k] >= E
+        self.pick = np.concatenate([edge[both], edge[both], E + np.arange(N)])[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=N))])
+        self.L = csc_matrix((np.empty(key.size), key % N, indptr), shape=(N, N))
+        # a pair with one known end adds weight * that end's value to the other's right-hand side
+        one = ka != kb
+        self.rhs_at = np.where(ka, a, b)[one]
+        self.rhs_edge = edge[one]
+        self.known = Y[np.where(ka, gb.ravel(), ga.ravel())[one]]
+
+    def system(self, weight):
+        """The matrix and right-hand side for ``weight``; the matrix is shared
+        between calls and overwritten by the next one."""
+        N = self.L.shape[0]
+        diag = np.bincount(self.diag_at, weight[self.diag_edge], N)
+        np.take(np.concatenate([-weight, diag]), self.pick, out=self.L.data)
+        rhs = np.zeros((N, self.known.shape[1]))
+        np.add.at(rhs, self.rhs_at, weight[self.rhs_edge, None] * self.known)
+        return self.L, rhs
+
+    def solve(self, weight):
+        """The unknowns at the minimizer of the weighted 2-energy, one row each."""
+        # local import: scipy.sparse.linalg costs ~0.35 s at start-up, and only `qv solve` needs it
+        from scipy.sparse.linalg import splu
+
+        L, rhs = self.system(weight)
+        return splu(L).solve(rhs)
 
 
 def lipschitz_truncation(f: GridFunction, t: float, p: float = 2.0):

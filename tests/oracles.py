@@ -259,6 +259,27 @@ def _branch_step_linear(values, grid, edges, matchings, unknown):
         values[idx][b] = sol[row]
 
 
+def weighted_laplacian_reference(Y, ga, gb, slot, free, weight):
+    """The weighted Laplacian and right-hand side of a frozen matching,
+    assembled afresh from COO triplets: the per-call assembly the solver ran
+    before it built each matching's pattern once.  Takes the arguments of
+    ``qvalued.energy._FrozenLaplacian`` and the edge weights."""
+    N = free.size
+    a, b = slot[ga].ravel(), slot[gb].ravel()
+    wt = np.repeat(weight, ga.shape[1])
+    ka, kb = a >= 0, b >= 0
+    both = ka & kb
+    diag = np.bincount(np.concatenate([a[ka], b[kb]]), np.concatenate([wt[ka], wt[kb]]), N)
+    rows = np.concatenate([a[both], b[both], np.arange(N)])
+    cols = np.concatenate([b[both], a[both], np.arange(N)])
+    data = np.concatenate([-wt[both], -wt[both], diag])
+    one = ka != kb
+    rhs = np.zeros((N, Y.shape[1]))
+    np.add.at(rhs, np.where(ka, a, b)[one],
+              wt[one, None] * Y[np.where(ka, gb.ravel(), ga.ravel())[one]])
+    return csr_matrix((data, (rows, cols)), shape=(N, N)).tocsc(), rhs
+
+
 def _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner):
     """Armijo-damped gradient descent on the frozen-matching p-energy.
 

@@ -480,6 +480,46 @@ class TestSolveCli:
                               "curve": [{"x": [1.0, 0.0], "value": [[0.0]]}]}))
         assert main(["solve", "--boundary", b]) == 1
 
+    @pytest.mark.parametrize("spec,grid", [
+        ({"domain": "square", "m": 40}, "5"),
+        ({"domain": "square", "m": 12}, "5"),
+        ({"domain": "disk"}, "100000"),
+        ({"domain": "square", "m": 2}, "4097"),  # one row past 2**24 values
+    ])
+    def test_curve_spec_grid_past_the_memory_bound_named(self, tmp_path, capsys, monkeypatch,
+                                                         spec, grid):
+        from qvalued import cli
+
+        def no_mask(*args):
+            raise AssertionError("a mask was built")
+
+        monkeypatch.setattr(cli, "disk_mask", no_mask)
+        monkeypatch.setattr(cli, "square_mask", no_mask)
+        b = write(tmp_path / "b.json", json.dumps(
+            dict(spec, Q=1, n=1, curve=[{"x": [1.0] + [0.0] * (spec.get("m", 2) - 1),
+                                        "value": [[0.0]]}])))
+        assert main(["solve", "--boundary", b, "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: m {spec.get('m', 2)} and --grid {grid} ")
+        assert captured.out == ""
+
+    def test_curve_spec_grid_at_the_memory_bound_is_accepted(self, tmp_path, monkeypatch):
+        # 4096**2 values are exactly 2**24: the loader goes on to build the mask
+        from qvalued import cli
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "square_mask", reached)
+        b = write(tmp_path / "b.json", json.dumps(
+            {"domain": "square", "m": 2, "Q": 1, "n": 1,
+             "curve": [{"x": [1.0, 0.0], "value": [[0.0]]}]}))
+        with pytest.raises(Reached):
+            main(["solve", "--boundary", b, "--grid", "4096"])
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--tol", "-1", "tol"), ("--tol", "0", "tol"), ("--tol", "nan", "tol"),
         ("--tol", "inf", "tol"), ("--restarts", "0", "restarts"),

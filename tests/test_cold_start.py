@@ -1,10 +1,11 @@
 """Start-up cost of ``qv``: which scipy modules each command loads.
 
 ``scipy.optimize`` and ``scipy.sparse`` take most of a fresh interpreter's
-start-up, so only the calls that use them import them.  Each check runs
-in a fresh isolated interpreter (``-I``), which puts ``src`` on its path
-itself, and reports which scipy modules ``sys.modules`` holds after each
-step.
+start-up, so only the calls that use them import them; ``numpy.ma``, which
+numpy loads on first use and scipy.sparse imports, is watched too.  Each
+check runs in a fresh isolated interpreter (``-I``), which puts ``src`` on
+its path itself, and reports which watched modules ``sys.modules`` holds
+after each step.
 """
 
 import json
@@ -19,7 +20,7 @@ SCRIPT = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 steps = json.loads(sys.argv[2])
-watched = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")
+watched = ("numpy.ma", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")
 loaded = {}
 import qvalued.cli
 loaded["import"] = [m for m in watched if m in sys.modules]
@@ -34,7 +35,7 @@ print(json.dumps(loaded))
 def loaded_after(steps):
     """Run ``steps``, a list of ``(name, argv)``, through ``cli.main`` in a
     fresh interpreter; map each step to its exit code followed by the
-    watched scipy modules loaded once it is done."""
+    watched modules loaded once it is done."""
     out = subprocess.run([sys.executable, "-I", "-c", SCRIPT, str(SRC), json.dumps(steps)],
                          capture_output=True, text=True, timeout=120, check=True).stdout
     return json.loads(out)
@@ -59,17 +60,28 @@ def test_import_extend_and_verify_load_no_scipy(tmp_path):
     assert loaded == {"import": [], "extend": [0], "verify": [0]}
 
 
-def test_p2_solve_loads_sparse_but_not_optimize(tmp_path):
+def solve_loaded(tmp_path, p):
+    """The watched modules loaded by a small disk ``qv solve`` at exponent ``p``."""
     curve = [{"x": [math.cos(t), math.sin(t)],
               "value": [[math.cos(t / 2)], [-math.cos(t / 2)]]}
              for t in (2 * math.pi * k / 32 for k in range(32))]
     boundary = tmp_path / "boundary.json"
     boundary.write_text(json.dumps({"domain": "disk", "Q": 2, "n": 1, "curve": curve}))
-    loaded = loaded_after([
-        ("solve", ["solve", "--boundary", str(boundary), "--grid", "8", "--p", "2",
+    return loaded_after([
+        ("solve", ["solve", "--boundary", str(boundary), "--grid", "8", "--p", p,
                    "--restarts", "1", "--out", str(tmp_path / "solution.json")]),
     ])
-    assert loaded == {"import": [], "solve": [0, "scipy.sparse", "scipy.sparse.linalg"]}
+
+
+def test_p2_solve_loads_sparse_but_not_optimize(tmp_path):
+    assert solve_loaded(tmp_path, "2") == {
+        "import": [], "solve": [0, "numpy.ma", "scipy.sparse", "scipy.sparse.linalg"]}
+
+
+def test_p3_solve_loads_sparse_but_not_optimize(tmp_path):
+    # the line search finds its root with energy._brent, not scipy's brentq
+    assert solve_loaded(tmp_path, "3") == {
+        "import": [], "solve": [0, "numpy.ma", "scipy.sparse", "scipy.sparse.linalg"]}
 
 
 def test_ginf_dist_loads_optimize_only_above_q5(tmp_path):
@@ -83,5 +95,5 @@ def test_ginf_dist_loads_optimize_only_above_q5(tmp_path):
     # scipy.optimize imports scipy.sparse itself
     assert loaded_after(steps) == {
         "import": [], "Q=5": [0],
-        "Q=6": [0, "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg"],
+        "Q=6": [0, "numpy.ma", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg"],
     }

@@ -37,6 +37,7 @@ from oracles import (
     nearest_boundary_init,
     per_edge_reference,
     unknown_index,
+    weighted_laplacian_reference,
 )
 
 
@@ -223,9 +224,17 @@ class TestFrozenSteps:
     def test_p2_one_solve_per_matching(self, name, problem, monkeypatch):
         grid, boundary = problem
         calls = []
-        solve = energy._branch_step_linear
-        monkeypatch.setattr(energy, "_branch_step_linear",
-                            lambda *a: calls.append((a[2].copy(), a[-1])) or solve(*a))
+
+        class Recording(energy._FrozenLaplacian):
+            def __init__(self, Y, ga, gb, slot, free):
+                super().__init__(Y, ga, gb, slot, free)
+                self.gb = gb.copy()
+
+            def solve(self, weight):
+                calls.append((self.gb, weight))
+                return super().solve(weight)
+
+        monkeypatch.setattr(energy, "_FrozenLaplacian", Recording)
         sol, report, history = solve_dirichlet(boundary, grid, 2.0, restarts=1)
         # one solve per distinct matching: the pass that meets the last
         # solved matching again ends the run without a solve
@@ -236,6 +245,33 @@ class TestFrozenSteps:
         again, _, _ = solve_dirichlet(boundary, grid, 2.0, restarts=1,
                                       max_outer=report.iterations - 1)
         assert np.array_equal(sol.values, again.values, equal_nan=True)
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 8.0])
+    @pytest.mark.parametrize("name,problem", PROBLEMS)
+    def test_each_system_matches_fresh_assembly(self, name, problem, p, monkeypatch):
+        # every IRLS iteration's matrix and right-hand side, bit for bit
+        grid, boundary = problem
+        systems = []
+
+        class Recording(energy._FrozenLaplacian):
+            def __init__(self, Y, ga, gb, slot, free):
+                super().__init__(Y, ga, gb, slot, free)
+                self.args = (Y.copy(), ga, gb.copy(), slot, free)
+
+            def system(self, weight):
+                L, rhs = super().system(weight)
+                systems.append((self.args, weight.copy(), L.copy(), rhs))
+                return L, rhs
+
+        monkeypatch.setattr(energy, "_FrozenLaplacian", Recording)
+        solve_dirichlet(boundary, grid, p, restarts=2)
+        assert len(systems) > (1 if p == 2.0 else 4)
+        for args, weight, L, rhs in systems:
+            expect, expect_rhs = weighted_laplacian_reference(*args, weight)
+            assert L.format == "csc" and L.shape == expect.shape
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(L, field), getattr(expect, field)), field
+            assert np.array_equal(rhs, expect_rhs)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("name,problem", PROBLEMS)

@@ -250,6 +250,21 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError, match=r"interior node \(2, 2\)"):
             solve_dirichlet(boundary, grid, p, restarts=1)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("restarts,max_outer", [(1, 60), (3, 60), (2, 1), (1, 0)])
+    def test_report_is_the_solution_energy(self, p, restarts, max_outer):
+        # the report is built from the winning restart's last matching pass;
+        # it equals a fresh evaluation of the solution bit for bit
+        grid = empty_grid(2, 2, 2, 9, disk_mask(9))
+        rng = np.random.default_rng(2)
+        boundary = {idx: rng.uniform(-1, 1, (2, 2)) for idx in grid.nodes(kinds=(BOUNDARY,))}
+        sol, report, _ = solve_dirichlet(boundary, grid, p, restarts=restarts,
+                                         max_outer=max_outer)
+        fresh = discrete_energy(sol, p)
+        assert report.total == fresh.total and report.p == p and report.shape == fresh.shape
+        for field in ("edge_u", "edge_v", "contributions", "perms"):
+            assert np.array_equal(getattr(report, field), getattr(fresh, field)), field
+
     def test_affine_q1(self):
         N = 17
         grid = empty_grid(2, 1, 1, N)
@@ -460,3 +475,83 @@ class TestTraceContinuity:
             assert tr <= prev
             prev = tr
         assert prev <= 0.01  # vanishing with the perturbation scale
+
+
+class TestBrent:
+    """The line search's root finder against scipy's ``brentq``, float for float."""
+
+    @staticmethod
+    def both(f, maxiter=100):
+        """``(brentq, _brent)`` on ``f`` over [0, 64]: each a root or the ValueError type."""
+        from scipy.optimize import brentq
+
+        from qvalued.energy import _brent
+
+        out = []
+        for run in (lambda: brentq(f, 0.0, 64.0, xtol=1e-14, maxiter=maxiter, disp=False),
+                    lambda: _brent(f, 0.0, 64.0, f(0.0), f(64.0), 1e-14, maxiter=maxiter)):
+            try:
+                out.append(run())
+            except ValueError:
+                out.append(ValueError)
+        return out
+
+    def test_random_convex_slopes(self):
+        # the slope of sum(|d + tD|^p) in the form _line_minimum gives it, and
+        # sums of signed powers |t - r|^q: nondecreasing, most with a root in
+        # [0, 64].  Plain floats, as brentq's cost here is the calls to f
+        rng = np.random.default_rng(17)
+        roots = 0
+        for k in range(10_000):
+            if k % 2:
+                d, D = rng.normal(size=(2, int(rng.integers(1, 6)), 2))
+                # shift the minimum into the interval
+                t0 = rng.uniform(0.0, 40.0)
+                terms = [(float(S), float(b), float(c)) for S, b, c in
+                         zip((d * d).sum(1), (d * D).sum(1) - t0 * (D * D).sum(1),
+                             (D * D).sum(1))]
+                power = rng.uniform(1.2, 8.0) / 2.0 - 1.0
+
+                def f(t, terms=terms, power=power):
+                    total = 0.0
+                    for S, b, c in terms:
+                        s = max(S + t * (2.0 * b + t * c), 0.0)
+                        if s > 0.0:
+                            total += s ** power * (b + t * c)
+                    return total
+            else:
+                terms = [(float(r), float(w), float(q)) for r, w, q in
+                         zip(*rng.uniform((-10.0, 0.1, 0.2), (80.0, 3.0, 4.0),
+                                          (int(rng.integers(1, 5)), 3)).T)]
+
+                def f(t, terms=terms):
+                    return sum(w * math.copysign(abs(t - r) ** q, t - r) for r, w, q in terms)
+            expect, got = self.both(f)
+            assert got == expect, (k, got, expect)
+            roots += isinstance(got, float)
+        assert roots > 5_000
+
+    @pytest.mark.parametrize("f,root", [
+        (lambda t: t - 64.0, 64.0),  # exactly 0 at the right end
+        (lambda t: t - 32.0, 32.0),  # exactly 0 at the first secant step
+        (lambda t: float(np.sign(t - 1.0 / 3.0)), None),  # a jump: bisection only
+        (lambda t: (t - 5.0) ** 3, None),
+        # subnormal differences: the extrapolation divides by an underflowed zero
+        (lambda t: 1e-300 * (t - 5.0) ** 3, None),
+        (lambda t: 1e-320 * (t - 3.0) ** 3, None),
+    ])
+    def test_exact_and_hard_roots(self, f, root):
+        expect, got = self.both(f)
+        assert got == expect
+        if root is not None:
+            assert got == root
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 5])
+    def test_unconverged_returns_last_iterate(self, maxiter):
+        expect, got = self.both(lambda t: math.expm1(t - 3.0), maxiter)
+        assert isinstance(got, float) and got == expect
+
+    def test_nan_and_same_signs_raise(self):
+        assert self.both(lambda t: math.nan if t > 10.0 else t - 20.0) == [ValueError] * 2
+        assert self.both(lambda t: math.nan if 1.0 < t < 60.0 else t - 20.0) == [ValueError] * 2
+        assert self.both(lambda t: t + 1.0) == [ValueError] * 2
