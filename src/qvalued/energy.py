@@ -264,8 +264,9 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
 
     Returns the values, the energy history, the outer iteration count, whether
     the run converged, and the last pass's squared edge lengths and matchings,
-    which are those of the returned values.  Branch position ``node * Q + branch`` is a row of ``Y``; ``slot`` maps
-    it to its unknown's index, or -1 on the boundary.
+    which are those of the returned values.  Branch position
+    ``node * Q + branch`` is a row of ``Y``; ``slot`` maps it to its unknown's
+    index, or -1 on the boundary.
     """
     Q = grid.Q
     w = grid.h ** (grid.m - p)
