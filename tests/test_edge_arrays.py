@@ -269,9 +269,10 @@ class TestFrozenSteps:
         for args, weight, L, rhs in systems:
             expect, expect_rhs = weighted_laplacian_reference(*args, weight)
             assert L.format == "csc" and L.shape == expect.shape
-            for field in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(L, field), getattr(expect, field)), field
-            assert np.array_equal(rhs, expect_rhs)
+            assert L.data.tobytes() == expect.data.tobytes()
+            assert np.array_equal(L.indices, expect.indices)
+            assert np.array_equal(L.indptr, expect.indptr)
+            assert rhs.tobytes() == expect_rhs.tobytes()
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("name,problem", PROBLEMS)
