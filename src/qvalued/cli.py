@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import embed, energy, extend, verify
-from .grids import (BOUNDARY, INTERIOR, OUTSIDE, GridFunction, _nearest, disk_mask, empty_grid,
-                    square_mask)
+from ._fields import ArgumentError, _field, _int_field, _numbers, _positive_field, _short
+from .grids import BOUNDARY, GridFunction, _nearest, disk_mask, empty_grid, square_mask
 from .qspace import MetricKind, QTuple, dist
 
 
@@ -34,40 +33,13 @@ def _load_json(path: str):
         raise DataError(f"malformed JSON in {path}: {exc}")
 
 
-def _short(value) -> str:
-    """The repr of ``value``, cut to 80 characters for a message."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
-
-
-def _field(obj: dict, name: str, path: str):
-    if not isinstance(obj, dict):
-        raise DataError(f"expected a JSON object with field '{name}' in {path}")
-    if name not in obj:
-        raise DataError(f"missing field '{name}' in {path}")
-    return obj[name]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_field(obj: dict, name: str, path: str, lowest: int = 1) -> int:
-    value = _field(obj, name, path)
-    if not _is_int(value) or value < lowest:
-        raise DataError(f"field '{name}' in {path} must be an integer >= {lowest}, "
-                        f"got {_short(value)}")
-    return value
-
-
-def _positive_field(obj: dict, name: str, path: str) -> float:
-    """A positive JSON number that a float can hold, as it was written."""
-    value = _field(obj, name, path)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value <= sys.float_info.max):
-        raise DataError(f"field '{name}' in {path} must be a positive number, "
-                        f"got {_short(value)}")
-    return value
+def _checked(path: str, what: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with the ``ArgumentError`` it raises for a bad
+    field of the ``what`` read from ``path`` reported as a DataError naming the file."""
+    try:
+        return call(*args, **kwargs)
+    except ArgumentError as exc:
+        raise DataError(f"bad {what} in {path}: {exc}")
 
 
 def _load_tuple(path: str) -> QTuple:
@@ -79,42 +51,7 @@ def _load_tuple(path: str) -> QTuple:
 
 
 def _load_grid(path: str) -> GridFunction:
-    return _grid_from_obj(_load_json(path), path)
-
-
-def _grid_from_obj(obj, path: str) -> GridFunction:
-    """The grid function of the parsed JSON object that ``GridFunction.to_json``
-    writes, as ``GridFunction.from_obj`` builds it; a bad field is named."""
-    try:
-        m, n, Q = (_int_field(obj, name, path) for name in ("m", "n", "Q"))
-        shape = _field(obj, "shape", path)
-        if not (isinstance(shape, list) and len(shape) == m
-                and all(_is_int(s) and s >= 1 for s in shape)):
-            raise DataError(f"field 'shape' in {path} must list m={m} positive integers, "
-                            f"got {_short(shape)}")
-        h = _positive_field(obj, "h", path)
-        nodes = math.prod(shape)
-        mask = _number_array(_field(obj, "mask", path), "mask", path).reshape(-1)
-        if mask.size != nodes or not np.isin(mask, (INTERIOR, BOUNDARY, OUTSIDE)).all():
-            raise DataError(f"field 'mask' in {path} must hold {nodes} entries, one per node, "
-                            f"each {INTERIOR} (interior), {BOUNDARY} (boundary) or "
-                            f"{OUTSIDE} (outside)")
-        values = _number_array(_field(obj, "values", path), "values", path)
-        if values.size != nodes * Q * n:
-            raise DataError(f"field 'values' in {path} must hold a (Q, n) = {(Q, n)} tuple "
-                            f"per node, {nodes * Q * n} numbers in all, got {values.size}")
-        values = values.reshape(nodes, Q, n)
-        # outside nodes hold no value: any number there is replaced by NaN
-        inside = mask != OUTSIDE
-        if not np.isfinite(values[inside]).all():
-            raise DataError(f"field 'values' in {path} must be finite on interior and "
-                            f"boundary nodes")
-    except DataError as exc:
-        raise DataError(f"bad grid function: {exc}")
-    values[~inside] = np.nan
-    shape = tuple(shape)
-    return GridFunction(m, n, Q, shape, h, mask.astype(np.int8).reshape(shape),
-                        values.reshape(shape + (Q, n)))
+    return _checked(path, "grid function", GridFunction.from_obj, _load_json(path))
 
 
 def _load_query_csv(path: str) -> np.ndarray:
@@ -168,6 +105,8 @@ def _cmd_frame(args) -> int:
     K = "auto" if args.k is None else args.k
     try:
         frame = embed.build_frame(args.n, args.q, K, seed=args.seed)
+    except ArgumentError as exc:  # n, Q or K below 1
+        raise DataError(f"--{exc.name.lower()}: {exc}")
     except embed.FrameConstructionError as exc:
         raise DataError(f"--q {args.q}, --k {K}: {exc}")
     _write(args.out, frame.to_json())
@@ -175,17 +114,7 @@ def _cmd_frame(args) -> int:
 
 
 def _load_frame(path: str) -> embed.DirectionFrame:
-    obj = _load_json(path)
-    n, Q, K = (_int_field(obj, name, path) for name in ("n", "Q", "K"))
-    epsilon = _positive_field(obj, "epsilon", path)
-    bases = _numbers(_field(obj, "bases", path), "bases", path)
-    if bases.shape != (K, n, n):
-        raise DataError(f"field 'bases' in {path} must have shape (K, n, n) = {(K, n, n)}, "
-                        f"got {bases.shape}")
-    try:
-        return embed.DirectionFrame(n, Q, bases, epsilon)
-    except embed.FrameConstructionError as exc:
-        raise DataError(f"fields 'bases' and 'epsilon' in {path} do not form a frame: {exc}")
+    return _checked(path, "frame", embed.DirectionFrame.from_obj, _load_json(path))
 
 
 def _cmd_embed(args) -> int:
@@ -208,75 +137,45 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _is_numeric(value) -> bool:
-    """Whether ``value`` is a JSON number or nested lists of them."""
-    if isinstance(value, list):
-        return all(map(_is_numeric, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _numbers(value, name: str, path: str) -> np.ndarray:
-    """``value`` as a float array, which must hold only finite JSON numbers."""
-    arr = None
-    if _is_numeric(value):
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (ValueError, OverflowError):  # ragged lists, or an int past float range
-            pass
-    if arr is None or not np.all(np.isfinite(arr)):
-        raise DataError(f"field '{name}' in {path} must hold finite numbers, got {_short(value)}")
-    return arr
-
-
-def _number_array(value, name: str, path: str) -> np.ndarray:
-    """``value``, nested lists of JSON numbers of equal length, as a float
-    array.  Numbers are told by the dtype numpy gives the lists, which is a
-    few times faster than ``_is_numeric`` on a large grid; true and false
-    among numbers pass as 1 and 0."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged lists
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise DataError(f"field '{name}' in {path} must hold numbers in nested lists of "
-                        f"equal length, got {_short(value)}")
-    return arr.astype(float, copy=False)
-
-
-def _sample_entries(obj: dict, name: str, path: str) -> list:
+def _sample_entries(obj, name: str) -> list:
     """The ``(x, value)`` pairs of the list field ``name``, one per object in
     it; each ``x`` is a flat list of numbers."""
-    entries = _field(obj, name, path)
+    entries = _field(obj, name)
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-        raise DataError(f"field '{name}' in {path} must be a list of objects with fields "
-                        f"'x' and 'value'")
+        raise ArgumentError(name, f"field '{name}' must be a list of objects with fields "
+                                  f"'x' and 'value'")
     pairs = []
     for entry in entries:
-        x = _field(entry, "x", path)
+        x = _field(entry, "x")
         if not (isinstance(x, list) and x and not any(isinstance(c, list) for c in x)):
-            raise DataError(f"field 'x' in {path} must be a nonempty flat list of numbers, "
-                            f"got {x!r}")
-        x = _numbers(x, "x", path)
+            raise ArgumentError("x", f"field 'x' must be a nonempty flat list of numbers, "
+                                     f"got {_short(x)}")
+        x = _numbers(x, "x")
         try:
-            value = QTuple(_field(entry, "value", path))
+            value = QTuple(_field(entry, "value"))
         except (TypeError, ValueError) as exc:
-            raise DataError(f"field 'value' in {path} must be a (Q, n) array of finite "
-                            f"numbers: {exc}")
+            raise ArgumentError("value", f"field 'value' must be a (Q, n) array of finite "
+                                         f"numbers: {exc}")
         pairs.append((x, value))
     return pairs
 
 
-def _load_boundary_sample(path: str) -> extend.BoundarySample:
-    obj = _load_json(path)
-    m = _int_field(obj, "m", path)
-    R = _positive_field(obj, "R", path)
-    points = _sample_entries(obj, "points", path)
-    if any(x.size != m for x, _ in points):
-        raise DataError(f"each 'x' in field 'points' of {path} must hold m={m} numbers")
+def _cone_from_obj(obj) -> extend.ConeExtension:
+    """The cone extension of a boundary sample ``{"m", "R", "points": [{"x", "value"}]}``."""
+    m, R = _int_field(obj, "m"), _positive_field(obj, "R")
+    return extend.ConeExtension(extend.BoundarySample(_sample_entries(obj, "points"), R, m))
+
+
+def _whitney_from_obj(obj) -> extend.WhitneyExtension:
+    """The Whitney extension of ``{"box", "depth" (default 6), "data": [{"x", "value"}]}``."""
+    box = _numbers(_field(obj, "box"), "box")
+    depth = _int_field(obj, "depth", lowest=0) if "depth" in obj else 6
+    data = _sample_entries(obj, "data")
     try:
-        return extend.BoundarySample(points=points, R=R, m=m)
-    except ValueError as exc:  # no points, or values of different Q or n
-        raise DataError(f"bad field 'points' in {path}: {exc}")
+        return extend.WhitneyExtension(data, box, depth)
+    except ArgumentError as exc:
+        field = "box" if exc.name == "domain_box" else exc.name
+        raise ArgumentError(field, f"bad field '{field}': {exc}")
 
 
 def _boundary_sample_json(sample: extend.BoundarySample) -> str:
@@ -294,32 +193,17 @@ def _boundary_sample_json(sample: extend.BoundarySample) -> str:
 
 def _cmd_extend(args) -> int:
     if args.mode == "plane":
-        f = _load_grid(args.infile)
-        try:
-            out = extend.extend_to_plane(f)
-        except ValueError as exc:  # the grid's extents differ
-            raise DataError(f"field 'shape' in {args.infile}: {exc}")
+        out = _checked(args.infile, "grid function", extend.extend_to_plane,
+                       _load_grid(args.infile))
         _write(args.out, out.to_json())
         return 0
     if args.query is None:
         raise DataError(f"extend {args.mode} needs --query")
     queries = _load_query_csv(args.query)
     if args.mode == "cone":
-        sample = _load_boundary_sample(args.infile)
-        try:
-            ext = extend.ConeExtension(sample)
-        except ValueError as exc:  # a location off the sphere
-            raise DataError(f"fields 'x' and 'R' in {args.infile}: {exc}")
+        ext = _checked(args.infile, "cone sample", _cone_from_obj, _load_json(args.infile))
     else:
-        obj = _load_json(args.infile)
-        box = _numbers(_field(obj, "box", args.infile), "box", args.infile)
-        depth = _int_field(obj, "depth", args.infile, lowest=0) if "depth" in obj else 6
-        data = _sample_entries(obj, "data", args.infile)
-        try:
-            ext = extend.WhitneyExtension(data, box, depth)
-        except extend.ArgumentError as exc:
-            field = "box" if exc.name == "domain_box" else exc.name
-            raise DataError(f"bad field '{field}' in {args.infile}: {exc}")
+        ext = _checked(args.infile, "Whitney data", _whitney_from_obj, _load_json(args.infile))
         try:
             values = ext.evaluate_many(queries)
         except extend.QueryError as exc:
@@ -336,25 +220,17 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
-    """The grid to solve on, its boundary nodes holding the Dirichlet data.
-
-    Accepts either a full grid-function JSON (detected by a ``mask`` field),
-    returned as it is, or a boundary-curve spec
-    ``{"domain": "disk"|"square", "Q", "n", "curve": [{"x", "value"}]}``
-    sampled onto the empty grid of the requested resolution: each boundary
-    node takes the value of the first curve sample nearest to it.  A grid
-    of over ``verify._MAX_ENTRIES`` values is refused before it is built.
-    """
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "mask" in obj:
-        return _grid_from_obj(obj, path)
-    domain = _field(obj, "domain", path)
-    Q = _int_field(obj, "Q", path)
-    n = _int_field(obj, "n", path)
-    curve = _sample_entries(obj, "curve", path)
+def _curve_grid(obj, resolution: int) -> GridFunction:
+    """The grid of ``resolution`` nodes a side over a boundary-curve spec's
+    domain, each boundary node holding the value of the first curve sample
+    nearest to it.  A grid of over ``verify._MAX_ENTRIES`` values is refused
+    before it is built."""
+    domain = _field(obj, "domain")
+    Q = _int_field(obj, "Q")
+    n = _int_field(obj, "n")
+    curve = _sample_entries(obj, "curve")
     if not curve:
-        raise DataError(f"field 'curve' in {path} must be a nonempty list of objects")
+        raise ArgumentError("curve", "field 'curve' must be a nonempty list of objects")
     if resolution is None:
         raise DataError("--grid is required with a boundary-curve spec")
     if resolution < 2:
@@ -362,9 +238,10 @@ def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
     if domain == "disk":
         m = 2
     elif domain == "square":
-        m = _int_field(obj, "m", path) if "m" in obj else 2
+        m = _int_field(obj, "m") if "m" in obj else 2
     else:
-        raise DataError(f"unknown domain {domain!r} in {path}")
+        raise ArgumentError("domain", f"field 'domain' must be \"disk\" or \"square\", "
+                                      f"got {_short(domain)}")
     # the values hold resolution**m * Q * n floats; past m = 24 that is over the
     # bound at any resolution, and the power is not formed
     if m > 24 or resolution**m * Q * n > verify._MAX_ENTRIES:
@@ -373,9 +250,9 @@ def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
     mask = disk_mask(resolution) if domain == "disk" else square_mask(resolution, m)
     grid = empty_grid(m, n, Q, resolution, mask)
     if any(x.size != m for x, _ in curve):
-        raise DataError(f"each 'x' in field 'curve' of {path} must hold {m} numbers")
+        raise ArgumentError("curve", f"each 'x' in field 'curve' must hold {m} numbers")
     if any(value.points.shape != (Q, n) for _, value in curve):
-        raise DataError(f"each 'value' in field 'curve' of {path} must have shape {(Q, n)}")
+        raise ArgumentError("curve", f"each 'value' in field 'curve' must have shape {(Q, n)}")
     locs = np.array([x for x, _ in curve])
     vals = np.array([value.points for _, value in curve])
     bnodes = grid.node_index((BOUNDARY,))
@@ -384,11 +261,28 @@ def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
     return grid
 
 
+def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
+    """The grid to solve on, its boundary nodes holding the Dirichlet data.
+
+    Accepts either a full grid-function JSON (told by its ``mask`` field),
+    returned as it is, or a boundary-curve spec
+    ``{"domain": "disk"|"square", "Q", "n", "curve": [{"x", "value"}]}``
+    sampled onto the empty grid of the requested resolution by ``_curve_grid``.
+    """
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or "mask" in obj:
+        return _checked(path, "grid function", GridFunction.from_obj, obj)
+    if "domain" not in obj:
+        raise DataError(f"missing field 'mask' of a grid function or 'domain' of a "
+                        f"boundary-curve spec in {path}")
+    return _checked(path, "boundary-curve spec", _curve_grid, obj, resolution)
+
+
 def _cmd_solve(args) -> int:
     grid = _load_solver_inputs(args.boundary, args.grid)
-    solution, report, history = energy.solve_dirichlet(
-        grid, grid, args.p, tol=args.tol, seed=args.seed,
-        restarts=args.restarts,
+    solution, report, history = _checked(
+        args.boundary, "boundary data", energy.solve_dirichlet, grid, grid, args.p,
+        tol=args.tol, seed=args.seed, restarts=args.restarts,
     )
     _write(args.out, solution.to_json())
     if args.history:
@@ -415,47 +309,15 @@ def _cmd_energy(args) -> int:
 
 def _cmd_trace(args) -> int:
     f = _load_grid(args.infile)
-    try:
-        sample = energy.trace(f)
-    except ValueError as exc:  # no boundary node
-        raise DataError(f"field 'mask' in {args.infile}: {exc}")
+    sample = _checked(args.infile, "grid function", energy.trace, f)
     _write(args.out, _boundary_sample_json(sample))
     return 0
 
 
-def _load_check_config(path: str) -> verify.CheckConfig:
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise DataError(f"expected a JSON object in {path}")
-    known = [f.name for f in dataclasses.fields(verify.CheckConfig)]
-    for name in obj:
-        if name not in known:
-            raise DataError(f"unknown field '{name}' in {path}; expected one of "
-                            f"{', '.join(known)}")
-    if "seed" in obj:
-        _int_field(obj, "seed", path, lowest=0)
-    if "trials" in obj:
-        _int_field(obj, "trials", path)
-    for name in ("Q_range", "n_range", "m_range"):
-        value = obj.get(name)
-        if name in obj and not (isinstance(value, list) and len(value) == 2
-                                and all(map(_is_int, value))):
-            raise DataError(f"field '{name}' in {path} must be a list of two integers, "
-                            f"got {value!r}")
-    tolerances = obj.get("tolerances", {})
-    if not isinstance(tolerances, dict) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in tolerances.values()
-    ):
-        raise DataError(f"field 'tolerances' in {path} must map names to numbers")
-    try:
-        return verify.CheckConfig.from_json(json.dumps(obj))
-    except ValueError as exc:
-        raise DataError(f"bad check config in {path}: {exc}")
-
-
 def _cmd_verify(args) -> int:
     if args.config:
-        cfg = _load_check_config(args.config)
+        cfg = _checked(args.config, "check config", verify.CheckConfig.from_obj,
+                       _load_json(args.config))
     else:
         cfg = verify.CheckConfig()
     if args.seed is not None:
@@ -558,10 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (DataError, ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import ArgumentError, _field, _int_field, _numbers, _positive_field
 from .qspace import MetricKind, QTuple, dist_many
 
 _VALIDATION_SEED = 171717
@@ -39,6 +40,10 @@ _VALIDATION_DRAWS = 500
 
 class FrameConstructionError(RuntimeError):
     """Raised when no direction frame passes validation within the size cap."""
+
+
+class _FrameArgumentError(ArgumentError, FrameConstructionError):
+    """An argument of ``DirectionFrame`` that does not form a frame."""
 
 
 class DecodeFailure(RuntimeError):
@@ -81,24 +86,24 @@ class DirectionFrame:
         self.Q = int(Q)
         self.bases = np.asarray(bases, dtype=float)
         if self.bases.ndim != 3 or self.bases.shape[1:] != (self.n, self.n):
-            raise FrameConstructionError(
-                f"bases must have shape (K, {self.n}, {self.n}), got {self.bases.shape}"
-            )
+            raise _FrameArgumentError("bases", f"field 'bases' must have shape "
+                                               f"(K, {self.n}, {self.n}), got {self.bases.shape}")
         self.K = self.bases.shape[0]
         self.epsilon = float(epsilon)
-        if self.epsilon <= 0:
-            raise FrameConstructionError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise _FrameArgumentError("epsilon", f"field 'epsilon' must be a positive finite "
+                                                 f"number, got {self.epsilon}")
         eye = np.eye(self.n)
         for k in range(self.K):
             gram = self.bases[k] @ self.bases[k].T
             if np.abs(gram - eye).max() > 1e-10:
-                raise FrameConstructionError(f"basis {k} is not orthonormal to 1e-10")
+                raise _FrameArgumentError("bases", f"basis {k} in field 'bases' is not "
+                                                   "orthonormal to 1e-10")
         if validate:
             measured = measured_separation(self.bases[:, 0, :], self.Q)
             if measured < self.epsilon - 1e-12:
-                raise FrameConstructionError(
-                    f"separation validation failed: measured {measured}, stored {self.epsilon}"
-                )
+                raise _FrameArgumentError("epsilon", f"field 'epsilon' {self.epsilon} exceeds "
+                                                     f"the measured separation {measured}")
         self._dirmat = self.bases.reshape(self.K * self.n, self.n)
 
     @property
@@ -118,8 +123,21 @@ class DirectionFrame:
 
     @classmethod
     def from_json(cls, text: str) -> "DirectionFrame":
-        obj = json.loads(text)
-        return cls(obj["n"], obj["Q"], obj["bases"], obj["epsilon"])
+        """Parse the text that ``to_json`` writes, as ``from_obj`` does."""
+        return cls.from_obj(json.loads(text))
+
+    @classmethod
+    def from_obj(cls, obj) -> "DirectionFrame":
+        """Build from the parsed JSON object that ``to_json`` writes, measuring
+        the separation of its directions.  A bad field raises ``ArgumentError``
+        naming it; one that does not form a frame is a FrameConstructionError too."""
+        n, Q, K = (_int_field(obj, name) for name in ("n", "Q", "K"))
+        epsilon = _positive_field(obj, "epsilon")
+        bases = _numbers(_field(obj, "bases"), "bases")
+        if bases.shape[:1] != (K,):
+            raise ArgumentError("bases", f"field 'bases' must hold K={K} bases, "
+                                         f"got an array of shape {bases.shape}")
+        return cls(n, Q, bases, epsilon)
 
 
 def measured_separation(directions: np.ndarray, Q: int,
@@ -172,22 +190,26 @@ def _complete_basis(direction: np.ndarray, rng: np.random.Generator) -> np.ndarr
 
 
 def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0.05,
-                max_K: int = 512, pool_size: int = 4096) -> DirectionFrame:
+                max_K: int = 512) -> DirectionFrame:
     """Construct a direction frame by greedy max-min packing on the sphere.
 
     Directions are inserted one at a time, each maximizing its minimal
     angle (mod antipody) to the ones already chosen, then completed to
     orthonormal bases against a random complement.  ``epsilon`` is the
-    largest value the fixed validation draws certify.  With ``K="auto"``
-    the direction count doubles from 2n until the certified epsilon reaches
-    ``eps_floor``; exceeding ``max_K`` raises FrameConstructionError.
+    largest value the fixed validation draws certify, measured once here.
+    With ``K="auto"`` the direction count doubles from 2n until the
+    certified epsilon reaches ``eps_floor``; exceeding ``max_K`` raises
+    FrameConstructionError.  An ``n``, ``Q`` or integer ``K`` below 1 raises
+    ``ArgumentError`` naming it.
     """
-    if n < 1 or Q < 1:
-        raise ValueError("n and Q must be positive")
+    for name, value in (("n", n), ("Q", Q), ("K", 1 if K == "auto" else K)):
+        if value < 1:
+            raise ArgumentError(name, f"{name} must be a positive integer, got {value}")
     if n == 1:
-        return DirectionFrame(1, Q, [[[1.0]]], 1.0)
+        # every unit vector of R^1 is 1 or -1, so the one direction certifies epsilon = 1
+        return DirectionFrame(1, Q, [[[1.0]]], 1.0, validate=False)
     rng = np.random.default_rng(seed)
-    pool = rng.standard_normal((pool_size, n))
+    pool = rng.standard_normal((4096, n))  # the candidate directions
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     if K == "auto":
         schedule = []
@@ -206,7 +228,7 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
             if eps <= 0:
                 raise FrameConstructionError("measured separation is zero")
             bases = np.array([_complete_basis(d, rng) for d in dirs])
-            return DirectionFrame(n, Q, bases, eps)
+            return DirectionFrame(n, Q, bases, eps, validate=False)
     raise FrameConstructionError(
         f"no frame for n={n}, Q={Q} with K <= {max_K} reached eps_floor={eps_floor} "
         f"(best {last_eps})"
@@ -328,8 +350,7 @@ def _sorted_objective(Y: np.ndarray, dirmat: np.ndarray, targets: np.ndarray, K:
     return float(((s - targets) ** 2).sum() / K)
 
 
-def decode(z, frame: DirectionFrame, hint: QTuple = None, *, max_iter: int = 200,
-           tol: float = 1e-14, extra_restarts: int = 8,
+def decode(z, frame: DirectionFrame, hint: QTuple = None, *,
            search_budget: int = 50_000) -> QTuple:
     """Approximate inverse of ``xi``: a tuple locally minimizing |xi(v) - z|.
 
@@ -342,8 +363,9 @@ def decode(z, frame: DirectionFrame, hint: QTuple = None, *, max_iter: int = 200
     Raises
     ------
     DecodeFailure
-        If the refinement loop hits its iteration cap without converging;
-        the exception carries the best iterate.
+        If the coordinate search spends ``search_budget`` objective
+        evaluations without converging; the exception carries the best
+        iterate.
     """
     coords = z.coords if isinstance(z, EmbeddedVector) else np.asarray(z, dtype=float)
     if coords.size != frame.ambient_length:
@@ -367,10 +389,10 @@ def decode(z, frame: DirectionFrame, hint: QTuple = None, *, max_iter: int = 200
 
     def alternate(Y):
         f_prev = _sorted_objective(Y, dirmat, targets_sorted, K)
-        for _ in range(max_iter):
+        for _ in range(200):
             Y_new = _rank_update(Y, dirmat, targets_sorted)
             f_new = _sorted_objective(Y_new, dirmat, targets_sorted, K)
-            if f_new > f_prev - tol * scale * scale:
+            if f_new > f_prev - 1e-14 * scale * scale:
                 if f_new <= f_prev:
                     return Y_new, f_new
                 return Y, f_prev
@@ -384,13 +406,13 @@ def decode(z, frame: DirectionFrame, hint: QTuple = None, *, max_iter: int = 200
             best_Y, best_f = Y, f
 
     rng = np.random.default_rng(12345)
-    restarts = 0
-    while best_f > (1e-9 * scale) ** 2 and restarts < extra_restarts:
+    for _ in range(8):  # restarts from noise around the best iterate
+        if best_f <= (1e-9 * scale) ** 2:
+            break
         noise = rng.standard_normal(best_Y.shape) * (math.sqrt(best_f) + 1e-6)
         Y, f = alternate(best_Y + noise)
         if f < best_f:
             best_Y, best_f = Y, f
-        restarts += 1
 
     # polish on the true objective, which keeps the stored block order of z
     def true_objective(Y):

@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._fields import ArgumentError
 from .extend import BoundarySample, WhitneyExtension
 from .grids import BOUNDARY, GridFunction, INTERIOR, OUTSIDE, _nearest, index_tuples
 from .qspace import Matching, MetricKind, QTuple, match_many, vector_norms
@@ -130,7 +131,7 @@ def trace(f: GridFunction) -> BoundarySample:
     """
     bnodes = f.node_index((BOUNDARY,))
     if not bnodes.size:
-        raise ValueError("grid has no boundary nodes")
+        raise ArgumentError("mask", "field 'mask' of the grid marks no boundary node")
     locs = f.all_coords().reshape(-1, f.m)[bnodes]
     points = [(x, QTuple(value)) for x, value in zip(locs, _tuples(f)[bnodes])]
     return BoundarySample(points=points, R=float(vector_norms(locs).max()), m=f.m)
@@ -183,8 +184,7 @@ def _stranded(size: int, u: np.ndarray, v: np.ndarray, bnodes: np.ndarray,
 
 def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
                     tol: float = 1e-8, max_outer: int = 60,
-                    restarts: int = 3, seed: int = 0, max_inner: int = 200,
-                    p_cap: float = P_CAP):
+                    restarts: int = 3, seed: int = 0, max_inner: int = 200):
     """Minimize the discrete p-energy subject to boundary values.
 
     Alternating minimization: recompute optimal per-edge matchings, then
@@ -202,7 +202,7 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
     grid : GridFunction
         Supplies mask, shape, spacing, Q and n; its values are ignored.
     p : float
-        Energy exponent, in (1, p_cap].
+        Energy exponent, in (1, P_CAP].
     tol : float
         An outer or inner loop ends when a pass lowers the energy E by less
         than ``tol * (1 + E)``; finite and positive.
@@ -215,8 +215,8 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
         Total energy after initialization and after each outer iteration
         of the winning restart; nonincreasing.
     """
-    if not 1.0 < p <= p_cap:
-        raise ValueError(f"p must lie in (1, {p_cap}]")
+    if not 1.0 < p <= P_CAP:
+        raise ValueError(f"p must lie in (1, {P_CAP}]")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if restarts < 1:
@@ -224,13 +224,14 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
     bnodes = grid.node_index((BOUNDARY,))
     bvalue_arr = _boundary_values(boundary, grid, bnodes)
     if not bnodes.size:
-        raise ValueError("grid has no boundary nodes")
+        raise ArgumentError("mask", "field 'mask' of the grid marks no boundary node")
     interior = grid.node_index((INTERIOR,))
     u, v = grid.edge_index()
     stranded = _stranded(grid.mask.size, u, v, bnodes, interior)
     if stranded.size:
-        raise ValueError(f"interior node {next(index_tuples(stranded[:1], grid.shape))} "
-                         "has no path of inside edges to a boundary node")
+        node = next(index_tuples(stranded[:1], grid.shape))
+        raise ArgumentError("mask", f"field 'mask' of the grid leaves interior node {node} "
+                                    "with no path of inside edges to a boundary node")
     coords = grid.all_coords().reshape(-1, grid.m)
     nearest = _nearest(coords[interior], coords[bnodes])
 

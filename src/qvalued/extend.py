@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._fields import ArgumentError
 from .grids import GridFunction, OUTSIDE, _blocks, _nearest, square_mask
 from .qspace import MetricKind, QTuple, match_many, vector_norms
 
@@ -67,20 +68,21 @@ class BoundarySample:
 
     def __post_init__(self):
         if not self.points:
-            raise ValueError("boundary sample needs at least one point")
+            raise ArgumentError("points", "field 'points' must hold at least one point")
         locs = []
         vals = []
         Q = n = None
         for loc, value in self.points:
             loc = np.asarray(loc, dtype=float).reshape(-1)
             if loc.size != self.m:
-                raise ValueError(f"location has dimension {loc.size}, expected m={self.m}")
+                raise ArgumentError("x", f"each location 'x' in field 'points' must hold "
+                                         f"m={self.m} numbers, got {loc.size}")
             if not isinstance(value, QTuple):
                 value = QTuple(value)
             if Q is None:
                 Q, n = value.Q, value.n
             elif (value.Q, value.n) != (Q, n):
-                raise ValueError("all boundary values must share Q and n")
+                raise ArgumentError("points", "the values in field 'points' must share Q and n")
             locs.append(loc)
             vals.append(value)
         self.points = list(zip(locs, vals))
@@ -275,7 +277,8 @@ class ConeExtension:
         radii = np.linalg.norm(self.locs, axis=1)
         # relative, as the sample hits are, so that scaled data get the same answer
         if np.abs(radii - self.R).max() > 1e-9 * self.R:
-            raise ValueError("sample locations must lie on the sphere of radius R to 1e-9 R")
+            raise ArgumentError("x", "each location 'x' must lie on the sphere of radius 'R' "
+                                     "to 1e-9 R")
         self._values = [val for _, val in samples.points]
         self._plan = _cone_plan(samples.value_array)
 
@@ -316,14 +319,6 @@ class QueryError(ValueError):
     def __init__(self, index: int, problem: str):
         super().__init__(f"query {index}: {problem}")
         self.index, self.problem = index, problem
-
-
-class ArgumentError(ValueError):
-    """A bad argument of ``WhitneyExtension``; ``name`` is the parameter at fault."""
-
-    def __init__(self, name: str, problem: str):
-        super().__init__(problem)
-        self.name = name
 
 
 def _flat(cells: np.ndarray, d: int) -> np.ndarray:
@@ -721,7 +716,8 @@ def extend_to_plane(f: GridFunction) -> GridFunction:
     """
     N = f.shape[0]
     if any(s != N for s in f.shape):
-        raise ValueError("expected an equal-extent grid over the unit ball")
+        raise ArgumentError("shape", f"field 'shape' {list(f.shape)} must have equal extents "
+                                     "for a grid over the unit ball")
     pad = math.ceil((N - 1) / 2)
     N_out = N + 2 * pad
     shape_out = (N_out,) * f.m

@@ -9,9 +9,13 @@ boundary (data held fixed) or outside (not part of the domain).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._fields import (ArgumentError, _field, _int_field, _is_int, _number_array,
+                      _positive_field, _short)
 
 INTERIOR = 0
 BOUNDARY = 1
@@ -82,19 +86,27 @@ class GridFunction:
 
     def __post_init__(self):
         self.shape = tuple(int(s) for s in self.shape)
-        self.mask = np.asarray(self.mask, dtype=np.int8).reshape(self.shape)
-        self.values = np.asarray(self.values, dtype=float).reshape(
-            self.shape + (self.Q, self.n)
-        )
         if self.m != len(self.shape):
-            raise ValueError(f"m={self.m} does not match shape of length {len(self.shape)}")
-        if self.h <= 0:
-            raise ValueError("grid spacing h must be positive")
-        if not ((self.mask >= INTERIOR) & (self.mask <= OUTSIDE)).all():
-            raise ValueError("mask entries must be INTERIOR, BOUNDARY or OUTSIDE")
-        inside = self.mask != OUTSIDE
-        if not np.all(np.isfinite(self.values[inside])):
-            raise ValueError("values must be finite on interior and boundary nodes")
+            raise ArgumentError("shape", f"field 'shape' {list(self.shape)} must have m={self.m} "
+                                         "extents")
+        if not 0 < self.h < math.inf:
+            raise ArgumentError("h", f"field 'h' must be a positive finite number, got {self.h!r}")
+        nodes = math.prod(self.shape)
+        mask, values = np.asarray(self.mask), np.asarray(self.values, dtype=float)
+        if mask.size != nodes:
+            raise ArgumentError("mask", f"field 'mask' must hold {nodes} entries, one per node, "
+                                        f"got {mask.size}")
+        if not ((mask == INTERIOR) | (mask == BOUNDARY) | (mask == OUTSIDE)).all():
+            raise ArgumentError("mask", f"bad field 'mask': mask entries must be INTERIOR, BOUNDARY"
+                                        f" or OUTSIDE ({INTERIOR}, {BOUNDARY} or {OUTSIDE})")
+        if values.size != nodes * self.Q * self.n:
+            raise ArgumentError("values", f"field 'values' must hold {nodes * self.Q * self.n} "
+                                          f"numbers, a (Q, n) tuple per node, got {values.size}")
+        self.mask = np.asarray(mask, dtype=np.int8).reshape(self.shape)
+        self.values = values.reshape(self.shape + (self.Q, self.n))
+        if not np.all(np.isfinite(self.values[self.mask != OUTSIDE])):
+            raise ArgumentError("values", "field 'values' must be finite on interior and "
+                                          "boundary nodes")
 
     def copy(self) -> "GridFunction":
         return GridFunction(
@@ -166,18 +178,24 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":
+        """Parse the text that ``to_json`` writes, as ``from_obj`` does."""
         return cls.from_obj(json.loads(text))
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "GridFunction":
-        """Build from the parsed JSON object that ``to_json`` writes."""
-        shape = tuple(obj["shape"])
-        mask = np.array(obj["mask"], dtype=np.int8).reshape(shape)
-        values = np.array(obj["values"], dtype=float).reshape(
-            shape + (obj["Q"], obj["n"])
-        )
-        values[mask == OUTSIDE] = np.nan
-        return cls(obj["m"], obj["n"], obj["Q"], shape, obj["h"], mask, values)
+    def from_obj(cls, obj) -> "GridFunction":
+        """Build from the parsed JSON object that ``to_json`` writes, reading any
+        number at an outside node as NaN.  A bad field raises ``ArgumentError``
+        naming it."""
+        m, n, Q = (_int_field(obj, name) for name in ("m", "n", "Q"))
+        shape = _field(obj, "shape")
+        if not (isinstance(shape, list) and all(_is_int(s) and s >= 1 for s in shape)):
+            raise ArgumentError("shape", f"field 'shape' must list positive integers, "
+                                         f"got {_short(shape)}")
+        grid = cls(m, n, Q, shape, _positive_field(obj, "h"),
+                   _number_array(_field(obj, "mask"), "mask"),
+                   _number_array(_field(obj, "values"), "values"))
+        grid.values[grid.mask == OUTSIDE] = np.nan
+        return grid
 
 
 def square_mask(resolution: int, m: int = 2) -> np.ndarray:

@@ -12,11 +12,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import embed
+from ._fields import ArgumentError, _int_field, _is_int, _is_number, _short
 from .grids import GridFunction, _blocks, square_mask
 # ``dist`` is no longer called here; the benchmark's tracer test pins its binding
 from .qspace import (MetricKind, dist, dist_many, match_many,  # noqa: F401
@@ -65,19 +66,19 @@ class CheckConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        for name, rng in (("Q_range", self.Q_range), ("n_range", self.n_range),
-                          ("m_range", self.m_range)):
+        for name, lowest in (("seed", 0), ("trials", 1)):
+            _int_field(vars(self), name, lowest)
+        for name in ("Q_range", "n_range", "m_range"):
+            rng = getattr(self, name)
             # the draws take int64 bounds; past 2**31 the sizes are out of reach anyway
-            if len(rng) != 2 or not 1 <= rng[0] <= rng[1] < 2**31:
-                raise ValueError(f"{name} must be a nonempty range of positive integers "
-                                 "below 2**31")
+            if not (isinstance(rng, (list, tuple)) and len(rng) == 2 and all(map(_is_int, rng))
+                    and 1 <= rng[0] <= rng[1] < 2**31):
+                raise ArgumentError(name, f"field '{name}' must be a list of two integers "
+                                          f"lo <= hi in [1, 2**31), got {_short(rng)}")
+            setattr(self, name, tuple(rng))
         Q, n, m = self.Q_range[1], self.n_range[1], self.m_range[1]
         nodes = 7 ** min(m, 5)  # from m = 5 on, one trial's window pairs pass the bound
-        for entries, what, fields in (
+        for entries, what, names in (
             (self.trials * nodes * nodes, "window pairs in check_poincare", "m_range trials"),
             (self.trials * nodes * Q * n, "grid points in check_poincare",
              "Q_range n_range m_range trials"),
@@ -86,17 +87,22 @@ class CheckConfig:
         ):
             if entries > _MAX_ENTRIES:
                 given = ", ".join(f"{name} {json.dumps(getattr(self, name))}"
-                                  for name in fields.split())
-                raise ValueError(f"{given} ask for over {_MAX_ENTRIES} {what}; "
-                                 "lower one of them")
+                                  for name in names.split())
+                raise ArgumentError(names.split()[0], f"{given} ask for over {_MAX_ENTRIES} "
+                                                      f"{what}; lower one of them")
+        if not (isinstance(self.tolerances, dict)
+                and all(map(_is_number, self.tolerances.values()))):
+            raise ArgumentError("tolerances", f"field 'tolerances' must map names to numbers, "
+                                              f"got {_short(self.tolerances)}")
         for name, value in self.tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
-                raise ValueError(f"tolerances has unknown name {name!r}; expected one of "
-                                 f"{', '.join(_DEFAULT_TOLERANCES)}")
+                raise ArgumentError("tolerances", f"tolerances has unknown name {name!r}; expected "
+                                                  f"one of {', '.join(_DEFAULT_TOLERANCES)}")
             # every comparison with NaN is false: the check would pass or fail every
             # trial; an int past the largest float would not convert
             if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"tolerances[{name!r}] must be a finite number, got {value!r}")
+                raise ArgumentError("tolerances", f"tolerances[{name!r}] must be a finite "
+                                                  f"number, got {value!r}")
         merged = dict(_DEFAULT_TOLERANCES)
         merged.update(self.tolerances)
         self.tolerances = merged
@@ -115,15 +121,23 @@ class CheckConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "CheckConfig":
-        obj = json.loads(text)
-        return cls(
-            seed=obj.get("seed", 0),
-            trials=obj.get("trials", 200),
-            Q_range=tuple(obj.get("Q_range", (1, 4))),
-            n_range=tuple(obj.get("n_range", (1, 3))),
-            m_range=tuple(obj.get("m_range", (1, 2))),
-            tolerances=obj.get("tolerances", {}),
-        )
+        """Parse the text that ``to_json`` writes, as ``from_obj`` does."""
+        return cls.from_obj(json.loads(text))
+
+    @classmethod
+    def from_obj(cls, obj) -> "CheckConfig":
+        """Build from the parsed JSON object that ``to_json`` writes, a field left
+        out taking its default.  A bad or unknown field raises ``ArgumentError``
+        naming it."""
+        known = [f.name for f in fields(cls)]
+        if not isinstance(obj, dict):
+            raise ArgumentError("config", f"expected a JSON object with fields among "
+                                          f"{', '.join(known)}, got {_short(obj)}")
+        for name in obj:
+            if name not in known:
+                raise ArgumentError(name, f"unknown field '{name}'; expected one of "
+                                          f"{', '.join(known)}")
+        return cls(**obj)
 
 
 @dataclass
@@ -159,11 +173,10 @@ def _rng_for(cfg: CheckConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(cfg.seed * 1000003 + _CHECK_OFFSETS[name])
 
 
-def random_points(rng: np.random.Generator, Q: int, n: int,
-                  cluster: bool = True) -> np.ndarray:
+def random_points(rng: np.random.Generator, Q: int, n: int) -> np.ndarray:
     """The (Q, n) points of a random tuple: uniform in [-1, 1]^n, sometimes
     clustered to shrink the split gap."""
-    if cluster and Q > 1 and rng.random() < 0.4:
+    if Q > 1 and rng.random() < 0.4:
         k = int(rng.integers(1, Q + 1))
         centers = rng.uniform(-1.0, 1.0, size=(k, n))
         assign = rng.integers(0, k, size=Q)
@@ -299,14 +312,13 @@ def _frame(frames: dict, n: int, Q: int) -> embed.DirectionFrame:
     return frames[key]
 
 
-def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
-             frames: dict = None) -> CheckReport:
+def check_xi(cfg: CheckConfig, frames: dict = None) -> CheckReport:
     """Upper bound, local isometry and norm identity of the frame embedding.
 
     The reported ratio is the empirical lower Lipschitz constant (the
     smallest observed |xi(v) - xi(w)| / G2(v, w)), which must stay positive.
-    Without a fixed ``frame`` each trial embeds with the seed-7 frame of
-    its (n, Q), taken from and added to the cache ``frames`` when given.
+    Each trial embeds with the seed-7 frame of its (n, Q), taken from and
+    added to the cache ``frames`` when given.
     """
     rng = _rng_for(cfg, "xi")
     tol_up = cfg.tolerances["xi_upper"]
@@ -316,14 +328,9 @@ def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
     frames = {} if frames is None else frames
     # draw every trial first: the step towards ``near`` needs the isometry
     # radius, but its direction and length factor are drawn regardless
-    rows, frame_of = [], {}
+    rows = []
     for _ in range(cfg.trials):
-        if frame is not None:
-            Q, n, fr = frame.Q, frame.n, frame
-        else:
-            Q, n = _draw_Qn(rng, cfg)
-            fr = _frame(frames, n, Q)
-        frame_of[(Q, n)] = fr
+        Q, n = _draw_Qn(rng, cfg)
         v = random_points(rng, Q, n)
         w = random_points(rng, Q, n)
         delta = rng.standard_normal((Q, n))
@@ -333,7 +340,7 @@ def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
     ok = np.ones(len(rows), dtype=bool)
     for index, (V, W, D, total, length) in _grouped(rows):
         Q, n = V.shape[1:]
-        fr = frame_of[(Q, n)]
+        fr = _frame(frames, n, Q)
         xv = embed.xi_many(V, fr)
         g2, _ = dist_many(V, W, MetricKind.G2)
         dxi = vector_norms(xv - embed.xi_many(W, fr))
@@ -359,7 +366,7 @@ def check_xi(cfg: CheckConfig, frame: embed.DirectionFrame = None,
     return report
 
 
-def _lipschitz_grid(rng, m: int, Q: int, n: int, N: int = 9) -> np.ndarray:
+def _lipschitz_grid(rng, m: int, Q: int, n: int, N: int) -> np.ndarray:
     """A Lipschitz Q-valued map on the N^m grid over [-1, 1]^m, from smooth branches.
 
     Returns its values at the nodes in C order, shape (N**m, Q, n).

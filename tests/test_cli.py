@@ -145,6 +145,14 @@ class TestFrameEmbedDecode:
         assert main(["frame", "--n", "2", "--q", "10"]) == 1
         assert capsys.readouterr().err.startswith("error: --q 10, --k auto: ")
 
+    @pytest.mark.parametrize("argv,named", [(["--k", "0"], "--k"), (["--k", "-5"], "--k"),
+                                            (["--n", "0"], "--n"), (["--q", "-1"], "--q")])
+    def test_frame_size_below_one_named(self, capsys, argv, named):
+        # later options replace the earlier ones
+        assert main(["frame", "--n", "2", "--q", "2"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}: ") and captured.out == ""
+
     def test_decode_failure_names_input(self, tmp_path, capsys, monkeypatch):
         frame_path = str(tmp_path / "frame.json")
         assert main(["frame", "--n", "2", "--q", "2", "--seed", "1", "--out", frame_path]) == 0
@@ -473,6 +481,25 @@ class TestSolveCli:
         assert main(["solve", "--boundary", b]) == 1
         err = capsys.readouterr().err
         assert "(2, 2)" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["no boundary node", "interior cut off"])
+    def test_mask_fault_named(self, tmp_path, capsys, fault):
+        grid = empty_grid(2, 1, 1, 5)
+        if fault == "no boundary node":
+            grid.mask[grid.mask == BOUNDARY] = OUTSIDE
+        else:  # node (2, 2) walled off by outside nodes
+            for idx in ((1, 2), (3, 2), (2, 1), (2, 3)):
+                grid.mask[idx] = OUTSIDE
+        b = write(tmp_path / "b.json", grid.to_json())
+        assert main(["solve", "--boundary", b]) == 1
+        assert "'mask'" in capsys.readouterr().err
+
+    def test_curve_spec_unknown_domain_named(self, tmp_path, capsys):
+        b = write(tmp_path / "b.json",
+                  json.dumps({"domain": ["disk"], "Q": 1, "n": 1,
+                              "curve": [{"x": [1.0, 0.0], "value": [[0.0]]}]}))
+        assert main(["solve", "--boundary", b, "--grid", "8"]) == 1
+        assert "'domain'" in capsys.readouterr().err
 
     def test_curve_spec_requires_grid(self, tmp_path):
         b = write(tmp_path / "b.json",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qvalued import ArgumentError, embed
 from qvalued.embed import (
     DecodeFailure,
     DirectionFrame,
@@ -128,6 +129,35 @@ class TestBuildFrame:
         obj["epsilon"] = 0.999999
         with pytest.raises(FrameConstructionError):
             DirectionFrame.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_nonfinite_epsilon_named(self, frame22, epsilon):
+        with pytest.raises(ArgumentError, match="'epsilon'") as info:
+            DirectionFrame(2, 2, frame22.bases, epsilon, validate=False)
+        assert info.value.name == "epsilon"
+
+    def test_from_json_with_nan_epsilon_names_it(self, frame22):
+        text = frame22.to_json().replace(f'"epsilon": {frame22.epsilon!r}', '"epsilon": NaN')
+        with pytest.raises(ArgumentError, match="'epsilon'") as info:
+            DirectionFrame.from_json(text)
+        assert info.value.name == "epsilon"
+
+    @pytest.mark.parametrize("n,Q,K,name", [(2, 2, 0, "K"), (2, 2, -5, "K"), (1, 2, 0, "K"),
+                                            (0, 2, "auto", "n"), (2, -1, "auto", "Q")])
+    def test_size_below_one_named(self, n, Q, K, name):
+        with pytest.raises(ArgumentError) as info:
+            build_frame(n, Q, K)
+        assert info.value.name == name
+
+    def test_separation_measured_once(self, monkeypatch):
+        # build_frame keeps the epsilon it measured instead of measuring it again
+        calls = []
+        real = embed.measured_separation
+        monkeypatch.setattr(embed, "measured_separation",
+                            lambda *args: calls.append(1) or real(*args))
+        frame = build_frame(3, 2, K=6, seed=7)
+        assert len(calls) == 1
+        assert frame.epsilon == pytest.approx(real(frame.bases[:, 0, :], 2), abs=1e-12)
 
     def test_measured_separation_reproducible(self, frame22):
         a = measured_separation(frame22.bases[:, 0, :], frame22.Q)

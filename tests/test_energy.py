@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qvalued import ArgumentError
 from qvalued.energy import (
     discrete_energy,
     dp_distance,
@@ -61,6 +63,19 @@ class TestGridFunction:
     def test_mask_entries_validated(self):
         with pytest.raises(ValueError):
             GridFunction(1, 1, 1, (3,), 1.0, np.array([0, 5, 0]), np.zeros((3, 1, 1)))
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_nonfinite_h_named(self, h):
+        with pytest.raises(ArgumentError, match="'h'") as info:
+            GridFunction(1, 1, 1, (3,), h, np.zeros(3), np.zeros((3, 1, 1)))
+        assert info.value.name == "h"
+
+    def test_from_json_without_h_names_it(self):
+        obj = json.loads(empty_grid(2, 1, 1, 4).to_json())
+        del obj["h"]
+        with pytest.raises(ArgumentError, match="missing field 'h'") as info:
+            GridFunction.from_json(json.dumps(obj))
+        assert info.value.name == "h"
 
     def test_coords_centered(self):
         g = empty_grid(2, 1, 1, 5)

@@ -1,6 +1,7 @@
 """Fuzz tests of the ``qv extend whitney``, ``qv extend cone``, ``qv verify
---config``, frame (``qv embed --frame``) and grid-function (``qv energy``,
-``qv trace``, ``qv extend plane``) loaders.
+--config``, frame (``qv embed --frame``), grid-function (``qv energy``,
+``qv trace``, ``qv extend plane``, ``qv solve``) and boundary-curve spec
+(``qv solve``) loaders.
 Hypothesis writes valid input files and then breaks them in up to three
 ways.  Every run must end in exit code 0, 1 or 2 and never in a traceback;
 a run with a fault must exit 1 with a message that names a faulty field (or
@@ -551,12 +552,33 @@ GRID_FAULTS = {
 }
 # faults that break only one command, with the field its message names
 COMMAND_FAULTS = {"extents differ": ("plane", "shape"), "no boundary node": ("trace", "mask")}
+# faults that break ``qv solve``, which needs a path from every interior node
+# to a boundary node, with the field its message names
+SOLVE_FAULTS = {"no boundary node": "mask", "interior cut off": "mask"}
 # "extents differ" goes first and "not an object" last, since each replaces
-# what the faults before it change
-GRID_ORDER = {"extents differ": -1, "not an object": 1}
-COMMANDS = {"energy": ["energy"], "trace": ["trace"], "plane": ["extend", "plane"]}
+# what the faults before it change; "interior cut off" rewrites the whole mask
+GRID_ORDER = {"extents differ": -1, "not an object": 1, "interior cut off": -0.5}
+# each command's arguments up to its input file
+COMMANDS = {"energy": ["energy", "--in"], "trace": ["trace", "--in"],
+            "plane": ["extend", "plane", "--in"],
+            "solve": ["solve", "--restarts", "1", "--boundary"]}
 for _field in ("n", "Q", "shape", "h", "mask", "values"):
     NAMES.setdefault(_field, re.compile(f"'{_field}'"))
+
+
+def anchored(mask, shape):
+    """``mask`` with each interior node that has no boundary node among its
+    axis neighbours made a boundary node, so every interior node has a path
+    to the boundary."""
+    kinds = np.array(mask).reshape(shape)
+    near = np.zeros(kinds.shape, dtype=bool)
+    for axis in range(kinds.ndim):
+        edge = np.moveaxis(kinds == 1, axis, 0)
+        side = np.moveaxis(near, axis, 0)  # a view: writing to it writes to near
+        side[1:] |= edge[:-1]
+        side[:-1] |= edge[1:]
+    kinds[(kinds == 0) & ~near] = 1
+    return kinds.ravel().tolist()
 
 
 @st.composite
@@ -573,6 +595,8 @@ def grid_cases(draw):
     mask[draw(st.integers(0, nodes - 1))] = 1
     values = [[[draw(st.floats(-1.0, 1.0)) for _ in range(n)] for _ in range(Q)]
               for _ in range(nodes)]
+    if command == "solve":
+        mask = anchored(mask, shape)
     for node, kind in enumerate(mask):
         # outside nodes hold no value; to_json writes 0.0 there
         if kind == 2 and draw(st.booleans()):
@@ -580,17 +604,21 @@ def grid_cases(draw):
     obj = {"m": m, "n": n, "Q": Q, "shape": shape, "h": draw(st.floats(0.01, 2.0)),
            "mask": mask, "values": values}
 
-    faults = draw(st.lists(st.sampled_from(sorted(GRID_FAULTS) + sorted(COMMAND_FAULTS)),
-                           max_size=3, unique=True))
+    faults = draw(st.lists(st.sampled_from(sorted(GRID_FAULTS) + sorted(COMMAND_FAULTS)
+                                           + ["interior cut off"]), max_size=3, unique=True))
     faults.sort(key=lambda fault: GRID_ORDER.get(fault, 0))
     names = set()
     for fault in faults:
-        if fault in COMMAND_FAULTS:
+        if command == "solve" and fault in SOLVE_FAULTS:
+            # a one-axis grid of two nodes has no room to cut a node off
+            if fault != "interior cut off" or nodes > 2:
+                names.add(SOLVE_FAULTS[fault])
+        elif fault in COMMAND_FAULTS:
             target, field = COMMAND_FAULTS[fault]
             # a one-axis grid has one extent
             if command == target and (fault != "extents differ" or m == 2):
                 names.add(field)
-        else:
+        elif fault in GRID_FAULTS:
             names.add(GRID_FAULTS[fault])
         field = GRID_FAULTS.get(fault)
         if fault.startswith("missing "):
@@ -646,6 +674,9 @@ def grid_cases(draw):
             values += [[[0.0] * n] * Q] * N
         elif fault == "no boundary node":
             mask[:] = [0 if kind == 1 else kind for kind in mask]
+        elif fault == "interior cut off" and nodes > 2:
+            # the first node is interior, the last boundary and the others outside
+            mask[:] = [0] + [2] * (len(mask) - 2) + [1]
         elif fault == "not an object":
             obj = draw(st.sampled_from([[], "grid", 7, None]))
     return command, obj, names
@@ -659,7 +690,7 @@ def test_grid_loader_exits_cleanly_and_names_the_fault(case):
         path, out = os.path.join(tmp, "grid.json"), os.path.join(tmp, "out.json")
         with open(path, "w") as fh:
             json.dump(obj, fh)
-        code, _, message = run_cli(COMMANDS[command] + ["--in", path, "--out", out])
+        code, _, message = run_cli(COMMANDS[command] + [path, "--out", out])
         assert code in (0, 1, 2), message
         assert "Traceback" not in message
         if not names:
@@ -669,3 +700,103 @@ def test_grid_loader_exits_cleanly_and_names_the_fault(case):
             return
     assert code == 1, (command, names, message)
     assert any(NAMES[name].search(message) for name in names), (command, names, message)
+
+
+# each fault of a boundary-curve spec (``qv solve``), and the fields a message
+# about it may name; the "m" faults break only a square's spec
+CURVE_FAULTS = {
+    "missing domain": {"domain"}, "domain not a name": {"domain"},
+    "unknown domain": {"domain"}, "missing Q": {"Q"}, "Q not an integer": {"Q"},
+    "Q not positive": {"Q"}, "missing n": {"n"}, "n not an integer": {"n"},
+    "n not positive": {"n"}, "m not an integer": {"m"}, "m not positive": {"m"},
+    "missing curve": {"curve"}, "curve not a list": {"curve"}, "empty curve": {"curve"},
+    "entry not an object": {"curve"}, "missing x": {"x"}, "x not numbers": {"x"},
+    "x not finite": {"x"}, "x length": {"x", "curve"}, "missing value": {"value"},
+    "value not numbers": {"value"}, "value shape": {"value", "curve"},
+    "not an object": {"JSON object"},
+}
+# applied after the others, in this order, since each replaces what they change
+CURVE_LAST = ("entry not an object", "empty curve", "missing curve", "curve not a list",
+              "not an object")
+for _field in ("domain", "curve"):
+    NAMES.setdefault(_field, re.compile(f"'{_field}'"))
+NAMES["JSON object"] = re.compile("JSON object")
+
+
+@st.composite
+def curve_cases(draw):
+    """``(spec object, grid resolution, names)`` for a random valid
+    boundary-curve spec broken by the faults drawn; ``names`` are the fields
+    a message may name, none when there is no fault."""
+    domain = draw(st.sampled_from(["disk", "square"]))
+    m = 2 if domain == "disk" else draw(st.integers(1, 2))
+    Q, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def value(rows=Q, cols=n):
+        return [[draw(st.floats(-1.0, 1.0)) for _ in range(cols)] for _ in range(rows)]
+
+    curve = [{"x": [draw(st.floats(-1.0, 1.0)) for _ in range(m)], "value": value()}
+             for _ in range(draw(st.integers(1, 6)))]
+    obj = {"domain": domain, "Q": Q, "n": n, "curve": curve}
+    if domain == "square" and (m != 2 or draw(st.booleans())):  # a square's m defaults to 2
+        obj["m"] = m
+
+    faults = draw(st.lists(st.sampled_from(sorted(CURVE_FAULTS)), max_size=3, unique=True))
+    faults.sort(key=lambda fault: CURVE_LAST.index(fault) if fault in CURVE_LAST else -1)
+    names = set()
+    for fault in faults:
+        if fault.startswith("m ") and domain != "square":
+            continue
+        names |= CURVE_FAULTS[fault]
+        entry = draw(st.sampled_from(curve))
+        if fault.startswith("missing "):
+            field = fault[len("missing "):]
+            (entry if field in ("x", "value") else obj).pop(field, None)
+        elif fault == "domain not a name":
+            obj["domain"] = draw(st.sampled_from([["disk"], None, 3, {"disk": 1}]))
+        elif fault == "unknown domain":
+            obj["domain"] = draw(st.sampled_from(["circle", "Disk", ""]))
+        elif fault.endswith("not an integer"):
+            obj[fault[0]] = draw(st.sampled_from([2.0, "2", None, True, [2]]))
+        elif fault.endswith("not positive"):
+            obj[fault[0]] = draw(st.sampled_from([0, -1]))
+        elif fault == "curve not a list":
+            obj["curve"] = draw(st.sampled_from([{}, "curve", 3]))
+        elif fault == "empty curve":
+            obj["curve"] = []
+        elif fault == "entry not an object":
+            curve[curve.index(entry)] = draw(st.sampled_from([1, "e", []]))
+        elif fault == "x not numbers":
+            entry["x"] = draw(st.sampled_from(["0.5", None, True, [None] * m, [True] * m]))
+        elif fault == "x not finite":
+            entry["x"] = [draw(st.sampled_from([math.nan, math.inf]))] * m
+        elif fault == "x length":
+            entry["x"] = [0.5] * (m + 1)
+        elif fault == "value not numbers":
+            entry["value"] = draw(st.sampled_from(["v", None, [["a"]], [[math.nan]], []]))
+        elif fault == "value shape":
+            entry["value"] = value(rows=Q + 1)
+        elif fault == "not an object":
+            obj = draw(st.sampled_from([[], "spec", 7]))
+    return obj, draw(st.integers(3, 6)), names
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve_cases())
+def test_curve_spec_loader_exits_cleanly_and_names_the_fault(case):
+    obj, resolution, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        code, _, message = run_cli(["solve", "--boundary", path, "--grid", str(resolution),
+                                    "--restarts", "1", "--out", out])
+        assert code in (0, 1, 2), message
+        assert "Traceback" not in message
+        if not names:
+            assert code == 0, message
+            with open(out) as fh:
+                json.load(fh)
+            return
+    assert code == 1, (names, message)
+    assert any(NAMES[name].search(message) for name in names), (names, message)

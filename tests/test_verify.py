@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qvalued import ArgumentError
 from qvalued.qspace import MetricKind, dist_many
 from qvalued.verify import (
     CheckConfig,
@@ -71,6 +72,15 @@ def test_config_past_the_memory_bound_names_its_fields(kwargs, named, what):
 ])
 def test_config_at_the_memory_bound_is_accepted(kwargs):
     CheckConfig(**kwargs)  # built, never run
+
+
+@pytest.mark.parametrize("text,name", [('{"Q_range": 3}', "Q_range"),
+                                       ('{"trials": true}', "trials"),
+                                       ('{"trails": 5}', "trails")])
+def test_config_from_json_names_the_bad_field(text, name):
+    with pytest.raises(ArgumentError, match=f"'{name}'") as info:
+        CheckConfig.from_json(text)
+    assert info.value.name == name
 
 
 def test_config_json_round_trip():
