@@ -675,8 +675,12 @@ def grid_cases(draw):
         elif fault == "no boundary node":
             mask[:] = [0 if kind == 1 else kind for kind in mask]
         elif fault == "interior cut off" and nodes > 2:
-            # the first node is interior, the last boundary and the others outside
+            # the first node is interior, the last boundary and the others outside;
+            # both may have been outside nodes holding NaN, so give them values
             mask[:] = [0] + [2] * (len(mask) - 2) + [1]
+            for node in (0, -1):
+                values[node] = [[draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+                                for _ in range(Q)]
         elif fault == "not an object":
             obj = draw(st.sampled_from([[], "grid", 7, None]))
     return command, obj, names
