@@ -290,6 +290,12 @@ class TestExtendCli:
         captured = capsys.readouterr()
         assert "row 3 of" in captured.err and "q.csv" in captured.err and named in captured.err
         assert captured.out == "" and not out.exists() and plans == []
+        # the same rows against a cone sample of the unit disk
+        assert main(["extend", "cone", "--in", self.cone_file(tmp_path), "--query", q,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "row 3 of" in captured.err and "q.csv" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("mode", ["cone", "whitney"])
     @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
@@ -319,6 +325,43 @@ class TestExtendCli:
         q = write(tmp_path / "q.csv", "0.1,0.2\n0.0,0.0\n-0.3,0.5\n")
         assert main(["extend", "cone", "--in", self.cone_file(tmp_path), "--query", q]) == 0
         assert len(plans) == 1
+
+    def test_cone_matches_golden_file(self, tmp_path):
+        # clustered values on the circle of radius 2 (the plan splits), tied
+        # integer values on the unit circle and random values on the sphere
+        # of radius 0.5 in R^3; the queries are every sample location, the
+        # centre, a point 1e-16 from it, points on the sphere and inside it
+        rng = np.random.default_rng(1903)
+        L, Q, n = 9, 3, 2
+        outputs = []
+        for kind, m, R in (("clustered", 2, 2.0), ("tied", 2, 1.0), ("random", 3, 0.5)):
+            dirs = rng.standard_normal((L + 12, m))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            if kind == "clustered":
+                centers = np.array([[0.0, 0.0], [0.4, 0.0], [6.0, 1.0]])
+                vals = centers + rng.uniform(-0.02, 0.02, (L, Q, n))
+                vals = np.take_along_axis(vals, rng.random((L, Q)).argsort(axis=1)[:, :, None],
+                                          axis=1)
+            elif kind == "tied":
+                vals = rng.integers(-2, 3, (L, Q, n)).astype(float)
+                vals[:, 0] = vals[:, -1]
+                vals[4] = vals[1]
+            else:
+                vals = rng.uniform(-1.0, 1.0, (L, Q, n))
+            locs = R * dirs[:L]
+            queries = np.concatenate([locs, np.zeros((1, m)), 1e-16 * dirs[:1], R * dirs[L:L + 6],
+                                      R * rng.uniform(0.0, 1.0, (6, 1)) * dirs[L + 6:]])
+            data = write(tmp_path / f"{kind}.json", json.dumps({
+                "m": m, "R": R,
+                "points": [{"x": x.tolist(), "value": v.tolist()} for x, v in zip(locs, vals)],
+            }))
+            q = write(tmp_path / f"{kind}.csv",
+                      "".join(",".join(map(repr, row)) + "\n" for row in queries.tolist()))
+            out = tmp_path / f"{kind}_vals.json"
+            assert main(["extend", "cone", "--in", data, "--query", q, "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        golden = pathlib.Path(__file__).parent / "data" / "cone_golden.jsonl"
+        assert "".join(text + "\n" for text in outputs) == golden.read_text()
 
     def test_whitney_matches_golden_file(self, tmp_path):
         # 40 samples, Q = 3, depth 8; the queries are uniform points, five

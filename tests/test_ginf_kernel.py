@@ -231,8 +231,9 @@ class TestConeAgainstReference:
             if Q >= 2 and vals is datasets[0]:
                 assert splits, "the clustered data should take the split branch"
             monkeypatch.undo()
-            assert_same_values(fast, [cone_extend_reference(sample, q).points
-                                      for q in queries])
+            reference = [cone_extend_reference(sample, q).points for q in queries]
+            assert_same_values(fast, reference)
+            assert_same_values(cone.evaluate_many(queries), reference)
             assert_same_values(fast, [cone_extend(sample, q).points for q in queries])
 
     @pytest.mark.parametrize("kind", ["clustered", "ties"])
@@ -252,7 +253,9 @@ class TestConeAgainstReference:
         if kind == "clustered":
             assert splits, "the clustered data should take the split branch"
         monkeypatch.undo()
-        assert_same_values(fast, [cone_extend_reference(sample, q).points for q in queries])
+        reference = [cone_extend_reference(sample, q).points for q in queries]
+        assert_same_values(fast, reference)
+        assert_same_values(cone.evaluate_many(queries), reference)
 
 
 def assert_same_sorter(got, want):
