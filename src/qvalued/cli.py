@@ -179,16 +179,9 @@ def _whitney_from_obj(obj) -> extend.WhitneyExtension:
 
 
 def _boundary_sample_json(sample: extend.BoundarySample) -> str:
-    return json.dumps(
-        {
-            "m": sample.m,
-            "R": sample.R,
-            "points": [
-                {"x": loc.tolist(), "value": val.points.tolist()}
-                for loc, val in sample.points
-            ],
-        }
-    )
+    points = [{"x": loc, "value": value} for loc, value in
+              zip(sample.locations.tolist(), sample.value_array.tolist())]
+    return json.dumps({"m": sample.m, "R": sample.R, "points": points})
 
 
 def _cmd_extend(args) -> int:
@@ -200,23 +193,14 @@ def _cmd_extend(args) -> int:
     if args.query is None:
         raise DataError(f"extend {args.mode} needs --query")
     queries = _load_query_csv(args.query)
-    if args.mode == "cone":
-        ext = _checked(args.infile, "cone sample", _cone_from_obj, _load_json(args.infile))
-    else:
-        ext = _checked(args.infile, "Whitney data", _whitney_from_obj, _load_json(args.infile))
-        try:
-            values = ext.evaluate_many(queries)
-        except extend.QueryError as exc:
-            raise DataError(f"row {exc.index + 1} of {args.query}: {exc.problem}")
-        _write(args.out, json.dumps(values.tolist()))
-        return 0
-    values = []
-    for row, q in enumerate(queries, start=1):
-        try:
-            values.append(ext.evaluate(q).points.tolist())
-        except ValueError as exc:
-            raise DataError(f"row {row} of {args.query}: {exc}")
-    _write(args.out, json.dumps(values))
+    what, parse = {"cone": ("cone sample", _cone_from_obj),
+                   "whitney": ("Whitney data", _whitney_from_obj)}[args.mode]
+    ext = _checked(args.infile, what, parse, _load_json(args.infile))
+    try:
+        values = ext.evaluate_many(queries)
+    except extend.QueryError as exc:
+        raise DataError(f"row {exc.index + 1} of {args.query}: {exc.problem}")
+    _write(args.out, json.dumps(values.tolist()))
     return 0
 
 
@@ -233,15 +217,15 @@ def _curve_grid(obj, resolution: int) -> GridFunction:
         raise ArgumentError("curve", "field 'curve' must be a nonempty list of objects")
     if resolution is None:
         raise DataError("--grid is required with a boundary-curve spec")
-    if resolution < 2:
-        raise DataError(f"--grid must be an integer >= 2, got {resolution}")
-    if domain == "disk":
-        m = 2
+    if domain == "disk":  # disk_mask(2) has no node inside the disk
+        m, lowest = 2, 3
     elif domain == "square":
-        m = _int_field(obj, "m") if "m" in obj else 2
+        m, lowest = _int_field(obj, "m") if "m" in obj else 2, 2
     else:
         raise ArgumentError("domain", f"field 'domain' must be \"disk\" or \"square\", "
                                       f"got {_short(domain)}")
+    if resolution < lowest:
+        raise DataError(f"--grid must be an integer >= {lowest} on a {domain}, got {resolution}")
     # the values hold resolution**m * Q * n floats; past m = 24 that is over the
     # bound at any resolution, and the power is not formed
     if m > 24 or resolution**m * Q * n > verify._MAX_ENTRIES:

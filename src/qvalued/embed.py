@@ -206,8 +206,10 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
         if value < 1:
             raise ArgumentError(name, f"{name} must be a positive integer, got {value}")
     if n == 1:
-        # every unit vector of R^1 is 1 or -1, so the one direction certifies epsilon = 1
-        return DirectionFrame(1, Q, [[[1.0]]], 1.0, validate=False)
+        # every unit vector of R^1 is 1 or -1, so the direction 1 certifies epsilon = 1;
+        # an integer K asks for K copies of it
+        return DirectionFrame(1, Q, [[[1.0]]] * (1 if K == "auto" else int(K)), 1.0,
+                              validate=False)
     rng = np.random.default_rng(seed)
     pool = rng.standard_normal((4096, n))  # the candidate directions
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)

@@ -10,13 +10,15 @@ plane with linearly decaying branches, vanishing beyond radius 3/2.
 
 The cone construction runs in two steps.  The plan depends only on the
 witnessed boundary tuples: it measures the oscillation, runs the split
-test and the clustering, and recurses into each cluster.
-``_cone_plan_many`` plans a whole stack of sample sets at once, with one
-GINF call of ``qspace.match_many`` scoring every sample pair of every set
-and one grouping the samples of every set that splits.  The apply step is
-all a query adds: the radius, the boundary value above the query put into
-the plan's row order, and the radial interpolation toward the center
-value.  ``ConeExtension`` plans once per boundary sample.
+test and the clustering, and recurses into each cluster.  ``_plan_rows``
+plans a whole stack of sample sets at once, with one GINF call of
+``qspace.match_many`` scoring every sample pair of every set and one
+grouping the samples of every set that splits.  The apply step is all a
+query adds: the radius, the boundary value above the query put into the
+plan's row order, and the radial blend toward the center value
+(``_blend``).  Both operators answer a batch with ``evaluate_many``, which
+checks every query first, and ``evaluate`` is its one-row call.
+``ConeExtension`` plans its boundary sample once, when it is built.
 ``WhitneyExtension`` holds its dyadic tree as sorted integer keys: per
 level, the flat indices of the leaf cells; the flat lattice indices of the
 cell corners; and one key array of the skeleton lines.  ``evaluate_many``
@@ -24,10 +26,10 @@ locates a whole batch of queries with one ``searchsorted`` per level and
 finds the breaks of every face side and the minimal edge under every
 perimeter point by ``searchsorted`` in the line keys.  It plans every
 minimal edge and leaf face the batch reaches and has not planned before,
-in a few stacked calls, then applies them to the whole batch: the far
-queries' boundary values go into row order one split level at a time
-(``_sorted_many``), and one array expression blends them with the center
-values.
+in a few stacked calls, into arrays indexed by edge or leaf, then applies
+them to the whole batch: the far queries' boundary values go into row
+order one split level at a time (``_sorted_many``), and one array
+expression blends them with the center values.
 
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
@@ -43,13 +45,30 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ._fields import ArgumentError
 from .grids import GridFunction, OUTSIDE, _blocks, _nearest, square_mask
 from .qspace import MetricKind, QTuple, match_many, vector_norms
+
+
+def _samples(pairs, name: str, m=None):
+    """The locations, as an (L, m) array, and the values, as QTuples, of the
+    ``(location, value)`` pairs of the argument ``name``.  ``m`` defaults to
+    the size of the first location."""
+    if not pairs:
+        raise ArgumentError(name, f"field '{name}' must hold at least one point")
+    locs = [np.asarray(loc, dtype=float).reshape(-1) for loc, _ in pairs]
+    m = locs[0].size if m is None else m
+    bad = [loc.size for loc in locs if loc.size != m]
+    if bad:
+        raise ArgumentError(name, f"each location 'x' in field '{name}' must hold m={m} "
+                                  f"numbers, got {bad[0]}")
+    values = [value if isinstance(value, QTuple) else QTuple(value) for _, value in pairs]
+    if len({(value.Q, value.n) for value in values}) > 1:
+        raise ArgumentError(name, f"the values in field '{name}' must share Q and n")
+    return np.array(locs), values
 
 
 @dataclass
@@ -59,7 +78,8 @@ class BoundarySample:
     ``points`` is a list of ``(location, value)`` pairs; locations are
     m-vectors, nominally on the sphere of radius R (the cone extension
     enforces this, other producers such as grid traces may sit slightly
-    off it).
+    off it).  They are also held as the arrays ``locations`` (L, m) and
+    ``value_array`` (L, Q, n).
     """
 
     points: list
@@ -67,34 +87,10 @@ class BoundarySample:
     m: int
 
     def __post_init__(self):
-        if not self.points:
-            raise ArgumentError("points", "field 'points' must hold at least one point")
-        locs = []
-        vals = []
-        Q = n = None
-        for loc, value in self.points:
-            loc = np.asarray(loc, dtype=float).reshape(-1)
-            if loc.size != self.m:
-                raise ArgumentError("x", f"each location 'x' in field 'points' must hold "
-                                         f"m={self.m} numbers, got {loc.size}")
-            if not isinstance(value, QTuple):
-                value = QTuple(value)
-            if Q is None:
-                Q, n = value.Q, value.n
-            elif (value.Q, value.n) != (Q, n):
-                raise ArgumentError("points", "the values in field 'points' must share Q and n")
-            locs.append(loc)
-            vals.append(value)
-        self.points = list(zip(locs, vals))
-        self.Q, self.n = Q, n
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([loc for loc, _ in self.points])
-
-    @property
-    def value_array(self) -> np.ndarray:
-        return np.array([val.points for _, val in self.points])
+        self.locations, values = _samples(self.points, "points", self.m)
+        self.points = list(zip(self.locations, values))
+        self.value_array = np.array([value.points for value in values])
+        self.Q, self.n = self.value_array.shape[1:]
 
 
 @functools.lru_cache(maxsize=32)
@@ -146,14 +142,6 @@ def _split_clusters(points: np.ndarray, threshold):
     return first.sum(axis=-1), np.take_along_axis(rank, lowest, axis=-1)
 
 
-class _ConePlan(NamedTuple):
-    """The query-independent part of a cone extension (see ``_cone_plan_many``)."""
-
-    Y: np.ndarray
-    sorter: tuple | None
-    samples: np.ndarray
-
-
 def _group(vals: np.ndarray, ref: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
     """Reorder the points of each tuple ``vals[s, l]`` by the cluster
     ``cluster_of[s]`` of their G-inf match in ``ref[s]``, keeping the order
@@ -167,8 +155,30 @@ def _group(vals: np.ndarray, ref: np.ndarray, cluster_of: np.ndarray) -> np.ndar
 
 
 def _plan_rows(stack: np.ndarray):
-    """``Y`` (E, Q, n), the sorters and ``samples`` (E, L, Q, n) of the cone
-    plans of the rows of ``stack``; see ``_cone_plan_many``."""
+    """Plan the recursive cone extension of each row of witnessed tuples in
+    ``stack`` (E, L, Q, n), as ``Y`` (E, Q, n), a list of E sorters and
+    ``samples`` (E, L, Q, n).
+
+    Per row, the oscillation and the split test are measured on the
+    samples.  When some tuple holds two points farther apart than 3*Q times
+    the oscillation, the points of every tuple are grouped by cluster, and
+    each cluster is planned on its own; otherwise the plan is a leaf.  The
+    rows are planned together: one G-inf kernel call scores every sample
+    pair of every row, one groups every split row's samples, and the split
+    rows recurse in one call per cluster slice of each cluster pattern.
+    Per row:
+
+    ``Y`` (Q, n)
+        per output row, the first point of the first witnessed tuple of
+        that row's cluster: the value at the center;
+    sorter
+        ``None`` at a leaf, else ``(ref, cluster_of, ends, children)``: the
+        split's reference tuple, the cluster of each of its points, the end
+        row of each cluster and one sorter per cluster.  ``_sorted_many``
+        applies it to put any tuple into output-row order;
+    ``samples`` (L, Q, n)
+        the witnessed tuples, each in output-row order.
+    """
     E, L, Qc, _ = stack.shape
     Y = np.repeat(stack[:, :1, 0], Qc, axis=1)
     sorters = [None] * E
@@ -198,41 +208,9 @@ def _plan_rows(stack: np.ndarray):
     return Y, sorters, samples
 
 
-def _cone_plan_many(stack: np.ndarray) -> list:
-    """Plan the recursive cone extension of each row of witnessed tuples in
-    ``stack`` (E, L, Q, n); one ``_ConePlan`` per row.
-
-    Per row, the oscillation and the split test are measured on the
-    samples.  When some tuple holds two points farther apart than 3*Q times
-    the oscillation, the points of every tuple are grouped by cluster, and
-    each cluster is planned on its own; otherwise the plan is a leaf.  The
-    rows are planned together: one G-inf kernel call scores every sample
-    pair of every row, one groups every split row's samples, and the split
-    rows recurse in one call per cluster slice of each cluster pattern.
-    A plan holds:
-
-    ``Y`` (Q, n)
-        per output row, the first point of the first witnessed tuple of
-        that row's cluster: the value at the center;
-    ``sorter``
-        ``None`` at a leaf, else ``(ref, cluster_of, ends, children)``: the
-        split's reference tuple, the cluster of each of its points, the end
-        row of each cluster and one sorter per cluster.  ``_sorted_many``
-        applies it to put any tuple into output-row order;
-    ``samples`` (L, Q, n)
-        the witnessed tuples, each in output-row order.
-    """
-    return [_ConePlan(*plan) for plan in zip(*_plan_rows(stack))]
-
-
-def _cone_plan(sample_vals: np.ndarray) -> _ConePlan:
-    """The cone plan of one set of witnessed tuples (L, Q, n)."""
-    return _cone_plan_many(sample_vals[None])[0]
-
-
 def _sorted_many(sorters: list, values: np.ndarray) -> np.ndarray:
     """The points of each tuple ``values[k]`` (K, Q, n) in the output-row
-    order of the plan whose sorter is ``sorters[k]``, as ``_cone_plan_many``
+    order of the plan whose sorter is ``sorters[k]``, as ``_plan_rows``
     grouped the samples.
 
     The sorter trees are applied one split level at a time.  A split node
@@ -260,14 +238,49 @@ def _sorted_many(sorters: list, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blend(r, R, boundary: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """The cone construction's radial interpolation ``(r/R) boundary +
+    ((R - r)/R) center`` of the rows of ``boundary`` (K, Q, n), at radii
+    ``r`` (K,) in balls of radii ``R``."""
+    return (r / R)[:, None, None] * boundary + ((R - r) / R)[:, None, None] * center
+
+
+class QueryError(ValueError):
+    """A query of a batch that cannot be evaluated; ``index`` is its 0-based
+    position in the batch and ``problem`` says what is wrong with it."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"query {index}: {problem}")
+        self.index, self.problem = index, problem
+
+
+def _checked_queries(queries, m: int, inside, domain: str) -> np.ndarray:
+    """``queries`` as a (K, m) float array, every row checked before any is
+    evaluated: the first that is not finite, or that the test ``inside`` of
+    the whole array rejects, raises ``QueryError``; ``domain`` names what
+    ``inside`` tests."""
+    X = np.asarray(queries, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"queries must form a (K, m) array, got shape {X.shape}")
+    if X.shape[0] and X.shape[1] != m:
+        raise QueryError(0, f"query has dimension {X.shape[1]}, expected m={m}")
+    finite = np.isfinite(X).all(axis=1)
+    ok = finite & inside(X)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        problem = f"lies outside {domain}" if finite[i] else "is not finite"
+        raise QueryError(i, f"query {X[i].tolist()} {problem}")
+    return X
+
+
 class ConeExtension:
     """Cone extension of sphere data, planned once for any number of queries.
 
-    Building it checks that the sample locations lie on the sphere and runs
-    the oscillation, the split test and the clustering; ``evaluate`` is
-    then arithmetic and one nearest-sample search per query.  Boundary
-    values between samples are taken from the nearest sample (the geodesic
-    and chordal nearest agree on a sphere).
+    Building it checks that the sample locations lie on the sphere and plans
+    the witnessed tuples; ``evaluate_many`` is then arithmetic and
+    nearest-sample searches.  Boundary values between samples are taken
+    from the nearest sample (the geodesic and chordal nearest agree on a
+    sphere), whose tuple the plan holds already in output-row order.
     """
 
     def __init__(self, samples: BoundarySample):
@@ -279,46 +292,49 @@ class ConeExtension:
         if np.abs(radii - self.R).max() > 1e-9 * self.R:
             raise ArgumentError("x", "each location 'x' must lie on the sphere of radius 'R' "
                                      "to 1e-9 R")
-        self._values = [val for _, val in samples.points]
-        self._plan = _cone_plan(samples.value_array)
+        self._values = samples.value_array
+        Y, _, ordered = _plan_rows(self._values[None])
+        self._Y, self._ordered = Y[0], ordered[0]
+
+    def _nearest(self, X: np.ndarray) -> tuple:
+        """Index of the first nearest sample to each row of ``X`` and the
+        distance to it, as ``np.linalg.norm`` over the coordinates gives it."""
+        index = np.empty(len(X), dtype=np.intp)
+        gap = np.empty(len(X))
+        for block in _blocks(len(X), self.locs.size, 1 << 16):
+            d = np.linalg.norm(self.locs - X[block, None], axis=2)
+            index[block] = np.argmin(d, axis=1)
+            gap[block] = d[np.arange(len(d)), index[block]]
+        return index, gap
+
+    def evaluate_many(self, queries) -> np.ndarray:
+        """Values at the rows of ``queries`` (K, m), points of the closed ball,
+        as a (K, Q, n) array; a query at a sample location returns that
+        sample's value exactly.  Every query is checked before any is
+        evaluated; a bad one raises ``QueryError`` naming its index."""
+        R = self.R
+        X = _checked_queries(queries, self.m, lambda X: vector_norms(X) <= R * (1 + 1e-9),
+                             "the closed ball of radius R")
+        nearest, gap = self._nearest(X)
+        out = self._values[nearest]
+        r = vector_norms(X)
+        # past the sample hits, the center takes Y and the rest blend with
+        # the sample above them, which the plan holds in output-row order
+        far = np.flatnonzero(gap > 1e-12 * R)
+        out[far] = self._Y
+        far = far[r[far] > 1e-15 * R]
+        above, _ = self._nearest(X[far] * (R / r[far])[:, None])
+        out[far] = _blend(r[far], R, self._ordered[above], self._Y)
+        return out
 
     def evaluate(self, query) -> QTuple:
-        """Value at a point of the closed ball; a query on the boundary at a
-        sample location returns that sample's value exactly."""
-        query = np.asarray(query, dtype=float).reshape(-1)
-        if query.size != self.m:
-            raise ValueError(f"query has dimension {query.size}, expected m={self.m}")
-        if not np.all(np.isfinite(query)):
-            raise ValueError(f"query {query.tolist()} is not finite")
-        if np.linalg.norm(query) > self.R * (1 + 1e-9):
-            raise ValueError("query must lie in the closed ball of radius R")
-        gaps = np.linalg.norm(self.locs - query, axis=1)
-        nearest = int(np.argmin(gaps))
-        if gaps[nearest] <= 1e-12 * self.R:
-            return self._values[nearest]
-        plan, R = self._plan, self.R
-        r = float(np.linalg.norm(query))
-        if r <= 1e-15 * R:
-            return QTuple(plan.Y)
-        # the boundary value above the query is a sample, which the plan
-        # already holds in output-row order
-        b = query * (R / r)
-        boundary = plan.samples[int(np.argmin(np.linalg.norm(self.locs - b, axis=1)))]
-        return QTuple((r / R) * boundary + ((R - r) / R) * plan.Y)
+        """Value at a point of the closed ball: ``evaluate_many`` of one row."""
+        return QTuple(self.evaluate_many(np.asarray(query, dtype=float).reshape(1, -1))[0])
 
 
 def cone_extend(samples: BoundarySample, query) -> QTuple:
     """One-shot cone extension query; see ConeExtension for batches."""
     return ConeExtension(samples).evaluate(query)
-
-
-class QueryError(ValueError):
-    """A query of a batch that cannot be evaluated; ``index`` is its 0-based
-    position in the batch and ``problem`` says what is wrong with it."""
-
-    def __init__(self, index: int, problem: str):
-        super().__init__(f"query {index}: {problem}")
-        self.index, self.problem = index, problem
 
 
 def _flat(cells: np.ndarray, d: int) -> np.ndarray:
@@ -374,33 +390,18 @@ class WhitneyExtension:
     """
 
     def __init__(self, data, domain_box, depth: int):
-        if not data:
-            raise ArgumentError("data", "sample set must be nonempty")
-        locs = [np.asarray(loc, dtype=float).reshape(-1) for loc, _ in data]
-        self.m = locs[0].size
-        if any(loc.size != self.m for loc in locs):
-            raise ArgumentError("data", "sample locations must all have the same dimension")
+        locs, values = _samples(data, "data")
+        self.m = locs.shape[1]
         if self.m not in (1, 2):
             raise ArgumentError("data", f"only m in {{1, 2}} is supported, got m={self.m}")
-        locs = np.array(locs)
         if not np.isfinite(locs).all():
             raise ArgumentError("data", "sample locations must be finite")
-        vals = []
-        Q = n = None
-        for _, value in data:
-            if not isinstance(value, QTuple):
-                value = QTuple(value)
-            if Q is None:
-                Q, n = value.Q, value.n
-            elif (value.Q, value.n) != (Q, n):
-                raise ArgumentError("data", "all sample values must share Q and n")
-            vals.append(value.points)
         # return_index: the plain np.unique loads numpy.ma, 15-21 ms of a one-shot run
         if np.unique(locs, axis=0, return_index=True)[0].shape[0] != locs.shape[0]:
             raise ArgumentError("data", "sample locations must be distinct")
-        self.Q, self.n = Q, n
+        Q, n = self.Q, self.n = values[0].Q, values[0].n
         self.locs = locs
-        self.vals = np.array(vals)
+        self.vals = np.array([value.points for value in values])
         box = np.asarray(domain_box, dtype=float)
         if box.size != 2 * self.m:
             raise ArgumentError("domain_box", f"domain box must hold a [low, high] pair for "
@@ -461,11 +462,13 @@ class WhitneyExtension:
             self._lines = np.concatenate([self._lines, L * L + by_row[order]])
             self._line_corner = np.concatenate([self._line_corner, order])
         # cone plans, built on first use: minimal edges as arrays indexed
-        # like _lines, leaf faces by leaf index
+        # like _lines, leaf faces as arrays indexed like _leaf_keys
         self._edge_planned = np.zeros(len(self._lines), dtype=bool)
         self._edge_Y = np.empty((len(self._lines), Q, n))
         self._edge_ends = np.empty((len(self._lines), 2, Q, n))
-        self._faces = {}
+        self._face_planned = np.zeros(len(self._leaf_keys), dtype=bool)
+        self._face_Y = np.empty((len(self._leaf_keys), Q, n))
+        self._face_sorter = [None] * len(self._leaf_keys)
 
     def _sup_gaps(self, lo: np.ndarray, size: float, budget: int):
         """The sup-norm distance from each cell ``[lo, lo + size]`` to each
@@ -551,8 +554,7 @@ class WhitneyExtension:
             # an edge's boundary is its two ends, so the plan already holds
             # the value there in output-row order
             end = np.where((b * (c0 - center)[far]).sum(axis=1) > 0, 0, 1)
-            ends = self._edge_ends[ids[far], end]
-            out[far] = (r / R)[:, None, None] * ends + ((R - r) / R)[:, None, None] * out[far]
+            out[far] = _blend(r, R, self._edge_ends[ids[far], end], out[far])
         return out
 
     def _sides(self, base: np.ndarray, side: np.ndarray):
@@ -596,12 +598,19 @@ class WhitneyExtension:
         p = center + rel
         return self._edge_values(self._perimeter_edges(base, side, p, rel), p)
 
-    def _plan_faces(self, base: np.ndarray, side: np.ndarray) -> list:
-        """Plan the leaf faces ``(base[i], side[i])``.  A face's samples are
-        its perimeter values at every skeleton corner and minimal-edge
-        midpoint ("stations"): each side in turn, in increasing position, the
-        corners listed with the sides x = low and x = high.  Station
-        positions are integers in half-units of the finest scale."""
+    def _plan_faces(self, leaf: np.ndarray, base: np.ndarray, side: np.ndarray):
+        """Plan the leaf faces ``leaf[i]``, with integer base corner ``base[i]``
+        and side ``side[i]``, that are not planned yet, together.  A face's
+        samples are its perimeter values at every skeleton corner and
+        minimal-edge midpoint ("stations"): each side in turn, in increasing
+        position, the corners listed with the sides x = low and x = high.
+        Station positions are integers in half-units of the finest scale;
+        the faces with equal station counts are planned in one call."""
+        todo = ~self._face_planned[leaf]
+        leaf, first = np.unique(leaf[todo], return_index=True)  # see __init__
+        if not leaf.size:
+            return
+        base, side = base[todo][first], side[todo][first]
         L = (1 << self.depth) + 1
         scale = self.S / (1 << self.depth)
         center = self.root_lo + (base + side[:, None] / 2.0) * scale
@@ -626,44 +635,22 @@ class WhitneyExtension:
         p[rows, 1 - fixed] = self.root_lo[1 - fixed] + (halves / 2) * scale
         vals = self._perimeter_values(base[owner], side[owner], center[owner], p - center[owner])
 
-        plans = [None] * len(base)
         counts = np.bincount(owner, minlength=len(base))
         starts = np.cumsum(counts) - counts
-        by_count = {}
-        for i, count in enumerate(counts.tolist()):
-            by_count.setdefault(count, []).append(i)
-        for count, members in by_count.items():
-            stack = vals[starts[members][:, None] + np.arange(count)]
-            for i, plan in zip(members, _cone_plan_many(stack)):
-                plans[i] = plan
-        return plans
-
-    def _faces_for(self, leaf: np.ndarray, base: np.ndarray, side: np.ndarray) -> list:
-        """The cone plan of the leaf face ``leaf[i]`` with corner ``base[i]``
-        and side ``side[i]``; the uncached ones are planned together."""
-        ids, first = np.unique(leaf, return_index=True)
-        new = [(i, f) for i, f in zip(ids.tolist(), first.tolist()) if i not in self._faces]
-        if new:
-            at = [f for _, f in new]
-            self._faces.update(zip([i for i, _ in new], self._plan_faces(base[at], side[at])))
-        return [self._faces[i] for i in leaf.tolist()]
+        for count in sorted(set(counts.tolist())):
+            members = np.flatnonzero(counts == count)
+            Y, sorters, _ = _plan_rows(vals[starts[members][:, None] + np.arange(count)])
+            self._face_Y[leaf[members]] = Y
+            for i, sorter in zip(leaf[members].tolist(), sorters):
+                self._face_sorter[i] = sorter
+        self._face_planned[leaf] = True
 
     def evaluate_many(self, queries) -> np.ndarray:
         """Values of the extension at the rows of ``queries`` (K, m), as a
         (K, Q, n) array.  Every query is checked before any is evaluated; a
         bad one raises ``QueryError`` naming its index."""
-        X = np.asarray(queries, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"queries must form a (K, m) array, got shape {X.shape}")
-        if X.shape[0] and X.shape[1] != self.m:
-            raise QueryError(0, f"query has dimension {X.shape[1]}, expected m={self.m}")
-        finite = np.isfinite(X).all(axis=1)
-        ok = finite & np.all((self.root_lo <= X) & (X <= self.box_hi), axis=1)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            problem = "lies outside the domain box" if finite[i] else "is not finite"
-            raise QueryError(i, f"query {X[i].tolist()} {problem}")
-
+        X = _checked_queries(queries, self.m, lambda X: np.all(
+            (self.root_lo <= X) & (X <= self.box_hi), axis=1), "the domain box")
         nearest, gap = self._nearest_samples(X)
         # sample hits and cells at the depth cap take the nearest sample
         out = self.vals[nearest]
@@ -679,29 +666,27 @@ class WhitneyExtension:
             out[rows] = self._edge_values(np.searchsorted(self._lines, base[:, 0]), X[rows])
             return out
 
-        plans = self._faces_for(leaf, base, side)
+        self._plan_faces(leaf, base, side)
         scale = self.S / (1 << self.depth)
         center = self.root_lo + (base + side[:, None] / 2.0) * scale
         R = side * scale / 2.0
         rel = X[rows] - center
         r = np.abs(rel).max(axis=1)
-        out[rows] = [plan.Y for plan in plans]
+        out[rows] = self._face_Y[leaf]
         far = np.flatnonzero(r > 1e-15 * R)
         if not far.size:
             return out
         r, R = r[far], R[far]
         boundary = self._perimeter_values(base[far], side[far], center[far],
                                           rel[far] * (R / r)[:, None])
-        value = _sorted_many([plans[i].sorter for i in far.tolist()], boundary)
-        # out holds each plan's Y already
-        out[rows[far]] = ((r / R)[:, None, None] * value
-                          + ((R - r) / R)[:, None, None] * out[rows[far]])
+        value = _sorted_many([self._face_sorter[i] for i in leaf[far].tolist()], boundary)
+        # out holds each face's Y already
+        out[rows[far]] = _blend(r, R, value, out[rows[far]])
         return out
 
     def evaluate(self, query) -> QTuple:
-        """Value of the extension at a point of the domain box."""
-        x = np.asarray(query, dtype=float).reshape(1, -1)
-        return QTuple(self.evaluate_many(x)[0])
+        """Value at a point of the domain box: ``evaluate_many`` of one row."""
+        return QTuple(self.evaluate_many(np.asarray(query, dtype=float).reshape(1, -1))[0])
 
 
 def extend_to_plane(f: GridFunction) -> GridFunction:

@@ -190,12 +190,8 @@ def _draw_Qn(rng, cfg):
     return Q, n
 
 
-def check_metric_equivalence(cfg: CheckConfig, _dist_many=None) -> CheckReport:
-    """G_inf <= G2 <= G1 <= Q G_inf and G2 <= sqrt(Q) G_inf on random pairs.
-
-    ``_dist_many`` replaces ``dist_many`` as the source of the distances.
-    """
-    d = _dist_many or dist_many
+def check_metric_equivalence(cfg: CheckConfig) -> CheckReport:
+    """G_inf <= G2 <= G1 <= Q G_inf and G2 <= sqrt(Q) G_inf on random pairs."""
     rng = _rng_for(cfg, "metric_equivalence")
     tol = cfg.tolerances["equivalence"]
     report = CheckReport("metric_equivalence", cfg.trials, 0, 0.0)
@@ -208,7 +204,7 @@ def check_metric_equivalence(cfg: CheckConfig, _dist_many=None) -> CheckReport:
     ok = np.ones(len(rows), dtype=bool)
     for index, (V, W) in _grouped(rows):
         Q = V.shape[1]
-        g1, g2, gi = (_in_blocks(d, V, W, kind) for kind in MetricKind)
+        g1, g2, gi = (_in_blocks(dist_many, V, W, kind) for kind in MetricKind)
         ok[index] = ((gi <= g2 + tol) & (g2 <= g1 + tol) & (g1 <= Q * gi + tol)
                      & (g2 <= math.sqrt(Q) * gi + tol))
         apart = gi > 0

@@ -724,7 +724,7 @@ def whitney_structure_reference(ext):
 
 def cone_plan_reference(sample_vals: np.ndarray):
     """The cone plan of one set of witnessed tuples (L, Q, n), planned on its
-    own and recursing cluster by cluster, as ``extend._cone_plan`` did before
+    own and recursing cluster by cluster, as the cone extension did before
     plans were built for whole stacks.  Returns ``(Y, sorter, samples)``."""
     from qvalued.qspace import MetricKind, match_many, vector_norms
 
@@ -778,7 +778,7 @@ def _group(vals: np.ndarray, ref: np.ndarray, cluster_of: np.ndarray) -> np.ndar
 # applied the sorters of a whole batch one split level at a time
 def _sorted(sorter, value: np.ndarray) -> np.ndarray:
     """The points of the tuple ``value`` in the output-row order of a plan:
-    one G-inf match per split node, as ``_cone_plan_many`` grouped the samples."""
+    one G-inf match per split node, as ``extend._plan_rows`` grouped the samples."""
     if sorter is None:
         return value
     ref, cluster_of, ends, children = sorter

@@ -125,6 +125,20 @@ class TestFrameEmbedDecode:
             atol=1e-6,
         )
 
+    def test_frame_n1_integer_k(self, tmp_path):
+        # K copies of the basis [[1]], on which |xi(v)| = G2(v, 0)
+        frame_path = str(tmp_path / "frame.json")
+        assert main(["frame", "--n", "1", "--q", "2", "--k", "5", "--out", frame_path]) == 0
+        obj = json.loads(open(frame_path).read())
+        assert obj["K"] == 5 and obj["epsilon"] == 1.0 and obj["bases"] == [[[1.0]]] * 5
+        tuple_path = write(tmp_path / "t.json", json.dumps([[-1.5], [0.25]]))
+        embedded_path = str(tmp_path / "z.csv")
+        assert main(["embed", "--frame", frame_path, "--tuple", tuple_path,
+                     "--out", embedded_path]) == 0
+        coords = np.loadtxt(embedded_path, delimiter=",")
+        assert coords.size == 10
+        assert np.linalg.norm(coords) == pytest.approx(math.hypot(1.5, 0.25), rel=1e-12)
+
     def test_decode_empty_csv(self, tmp_path, capsys):
         frame_path = str(tmp_path / "frame.json")
         assert main(["frame", "--n", "2", "--q", "2", "--seed", "1",
@@ -278,9 +292,8 @@ class TestExtendCli:
         from qvalued import extend
 
         plans = []
-        real = extend._cone_plan_many
-        monkeypatch.setattr(extend, "_cone_plan_many",
-                            lambda stack: plans.append(1) or real(stack))
+        real = extend._plan_rows
+        monkeypatch.setattr(extend, "_plan_rows", lambda stack: plans.append(1) or real(stack))
         data = write(tmp_path / "w.json", json.dumps(
             {"box": [[0.0, 1.0], [0.0, 1.0]], "depth": 4,
              "data": [{"x": [0.2, 0.3], "value": [[0.0]]}, {"x": [0.7, 0.6], "value": [[1.0]]}]}))
@@ -320,8 +333,8 @@ class TestExtendCli:
         from qvalued import extend
 
         plans = []
-        real = extend._cone_plan
-        monkeypatch.setattr(extend, "_cone_plan", lambda vals: plans.append(1) or real(vals))
+        real = extend._plan_rows
+        monkeypatch.setattr(extend, "_plan_rows", lambda stack: plans.append(1) or real(stack))
         q = write(tmp_path / "q.csv", "0.1,0.2\n0.0,0.0\n-0.3,0.5\n")
         assert main(["extend", "cone", "--in", self.cone_file(tmp_path), "--query", q]) == 0
         assert len(plans) == 1
@@ -508,6 +521,25 @@ class TestSolveCli:
                   '{"domain": "disk", "Q": 1, "n": 1, "curve": [%s]}' % entry)
         assert main(["solve", "--boundary", b, "--grid", "8"]) == 1
         assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_disk_curve_spec_grid_below_three_named(self, tmp_path, capsys):
+        # disk_mask(2) puts every node outside the disk, so the fault is --grid
+        b = write(tmp_path / "b.json", json.dumps(
+            {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(8)}))
+        assert main(["solve", "--boundary", b, "--grid", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --grid must be an integer >= 3 ")
+        assert "mask" not in captured.err and captured.out == ""
+        out = str(tmp_path / "out.json")
+        assert main(["solve", "--boundary", b, "--grid", "3", "--out", out]) == 0
+
+    def test_square_curve_spec_grid_two_accepted(self, tmp_path, capsys):
+        b = write(tmp_path / "b.json", json.dumps(
+            {"domain": "square", "Q": 2, "n": 1, "curve": square_curve(3)}))
+        out = str(tmp_path / "out.json")
+        assert main(["solve", "--boundary", b, "--grid", "2", "--out", out]) == 0
+        assert main(["solve", "--boundary", b, "--grid", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --grid must be an integer >= 2")
 
     def test_bad_grid_function_boundary(self, tmp_path, capsys):
         grid = json.loads(empty_grid(2, 1, 1, 5).to_json())

@@ -93,6 +93,20 @@ class TestBuildFrame:
         assert fr.epsilon == 1.0
         assert np.array_equal(fr.bases, [[[1.0]]])
 
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_n1_integer_k_gives_k_bases(self, K):
+        # every unit vector of R^1 is 1 or -1, so each copy of [[1]] keeps epsilon = 1
+        fr = build_frame(1, 3, K)
+        assert fr.K == K and fr.epsilon == 1.0
+        assert np.array_equal(fr.bases, np.ones((K, 1, 1)))
+        assert measured_separation(fr.bases[:, 0, :], 3) >= fr.epsilon
+        rng = np.random.default_rng(K)
+        zero = QTuple(np.zeros((3, 1)))
+        for _ in range(20):
+            v = QTuple(rng.uniform(-2.0, 2.0, (3, 1)))
+            assert np.linalg.norm(xi(v, fr).coords) == pytest.approx(
+                dist(v, zero, MetricKind.G2)[0], rel=1e-12)
+
     def test_n2_q2_injective(self, frame22):
         assert frame22.epsilon > 0
         rng = np.random.default_rng(4)

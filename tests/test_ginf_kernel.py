@@ -286,6 +286,12 @@ def plan_stack(rng, E, L, Q, n):
     return np.array(rows)
 
 
+def cone_plans(stack):
+    """The ``(Y, sorter, samples)`` cone plan of each row of ``stack``, from
+    one ``_plan_rows`` call."""
+    return list(zip(*extend._plan_rows(stack)))
+
+
 class TestConePlanMany:
     @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("L", [1, 2, 8, 14])
@@ -294,44 +300,44 @@ class TestConePlanMany:
         n = 1 + (Q + L) % 3
         stack = plan_stack(rng, 3 if Q == 6 else 7, L, Q, n)
         splits = count_splits(monkeypatch)
-        plans = extend._cone_plan_many(stack)
+        plans = cone_plans(stack)
         if Q >= 2 and L >= 2:
             assert splits, "the clustered row should take the split branch"
         monkeypatch.undo()
         assert len(plans) == len(stack)
         for plan, row in zip(plans, stack):
             Y, sorter, samples = cone_plan_reference(row)
-            assert np.array_equal(plan.Y, Y)
-            assert np.array_equal(plan.samples, samples)
-            assert_same_sorter(plan.sorter, sorter)
-            one = extend._cone_plan(row)
-            assert np.array_equal(one.Y, Y) and np.array_equal(one.samples, samples)
-            assert_same_sorter(one.sorter, sorter)
+            assert np.array_equal(plan[0], Y)
+            assert np.array_equal(plan[2], samples)
+            assert_same_sorter(plan[1], sorter)
+            [one] = cone_plans(row[None])
+            assert np.array_equal(one[0], Y) and np.array_equal(one[2], samples)
+            assert_same_sorter(one[1], sorter)
 
     def test_identical_corners_split_by_repeated_points(self):
         # the Whitney edge case: both ends share a sample, so the oscillation
         # is 0 and the clusters are the groups of equal points
         value = np.array([[1.0, 0.0], [1.0, 0.0], [-2.0, 1.0], [0.5, 0.5]])
         stack = np.array([[value, value], [value, value[::-1]]])
-        for plan, row in zip(extend._cone_plan_many(stack), stack):
+        for plan, row in zip(cone_plans(stack), stack):
             Y, sorter, samples = cone_plan_reference(row)
-            assert np.array_equal(plan.Y, Y) and np.array_equal(plan.samples, samples)
-            assert_same_sorter(plan.sorter, sorter)
-        assert extend._cone_plan_many(stack)[0].sorter[2] == [2, 3, 4]
+            assert np.array_equal(plan[0], Y) and np.array_equal(plan[2], samples)
+            assert_same_sorter(plan[1], sorter)
+        assert cone_plans(stack)[0][1][2] == [2, 3, 4]
 
     def test_reference_tuple_is_the_first_above_the_threshold(self):
         # oscillation 1: only the second tuple's gap, 6.1, exceeds 3 * Q * 1
         row = np.array([[[1.0], [5.1]], [[0.0], [6.1]]])
         stack = np.array([row, row[::-1]])
-        plans = extend._cone_plan_many(stack)
+        plans = cone_plans(stack)
         for plan, sample_vals in zip(plans, stack):
             Y, sorter, samples = cone_plan_reference(sample_vals)
-            assert np.array_equal(plan.Y, Y) and np.array_equal(plan.samples, samples)
-            assert_same_sorter(plan.sorter, sorter)
-        assert np.array_equal(plans[0].sorter[0], [[0.0], [6.1]])
+            assert np.array_equal(plan[0], Y) and np.array_equal(plan[2], samples)
+            assert_same_sorter(plan[1], sorter)
+        assert np.array_equal(plans[0][1][0], [[0.0], [6.1]])
 
     def test_empty_stack(self):
-        assert extend._cone_plan_many(np.zeros((0, 2, 3, 2))) == []
+        assert cone_plans(np.zeros((0, 2, 3, 2))) == []
 
 
 def reference_whitney(ext):
@@ -369,7 +375,9 @@ def reference_whitney(ext):
     ref._edge_planned = np.zeros(len(entries), dtype=bool)
     ref._edge_Y = np.empty((len(entries), ext.Q, ext.n))
     ref._edge_ends = np.empty((len(entries), 2, ext.Q, ext.n))
-    ref._faces = {}
+    ref._face_planned = np.zeros(len(keys), dtype=bool)
+    ref._face_Y = np.empty((len(keys), ext.Q, ext.n))
+    ref._face_sorter = [None] * len(keys)
     return ref
 
 
@@ -476,7 +484,7 @@ class TestWhitneyAgainstReference:
         queries = lo + size * rng.uniform(0.0, 1.0, (15, 2))
         queries = np.vstack([queries, queries[::-1]])
         shared = [ext.evaluate(q).points for q in queries]
-        [leaf] = ext._faces
+        [leaf] = np.flatnonzero(ext._face_planned)
         base, side = leaf_face(ext, leaf)
         assert side == 1 << (ext.depth - d) and base.tolist() == (np.array(k) * side).tolist()
         fresh = [WhitneyExtension(data, box, 6).evaluate(q).points for q in queries]
@@ -527,6 +535,10 @@ class TestEvaluateMany:
                              skeleton_queries(ext, rng, leaves=6)])
         queries = np.vstack([queries, queries[::7]])
         splits = count_splits(monkeypatch)
+        stacks = []
+        plan_rows = extend._plan_rows
+        monkeypatch.setattr(extend, "_plan_rows",
+                            lambda stack: stacks.append(stack) or plan_rows(stack))
         got = ext.evaluate_many(queries)
         if kind == "clustered":
             assert splits, "the clustered data should take the split branch"
@@ -538,14 +550,19 @@ class TestEvaluateMany:
         # a second batch on the same instance reuses the cached plans
         again = ext.evaluate_many(queries[::-1])
         assert_same_values(again[::-1], got)
-        # a face's samples are one corner and one midpoint per minimal edge
+        # a face's samples are one corner and one midpoint per minimal edge;
+        # the face stacks are the ones of full Q past the two ends of an edge
         structure = whitney_structure_reference(ext)
-        for leaf, plan in ext._faces.items():
+        stations = []
+        for leaf in np.flatnonzero(ext._face_planned):
             base, side = leaf_face(ext, leaf)
             edges = sum(whitney_breaks_reference(structure, axis, base[axis] + end,
                                                  base[1 - axis], base[1 - axis] + side).size - 1
                         for axis in (0, 1) for end in (0, side))
-            assert plan.samples.shape[0] == 2 * edges
+            stations.append(2 * edges)
+        faces = [stack.shape[1] for stack in stacks if stack.shape[1] > 2 and stack.shape[2] == 3
+                 for _ in stack]
+        assert sorted(faces) == sorted(stations) and (m == 1) == (not stations)
 
     def test_batches_of_any_split_agree(self):
         rng = np.random.default_rng(8)
@@ -569,13 +586,12 @@ class TestEvaluateMany:
         queries[2] = bad
         queries[4] = [2.0, np.nan]
         plans = []
-        real = extend._cone_plan_many
-        monkeypatch.setattr(extend, "_cone_plan_many",
-                            lambda stack: plans.append(1) or real(stack))
+        real = extend._plan_rows
+        monkeypatch.setattr(extend, "_plan_rows", lambda stack: plans.append(1) or real(stack))
         with pytest.raises(extend.QueryError, match=problem) as info:
             ext.evaluate_many(queries)
         assert info.value.index == 2 and str(info.value).startswith("query 2: ")
-        assert plans == [] and not ext._edge_planned.any() and ext._faces == {}
+        assert plans == [] and not ext._edge_planned.any() and not ext._face_planned.any()
         with pytest.raises(ValueError, match="dimension 3"):
             ext.evaluate_many(np.zeros((2, 3)))
 
@@ -624,9 +640,9 @@ class TestSortedMany:
         # tuple reversed, in the last, away from the start of the tuple
         stack = np.concatenate([nested[None], nested[None, :, ::-1],
                                 plan_stack(rng, 3 if Q == 6 else 6, L, Q, n)])
-        plans = extend._cone_plan_many(stack)
-        assert {depth(plan.sorter) for plan in plans[2:]} >= {0, 1}
-        assert depth(plans[0].sorter) == depth(plans[1].sorter) == min(Q - 1, 3)
+        plans = cone_plans(stack)
+        assert {depth(plan[1]) for plan in plans[2:]} >= {0, 1}
+        assert depth(plans[0][1]) == depth(plans[1][1]) == min(Q - 1, 3)
         # per plan: its witnessed tuples reordered and moved a little, a
         # random tuple and tuples with a repeated point (ties in the match)
         sorters, values = [], []
@@ -636,7 +652,7 @@ class TestSortedMany:
             tied = moved[:2].copy()
             tied[:, 0] = tied[:, -1]
             batch = np.concatenate([moved, tied, rng.uniform(-3.0, 3.0, (1, Q, n))])
-            sorters += [plan.sorter] * len(batch)
+            sorters += [plan[1]] * len(batch)
             values.append(batch)
         values = np.concatenate(values)
         calls = []

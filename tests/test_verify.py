@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qvalued import ArgumentError
+from qvalued import ArgumentError, verify
 from qvalued.qspace import MetricKind, dist_many
 from qvalued.verify import (
     CheckConfig,
@@ -135,7 +135,7 @@ def test_seed_changes_instances():
     assert r0.worst_ratio != r1.worst_ratio
 
 
-def test_injected_bug_detected(small_cfg):
+def test_injected_bug_detected(small_cfg, monkeypatch):
     # negative control: a deliberately wrong metric must be caught
     def bad_dist_many(A, B, kind):
         value, perm = dist_many(A, B, kind)
@@ -143,7 +143,8 @@ def test_injected_bug_detected(small_cfg):
             value = value * 0.4  # breaks G2 <= G1
         return value, perm
 
-    report = check_metric_equivalence(small_cfg, _dist_many=bad_dist_many)
+    monkeypatch.setattr(verify, "dist_many", bad_dist_many)
+    report = check_metric_equivalence(small_cfg)
     assert report.failures > 0
     assert report.witnesses
 
@@ -191,8 +192,6 @@ def test_individual_ratios(small_cfg):
 def test_poincare_scores_no_node_against_itself(small_cfg, monkeypatch):
     # a node's G2 cost against itself is exactly 0, so the check writes 0
     # for those pairs instead of scoring them
-    from qvalued import verify
-
     pairs = []
     real = verify._in_blocks
 
