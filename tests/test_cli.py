@@ -154,6 +154,15 @@ class TestFrameEmbedDecode:
         main(["frame", "--n", "3", "--q", "2", "--seed", "7", "--out", p2])
         assert open(p1).read() == open(p2).read()
 
+    def test_default_frames_match_golden_file(self, capsys):
+        # the seed-7 frames for n 1-3 at Q 1-6 and n 4 at Q 1-4, one JSON line each
+        lines = []
+        for n, top in ((1, 6), (2, 6), (3, 6), (4, 4)):
+            for q in range(1, top + 1):
+                assert main(["frame", "--n", str(n), "--q", str(q), "--seed", "7"]) == 0
+                lines.append(capsys.readouterr().out)
+        assert "".join(lines) == (DATA / "frames_seed7.jsonl").read_text()
+
     def test_frame_that_cannot_separate_names_q(self, capsys):
         # no frame of at most 512 directions reaches the separation floor at Q = 10
         assert main(["frame", "--n", "2", "--q", "10"]) == 1
@@ -748,6 +757,11 @@ class TestVerifyCli:
         # the seconds of each check go to stderr, never into the report or stdout
         assert re.findall(r"^(\w+): \d+\.\d\d s$", captured.err, re.M) == names
         assert [line.split(":")[0] for line in captured.out.splitlines()] == names
+
+    def test_default_report_seed12345_matches_golden_file(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--seed", "12345", "--report", str(report_path)]) == 0
+        assert report_path.read_text() == (DATA / "verify_seed12345.json").read_text()
 
     def test_report_above_q5_matches_golden_file(self, tmp_path):
         # every tuple pair has Q in 6..8, so each check runs the assignment solvers
