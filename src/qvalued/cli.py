@@ -170,12 +170,7 @@ def _whitney_from_obj(obj) -> extend.WhitneyExtension:
     """The Whitney extension of ``{"box", "depth" (default 6), "data": [{"x", "value"}]}``."""
     box = _numbers(_field(obj, "box"), "box")
     depth = _int_field(obj, "depth", lowest=0) if "depth" in obj else 6
-    data = _sample_entries(obj, "data")
-    try:
-        return extend.WhitneyExtension(data, box, depth)
-    except ArgumentError as exc:
-        field = "box" if exc.name == "domain_box" else exc.name
-        raise ArgumentError(field, f"bad field '{field}': {exc}")
+    return extend.WhitneyExtension(_sample_entries(obj, "data"), box, depth)
 
 
 def _boundary_sample_json(sample: extend.BoundarySample) -> str:

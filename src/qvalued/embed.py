@@ -140,34 +140,42 @@ class DirectionFrame:
         return cls(n, Q, bases, epsilon)
 
 
-def measured_separation(directions: np.ndarray, Q: int,
-                        draws: int = _VALIDATION_DRAWS) -> float:
-    """Largest epsilon the direction set certifies on the validation draws.
+def _draw_separation(directions: np.ndarray, Q: int, draws: int = _VALIDATION_DRAWS) -> np.ndarray:
+    """Per validation draw of L = Q^2 random unit vectors, the best direction's
+    worst absolute inner product with them, shape (draws,).
 
-    For each draw of L = Q^2 random unit vectors, compute the best
-    direction's worst absolute inner product; the certified epsilon is the
-    minimum over draws.  The draw sequence is fixed, so the measurement is
-    reproducible and re-validation of a stored frame is exact.  Draws are
-    scored a chunk at a time, which keeps the (draws, K, L) score block
-    near 2 MB at any frame size.
+    The draw sequence is fixed, so the values are reproducible, and the
+    elementwise max of the values of two sets of directions is the value of
+    their union.  Draws are scored a chunk at a time, which keeps the (draws, K, L) score
+    block near 2 MB at any frame size.
     """
     directions = np.asarray(directions, dtype=float)
     K, n = directions.shape
     L = max(1, Q * Q)
     rng = np.random.default_rng(_VALIDATION_SEED)
     chunk = max(1, (1 << 18) // (K * L))
-    worst = math.inf
+    best = np.empty(draws)
     for lo in range(0, draws, chunk):
         # consecutive (L, n) draws, one stream: the same numbers as one draw at a time
         V = rng.standard_normal((min(chunk, draws - lo), L, n))
         V /= np.linalg.norm(V, axis=2, keepdims=True)
         scores = np.abs(np.matmul(directions, V.transpose(0, 2, 1)))  # (draws, K, L)
-        worst = min(worst, float(scores.min(axis=2).max(axis=1).min()))
-    return worst
+        best[lo:lo + len(V)] = scores.min(axis=2).max(axis=1)
+    return best
+
+
+def measured_separation(directions: np.ndarray, Q: int,
+                        draws: int = _VALIDATION_DRAWS) -> float:
+    """Largest epsilon the direction set certifies on the validation draws:
+    the minimum over draws of ``_draw_separation``."""
+    return float(_draw_separation(directions, Q, draws).min(initial=math.inf))
 
 
 def _greedy_directions(pool: np.ndarray, K: int) -> np.ndarray:
-    """Farthest-point packing on the sphere with antipodal identification."""
+    """Farthest-point packing on the sphere with antipodal identification.
+
+    Each direction depends only on the ones before it, so the first k of K
+    directions are the k directions."""
     chosen = [pool[0]]
     sims = np.abs(pool @ pool[0])
     while len(chosen) < K:
@@ -177,16 +185,22 @@ def _greedy_directions(pool: np.ndarray, K: int) -> np.ndarray:
     return np.array(chosen)
 
 
-def _complete_basis(direction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal basis of R^n whose first row is the given unit direction."""
-    n = direction.size
-    M = np.empty((n, n))
-    M[:, 0] = direction
-    M[:, 1:] = rng.standard_normal((n, n - 1))
+def _complete_bases(directions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal bases (K, n, n) of R^n, basis k's first row the unit
+    direction ``directions[k]``, each completed against one random complement.
+
+    The complements are one (K, n, n - 1) draw, the same numbers as one
+    (n, n - 1) draw per basis in turn, and the stacked QR factors each matrix
+    as a QR of it alone does.
+    """
+    K, n = directions.shape
+    M = np.empty((K, n, n))
+    M[:, :, 0] = directions
+    M[:, :, 1:] = rng.standard_normal((K, n, n - 1))
     Qmat, _ = np.linalg.qr(M)
-    if np.dot(Qmat[:, 0], direction) < 0:
-        Qmat = -Qmat
-    return Qmat.T
+    flip = np.array([np.dot(Qmat[k, :, 0], directions[k]) < 0 for k in range(K)])
+    Qmat[flip] = -Qmat[flip]
+    return np.ascontiguousarray(Qmat.transpose(0, 2, 1))
 
 
 def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0.05,
@@ -199,8 +213,10 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
     largest value the fixed validation draws certify, measured once here.
     With ``K="auto"`` the direction count doubles from 2n until the
     certified epsilon reaches ``eps_floor``; exceeding ``max_K`` raises
-    FrameConstructionError.  An ``n``, ``Q`` or integer ``K`` below 1 raises
-    ``ArgumentError`` naming it.
+    FrameConstructionError.  The directions are prefix-nested, so each
+    doubling scores only its new directions and keeps, per draw, the best of
+    the old and the new: a max, and exact.  An ``n``, ``Q`` or integer ``K``
+    below 1 raises ``ArgumentError`` naming it.
     """
     for name, value in (("n", n), ("Q", Q), ("K", 1 if K == "auto" else K)):
         if value < 1:
@@ -221,19 +237,19 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
             k *= 2
     else:
         schedule = [int(K)]
-    last_eps = 0.0
+    best, scored, eps = np.full(_VALIDATION_DRAWS, -math.inf), 0, 0.0
     for k in schedule:
         dirs = _greedy_directions(pool, k)
-        eps = measured_separation(dirs, Q)
-        last_eps = eps
+        best = np.maximum(best, _draw_separation(dirs[scored:], Q))
+        scored = k
+        eps = float(best.min())
         if eps >= eps_floor or K != "auto":
             if eps <= 0:
                 raise FrameConstructionError("measured separation is zero")
-            bases = np.array([_complete_basis(d, rng) for d in dirs])
-            return DirectionFrame(n, Q, bases, eps, validate=False)
+            return DirectionFrame(n, Q, _complete_bases(dirs, rng), eps, validate=False)
     raise FrameConstructionError(
         f"no frame for n={n}, Q={Q} with K <= {max_K} reached eps_floor={eps_floor} "
-        f"(best {last_eps})"
+        f"(best {eps})"
     )
 
 

@@ -380,46 +380,48 @@ class WhitneyExtension:
     ----------
     data : list of (location, QTuple)
         Sample locations (distinct) and their values.
-    domain_box : array_like, shape (m, 2)
+    box : array_like, shape (m, 2)
         Lower and upper bounds per axis, low <= high; cells tile the
         enclosing square, and queries must lie in the box.
     depth : int
         Dyadic subdivision cap.
 
-    A bad argument raises ``ArgumentError`` naming its parameter.
+    A bad argument raises ``ArgumentError`` naming its parameter, and its
+    message names it once, as the field of ``qv extend whitney``'s JSON.
     """
 
-    def __init__(self, data, domain_box, depth: int):
+    def __init__(self, data, box, depth: int):
         locs, values = _samples(data, "data")
         self.m = locs.shape[1]
         if self.m not in (1, 2):
-            raise ArgumentError("data", f"only m in {{1, 2}} is supported, got m={self.m}")
+            raise ArgumentError("data", f"the locations in field 'data' must hold m=1 or m=2 "
+                                        f"numbers, got m={self.m}")
         if not np.isfinite(locs).all():
-            raise ArgumentError("data", "sample locations must be finite")
+            raise ArgumentError("data", "the locations in field 'data' must be finite")
         # return_index: the plain np.unique loads numpy.ma, 15-21 ms of a one-shot run
         if np.unique(locs, axis=0, return_index=True)[0].shape[0] != locs.shape[0]:
-            raise ArgumentError("data", "sample locations must be distinct")
+            raise ArgumentError("data", "the locations in field 'data' must be distinct")
         Q, n = self.Q, self.n = values[0].Q, values[0].n
         self.locs = locs
         self.vals = np.array([value.points for value in values])
-        box = np.asarray(domain_box, dtype=float)
+        box = np.asarray(box, dtype=float)
         if box.size != 2 * self.m:
-            raise ArgumentError("domain_box", f"domain box must hold a [low, high] pair for "
-                                              f"each of the m={self.m} axes")
+            raise ArgumentError("box", f"field 'box' must hold a [low, high] pair for each of "
+                                       f"the m={self.m} axes")
         box = box.reshape(self.m, 2)
         if np.any(box[:, 0] > box[:, 1]):
-            raise ArgumentError("domain_box",
-                                f"domain box {box.tolist()} has a low end above its high end")
+            raise ArgumentError("box", f"field 'box' {box.tolist()} has a low end above its "
+                                       f"high end")
         self.root_lo = box[:, 0].copy()
         self.box_hi = box[:, 1].copy()
-        self.S = float((box[:, 1] - box[:, 0]).max())
+        with np.errstate(over="ignore"):  # an extent past the largest float is refused below
+            self.S = float((box[:, 1] - box[:, 0]).max())
         if not 0 < self.S < math.inf:
-            raise ArgumentError("domain_box", "domain box must have positive finite extent")
+            raise ArgumentError("box", "field 'box' must have a positive finite extent")
         self.depth = int(depth)
-        if self.depth < 0:
-            raise ArgumentError("depth", "depth must be nonnegative")
-        if self.depth > 24:
-            raise ArgumentError("depth", f"depth cap exceeded: {self.depth} > 24")
+        if not 0 <= self.depth <= 24:
+            raise ArgumentError("depth", f"field 'depth' must be an integer in [0, 24], "
+                                         f"got {self.depth}")
 
         delta = np.array(list(np.ndindex(*(2,) * self.m)), dtype=np.int64)
         cells = np.zeros((1, self.m), dtype=np.int64)

@@ -253,38 +253,52 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         d = A[:, 0] - B[:, 0]
         cost = np.einsum("ek,ek->e", d, d) if squared else vector_norms(d)
         return cost, np.zeros((cost.size, 1), dtype=np.intp)
-    # C[e, i, j] prices pairing point i of A[e] with point j of B[e]
-    diff = A[:, :, None, :] - B[:, None, :, :]
-    C = np.einsum("eijk,eijk->eij", diff, diff)
+    # C[i, j, e] prices pairing point i of A[e] with point j of B[e]
+    n = A.shape[2]
+    if n <= 2:
+        # rows innermost, one coordinate at a time: a sum of one or two squares
+        # rounds the same in any order, so C holds the einsum's values below
+        At, Bt = (np.ascontiguousarray(X.transpose(2, 1, 0)) for X in (A, B))
+        d = At[0][:, None] - Bt[0][None]
+        C = d * d
+        if n == 2:
+            d = At[1][:, None] - Bt[1][None]
+            C += d * d
+    else:
+        # einsum's order of the n squares follows its SIMD dispatch; kept as it is
+        diff = A[:, :, None, :] - B[:, None, :, :]
+        C = np.einsum("eijk,eijk->eij", diff, diff).transpose(1, 2, 0)
     if not squared:
         C = np.sqrt(C)
-    E = C.shape[0]
+    E = C.shape[2]
     cost = np.empty(E)
     if Q > 5:
         perm = np.empty((E, Q), dtype=np.intp)
         for e in range(E):
+            D = np.ascontiguousarray(C[:, :, e])
             if bottleneck:
-                cost[e], perm[e] = _bottleneck_assignment(C[e])
+                cost[e], perm[e] = _bottleneck_assignment(D)
             else:
                 # relative, so that the tie rule does not depend on the scale of the data
-                perm[e] = _lexmin_assignment(C[e], _optimum(C[e]) * (1.0 + 1e-12))
-                cost[e] = C[e, np.arange(Q), perm[e]].sum()
+                perm[e] = _lexmin_assignment(D, _optimum(D) * (1.0 + 1e-12))
+                cost[e] = D[np.arange(Q), perm[e]].sum()
         return cost, perm
     P = _perm_table(Q)
     first = np.empty(E, dtype=np.intp)
-    rows = max(1, (1 << 18) // P.size)  # about 2 MB of gathered distances per chunk
+    rows = max(1, (1 << 18) // P.size)  # about 2 MB of paired costs per chunk
     for lo in range(0, E, rows):
-        picked = C[lo:lo + rows, np.arange(Q), P]
-        if bottleneck:
-            worst = picked.max(axis=2)
-            cost[lo:lo + rows] = worst.min(axis=1)
-            first[lo:lo + rows] = worst.argmin(axis=1)
-        else:
-            total = picked.sum(axis=2)
-            best = total.min(axis=1, keepdims=True)
-            pick = (total <= best * (1.0 + 1e-12)).argmax(axis=1)
-            cost[lo:lo + rows] = total[np.arange(pick.size), pick]
-            first[lo:lo + rows] = pick
+        block = C[:, :, lo:lo + rows]
+        # (permutations, rows): each permutation's Q paired costs, taken in order
+        total = block[0][P[:, 0]]
+        for i in range(1, Q):
+            if bottleneck:
+                np.maximum(total, block[i][P[:, i]], out=total)
+            else:
+                total += block[i][P[:, i]]
+        best = total.min(axis=0)
+        pick = total.argmin(axis=0) if bottleneck else (total <= best * (1.0 + 1e-12)).argmax(axis=0)
+        cost[lo:lo + rows] = total[pick, np.arange(pick.size)]
+        first[lo:lo + rows] = pick
     return cost, P.take(first, axis=0)  # same rows as P[first], several times faster
 
 

@@ -362,27 +362,60 @@ def check_xi(cfg: CheckConfig, frames: dict = None) -> CheckReport:
     return report
 
 
-def _lipschitz_grid(rng, m: int, Q: int, n: int, N: int) -> np.ndarray:
-    """A Lipschitz Q-valued map on the N^m grid over [-1, 1]^m, from smooth branches.
+def _lipschitz_draws(rng, m: int, Q: int, n: int):
+    """The frequencies (Q, n, m), phases and amplitudes (Q, n) of the smooth
+    branches of one Lipschitz Q-valued map, drawn in that order."""
+    return (rng.uniform(0.5, 2.0, size=(Q, n, m)), rng.uniform(0, 2 * math.pi, size=(Q, n)),
+            rng.uniform(0.2, 1.0, size=(Q, n)))
 
-    Returns its values at the nodes in C order, shape (N**m, Q, n).
+
+def _grid_nodes(N: int, m: int) -> np.ndarray:
+    """The coordinates (N**m, m) of the N^m grid over [-1, 1]^m, nodes in C order."""
+    return (np.indices((N,) * m).reshape(m, -1).T - (N - 1) / 2.0) * (2.0 / (N - 1))
+
+
+def _lipschitz_grids(freq, phase, amp, N: int) -> np.ndarray:
+    """The Lipschitz Q-valued maps of a stack of draws on the N^m grid over [-1, 1]^m.
+
+    ``freq`` (T, Q, n, m), ``phase`` and ``amp`` (T, Q, n) stack the draws of
+    ``_lipschitz_draws``; map t's branch (i, c) is ``amp * sin(freq . x + phase)``.
+    Returns the values at the nodes in C order, shape (T, N**m, Q, n).
     """
-    h = 2.0 / (N - 1)
-    freq = rng.uniform(0.5, 2.0, size=(Q, n, m))
-    phase = rng.uniform(0, 2 * math.pi, size=(Q, n))
-    amp = rng.uniform(0.2, 1.0, size=(Q, n))
-    x = (np.indices((N,) * m).reshape(m, -1).T - (N - 1) / 2.0) * h  # (nodes, m), C order
-    # one dot product per (node, branch, coordinate): a stacked matmul rounds
-    # as freq[i, c] @ x does, where einsum or an explicit sum can differ
-    arg = (freq[None, :, :, None, :] @ x[:, None, None, :, None])[..., 0, 0]
-    return amp * np.sin(arg + phase)
+    x = _grid_nodes(N, freq.shape[3])
+    # one dot product per (map, node, branch, coordinate): a stacked matmul
+    # rounds as freq[t, i, c] @ x does, where einsum or an explicit sum can differ
+    arg = (freq[:, None, :, :, None, :] @ x[None, :, None, None, :, None])[..., 0, 0]
+    return amp[:, None] * np.sin(arg + phase[:, None])
 
 
 def _grid_edges(N: int, m: int):
-    """``GridFunction.edge_index`` of the full N^m grid that ``_lipschitz_grid`` samples."""
+    """``GridFunction.edge_index`` of the full N^m grid that ``_lipschitz_grids`` samples."""
     shape = (N,) * m
     grid = GridFunction(m, 1, 1, shape, 2.0 / (N - 1), square_mask(N, m), np.zeros(shape + (1, 1)))
     return grid.edge_index()
+
+
+def _window_pairs(N: int, m: int, width: int):
+    """The kernel's index pairs for the width^m window at the origin of the N^m grid.
+
+    Returns ``(left, right, inner, apart)``: first the ``inner`` grid edges
+    with both ends in the window, in ``edge_index`` order, then every
+    (node, candidate) pair of window nodes but the k pairs of a node with
+    itself, the (k, k) pairs flattened by candidate and ``apart`` marking the
+    ones kept.  Flat indices are linear in the node coordinates, so the window
+    at ``lo`` has the same pairs, in the same order, shifted by the flat index
+    of ``lo``.
+    """
+    u, v = _grid_edges(N, m)
+    nodes = np.arange(N**m).reshape((N,) * m)[(slice(0, width),) * m].ravel()
+    in_window = np.zeros(N**m, dtype=bool)
+    in_window[nodes] = True
+    inner = in_window[u] & in_window[v]
+    k = nodes.size
+    apart = ~np.eye(k, dtype=bool).ravel()
+    left = np.concatenate([u[inner], np.tile(nodes, k)[apart]])
+    right = np.concatenate([v[inner], np.repeat(nodes, k)[apart]])
+    return left, right, int(inner.sum()), apart
 
 
 def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
@@ -407,12 +440,13 @@ def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
         Q = int(rng.integers(lo, min(hi, max(lo, 3)) + 1))
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))
-        rows.append((_lipschitz_grid(rng, m, Q, n, N=N), m))
+        rows.append(_lipschitz_draws(rng, m, Q, n))
     edges, failed = {}, []
     report.trials = 0
-    for index, (X, M) in _grouped(rows):
+    for index, draws in _grouped(rows):
+        X = _lipschitz_grids(*draws, N)
         T, nodes, Q, n = X.shape
-        m = int(M[0])
+        m = draws[0].shape[3]
         if m not in edges:
             edges[m] = _grid_edges(N, m)
         u, v = edges[m]
@@ -453,59 +487,65 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
     N = 7
     h = 2.0 / (N - 1)
     # draw every trial first (no draw depends on a distance), then work by shape
-    trials = []
+    draws, windows = [], []
     for _ in range(cfg.trials):
         Q, n = _draw_Qn(rng, cfg)
         m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))
         q = float(rng.choice([1.0, 2.0]))
-        values = _lipschitz_grid(rng, m, Q, n, N=N)
+        draws.append(_lipschitz_draws(rng, m, Q, n))
         width = int(rng.integers(2, N + 1))
         lo = [int(rng.integers(0, N - width + 1)) for _ in range(m)]
-        trials.append((values, m, q, width, lo))
-    groups, edges = {}, {}
-    for t, (values, *_) in enumerate(trials):
-        groups.setdefault(values.shape[1:], []).append(t)
-    best, rhs = np.empty(len(trials)), np.empty(len(trials))
-    for index in groups.values():
-        # one kernel call per shape: each trial's window edges, then every
-        # (node, candidate) pair of its window but the k pairs of a node with
-        # itself, whose G2 cost is exactly 0, at that trial's node offset
-        left, right, counts, offset = [], [], [], 0
+        windows.append((m, q, width, lo))
+    T = len(draws)
+    values = [None] * T
+    for index, stacked in _grouped(draws):
+        for t, x in zip(index, _lipschitz_grids(*stacked, N)):
+            values[t] = x
+    # one kernel call per (Q, n): each trial's window pairs, at its window's
+    # corner and its grid's offset in the stack
+    pairs, by_shape, sq = {}, {}, [None] * T
+    for t, x in enumerate(values):
+        by_shape.setdefault(x.shape[1:], []).append(t)
+    for index in by_shape.values():
+        left, right, offset = [], [], 0
         for t in index:
-            values, m, _, width, lo = trials[t]
-            if m not in edges:
-                edges[m] = _grid_edges(N, m)
-            u, v = edges[m]
-            window = tuple(slice(a, a + width) for a in lo)
-            nodes = np.arange(len(values)).reshape((N,) * m)[window].ravel()
-            in_window = np.zeros(len(values), dtype=bool)
-            in_window[nodes] = True
-            inner = in_window[u] & in_window[v]
-            k = nodes.size
-            apart = ~np.eye(k, dtype=bool).ravel()
-            left += [u[inner] + offset, np.tile(nodes, k)[apart] + offset]
-            right += [v[inner] + offset, np.repeat(nodes, k)[apart] + offset]
-            counts.append((int(inner.sum()), k, apart))
-            offset += len(values)
-        X = np.concatenate([trials[t][0] for t in index])
-        sq = _in_blocks(match_many, X, X, MetricKind.G2, np.concatenate(left),
-                        np.concatenate(right))
-        start = 0
-        for t, (n_inner, k, apart) in zip(index, counts):
-            _, m, q, width, _ = trials[t]
-            terms = sq[start:start + n_inner + k * k - k] ** (q / 2.0)
-            start += n_inner + k * k - k
-            energy = h ** (m - q) * float(terms[:n_inner].sum())
-            pairs = np.zeros(k * k)
-            pairs[apart] = terms[n_inner:]
-            best[t] = float((pairs.reshape(k, k) * h**m).sum(axis=1).min())
-            rhs[t] = (h * (width - 1) * math.sqrt(m)) ** q * energy
-    for t, (_, _, _, width, lo) in enumerate(trials):
-        if rhs[t] == 0.0:
+            m, _, width, lo = windows[t]
+            if (m, width) not in pairs:
+                pairs[m, width] = _window_pairs(N, m, width)
+            shift = offset + int(np.ravel_multi_index(lo, (N,) * m))
+            left.append(pairs[m, width][0] + shift)
+            right.append(pairs[m, width][1] + shift)
+            offset += len(values[t])
+        X = np.concatenate([values[t] for t in index])
+        out = _in_blocks(match_many, X, X, MetricKind.G2, np.concatenate(left),
+                         np.concatenate(right))
+        for t, part in zip(index, np.split(out, np.cumsum([a.size for a in left])[:-1])):
+            sq[t] = part
+    # per window shape, every trial's energy sum and its least mean oscillation
+    by_window = {}
+    for t, (m, _, width, _) in enumerate(windows):
+        by_window.setdefault((m, width), []).append(t)
+    energy_sum, best = np.empty(T), np.empty(T)
+    for (m, width), index in by_window.items():
+        _, _, inner, apart = pairs[m, width]
+        k = width**m
+        S = np.array([sq[t] for t in index])
+        # a Python float exponent: numpy takes sqrt for 0.5, where an array of
+        # exponents would go through pow
+        linear = np.array([windows[t][1] == 2.0 for t in index])[:, None]
+        terms = np.where(linear, S ** 1.0, S ** 0.5)
+        energy_sum[index] = np.ascontiguousarray(terms[:, :inner]).sum(axis=1)
+        full = np.zeros((len(index), k * k))
+        full[:, apart] = terms[:, inner:]
+        best[index] = (full.reshape(-1, k, k) * h**m).sum(axis=2).min(axis=1)
+    for t, (m, q, width, lo) in enumerate(windows):
+        energy = h ** (m - q) * float(energy_sum[t])
+        rhs = (h * (width - 1) * math.sqrt(m)) ** q * energy
+        if rhs == 0.0:
             if best[t] > 1e-12:
                 report.record_failure(json.dumps({"window": lo, "width": width}))
             continue
-        C = float(best[t] / rhs[t])
+        C = float(best[t] / rhs)
         report.worst_ratio = max(report.worst_ratio, C)
         if C > cap:
             report.record_failure(json.dumps({"window": lo, "width": width, "C": C}))

@@ -8,6 +8,7 @@ differential tests hold the array paths to them.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -1104,3 +1105,158 @@ def zeta_dual_gap_reference(v_pts, w_pts, dictionary_size: int = 64, seed: int =
     dv = np.linalg.norm(v_pts[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
     dw = np.linalg.norm(w_pts[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
     return float(np.abs(dv - dw).max()), upper
+
+
+# -- the assignment kernel's cost matrix and enumeration as they were
+
+
+def cost_matrix_reference(A: np.ndarray, B: np.ndarray, squared: bool) -> np.ndarray:
+    """The (E, Q, Q) pairing costs ``qspace.match_many`` built for any n: one
+    einsum over the (E, Q, Q, n) point differences, rooted unless ``squared``.
+    Either stack may have one row."""
+    diff = A[:, :, None, :] - B[:, None, :, :]
+    C = np.einsum("eijk,eijk->eij", diff, diff)
+    return C if squared else np.sqrt(C)
+
+
+def match_many_reference(A: np.ndarray, B: np.ndarray, kind: str):
+    """``qspace.match_many`` at Q >= 2 as it was, on ``cost_matrix_reference``:
+    every permutation scored a row at a time for Q <= 5, this module's solvers
+    past that.  ``kind`` is "g1", "g2" or "ginf"."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    Q = A.shape[1]
+    C = cost_matrix_reference(A, B, kind == "g2")
+    E = C.shape[0]
+    cost, perm = np.empty(E), np.empty((E, Q), dtype=np.intp)
+    if Q > 5:
+        for e in range(E):
+            if kind == "ginf":
+                cost[e], perm[e] = _bottleneck_assignment(C[e])
+            else:
+                perm[e] = _lexmin_sum_assignment(C[e])
+                cost[e] = C[e, np.arange(Q), perm[e]].sum()
+        return cost, perm
+    P = np.array(list(itertools.permutations(range(Q))))
+    for e in range(E):
+        picked = C[e, np.arange(Q), P]  # (permutations, Q)
+        if kind == "ginf":
+            worst = picked.max(axis=1)
+            first = int(worst.argmin())
+        else:
+            total = picked.sum(axis=1)
+            first = int((total <= total.min() * (1.0 + 1e-12)).argmax())
+        cost[e] = worst[first] if kind == "ginf" else total[first]
+        perm[e] = P[first]
+    return cost, perm
+
+
+# -- the Poincare check and the frame builder as they were, one trial or one
+# -- direction count at a time
+
+
+def lipschitz_grid_reference(rng, m: int, Q: int, n: int, N: int) -> np.ndarray:
+    """One Lipschitz Q-valued map on the N^m grid over [-1, 1]^m, as
+    ``verify`` drew and evaluated it per trial: values (N**m, Q, n) in C order."""
+    h = 2.0 / (N - 1)
+    freq = rng.uniform(0.5, 2.0, size=(Q, n, m))
+    phase = rng.uniform(0, 2 * math.pi, size=(Q, n))
+    amp = rng.uniform(0.2, 1.0, size=(Q, n))
+    x = (np.indices((N,) * m).reshape(m, -1).T - (N - 1) / 2.0) * h
+    arg = (freq[None, :, :, None, :] @ x[:, None, None, :, None])[..., 0, 0]
+    return amp * np.sin(arg + phase)
+
+
+def check_poincare_reference(cfg):
+    """``verify.check_poincare`` as it was: per trial a Lipschitz grid, window
+    masks and an identity mask, one kernel call per grid shape."""
+    from qvalued import verify
+    from qvalued.qspace import MetricKind, match_many
+
+    rng = verify._rng_for(cfg, "poincare")
+    cap = cfg.tolerances["poincare_c"]
+    report = verify.CheckReport("poincare", cfg.trials, 0, 0.0)
+    N = 7
+    h = 2.0 / (N - 1)
+    trials = []
+    for _ in range(cfg.trials):
+        Q, n = verify._draw_Qn(rng, cfg)
+        m = int(rng.integers(cfg.m_range[0], cfg.m_range[1] + 1))
+        q = float(rng.choice([1.0, 2.0]))
+        values = lipschitz_grid_reference(rng, m, Q, n, N=N)
+        width = int(rng.integers(2, N + 1))
+        lo = [int(rng.integers(0, N - width + 1)) for _ in range(m)]
+        trials.append((values, m, q, width, lo))
+    groups = {}
+    for t, (values, *_) in enumerate(trials):
+        groups.setdefault(values.shape[1:], []).append(t)
+    best, rhs = np.empty(len(trials)), np.empty(len(trials))
+    for index in groups.values():
+        left, right, counts, offset = [], [], [], 0
+        for t in index:
+            values, m, _, width, lo = trials[t]
+            u, v = verify._grid_edges(N, m)
+            window = tuple(slice(a, a + width) for a in lo)
+            nodes = np.arange(len(values)).reshape((N,) * m)[window].ravel()
+            in_window = np.zeros(len(values), dtype=bool)
+            in_window[nodes] = True
+            inner = in_window[u] & in_window[v]
+            k = nodes.size
+            apart = ~np.eye(k, dtype=bool).ravel()
+            left += [u[inner] + offset, np.tile(nodes, k)[apart] + offset]
+            right += [v[inner] + offset, np.repeat(nodes, k)[apart] + offset]
+            counts.append((int(inner.sum()), k, apart))
+            offset += len(values)
+        X = np.concatenate([trials[t][0] for t in index])
+        sq, _ = match_many(X[np.concatenate(left)], X[np.concatenate(right)], MetricKind.G2)
+        start = 0
+        for t, (n_inner, k, apart) in zip(index, counts):
+            _, m, q, width, _ = trials[t]
+            terms = sq[start:start + n_inner + k * k - k] ** (q / 2.0)
+            start += n_inner + k * k - k
+            energy = h ** (m - q) * float(terms[:n_inner].sum())
+            pairs = np.zeros(k * k)
+            pairs[apart] = terms[n_inner:]
+            best[t] = float((pairs.reshape(k, k) * h**m).sum(axis=1).min())
+            rhs[t] = (h * (width - 1) * math.sqrt(m)) ** q * energy
+    for t, (_, _, _, width, lo) in enumerate(trials):
+        if rhs[t] == 0.0:
+            if best[t] > 1e-12:
+                report.record_failure(json.dumps({"window": lo, "width": width}))
+            continue
+        C = float(best[t] / rhs[t])
+        report.worst_ratio = max(report.worst_ratio, C)
+        if C > cap:
+            report.record_failure(json.dumps({"window": lo, "width": width, "C": C}))
+    return report
+
+
+def build_frame_reference(n: int, Q: int, K="auto", seed: int = 0, eps_floor: float = 0.05,
+                          max_K: int = 512):
+    """``embed.build_frame`` for n >= 2 as it was: every direction count of the
+    schedule packed and measured afresh, each basis completed and factored on
+    its own.  Returns ``(bases, epsilon)``, or None where no count reaches the floor."""
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((4096, n))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    schedule = [int(K)] if K != "auto" else [
+        2 * n * 2**i for i in range(max_K.bit_length()) if 2 * n * 2**i <= max_K]
+    for k in schedule:
+        chosen = [pool[0]]
+        sims = np.abs(pool @ pool[0])
+        while len(chosen) < k:
+            i = int(np.argmin(sims))
+            chosen.append(pool[i])
+            sims = np.maximum(sims, np.abs(pool @ pool[i]))
+        eps = measured_separation_reference(np.array(chosen), Q)
+        if eps >= eps_floor or K != "auto":
+            bases = []
+            for d in chosen:
+                M = np.empty((n, n))
+                M[:, 0] = d
+                M[:, 1:] = rng.standard_normal((n, n - 1))
+                Qmat, _ = np.linalg.qr(M)
+                if np.dot(Qmat[:, 0], d) < 0:
+                    Qmat = -Qmat
+                bases.append(Qmat.T)
+            return np.array(bases), eps
+    return None

@@ -264,6 +264,34 @@ class TestExtendCli:
         assert main(["extend", "whitney", "--in", data, "--query", q]) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("data", []),
+        ("data", [{"x": [0.5, 0.5, 0.5], "value": [[0.0]]}]),
+        ("data", [{"x": [0.5, 0.5], "value": [[0.0]]}, {"x": [0.5, 0.5], "value": [[1.0]]}]),
+        ("data", [{"x": [0.5, 0.5], "value": [[0.0]]}, {"x": [0.1], "value": [[1.0]]}]),
+        ("data", [{"x": [0.5, 0.5], "value": [[0.0]]}, {"x": [0.1, 0.5], "value": [[1.0], [2.0]]}]),
+        ("x", [0.5, 1e999]),
+        ("box", [[0.0, 1.0]]),
+        ("box", [[1.0, 0.0], [0.0, 1.0]]),
+        ("box", [[0.0, 0.0], [0.5, 0.5]]),
+        ("box", [[-1e308, 1e308], [0.0, 1.0]]),
+        ("depth", 30),
+        ("depth", -1),
+    ])
+    def test_whitney_fault_names_its_field_once(self, tmp_path, capsys, field, value):
+        obj = {"box": [[0.0, 1.0], [0.0, 1.0]], "depth": 4,
+               "data": [{"x": [0.5, 0.5], "value": [[0.0]]}]}
+        if field == "x":
+            obj["data"][0]["x"] = value
+        else:
+            obj[field] = value
+        data = write(tmp_path / "w.json", json.dumps(obj))
+        q = write(tmp_path / "q.csv", "0.2,0.2\n")
+        assert main(["extend", "whitney", "--in", data, "--query", q]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad Whitney data in {data}: ")
+        assert err.count(f"'{field}'") == 1 and "bad field" not in err
+
     @pytest.mark.parametrize("box,query,named", [
         ([[0.0, 1.0], [0.0, 1.0]], "1.5,0.5\n", "1.5"),
         ([[0.0, 1.0], [0.0, 0.5]], "0.5,0.9\n", "0.9"),

@@ -26,6 +26,7 @@ from qvalued.embed import (
 from qvalued.qspace import MetricKind, QTuple, dist
 
 from oracles import (
+    build_frame_reference,
     measured_separation_reference,
     xi_isometry_radius_reference,
     xi_reference,
@@ -164,14 +165,33 @@ class TestBuildFrame:
         assert info.value.name == name
 
     def test_separation_measured_once(self, monkeypatch):
-        # build_frame keeps the epsilon it measured instead of measuring it again
-        calls = []
-        real = embed.measured_separation
-        monkeypatch.setattr(embed, "measured_separation",
-                            lambda *args: calls.append(1) or real(*args))
+        # build_frame keeps the epsilon it measured instead of measuring it
+        # again, and each doubling of K scores only its new directions
+        scored = []
+        real = embed._draw_separation
+        monkeypatch.setattr(embed, "_draw_separation",
+                            lambda dirs, *args: scored.append(len(dirs)) or real(dirs, *args))
         frame = build_frame(3, 2, K=6, seed=7)
-        assert len(calls) == 1
-        assert frame.epsilon == pytest.approx(real(frame.bases[:, 0, :], 2), abs=1e-12)
+        assert scored == [6]
+        assert frame.epsilon == pytest.approx(real(frame.bases[:, 0, :], 2).min(), abs=1e-12)
+        scored.clear()
+        frame = build_frame(3, 4, seed=7)  # K = 6, 12, 24
+        assert scored == [6, 6, 12] and frame.K == 24
+        assert frame.epsilon == pytest.approx(real(frame.bases[:, 0, :], 4).min(), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_per_count_reference(self, n, Q):
+        # the K loop that packed, measured and completed every count afresh
+        for K in ("auto", 1, 2 * n + 1, 16):
+            want = build_frame_reference(n, Q, K, seed=n + Q)
+            if want is None:
+                with pytest.raises(FrameConstructionError):
+                    build_frame(n, Q, K, seed=n + Q)
+                continue
+            frame = build_frame(n, Q, K, seed=n + Q)
+            assert frame.epsilon == want[1]
+            assert np.array_equal(frame.bases, want[0])
 
     def test_measured_separation_reproducible(self, frame22):
         a = measured_separation(frame22.bases[:, 0, :], frame22.Q)

@@ -1,6 +1,7 @@
 """Differential tests: the one assignment kernel ``match_many`` for G1 and
 G2, against brute force on exact ties and against the per-pair ``dist``
-it replaced.  The GINF rows are held in ``test_ginf_kernel.py``."""
+it replaced, and for all three kinds against the einsum cost matrix it
+built before.  The other GINF rows are held in ``test_ginf_kernel.py``."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qvalued.qspace import MetricKind, QTuple, dist, dist_many, match_many
 
-from oracles import all_pairing_costs, pairing_cost, sum_dist_reference
+from oracles import all_pairing_costs, match_many_reference, pairing_cost, sum_dist_reference
 
 SUM_KINDS = [(MetricKind.G1, "g1"), (MetricKind.G2, "g2")]
 
@@ -154,3 +155,40 @@ class TestBatching:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             match_many(np.zeros((1, 2, 1)), np.ones((1, 2, 1)), "g2")
+
+
+def reference_stacks(Q, n, seed):
+    """(A, B) stacks of the cases the cost matrix must get right: random floats
+    of mixed scale, exact integer ties, permuted copies (exact and moved by
+    1e-9), and tuples clustered around two centres."""
+    rng = np.random.default_rng(seed)
+    E = 200 if Q <= 5 else 4
+    A = rng.standard_normal((E, Q, n)) * rng.choice([1e-3, 1.0, 1e3], (E, 1, 1))
+    yield "random", A, rng.standard_normal((E, Q, n))
+    A, B = rng.integers(-2, 3, (2, E, Q, n)).astype(float)
+    yield "ties", A, B
+    A = rng.standard_normal((E, Q, n))
+    B = np.take_along_axis(A, rng.random((E, Q)).argsort(axis=1)[:, :, None], axis=1)
+    B[::2] += 1e-9 * rng.standard_normal((len(B[::2]), Q, n))
+    yield "permuted", A, B
+    centres = rng.standard_normal((2, E, 1, n))
+    A, B = (centres[rng.integers(0, 2, (E, Q)), np.arange(E)[:, None], 0]
+            + 0.01 * rng.standard_normal((E, Q, n)) for _ in range(2))
+    yield "clustered", A, B
+
+
+class TestAgainstCostMatrixReference:
+    """Costs and perms equal, bit for bit, to the kernel as it was: one einsum
+    over the point differences, then the same enumeration or solvers."""
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("Q", range(2, 9))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_equal_the_reference(self, kind, Q, n):
+        for name, A, B in reference_stacks(Q, n, 100 * Q + 10 * n):
+            for a, b in ((A, B), (A[:1], B), (A, B[:1]), (A[:1], B[:1]), (A[:0], B[:0])):
+                cost, perm = match_many(a, b, kind)
+                ref_cost, ref_perm = match_many_reference(a, b, kind.value)
+                assert cost.shape == ref_cost.shape and perm.shape == ref_perm.shape, name
+                assert np.array_equal(cost, ref_cost), name
+                assert np.array_equal(perm, ref_perm), name

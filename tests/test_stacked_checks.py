@@ -12,7 +12,7 @@ from qvalued.embed import zeta_dual_gap, zeta_dual_gap_many
 from qvalued.qspace import QTuple, split_distance, split_distance_many
 from qvalued.verify import CheckConfig, run_all
 
-from oracles import split_distance_reference, zeta_dual_gap_reference
+from oracles import check_poincare_reference, split_distance_reference, zeta_dual_gap_reference
 
 # the stacked code divides by each pair's largest gap, which may be zero
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -110,3 +110,17 @@ def test_run_all_report_does_not_depend_on_the_block_sizes(cfg, monkeypatch):
     split = [r.to_dict() for r in run_all(cfg)]
     assert json.dumps(split) == json.dumps(whole)
     assert any(r["witnesses"] for r in whole) == (cfg.seed == 5)
+
+
+@pytest.mark.parametrize("cfg", [
+    CheckConfig(),
+    CheckConfig(seed=3, trials=40, m_range=(1, 3)),
+    CheckConfig(seed=4, trials=8, Q_range=(5, 6)),
+    CheckConfig(seed=6, trials=1),
+    CheckConfig(seed=5, trials=60, Q_range=(1, 5), tolerances=NEGATIVE),
+], ids=["default", "m1-3", "q5-6", "one-trial", "failing"])
+def test_poincare_report_equals_the_per_trial_reference(cfg):
+    # window pairs shifted from one template per (m, width) and grids
+    # evaluated per shape, against per-trial masks and grids
+    got = verify.check_poincare(cfg).to_dict()
+    assert json.dumps(got) == json.dumps(check_poincare_reference(cfg).to_dict())

@@ -9,7 +9,8 @@ from qvalued.qspace import MetricKind, dist_many
 from qvalued.verify import (
     CheckConfig,
     CheckReport,
-    _lipschitz_grid,
+    _lipschitz_draws,
+    _lipschitz_grids,
     check_metric_equivalence,
     check_poincare,
     check_splitting_lemma,
@@ -19,7 +20,7 @@ from qvalued.verify import (
     run_all,
 )
 
-from oracles import lipschitz_grid_values_reference
+from oracles import lipschitz_grid_reference, lipschitz_grid_values_reference
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +226,18 @@ def test_run_all_times_each_check(small_cfg):
 def test_lipschitz_grid_matches_node_by_node(m, Q, n):
     seed = 100 * m + 10 * Q + n
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    values = _lipschitz_grid(rng, m, Q, n, N=7)
+    values = _lipschitz_grids(*(a[None] for a in _lipschitz_draws(rng, m, Q, n)), N=7)
     reference = lipschitz_grid_values_reference(ref_rng, m, Q, n, N=7)
-    assert np.array_equal(values, reference.reshape(-1, Q, n))
+    assert np.array_equal(values[0], reference.reshape(-1, Q, n))
     # both drew the same numbers, so later checks see the same stream
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_lipschitz_grids_match_one_map_at_a_time(m):
+    # five maps of one shape, drawn in turn, evaluated as one stack
+    rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+    draws = [_lipschitz_draws(rng, m, 3, 2) for _ in range(5)]
+    stacked = _lipschitz_grids(*(np.array(field) for field in zip(*draws)), N=7)
+    for values in stacked:
+        assert np.array_equal(values, lipschitz_grid_reference(ref_rng, m, 3, 2, N=7))
