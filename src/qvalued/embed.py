@@ -140,14 +140,15 @@ class DirectionFrame:
         return cls(n, Q, bases, epsilon)
 
 
-def _draw_separation(directions: np.ndarray, Q: int, draws: int = _VALIDATION_DRAWS) -> np.ndarray:
+def _draw_separation(directions: np.ndarray, Q: int,
+                     draws: int = _VALIDATION_DRAWS) -> np.ndarray:
     """Per validation draw of L = Q^2 random unit vectors, the best direction's
     worst absolute inner product with them, shape (draws,).
 
     The draw sequence is fixed, so the values are reproducible, and the
     elementwise max of the values of two sets of directions is the value of
-    their union.  Draws are scored a chunk at a time, which keeps the (draws, K, L) score
-    block near 2 MB at any frame size.
+    their union.  Draws are scored a chunk at a time, which keeps the
+    (draws, K, L) score block near 2 MB at any frame size.
     """
     directions = np.asarray(directions, dtype=float)
     K, n = directions.shape

@@ -241,6 +241,12 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         finds the optimum (for GINF, the optimal threshold, by bisection
         over the paired distances), then gives each point in turn the
         smallest column from which the rest can still be paired within it.
+
+    The Q x Q costs of each pair are built with the rows innermost: at
+    n <= 2 one coordinate at a time, a sum of at most two squares, which
+    rounds the same in any order; from n = 3 by one einsum, whose order of
+    the squares follows its SIMD dispatch and is kept as it is.  Each
+    permutation's total adds its Q costs in point order, for all rows at once.
     """
     if not isinstance(kind, MetricKind):
         raise ValueError(f"unknown metric kind {kind!r}")
@@ -256,8 +262,8 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
     # C[i, j, e] prices pairing point i of A[e] with point j of B[e]
     n = A.shape[2]
     if n <= 2:
-        # rows innermost, one coordinate at a time: a sum of one or two squares
-        # rounds the same in any order, so C holds the einsum's values below
+        # a sum of one or two squares rounds the same in any order, so C holds
+        # the values of the einsum below
         At, Bt = (np.ascontiguousarray(X.transpose(2, 1, 0)) for X in (A, B))
         d = At[0][:, None] - Bt[0][None]
         C = d * d
@@ -285,18 +291,20 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         return cost, perm
     P = _perm_table(Q)
     first = np.empty(E, dtype=np.intp)
-    rows = max(1, (1 << 18) // P.size)  # about 2 MB of paired costs per chunk
+    rows = max(1, (1 << 18) // P.size)  # under 2 MB of partial sums per chunk
     for lo in range(0, E, rows):
         block = C[:, :, lo:lo + rows]
         # (permutations, rows): each permutation's Q paired costs, taken in order
-        total = block[0][P[:, 0]]
+        total = block[0].take(P[:, 0], axis=0)
         for i in range(1, Q):
             if bottleneck:
-                np.maximum(total, block[i][P[:, i]], out=total)
+                np.maximum(total, block[i].take(P[:, i], axis=0), out=total)
             else:
-                total += block[i][P[:, i]]
-        best = total.min(axis=0)
-        pick = total.argmin(axis=0) if bottleneck else (total <= best * (1.0 + 1e-12)).argmax(axis=0)
+                total += block[i].take(P[:, i], axis=0)
+        if bottleneck:
+            pick = total.argmin(axis=0)
+        else:
+            pick = (total <= total.min(axis=0) * (1.0 + 1e-12)).argmax(axis=0)
         cost[lo:lo + rows] = total[pick, np.arange(pick.size)]
         first[lo:lo + rows] = pick
     return cost, P.take(first, axis=0)  # same rows as P[first], several times faster

@@ -278,6 +278,7 @@ class TestExtendCli:
         ("depth", 30),
         ("depth", -1),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_whitney_fault_names_its_field_once(self, tmp_path, capsys, field, value):
         obj = {"box": [[0.0, 1.0], [0.0, 1.0]], "depth": 4,
                "data": [{"x": [0.5, 0.5], "value": [[0.0]]}]}
