@@ -281,7 +281,7 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
     if Q > 5:
         perm = np.empty((E, Q), dtype=np.intp)
         for e in range(E):
-            D = np.ascontiguousarray(C[:, :, e])
+            D = C[:, :, e]
             if bottleneck:
                 cost[e], perm[e] = _bottleneck_assignment(D)
             else:

@@ -376,11 +376,6 @@ def _lipschitz_draws(rng, m: int, Q: int, n: int):
             rng.uniform(0.2, 1.0, size=(Q, n)))
 
 
-def _grid_nodes(N: int, m: int) -> np.ndarray:
-    """The coordinates (N**m, m) of the N^m grid over [-1, 1]^m, nodes in C order."""
-    return (np.indices((N,) * m).reshape(m, -1).T - (N - 1) / 2.0) * (2.0 / (N - 1))
-
-
 def _lipschitz_grids(freq, phase, amp, N: int) -> np.ndarray:
     """The Lipschitz Q-valued maps of a stack of draws on the N^m grid over [-1, 1]^m.
 
@@ -388,7 +383,8 @@ def _lipschitz_grids(freq, phase, amp, N: int) -> np.ndarray:
     ``_lipschitz_draws``; map t's branch (i, c) is ``amp * sin(freq . x + phase)``.
     Returns the values at the nodes in C order, shape (T, N**m, Q, n).
     """
-    x = _grid_nodes(N, freq.shape[3])
+    m = freq.shape[3]
+    x = (np.indices((N,) * m).reshape(m, -1).T - (N - 1) / 2.0) * (2.0 / (N - 1))  # C order
     # one dot product per (map, node, branch, coordinate): a stacked matmul
     # rounds as freq[t, i, c] @ x does, where einsum or an explicit sum can differ
     arg = (freq[:, None, :, :, None, :] @ x[None, :, None, None, :, None])[..., 0, 0]
@@ -539,17 +535,18 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
     for (m, width), index in by_window.items():
         _, _, inner, apart = pairs[m, width]
         k = width**m
-        S = np.array([sq[t] for t in index])
-        # cost ** (q / 2): the cost itself at q = 2, and at q = 1 the power
-        # with a Python float exponent, which numpy takes as a square root,
-        # where an array of exponents would go through pow
-        linear = np.array([windows[t][1] == 2.0 for t in index])[:, None]
-        terms = np.where(linear, S, S ** 0.5)
+        terms = np.array([sq[t] for t in index])
+        # cost ** (q / 2): the cost itself at q = 2, its square root at q = 1
+        # (numpy computes x ** 0.5 as sqrt; an array of exponents would go
+        # through pow and can differ in the last bit)
+        root = np.array([windows[t][1] == 1.0 for t in index])[:, None]
+        np.sqrt(terms, out=terms, where=root)
         # a contiguous row sums as the 1-D array of it does
         energy_sum[index] = np.ascontiguousarray(terms[:, :inner]).sum(axis=1)
         full = np.zeros((len(index), k * k))
         full[:, apart] = terms[:, inner:]
-        best[index] = (full.reshape(-1, k, k) * h**m).sum(axis=2).min(axis=1)
+        full *= h**m
+        best[index] = full.reshape(-1, k, k).sum(axis=2).min(axis=1)
     for t, (m, q, width, lo) in enumerate(windows):
         energy = h ** (m - q) * float(energy_sum[t])
         rhs = (h * (width - 1) * math.sqrt(m)) ** q * energy
