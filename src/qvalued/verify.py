@@ -484,7 +484,7 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
     Finiteness of the constant is the assertion; its empirical value is the
     reported ratio and must stay below the configured cap.  The G2 costs of
     every trial's window pairs come from one kernel pass per (Q, n), and the
-    sums over them from one stacked reduction per window shape.
+    sums over them from one stacked reduction per window shape in it.
     """
     rng = _rng_for(cfg, "poincare")
     cap = cfg.tolerances["poincare_c"]
@@ -508,12 +508,14 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
         for t, x in zip(index, _lipschitz_grids(*stacked, N)):
             values[t] = x
     # one kernel call per (Q, n): each trial's window pairs, at its window's
-    # corner and its grid's offset in the stack, whatever its m
-    pairs, by_shape, sq = {}, {}, [None] * T
+    # corner and its grid's offset in the stack, whatever its m; then, per
+    # window shape, one stacked reduction for its trials in the group
+    pairs, by_shape = {}, {}
     for t, x in enumerate(values):
         by_shape.setdefault(x.shape[1:], []).append(t)
+    energy_sum, best = np.empty(T), np.empty(T)
     for index in by_shape.values():
-        left, right, offset = [], [], 0
+        left, right, offset, start, by_window = [], [], 0, 0, {}
         for t in index:
             m, _, width, lo = windows[t]
             if (m, width) not in pairs:
@@ -521,32 +523,28 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
             shift = offset + int(np.ravel_multi_index(lo, (N,) * m))
             left.append(pairs[m, width][0] + shift)
             right.append(pairs[m, width][1] + shift)
+            by_window.setdefault((m, width), []).append((t, start))
             offset += len(values[t])
+            start += left[-1].size
         X = np.concatenate([values[t] for t in index])
         out = _in_blocks(match_many, X, X, MetricKind.G2, np.concatenate(left),
                          np.concatenate(right))
-        for t, part in zip(index, np.split(out, np.cumsum([a.size for a in left])[:-1])):
-            sq[t] = part
-    # per window shape, every trial's energy sum and its least mean oscillation
-    by_window = {}
-    for t, (m, _, width, _) in enumerate(windows):
-        by_window.setdefault((m, width), []).append(t)
-    energy_sum, best = np.empty(T), np.empty(T)
-    for (m, width), index in by_window.items():
-        _, _, inner, apart = pairs[m, width]
-        k = width**m
-        terms = np.array([sq[t] for t in index])
-        # cost ** (q / 2): the cost itself at q = 2, its square root at q = 1
-        # (numpy computes x ** 0.5 as sqrt; an array of exponents would go
-        # through pow and can differ in the last bit)
-        root = np.array([windows[t][1] == 1.0 for t in index])[:, None]
-        np.sqrt(terms, out=terms, where=root)
-        # a contiguous row sums as the 1-D array of it does
-        energy_sum[index] = np.ascontiguousarray(terms[:, :inner]).sum(axis=1)
-        full = np.zeros((len(index), k * k))
-        full[:, apart] = terms[:, inner:]
-        full *= h**m
-        best[index] = full.reshape(-1, k, k).sum(axis=2).min(axis=1)
+        for (m, width), rows in by_window.items():
+            _, _, inner, apart = pairs[m, width]
+            k = width**m
+            group = [t for t, _ in rows]
+            terms = np.array([out[s:s + inner + k * k - k] for _, s in rows])
+            # cost ** (q / 2): the cost itself at q = 2, its square root at q = 1
+            # (numpy computes x ** 0.5 as sqrt; an array of exponents would go
+            # through pow and can differ in the last bit)
+            root = np.array([windows[t][1] == 1.0 for t in group])[:, None]
+            np.sqrt(terms, out=terms, where=root)
+            # a contiguous row sums as the 1-D array of it does
+            energy_sum[group] = np.ascontiguousarray(terms[:, :inner]).sum(axis=1)
+            full = np.zeros((len(group), k * k))
+            full[:, apart] = terms[:, inner:]
+            full *= h**m
+            best[group] = full.reshape(-1, k, k).sum(axis=2).min(axis=1)
     for t, (m, q, width, lo) in enumerate(windows):
         energy = h ** (m - q) * float(energy_sum[t])
         rhs = (h * (width - 1) * math.sqrt(m)) ** q * energy
