@@ -401,13 +401,13 @@ def _grid_edges(N: int, m: int):
 def _window_pairs(N: int, m: int, width: int):
     """The kernel's index pairs for the width^m window at the origin of the N^m grid.
 
-    Returns ``(left, right, inner, apart)``: first the ``inner`` grid edges
-    with both ends in the window, in ``edge_index`` order, then every
-    (node, candidate) pair of window nodes but the k pairs of a node with
-    itself, the (k, k) pairs flattened by candidate and ``apart`` marking the
-    ones kept.  Flat indices are linear in the node coordinates, so the window
-    at ``lo`` has the same pairs, in the same order, shifted by the flat index
-    of ``lo``.
+    Returns ``(left, right, inner, apart)``.  ``left`` and ``right`` hold
+    first the ``inner`` grid edges with both ends in the window, in
+    ``edge_index`` order, then the (k, k) pairs of the k window nodes in C
+    order, row r pairing each window node with node r, less the k pairs of a
+    node with itself; ``apart`` marks the pairs kept.  Flat indices are
+    linear in the node coordinates, so the window at ``lo`` has the same
+    pairs, in the same order, shifted by the flat index of ``lo``.
     """
     u, v = _grid_edges(N, m)
     nodes = np.arange(N**m).reshape((N,) * m)[(slice(0, width),) * m].ravel()

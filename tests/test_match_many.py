@@ -158,9 +158,9 @@ class TestBatching:
 
 
 def reference_stacks(Q, n, seed):
-    """(A, B) stacks of the cases the cost matrix must get right: random floats
-    of mixed scale, exact integer ties, permuted copies (exact and moved by
-    1e-9), and tuples clustered around two centres."""
+    """Named (A, B) stacks of the cases the cost matrix must get right: random
+    floats of mixed scale, exact integer ties, permuted copies (exact and
+    moved by 1e-9), and tuples clustered around two centres."""
     rng = np.random.default_rng(seed)
     E = 200 if Q <= 5 else 4
     A = rng.standard_normal((E, Q, n)) * rng.choice([1e-3, 1.0, 1e3], (E, 1, 1))
