@@ -271,7 +271,8 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
             d = At[1][:, None] - Bt[1][None]
             C += d * d
     else:
-        # einsum's order of the n squares follows its SIMD dispatch; kept as it is
+        # einsum's order of the n squares follows its SIMD dispatch, which a
+        # build one coordinate at a time would not match
         diff = A[:, :, None, :] - B[:, None, :, :]
         C = np.einsum("eijk,eijk->eij", diff, diff).transpose(1, 2, 0)
     if not squared:
