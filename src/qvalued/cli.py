@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -244,13 +245,18 @@ def _load_solver_inputs(path: str, resolution: int) -> GridFunction:
     """The grid to solve on, its boundary nodes holding the Dirichlet data.
 
     Accepts either a full grid-function JSON (told by its ``mask`` field),
-    returned as it is, or a boundary-curve spec
+    returned as it is when ``resolution`` is None or its shape has
+    ``resolution`` nodes a side, or a boundary-curve spec
     ``{"domain": "disk"|"square", "Q", "n", "curve": [{"x", "value"}]}``
     sampled onto the empty grid of the requested resolution by ``_curve_grid``.
     """
     obj = _load_json(path)
     if not isinstance(obj, dict) or "mask" in obj:
-        return _checked(path, "grid function", GridFunction.from_obj, obj)
+        grid = _checked(path, "grid function", GridFunction.from_obj, obj)
+        if resolution is not None and grid.shape != (resolution,) * grid.m:
+            raise DataError(f"--grid {resolution} does not match the shape "
+                            f"{list(grid.shape)} of the grid function in {path}")
+        return grid
     if "domain" not in obj:
         raise DataError(f"missing field 'mask' of a grid function or 'domain' of a "
                         f"boundary-curve spec in {path}")
@@ -324,6 +330,8 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# built on the first `main` call, not at import, and kept: parsing keeps no state in it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -395,8 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, ValueError, ArithmeticError, OSError) as exc:

@@ -8,6 +8,11 @@ vector p-Dirichlet energy on the branch-lifted graph (iteratively
 reweighted least squares: one weighted-Laplacian solve per iteration).
 The Laplacian's sparsity pattern depends only on the matching, so it is
 built once per matching and an iteration only writes its weights into it.
+So is SuperLU's column order: the matching's first factorization finds it,
+and later ones factor the matrix with its columns stored in that order.
+A check that each of their pivots fell on the diagonal, as a fresh
+factorization's do, guards the equality; where one did not, that system is
+factored afresh in natural order.
 Each iteration then steps to the energy's minimum along its direction, the
 root of the slope found by ``_brent``, a port of scipy's ``brentq`` that
 keeps ``scipy.optimize`` out of ``qv solve``.
@@ -87,8 +92,8 @@ def _match_edges(f: GridFunction):
 
 def dp_distance(f: GridFunction, g: GridFunction, p: float) -> float:
     """The L_p semimetric: node-wise G2 distances integrated at grid scale."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     _check_same_grid(f, g)
     inside = f.node_index()
     sq, _ = match_many(_tuples(f)[inside], _tuples(g)[inside], MetricKind.G2)
@@ -101,8 +106,8 @@ def discrete_energy(f: GridFunction, p: float) -> EnergyReport:
     Each axis edge contributes ``h^m * (G2(f(u), f(v)) / h)^p``.  Matchings
     come from ``qspace.match_many``.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"p must be a finite number > 1, got {p}")
     return _energy_report(f, p, *_match_edges(f))
 
 
@@ -443,6 +448,16 @@ class _FrozenLaplacian:
     pattern, the order that puts the entries into CSC order, and the pairs
     with one known end are found once; ``system`` only writes the weights
     into them.
+
+    SuperLU's column order (COLAMD, then a postorder of the column
+    elimination tree) depends on the pattern alone, so it too is found once:
+    the first ``solve`` factors the matrix as it is and folds that order,
+    ``perm_c``, into the pattern, so unknown ``i`` is stored in column
+    ``perm_c[i]``.  Later solves factor the stored matrix in its own order
+    and put the solution back in unknown order.  That factor is the one a
+    fresh ``splu`` of the natural-order matrix makes when both pivot on the
+    diagonal in every column, so a solve checks that it did, and where it
+    did not, factors the natural-order matrix as the first solve does.
     """
 
     def __init__(self, Y, ga, gb, slot, free):
@@ -467,6 +482,8 @@ class _FrozenLaplacian:
         self.pick = np.concatenate([edge[both], edge[both], E + np.arange(N)])[order]
         indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=N))])
         self.L = csc_matrix((np.empty(key.size), key % N, indptr), shape=(N, N))
+        # SuperLU's column order, kept by the first solve
+        self.perm_c = None
         # a pair with one known end adds weight * that end's value to the other's right-hand side
         one = ka != kb
         self.rhs_at = np.where(ka, a, b)[one]
@@ -475,7 +492,8 @@ class _FrozenLaplacian:
 
     def system(self, weight):
         """The matrix and right-hand side for ``weight``; the matrix is shared
-        between calls and overwritten by the next one."""
+        between calls and overwritten by the next one.  After the first solve
+        its columns are stored in the order ``argsort(perm_c)``."""
         N = self.L.shape[0]
         diag = np.bincount(self.diag_at, weight[self.diag_edge], N)
         np.take(np.concatenate([-weight, diag]), self.pick, out=self.L.data)
@@ -489,7 +507,31 @@ class _FrozenLaplacian:
         from scipy.sparse.linalg import splu
 
         L, rhs = self.system(weight)
-        return splu(L).solve(rhs)
+        if self.perm_c is None:
+            lu = splu(L)
+            self._store_columns(lu.perm_c)
+            return lu.solve(rhs)
+        lu = splu(L, permc_spec="NATURAL")
+        # the stored order kept, and each pivot on the diagonal: unknown i's row
+        # at step perm_c[i], where its column stands
+        if (np.array_equal(lu.perm_c, np.arange(L.shape[0]))
+                and np.array_equal(lu.perm_r, self.perm_c)):
+            return lu.solve(rhs)[self.perm_c]
+        return splu(L[:, self.perm_c]).solve(rhs)
+
+    def _store_columns(self, perm_c):
+        """Store unknown ``i``'s column at ``perm_c[i]``."""
+        # local import: as in __init__
+        from scipy.sparse import csc_matrix
+
+        N, L = perm_c.size, self.L
+        self.perm_c = perm_c
+        order = np.argsort(perm_c)
+        counts = np.diff(L.indptr)[order]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        take = np.repeat(L.indptr[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+        self.pick = self.pick[take]
+        self.L = csc_matrix((L.data[take], L.indices[take], indptr), shape=(N, N))
 
 
 def lipschitz_truncation(f: GridFunction, t: float, p: float = 2.0):

@@ -161,10 +161,15 @@ class GridFunction:
         yield from zip(index_tuples(u, self.shape), index_tuples(v, self.shape))
 
     def to_json(self) -> str:
-        """Serialize; floats use Python repr, which round-trips exactly."""
+        """Serialize; floats use Python repr, which round-trips exactly.
+
+        The values are dumped as one flat list, whose items a fixed per-node
+        ``(Q, n)`` template puts back into the nested lists: no float repr
+        holds the ``", "`` that splits them.
+        """
         inside = self.mask != OUTSIDE
         vals = np.where(inside[..., None, None], self.values, 0.0)
-        return json.dumps(
+        head = json.dumps(
             {
                 "m": self.m,
                 "n": self.n,
@@ -172,9 +177,13 @@ class GridFunction:
                 "shape": list(self.shape),
                 "h": self.h,
                 "mask": self.mask.ravel().tolist(),
-                "values": vals.reshape(-1, self.Q, self.n).tolist(),
             }
         )
+        numbers = json.dumps(vals.ravel().tolist())[1:-1].split(", ")
+        point = "[" + ", ".join(["%s"] * self.n) + "]"
+        node = "[" + ", ".join([point] * self.Q) + "]"
+        template = "[" + ", ".join([node] * self.mask.size) + "]"
+        return head[:-1] + ', "values": ' + template % tuple(numbers) + "}"
 
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":

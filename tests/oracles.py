@@ -281,6 +281,36 @@ def weighted_laplacian_reference(Y, ga, gb, slot, free, weight):
     return csr_matrix((data, (rows, cols)), shape=(N, N)).tocsc(), rhs
 
 
+def frozen_solve_reference(Y, ga, gb, slot, free, weight):
+    """The unknowns at the minimizer of a frozen matching's weighted 2-energy,
+    from a fresh ``splu`` (COLAMD column order) of the matrix that
+    ``weighted_laplacian_reference`` assembles: the solve
+    ``qvalued.energy._FrozenLaplacian.solve`` ran on every call before it kept
+    a matching's column order."""
+    L, rhs = weighted_laplacian_reference(Y, ga, gb, slot, free, weight)
+    return splu(L).solve(rhs)
+
+
+def grid_to_json_reference(f):
+    """``GridFunction.to_json`` as it was written before it dumped the values
+    as one flat list: ``json.dumps`` of the nested ``(nodes, Q, n)`` lists."""
+    from qvalued.grids import OUTSIDE
+
+    inside = f.mask != OUTSIDE
+    vals = np.where(inside[..., None, None], f.values, 0.0)
+    return json.dumps(
+        {
+            "m": f.m,
+            "n": f.n,
+            "Q": f.Q,
+            "shape": list(f.shape),
+            "h": f.h,
+            "mask": f.mask.ravel().tolist(),
+            "values": vals.reshape(-1, f.Q, f.n).tolist(),
+        }
+    )
+
+
 def _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner):
     """Armijo-damped gradient descent on the frozen-matching p-energy.
 

@@ -12,6 +12,8 @@ from qvalued.cli import main
 from qvalued.grids import BOUNDARY, GridFunction, OUTSIDE, disk_mask, empty_grid
 from qvalued.qspace import QTuple
 
+from oracles import frozen_solve_reference
+
 
 # the history and stdout of `qv solve` on the problem of tests/data/solve_p2_n16.json
 HISTORY_P2_N16 = ("iteration,total_energy\n0,20.020841989658752\n1,6.122382218610829\n"
@@ -46,6 +48,33 @@ def square_curve(per_side):
             x, y = x0 + s * (x1 - x0), y0 + s * (y1 - y0)
             entries.append({"x": [x, y], "value": [[x + 2 * y], [-(x + 2 * y)]]})
     return entries
+
+
+def sqrt_disk_n16():
+    """The grid of tests/data/solve_p2_n16.json: the N = 16 disk with the two
+    branches of the complex square root on its boundary."""
+    grid = empty_grid(2, 2, 2, 16, disk_mask(16))
+    for idx in grid.nodes(kinds=(BOUNDARY,)):
+        x = grid.node_coords(idx)
+        t = math.atan2(x[1], x[0]) / 2.0
+        grid.values[idx] = [[math.cos(t), math.sin(t)], [-math.cos(t), -math.sin(t)]]
+    return grid
+
+
+# each golden file of `qv solve` on a boundary-curve spec: its name, the spec and the flags
+CURVE_GOLDENS = [
+    ("solve_disk_curve_p2", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(64)},
+     ["--grid", "16"]),
+    ("solve_square_curve_p2",
+     {"domain": "square", "m": 2, "Q": 2, "n": 1, "curve": square_curve(5)},
+     ["--grid", "12"]),
+    ("solve_disk_curve_p3", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
+     ["--grid", "12", "--p", "3", "--restarts", "2"]),
+    ("solve_disk_curve_p1_5", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
+     ["--grid", "12", "--p", "1.5", "--restarts", "2"]),
+    ("solve_disk_curve_p8", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
+     ["--grid", "12", "--p", "8", "--restarts", "2"]),
+]
 
 
 @pytest.fixture()
@@ -486,13 +515,7 @@ class TestSolveCli:
         assert status["converged"]
 
     def test_disk_sqrt_p2_matches_golden_file(self, tmp_path, capsys):
-        # the N = 16 disk with the two branches of the complex square root on its boundary
-        grid = empty_grid(2, 2, 2, 16, disk_mask(16))
-        for idx in grid.nodes(kinds=(BOUNDARY,)):
-            x = grid.node_coords(idx)
-            t = math.atan2(x[1], x[0]) / 2.0
-            grid.values[idx] = [[math.cos(t), math.sin(t)], [-math.cos(t), -math.sin(t)]]
-        b = write(tmp_path / "b.json", grid.to_json())
+        b = write(tmp_path / "b.json", sqrt_disk_n16().to_json())
         sol, hist = tmp_path / "sol.json", tmp_path / "hist.csv"
         assert main(["solve", "--boundary", b, "--p", "2", "--out", str(sol),
                      "--history", str(hist)]) == 0
@@ -501,19 +524,7 @@ class TestSolveCli:
         assert hist.read_text() == HISTORY_P2_N16
         assert capsys.readouterr().out == STDOUT_P2_N16
 
-    @pytest.mark.parametrize("name,spec,argv", [
-        ("solve_disk_curve_p2", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(64)},
-         ["--grid", "16"]),
-        ("solve_square_curve_p2",
-         {"domain": "square", "m": 2, "Q": 2, "n": 1, "curve": square_curve(5)},
-         ["--grid", "12"]),
-        ("solve_disk_curve_p3", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
-         ["--grid", "12", "--p", "3", "--restarts", "2"]),
-        ("solve_disk_curve_p1_5", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
-         ["--grid", "12", "--p", "1.5", "--restarts", "2"]),
-        ("solve_disk_curve_p8", {"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(48)},
-         ["--grid", "12", "--p", "8", "--restarts", "2"]),
-    ])
+    @pytest.mark.parametrize("name,spec,argv", CURVE_GOLDENS)
     def test_curve_spec_matches_golden_files(self, tmp_path, capsys, name, spec, argv):
         # each boundary node takes its nearest sample's value; the solution,
         # the history and stdout are pinned byte for byte
@@ -524,6 +535,48 @@ class TestSolveCli:
         assert sol.read_text() == (DATA / f"{name}.json").read_text()
         assert hist.read_text() == (DATA / f"{name}_history.csv").read_text()
         assert capsys.readouterr().out == (DATA / f"{name}_stdout.txt").read_text()
+
+    @pytest.mark.parametrize("name", ["solve_p2_n16"] + [name for name, _, _ in CURVE_GOLDENS])
+    def test_golden_solves_match_a_fresh_factorization(self, tmp_path, name, monkeypatch):
+        # every frozen-matching solve of the golden runs against a fresh splu of the
+        # natural-order matrix, bit for bit; each solve factors once, so none fell back
+        import scipy.sparse.linalg
+
+        from qvalued import energy
+
+        solves, specs = [], []
+        splu = scipy.sparse.linalg.splu
+
+        class Recording(energy._FrozenLaplacian):
+            def __init__(self, Y, ga, gb, slot, free):
+                super().__init__(Y, ga, gb, slot, free)
+                self.args = (Y.copy(), ga, gb.copy(), slot, free)
+
+            def solve(self, weight):
+                x = super().solve(weight)
+                solves.append((self.args, weight.copy(), x))
+                return x
+
+        def spy(A, permc_spec=None, **kwargs):
+            specs.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(energy, "_FrozenLaplacian", Recording)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        if name == "solve_p2_n16":
+            b, argv = write(tmp_path / "b.json", sqrt_disk_n16().to_json()), ["--p", "2"]
+        else:
+            _, spec, argv = next(golden for golden in CURVE_GOLDENS if golden[0] == name)
+            b = write(tmp_path / "b.json", json.dumps(spec))
+        sol = tmp_path / "sol.json"
+        assert main(["solve", "--boundary", b, "--out", str(sol)] + argv) == 0
+        assert sol.read_text() == (DATA / f"{name}.json").read_text()
+        assert len(specs) == len(solves) > 0
+        p = float(argv[argv.index("--p") + 1]) if "--p" in argv else 2.0
+        # p = 2 factors each matching once; other p reuse the first order
+        assert ("NATURAL" in specs) == (p != 2.0)
+        for args, weight, x in solves:
+            assert x.tobytes() == frozen_solve_reference(*args, weight).tobytes()
 
     def test_trace_matches_golden_file(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -675,6 +728,22 @@ class TestSolveCli:
         assert captured.err.startswith(f"error: {field} must ")
         assert captured.out == ""
 
+    def test_grid_flag_disagreeing_with_a_grid_function_named(self, tmp_path, capsys):
+        b = write(tmp_path / "b.json", empty_grid(2, 1, 1, 5).to_json())
+        assert main(["solve", "--boundary", b, "--grid", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --grid 6 does not match the shape [5, 5] of the "
+                                f"grid function in {b}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_grid_flag_agreeing_with_a_grid_function_accepted(self, tmp_path, capsys, m):
+        b = write(tmp_path / "b.json", empty_grid(m, 1, 1, 5).to_json())
+        flagged, plain = tmp_path / "flagged.json", tmp_path / "plain.json"
+        assert main(["solve", "--boundary", b, "--grid", "5", "--out", str(flagged)]) == 0
+        assert main(["solve", "--boundary", b, "--out", str(plain)]) == 0
+        assert flagged.read_text() == plain.read_text()
+
     def test_unconverged_solve_warns(self, tmp_path, capsys, monkeypatch):
         from qvalued import energy
 
@@ -719,6 +788,16 @@ class TestGridLoader:
         bad = write(tmp_path / "g.json", json.dumps({"m": 2, "n": 1}))
         assert main(["energy", "--in", bad]) == 1
         assert "missing field 'Q'" in capsys.readouterr().err
+
+
+class TestEnergyCli:
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    def test_nonfinite_p_named(self, capsys, p):
+        # "--p=-inf": argparse takes a lone "-inf" for an option
+        assert main(["energy", "--in", str(DATA / "solve_p2_n16.json"), f"--p={p}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: p must be a finite number > 1, got {float(p)}\n"
+        assert captured.out == ""
 
 
 class TestVerifyCli:
@@ -830,3 +909,72 @@ class TestVerifyCli:
         for r in reports:
             assert set(r) == {"name", "trials", "failures", "worst_ratio",
                               "witnesses"}
+
+
+class TestParserState:
+    """``main`` builds its parser once per process; no value of one call reaches the next."""
+
+    def run(self, argv, capsys):
+        """The exit code, stdout and stderr of one call; the seconds `verify`
+        writes to stderr are dropped."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, re.sub(r"\d+\.\d\d s$", "s", err, flags=re.M)
+
+    def test_commands_in_turn_match_commands_alone(self, tmp_path, capsys):
+        from qvalued import cli
+
+        grid = empty_grid(2, 1, 2, 5)
+        for idx in grid.nodes(kinds=(BOUNDARY,)):
+            x = grid.node_coords(idx)
+            grid.values[idx] = [[x[0]], [-x[1]]]
+        b = write(tmp_path / "b.json", grid.to_json())
+        cfg = write(tmp_path / "cfg.json", json.dumps({"trials": 5}))
+        data = write(tmp_path / "w.json", json.dumps(
+            {"box": [[0.0, 1.0]], "data": [{"x": [0.0], "value": [[0.0]]},
+                                          {"x": [1.0], "value": [[1.0]]}]}))
+        q = write(tmp_path / "q.csv", "0.25\n0.5\n")
+        steps = [
+            ["solve", "--boundary", b, "--history", "HISTORY", "--seed", "7",
+             "--restarts", "2", "--p", "3", "--out", "OUT"],
+            ["solve", "--boundary", b, "--out", "OUT"],
+            ["verify", "--config", cfg, "--seed", "4", "--report", "OUT"],
+            ["extend", "whitney", "--in", data, "--query", q, "--out", "OUT"],
+            ["solve", "--boundary", b, "--p"],  # a usage error: --p takes a value
+            ["verify", "--config", cfg, "--report", "OUT"],
+        ]
+
+        def run_in(run, argv):
+            """Run a step writing into a directory of its own; its exit code,
+            stdout and stderr, and the directory."""
+            outdir = tmp_path / run
+            outdir.mkdir()
+            return self.run([str(outdir / a) if a in ("OUT", "HISTORY") else a
+                             for a in argv], capsys), outdir
+
+        def results(runs):
+            """Each run's exit code, stdout and stderr and the files in its
+            directory, read once all have run, with the directory named DIR."""
+            return [json.dumps([code, {f.name: f.read_text() for f in sorted(outdir.iterdir())}])
+                    .replace(str(outdir), "DIR") for code, outdir in runs]
+
+        cli._build_parser.cache_clear()
+        in_turn = [run_in(f"turn{i}", argv) for i, argv in enumerate(steps)]
+        assert cli._build_parser.cache_info().misses == 1
+        # the shared parser still parses each command as a new one does
+        fresh = cli._build_parser.__wrapped__()
+        for argv in steps[:4] + steps[5:]:
+            assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        alone = []
+        for i, argv in enumerate(steps):
+            cli._build_parser.cache_clear()
+            alone.append(run_in(f"alone{i}", argv))
+        in_turn, alone = results(in_turn), results(alone)
+        assert in_turn == alone
+        runs = [json.loads(result) for result in in_turn]
+        assert [code for (code, _, _), _ in runs] == [0, 0, 0, 0, 2, 0]
+        assert sorted(runs[0][1]) == ["HISTORY", "OUT"]
+        assert sorted(runs[1][1]) == ["OUT"]

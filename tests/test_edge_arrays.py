@@ -34,6 +34,7 @@ from oracles import (
     _g2_value,
     brute_force_dist,
     edges_reference,
+    frozen_solve_reference,
     nearest_boundary_init,
     per_edge_reference,
     unknown_index,
@@ -260,14 +261,18 @@ class TestFrozenSteps:
 
             def system(self, weight):
                 L, rhs = super().system(weight)
-                systems.append((self.args, weight.copy(), L.copy(), rhs))
+                order = None if self.perm_c is None else np.argsort(self.perm_c)
+                systems.append((self.args, weight.copy(), L.copy(), rhs, order))
                 return L, rhs
 
         monkeypatch.setattr(energy, "_FrozenLaplacian", Recording)
         solve_dirichlet(boundary, grid, p, restarts=2)
         assert len(systems) > (1 if p == 2.0 else 4)
-        for args, weight, L, rhs in systems:
+        for args, weight, L, rhs, order in systems:
             expect, expect_rhs = weighted_laplacian_reference(*args, weight)
+            if order is not None:
+                # after a matching's first solve its columns are stored in SuperLU's order
+                expect = expect[:, order]
             assert L.format == "csc" and L.shape == expect.shape
             assert L.data.tobytes() == expect.data.tobytes()
             assert np.array_equal(L.indices, expect.indices)
@@ -342,6 +347,98 @@ class TestFrozenSteps:
         boundary = {idx: [[float(j)]] for j, idx in enumerate(grid.nodes(kinds=(BOUNDARY,)))}
         expect = nearest_boundary_init(grid, boundary)
         assert np.array_equal(expect.reshape(-1)[interior], picks.astype(float))
+
+
+def frozen_system(grid, rng):
+    """The arguments of ``energy._FrozenLaplacian`` for ``grid``, its inside
+    values filled at random, under random matchings, built as ``_alternate``
+    builds them."""
+    fill_random(grid, rng)
+    Q = grid.Q
+    Y = grid.values.reshape(-1, grid.n)
+    u, v = grid.edge_index()
+    free = (grid.node_index((INTERIOR,))[:, None] * Q + np.arange(Q)).ravel()
+    slot = np.full(len(Y), -1, dtype=np.intp)
+    slot[free] = np.arange(free.size)
+    perms = rng.permuted(np.tile(np.arange(Q), (len(u), 1)), axis=1)
+    return Y, u[:, None] * Q + np.arange(Q), v[:, None] * Q + perms, slot, free
+
+
+def spread_weights(rng, E):
+    """Edge weights over nine decades, floored at 1e-8 of the largest as the
+    solver floors them."""
+    weight = 10.0 ** rng.uniform(-9.0, 0.0, E)
+    return np.maximum(weight, 1e-8 * weight.max())
+
+
+class TestStoredColumnOrder:
+    """``_FrozenLaplacian.solve``, which keeps a matching's first column order,
+    against a fresh ``splu`` of the natural-order matrix, bit for bit."""
+
+    def assert_solves_match(self, args, weights):
+        laplacian = energy._FrozenLaplacian(*args)
+        for weight in weights:
+            got = laplacian.solve(weight)
+            assert got.tobytes() == frozen_solve_reference(*args, weight).tobytes()
+        assert laplacian.perm_c is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(Q=st.integers(1, 3), n=st.integers(1, 3), N=st.integers(3, 9),
+           domain=st.sampled_from(["disk", "square"]), seed=st.integers(0, 2**32 - 1))
+    def test_random_masks_and_weights(self, Q, n, N, domain, seed):
+        rng = np.random.default_rng(seed)
+        mask = disk_mask(N) if domain == "disk" else square_mask(N)
+        args = frozen_system(empty_grid(2, n, Q, N, mask), rng)
+        E = len(args[1])
+        self.assert_solves_match(args, [spread_weights(rng, E) for _ in range(4)])
+
+    def test_single_unknown(self):
+        rng = np.random.default_rng(5)
+        args = frozen_system(empty_grid(2, 2, 1, 3), rng)
+        assert args[4].size == 1
+        self.assert_solves_match(args, [spread_weights(rng, len(args[1])) for _ in range(3)])
+
+    def test_dangling_node(self):
+        # unknown (0, 1) has one neighbour, also free, so its column's diagonal
+        # ties with its off-diagonal: factored in the stored order, SuperLU
+        # pivots off the diagonal there, and the solve must notice it
+        mask = np.array([[OUTSIDE, INTERIOR, OUTSIDE], [BOUNDARY, INTERIOR, BOUNDARY],
+                         [INTERIOR, BOUNDARY, BOUNDARY], [BOUNDARY, BOUNDARY, OUTSIDE]])
+        rng = np.random.default_rng(0)
+        grid = GridFunction(2, 1, 1, mask.shape, 0.5, mask, np.zeros(mask.shape + (1, 1)))
+        args = frozen_system(grid, rng)
+        self.assert_solves_match(args, [spread_weights(rng, len(args[1])) for _ in range(3)])
+
+    @pytest.mark.parametrize("spoil", ["perm_c", "perm_r"])
+    def test_guard_falls_back_to_the_natural_order(self, spoil, monkeypatch):
+        # a stored-order factor whose column order or pivots are not the ones
+        # checked for is not used: the natural-order matrix is factored afresh
+        import scipy.sparse.linalg
+
+        splu = scipy.sparse.linalg.splu
+        calls = []
+
+        class Spoiled:
+            def __init__(self, lu):
+                self.perm_c, self.perm_r, self.solve = lu.perm_c, lu.perm_r, lu.solve
+                setattr(self, spoil, getattr(lu, spoil)[::-1].copy())
+
+        def spy(A, permc_spec=None, **kwargs):
+            calls.append((permc_spec, A.copy()))
+            lu = splu(A, permc_spec=permc_spec, **kwargs)
+            return Spoiled(lu) if permc_spec == "NATURAL" else lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        rng = np.random.default_rng(11)
+        args = frozen_system(empty_grid(2, 2, 2, 7, disk_mask(7)), rng)
+        weights = [spread_weights(rng, len(args[1])) for _ in range(3)]
+        self.assert_solves_match(args, weights)
+        assert [spec for spec, _ in calls] == [None, "NATURAL", None, "NATURAL", None]
+        for (_, A), weight in zip(calls[2::2], weights[1:]):
+            expect, _ = weighted_laplacian_reference(*args, weight)
+            assert A.data.tobytes() == expect.data.tobytes()
+            assert np.array_equal(A.indices, expect.indices)
+            assert np.array_equal(A.indptr, expect.indptr)
 
 
 class TestEnergyArrays:

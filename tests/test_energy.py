@@ -1,8 +1,10 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvalued import ArgumentError
 from qvalued.energy import (
@@ -25,7 +27,12 @@ from qvalued.grids import (
 )
 from qvalued.qspace import QTuple, dist
 
-from oracles import lipschitz_truncation_reference, scalar_laplace_solve
+from oracles import grid_to_json_reference, lipschitz_truncation_reference, scalar_laplace_solve
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# floats whose repr is unusual: a signed zero, the least subnormal, exponent forms and the largest
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-07, 1e16, 1.7976931348623157e308]
 
 
 def fill(grid, fn):
@@ -45,6 +52,26 @@ class TestGridFunction:
         assert f.h == g.h
         assert np.array_equal(f.mask, g.mask)
         assert np.array_equal(f.values[inside], g.values[inside])
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 3), Q=st.integers(1, 3), n=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_to_json_matches_nested_dump(self, m, Q, n, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(s) for s in rng.integers(1, 5, size=m))
+        mask = rng.choice([INTERIOR, BOUNDARY, OUTSIDE], size=shape).astype(np.int8)
+        values = rng.normal(size=shape + (Q, n)) * 10.0 ** rng.integers(-20, 20, size=shape + (Q, n))
+        special = rng.random(values.shape) < 0.3
+        values[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        values[mask == OUTSIDE] = np.nan
+        g = GridFunction(m, n, Q, shape, float(rng.uniform(0.1, 2.0)), mask, values)
+        assert g.to_json() == grid_to_json_reference(g)
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("solve_*.json")), ids=lambda p: p.name)
+    def test_to_json_rewrites_the_golden_solutions(self, path):
+        text = path.read_text()
+        assert GridFunction.from_json(text).to_json() == text
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -183,6 +210,14 @@ class TestDiscreteEnergy:
         g = empty_grid(1, 1, 1, 4)
         with pytest.raises(ValueError):
             discrete_energy(g, 1.0)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_p_named(self, p):
+        g = empty_grid(1, 1, 1, 4)
+        with pytest.raises(ValueError, match="p must be a finite number > 1"):
+            discrete_energy(g, p)
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+            dp_distance(g, g, p)
 
 
 class TestTruncateCoords:
