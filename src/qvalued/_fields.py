@@ -9,6 +9,10 @@ import sys
 
 import numpy as np
 
+# the most numbers an input may ask one array to hold, 128 MB as float64: a
+# check config's largest arrays, a frame's, a solver grid's, a plane extension's
+_MAX_ENTRIES = 1 << 24
+
 
 class ArgumentError(ValueError):
     """A bad argument or input field; ``name`` is the parameter or field at fault."""

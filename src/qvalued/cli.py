@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import embed, energy, extend, verify
-from ._fields import ArgumentError, _field, _int_field, _numbers, _positive_field, _short
+from ._fields import (_MAX_ENTRIES, ArgumentError, _field, _int_field, _numbers,
+                      _positive_field, _short)
 from .grids import BOUNDARY, GridFunction, _nearest, disk_mask, empty_grid, square_mask
 from .qspace import MetricKind, QTuple, dist
 
@@ -203,7 +204,7 @@ def _cmd_extend(args) -> int:
 def _curve_grid(obj, resolution: int) -> GridFunction:
     """The grid of ``resolution`` nodes a side over a boundary-curve spec's
     domain, each boundary node holding the value of the first curve sample
-    nearest to it.  A grid of over ``verify._MAX_ENTRIES`` values is refused
+    nearest to it.  A grid of over ``_MAX_ENTRIES`` values is refused
     before it is built."""
     domain = _field(obj, "domain")
     Q = _int_field(obj, "Q")
@@ -224,9 +225,9 @@ def _curve_grid(obj, resolution: int) -> GridFunction:
         raise DataError(f"--grid must be an integer >= {lowest} on a {domain}, got {resolution}")
     # the values hold resolution**m * Q * n floats; past m = 24 that is over the
     # bound at any resolution, and the power is not formed
-    if m > 24 or resolution**m * Q * n > verify._MAX_ENTRIES:
+    if m > 24 or resolution**m * Q * n > _MAX_ENTRIES:
         raise DataError(f"m {m} and --grid {resolution} (with Q {Q}, n {n}) ask for over "
-                        f"{verify._MAX_ENTRIES} grid values; lower one of them")
+                        f"{_MAX_ENTRIES} grid values; lower one of them")
     mask = disk_mask(resolution) if domain == "disk" else square_mask(resolution, m)
     grid = empty_grid(m, n, Q, resolution, mask)
     if any(x.size != m for x, _ in curve):

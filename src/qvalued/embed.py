@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import ArgumentError, _field, _int_field, _numbers, _positive_field
+from ._fields import _MAX_ENTRIES, ArgumentError, _field, _int_field, _numbers, _positive_field
 from .qspace import MetricKind, QTuple, dist_many
 
 _VALIDATION_SEED = 171717
@@ -217,20 +217,14 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
     FrameConstructionError.  The directions are prefix-nested, so each
     doubling scores only its new directions and keeps, per draw, the best of
     the old and the new: a max, and exact.  An ``n``, ``Q`` or integer ``K``
-    below 1 raises ``ArgumentError`` naming it.
+    below 1, or one that asks for an array of over ``_MAX_ENTRIES`` numbers,
+    raises ``ArgumentError`` naming it, before anything is allocated.
     """
-    for name, value in (("n", n), ("Q", Q), ("K", 1 if K == "auto" else K)):
+    auto = K == "auto"
+    for name, value in (("n", n), ("Q", Q), ("K", 1 if auto else K)):
         if value < 1:
             raise ArgumentError(name, f"{name} must be a positive integer, got {value}")
-    if n == 1:
-        # every unit vector of R^1 is 1 or -1, so the direction 1 certifies epsilon = 1;
-        # an integer K asks for K copies of it
-        return DirectionFrame(1, Q, [[[1.0]]] * (1 if K == "auto" else int(K)), 1.0,
-                              validate=False)
-    rng = np.random.default_rng(seed)
-    pool = rng.standard_normal((4096, n))  # the candidate directions
-    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
-    if K == "auto":
+    if auto:
         schedule = []
         k = 2 * n
         while k <= max_K:
@@ -238,13 +232,30 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
             k *= 2
     else:
         schedule = [int(K)]
+    # the largest arrays: the candidate pool (4096, n), a validation draw (Q*Q, n),
+    # and the bases (K, n, n) and a draw's scores (K, Q*Q) at the largest K tried,
+    # which an automatic K blames on n and Q; at n = 1, only the K bases
+    n_, Q_, top = int(n), int(Q), max(schedule, default=0)  # Python ints do not wrap
+    sizes = [("n", 4096 * n_), ("Q", Q_ * Q_ * n_), ("n" if auto else "K", top * n_ * n_),
+             ("Q" if auto else "K", top * Q_ * Q_)] if n_ > 1 else [("K", 1 if auto else top)]
+    for name, entries in sizes:
+        if entries > _MAX_ENTRIES:
+            raise ArgumentError(name, f"n={n}, Q={Q} and K={K} ask for an array of over "
+                                      f"{_MAX_ENTRIES} numbers; lower {name}")
+    if n == 1:
+        # every unit vector of R^1 is 1 or -1, so the direction 1 certifies epsilon = 1;
+        # an integer K asks for K copies of it
+        return DirectionFrame(1, Q, [[[1.0]]] * (1 if auto else int(K)), 1.0, validate=False)
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((4096, n))  # the candidate directions
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
     best, scored, eps = np.full(_VALIDATION_DRAWS, -math.inf), 0, 0.0
     for k in schedule:
         dirs = _greedy_directions(pool, k)
         best = np.maximum(best, _draw_separation(dirs[scored:], Q))
         scored = k
         eps = float(best.min())
-        if eps >= eps_floor or K != "auto":
+        if eps >= eps_floor or not auto:
             if eps <= 0:
                 raise FrameConstructionError("measured separation is zero")
             return DirectionFrame(n, Q, _complete_bases(dirs, rng), eps, validate=False)
@@ -319,11 +330,6 @@ def xi(v: QTuple, frame: DirectionFrame) -> EmbeddedVector:
     return EmbeddedVector(xi_many(v.points[None], frame)[0])
 
 
-def _xi_raw(points: np.ndarray, dirmat: np.ndarray) -> np.ndarray:
-    """Unnormalized embedding of a raw point array (internal fast path)."""
-    return np.sort(dirmat @ points.T, axis=1)
-
-
 def xi_isometry_radius_many(X, frame: DirectionFrame) -> np.ndarray:
     """``xi_isometry_radius`` of every tuple of a (E, Q, n) stack, shape (E,)."""
     proj = _sorted_projections(X, frame)
@@ -342,13 +348,6 @@ def xi_isometry_radius(v: QTuple, frame: DirectionFrame) -> float:
     return float(xi_isometry_radius_many(v.points[None], frame)[0])
 
 
-def _candidate_from_basis(blocks: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Point array obtained by pairing the k-th basis' sorted blocks rank-wise."""
-    # blocks: (n, Q) sorted projections onto basis rows; entry [j, i] is the
-    # i-th smallest projection onto direction j.  Pair equal ranks.
-    return blocks.T @ basis
-
-
 def _rank_update(Y: np.ndarray, dirmat: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """One alternating step: re-rank projections, then solve for the points.
 
@@ -365,8 +364,9 @@ def _rank_update(Y: np.ndarray, dirmat: np.ndarray, targets: np.ndarray) -> np.n
 
 
 def _sorted_objective(Y: np.ndarray, dirmat: np.ndarray, targets: np.ndarray, K: int) -> float:
-    s = _xi_raw(Y, dirmat)
-    return float(((s - targets) ** 2).sum() / K)
+    """The squared distance from the unnormalized embedding of the points ``Y``
+    to ``targets`` (K*n, Q), over K."""
+    return float(((np.sort(dirmat @ Y.T, axis=1) - targets) ** 2).sum() / K)
 
 
 def decode(z, frame: DirectionFrame, hint: QTuple = None, *,
@@ -403,8 +403,9 @@ def decode(z, frame: DirectionFrame, hint: QTuple = None, *,
             raise ValueError("hint must match the frame's Q and n")
         seeds.append(hint.points.copy())
     for k in range(K):
-        blocks = targets_sorted[k * n : (k + 1) * n]
-        seeds.append(_candidate_from_basis(blocks, frame.bases[k]))
+        # basis k's sorted blocks: entry [j, i] is the i-th smallest projection
+        # onto direction j; the seed pairs equal ranks
+        seeds.append(targets_sorted[k * n : (k + 1) * n].T @ frame.bases[k])
 
     def alternate(Y):
         f_prev = _sorted_objective(Y, dirmat, targets_sorted, K)
@@ -434,12 +435,9 @@ def decode(z, frame: DirectionFrame, hint: QTuple = None, *,
             best_Y, best_f = Y, f
 
     # polish on the true objective, which keeps the stored block order of z
-    def true_objective(Y):
-        return float(((np.sort(dirmat @ Y.T, axis=1) - raw) ** 2).sum() / K)
-
     Y, f, converged = _coordinate_search(
-        best_Y, true_objective, step0=1e-3 * scale, min_step=1e-12 * scale,
-        budget=search_budget,
+        best_Y, lambda Y: _sorted_objective(Y, dirmat, raw, K), step0=1e-3 * scale,
+        min_step=1e-12 * scale, budget=search_budget,
     )
     if not converged:
         raise DecodeFailure("coordinate refinement hit its evaluation budget", QTuple(Y))

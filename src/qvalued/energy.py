@@ -284,9 +284,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     ga = u[:, None] * Q + np.arange(Q)
 
     sq, perms = match_many(X[u], X[v], MetricKind.G2)
-    energy = w * float((sq ** (p / 2.0)).sum())
-    if not math.isfinite(energy):
-        raise ArithmeticError("initial energy is not finite")
+    energy = _pass_energy(sq, w, p)
     history = [energy]
     converged = False
     iterations = 0
@@ -303,7 +301,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
         gb = v[:, None] * Q + perms
         _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner)
         sq, perms = match_many(X[u], X[v], MetricKind.G2)
-        energy_new = w * float((sq ** (p / 2.0)).sum())
+        energy_new = _pass_energy(sq, w, p)
         if energy_new > energy + 1e-12 * (1.0 + energy):
             raise ArithmeticError("energy increased during alternating minimization")
         history.append(energy_new)
@@ -313,6 +311,16 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
             break
         energy = energy_new
     return values, history, iterations, converged, sq, perms
+
+
+def _pass_energy(sq, w, p) -> float:
+    """The p-energy ``w * sum(sq**(p/2))`` of edges of squared matched lengths
+    ``sq``.  Finite values far enough apart take it past the float64 range."""
+    energy = w * float((sq ** (p / 2.0)).sum())
+    if not math.isfinite(energy):
+        raise ArgumentError("values", "field 'values' holds branches so far apart that "
+                                      "their p-energy overflows float64; scale them down")
+    return energy
 
 
 def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
@@ -547,8 +555,10 @@ def lipschitz_truncation(f: GridFunction, t: float, p: float = 2.0):
     -------
     (h, kept) : GridFunction and the set of surviving node indices
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
     inside = f.mask != OUTSIDE
     normf = np.zeros(f.shape)
     normf[inside] = np.sqrt(

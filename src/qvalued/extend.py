@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import ArgumentError
+from ._fields import _MAX_ENTRIES, ArgumentError
 from .grids import GridFunction, OUTSIDE, _blocks, _nearest, square_mask
 from .qspace import MetricKind, QTuple, match_many, vector_norms
 
@@ -273,6 +273,11 @@ def _checked_queries(queries, m: int, inside, domain: str) -> np.ndarray:
     return X
 
 
+def _evaluate(self, query) -> QTuple:
+    """Value at one point of the operator's domain: ``evaluate_many`` of one row."""
+    return QTuple(self.evaluate_many(np.asarray(query, dtype=float).reshape(1, -1))[0])
+
+
 class ConeExtension:
     """Cone extension of sphere data, planned once for any number of queries.
 
@@ -327,9 +332,7 @@ class ConeExtension:
         out[far] = _blend(r[far], R, self._ordered[above], self._Y)
         return out
 
-    def evaluate(self, query) -> QTuple:
-        """Value at a point of the closed ball: ``evaluate_many`` of one row."""
-        return QTuple(self.evaluate_many(np.asarray(query, dtype=float).reshape(1, -1))[0])
+    evaluate = _evaluate
 
 
 def cone_extend(samples: BoundarySample, query) -> QTuple:
@@ -428,7 +431,7 @@ class WhitneyExtension:
         keys, whitneys, corners = [], [], []
         for d in range(self.depth + 1):
             size = self.S / (1 << d)
-            whitney = size < self._dist_inf_to_cells(self.root_lo + cells * size, size)
+            whitney = size < self._nearest_samples(self.root_lo + cells * size, size)[1]
             side = 1 << (self.depth - d)
             corners.append(((cells[whitney] * side)[:, None, :] + delta * side).reshape(-1, self.m))
             # every cell left at the depth cap is a leaf
@@ -472,32 +475,19 @@ class WhitneyExtension:
         self._face_Y = np.empty((len(self._leaf_keys), Q, n))
         self._face_sorter = [None] * len(self._leaf_keys)
 
-    def _sup_gaps(self, lo: np.ndarray, size: float, budget: int):
-        """The sup-norm distance from each cell ``[lo, lo + size]`` to each
-        sample, as ``(block, distances)`` for blocks of about ``budget``
-        cell-sample pairs, built one coordinate at a time."""
+    def _nearest_samples(self, lo: np.ndarray, size: float = 0.0, budget: int = 1 << 16):
+        """Index of the first sup-norm-nearest sample to each cell
+        ``[lo, lo + size]`` (the point ``lo`` at size 0), and the sup-norm
+        distance to it.  The distances are built one coordinate at a time,
+        for blocks of about ``budget`` cell-sample pairs."""
+        index = np.empty(len(lo), dtype=np.intp)
+        gap = np.empty(len(lo))
         for block in _blocks(len(lo), len(self.locs), budget):
             cells = lo[block]
             d = np.zeros((len(cells), len(self.locs)))
             for c, s in zip(cells.T, self.locs.T):
                 np.maximum(d, c[:, None] - s, out=d)
                 np.maximum(d, s - (c + size)[:, None], out=d)
-            yield block, d
-
-    def _dist_inf_to_cells(self, lo: np.ndarray, size: float,
-                           budget: int = 1 << 16) -> np.ndarray:
-        """Sup-norm distance from the sample set to each cell ``[lo, lo + size]``."""
-        gap = np.empty(len(lo))
-        for block, d in self._sup_gaps(lo, size, budget):
-            gap[block] = d.min(axis=1)
-        return gap
-
-    def _nearest_samples(self, x: np.ndarray, budget: int = 1 << 16):
-        """Index of the first sup-norm-nearest sample to each row of ``x``, and
-        the sup-norm distance to it."""
-        index = np.empty(len(x), dtype=np.intp)
-        gap = np.empty(len(x))
-        for block, d in self._sup_gaps(x, 0.0, budget):
             index[block] = np.argmin(d, axis=1)
             gap[block] = d[np.arange(len(d)), index[block]]
         return index, gap
@@ -686,9 +676,7 @@ class WhitneyExtension:
         out[rows[far]] = _blend(r, R, value, out[rows[far]])
         return out
 
-    def evaluate(self, query) -> QTuple:
-        """Value at a point of the domain box: ``evaluate_many`` of one row."""
-        return QTuple(self.evaluate_many(np.asarray(query, dtype=float).reshape(1, -1))[0])
+    evaluate = _evaluate
 
 
 def extend_to_plane(f: GridFunction) -> GridFunction:
@@ -707,6 +695,10 @@ def extend_to_plane(f: GridFunction) -> GridFunction:
                                      "for a grid over the unit ball")
     pad = math.ceil((N - 1) / 2)
     N_out = N + 2 * pad
+    # the output's values hold N_out**m * Q * n numbers, its node indices N_out**m * m
+    if int(N_out) ** f.m * max(f.Q * f.n, f.m) > _MAX_ENTRIES:
+        raise ArgumentError("shape", f"field 'shape' {list(f.shape)} (with Q {f.Q}, n {f.n}) "
+                                     f"asks for an extension of over {_MAX_ENTRIES} numbers")
     shape_out = (N_out,) * f.m
     mask = square_mask(N_out, f.m)
     values = np.zeros(shape_out + (f.Q, f.n))

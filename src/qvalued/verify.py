@@ -18,12 +18,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import embed
-from ._fields import ArgumentError, _int_field, _is_int, _is_number, _short
+from ._fields import _MAX_ENTRIES, ArgumentError, _int_field, _is_int, _is_number, _short
 from .grids import GridFunction, _blocks, square_mask
 # ``dist`` is no longer called here; the benchmark's tracer test pins its binding
 from .qspace import (MetricKind, dist, dist_many, match_many,  # noqa: F401
@@ -54,10 +54,6 @@ _DEFAULT_TOLERANCES = {
 # per stacked embedding call: both bound the memory a stacked check takes
 _KERNEL_ROWS = 2048
 _EMBED_ENTRIES = 1 << 15
-# the most numbers a config may ask one array of a check to hold, 128 MB as
-# float64: check_poincare's window pairs (trials * 49**m) and grid points
-# (trials * 7**m * Q * n), and a kernel call's point differences (Q * Q * n a row)
-_MAX_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -84,6 +80,8 @@ class CheckConfig:
             setattr(self, name, tuple(rng))
         Q, n, m = self.Q_range[1], self.n_range[1], self.m_range[1]
         nodes = 7 ** min(m, 5)  # from m = 5 on, one trial's window pairs pass the bound
+        # the largest arrays: check_poincare's window pairs (trials * 49**m) and grid
+        # points (trials * 7**m * Q * n), and a kernel call's point differences
         for entries, what, names in (
             (self.trials * nodes * nodes, "window pairs in check_poincare", "m_range trials"),
             (self.trials * nodes * Q * n, "grid points in check_poincare",
@@ -114,16 +112,7 @@ class CheckConfig:
         self.tolerances = merged
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "trials": self.trials,
-                "Q_range": list(self.Q_range),
-                "n_range": list(self.n_range),
-                "m_range": list(self.m_range),
-                "tolerances": self.tolerances,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CheckConfig":
@@ -164,15 +153,9 @@ class CheckReport:
             self.witnesses.append(witness)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_ratio": self.worst_ratio,
-            "witnesses": self.witnesses,
-        }
-
-
+        out = asdict(self)
+        del out["seconds"]
+        return out
 
 
 def _rng_for(cfg: CheckConfig, name: str) -> np.random.Generator:

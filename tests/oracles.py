@@ -1080,7 +1080,7 @@ def lipschitz_grid_values_reference(rng, m: int, Q: int, n: int, N: int) -> np.n
 
 
 def dist_inf_to_cells_reference(locs: np.ndarray, lo: np.ndarray, size: float) -> np.ndarray:
-    """``WhitneyExtension._dist_inf_to_cells`` as it was: one reduction over a
+    """The cell gaps of ``WhitneyExtension._nearest_samples`` as they were: one reduction over a
     trailing coordinate axis, all cells at once."""
     below = np.maximum(lo[:, None, :] - locs, 0.0)
     above = np.maximum(locs - (lo[:, None, :] + size), 0.0)

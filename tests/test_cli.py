@@ -9,7 +9,7 @@ import pytest
 
 from qvalued import embed
 from qvalued.cli import main
-from qvalued.grids import BOUNDARY, GridFunction, OUTSIDE, disk_mask, empty_grid
+from qvalued.grids import BOUNDARY, GridFunction, OUTSIDE, disk_mask, empty_grid, square_mask
 from qvalued.qspace import QTuple
 
 from oracles import frozen_solve_reference
@@ -201,6 +201,15 @@ class TestFrameEmbedDecode:
                                             (["--n", "0"], "--n"), (["--q", "-1"], "--q")])
     def test_frame_size_below_one_named(self, capsys, argv, named):
         # later options replace the earlier ones
+        assert main(["frame", "--n", "2", "--q", "2"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}: ") and captured.out == ""
+
+    @pytest.mark.parametrize("argv,named", [(["--n", "5000"], "--n"), (["--q", "100000"], "--q"),
+                                            (["--k", "10000000"], "--k"),
+                                            (["--n", "1", "--k", "100000000"], "--k")])
+    def test_frame_size_past_the_bound_named(self, capsys, argv, named):
+        # refused before anything is allocated
         assert main(["frame", "--n", "2", "--q", "2"] + argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {named}: ") and captured.out == ""
@@ -471,6 +480,14 @@ class TestExtendCli:
         result = GridFunction.from_json(open(out).read())
         assert result.shape[0] > g.shape[0]
 
+    def test_plane_past_the_bound_names_shape(self, tmp_path, capsys):
+        # 2**13 nodes in, 4**13 out: refused before the output is allocated
+        infile = write(tmp_path / "g.json", empty_grid(13, 1, 2, 2).to_json())
+        assert main(["extend", "plane", "--in", infile, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad grid function in {infile}: "
+                                                  "field 'shape' [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveCli:
     def test_square_grid_function_boundary(self, tmp_path, capsys):
@@ -502,6 +519,18 @@ class TestSolveCli:
         assert len(tr["points"]) == sum(
             1 for _ in grid.nodes(kinds=(BOUNDARY,))
         )
+
+    def test_energy_past_float64_exits_1_naming_values(self, tmp_path, capsys):
+        # the branches +-1e200 are far apart but finite: the matched differences
+        # of the first pass square past the float64 range
+        grid = empty_grid(2, 1, 2, 5, square_mask(5, 2))
+        grid.values[grid.mask == BOUNDARY] = [[1e200], [-1e200]]
+        b = write(tmp_path / "b.json", grid.to_json())
+        with np.errstate(over="ignore"):
+            assert main(["solve", "--boundary", b, "--out", str(tmp_path / "sol.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad boundary data in {b}: field 'values' ")
+        assert "overflows float64" in err
 
     def test_curve_spec_boundary(self, tmp_path, capsys):
         b = write(tmp_path / "sqrt2.json",

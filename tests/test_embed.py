@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -31,6 +32,29 @@ from oracles import (
     xi_isometry_radius_reference,
     xi_reference,
 )
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def decode_golden_lines():
+    """The lines of tests/data/decode_golden.jsonl: per seed-7 frame with n in
+    {2, 3} and Q in {2, 3}, three tuples (one on the image of ``xi``, two off
+    it by noise), each decoded without and with itself as the hint."""
+    lines = []
+    for n in (2, 3):
+        for Q in (2, 3):
+            frame = build_frame(n, Q, seed=7)
+            rng = np.random.default_rng(100 * n + Q)
+            for case, noise in enumerate((0.0, 0.01, 0.01)):
+                v = QTuple(rng.uniform(-1, 1, (Q, n)))
+                z = xi(v, frame).coords + noise * rng.standard_normal(frame.ambient_length)
+                for hint in (None, v):
+                    w = decode(z, frame, hint)
+                    lines.append(json.dumps({"n": n, "Q": Q, "case": case,
+                                             "hint": hint is not None,
+                                             "points": w.points.tolist()}) + "\n")
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +131,18 @@ class TestBuildFrame:
             v = QTuple(rng.uniform(-2.0, 2.0, (3, 1)))
             assert np.linalg.norm(xi(v, fr).coords) == pytest.approx(
                 dist(v, zero, MetricKind.G2)[0], rel=1e-12)
+
+    # each asks for an array of over 2**24 numbers, and is refused before any is made:
+    # the pool (4096, n), a draw (Q*Q, n), the bases (K, n, n) or the scores (K, Q*Q),
+    # and at n = 1 the K bases
+    @pytest.mark.parametrize("n,Q,K,named", [(5000, 2, "auto", "n"), (2, 100_000, "auto", "Q"),
+                                             (2, 2, 10**7, "K"), (2, 200, 512, "K"),
+                                             (210, 2, "auto", "n"), (2, 200, "auto", "Q"),
+                                             (1, 2, 10**8, "K")])
+    def test_size_past_the_bound_is_named(self, n, Q, K, named):
+        with pytest.raises(ArgumentError, match=f"lower {named}$") as info:
+            build_frame(n, Q, K)
+        assert info.value.name == named
 
     def test_n2_q2_injective(self, frame22):
         assert frame22.epsilon > 0
@@ -371,6 +407,9 @@ class TestDecode:
             v = QTuple(rng.uniform(-1, 1, (4, 3)))
             w = decode(xi(v, fr), fr)
             assert dist(v, w)[0] <= 1e-6
+
+    def test_matches_golden_file(self):
+        assert "".join(decode_golden_lines()) == (DATA / "decode_golden.jsonl").read_text()
 
     def test_budget_exhaustion_carries_best(self, frame23):
         rng = np.random.default_rng(12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvalued import ArgumentError
+from qvalued import ArgumentError, energy
 from qvalued.energy import (
     discrete_energy,
     dp_distance,
@@ -468,6 +468,17 @@ class TestLipschitzTruncation:
         with pytest.raises(ValueError):
             lipschitz_truncation(g, 0.0)
 
+    @pytest.mark.parametrize("t,p,named", [(math.nan, 2.0, "t"), (1.0, math.nan, "p"),
+                                           (1.0, 0.0, "p"), (1.0, math.inf, "p"),
+                                           (1.0, -1.0, "p"), (1.0, 0.5, "p")])
+    def test_rejects_bad_t_or_p(self, t, p, named):
+        # each once returned a truncation (the zero function, or a few arbitrary nodes)
+        g = empty_grid(2, 1, 2, 9)
+        x = g.all_coords()[g.mask != OUTSIDE]
+        g.values[g.mask != OUTSIDE] = np.stack([x[:, :1], -x[:, 1:]], axis=1)
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            lipschitz_truncation(g, t, p)
+
     @pytest.mark.parametrize("m,N,t", [(1, 33, 3.0), (2, 17, 2.0), (2, 16, 1.5)])
     def test_matches_node_by_node_refill(self, m, N, t):
         rng = np.random.default_rng(N)
@@ -496,6 +507,51 @@ class TestIterationCap:
         assert not report.converged
         assert len(history) == 2
         assert history[1] <= history[0] + 1e-12 * (1 + history[0])
+
+
+class TestSolverSafety:
+    @staticmethod
+    def line_problem():
+        grid = empty_grid(1, 1, 2, 9, extent=1.0)
+        return {(0,): [[0.0], [1.0]], (8,): [[1.0], [-1.0]]}, grid
+
+    def test_inner_step_that_raises_the_energy_is_reverted(self, monkeypatch):
+        # a step to t = -1 goes uphill from the line minimum; the inner loop
+        # must put back the values it started from, bit for bit
+        steps, seen = [], []
+        monkeypatch.setattr(energy, "_line_minimum", lambda *args: steps.append(1) or -1.0)
+        minimize = energy._minimize_frozen
+
+        def recorded(Y, *args):
+            before = Y.copy()
+            minimize(Y, *args)
+            seen.append(np.array_equal(Y, before, equal_nan=True))
+
+        monkeypatch.setattr(energy, "_minimize_frozen", recorded)
+        boundary, grid = self.line_problem()
+        solve_dirichlet(boundary, grid, 3.0, restarts=1, max_outer=1)
+        assert steps and seen == [True]
+
+    def test_energy_rise_across_a_pass_is_caught(self, monkeypatch):
+        def uphill(Y, ga, gb, slot, free, *args):
+            Y[free] += 1.0
+
+        monkeypatch.setattr(energy, "_minimize_frozen", uphill)
+        boundary, grid = self.line_problem()
+        with pytest.raises(ArithmeticError, match="energy increased"):
+            solve_dirichlet(boundary, grid, 2.0, restarts=1)
+
+    @pytest.mark.parametrize("edge", [1e200, 0.0])
+    def test_energy_past_float64_names_values(self, edge):
+        # values of 1e200 square past the float64 range in the first pass, or,
+        # next to 0, in the initial energy
+        grid = empty_grid(2, 1, 2, 5, square_mask(5, 2))
+        for idx in grid.nodes(kinds=(BOUNDARY,)):
+            grid.values[idx] = [[1e200], [-1e200]] if idx[0] == 0 else [[edge], [-edge]]
+        with np.errstate(over="ignore"), pytest.raises(ArgumentError,
+                                                       match="overflows float64") as info:
+            solve_dirichlet(grid, grid, 2.0, restarts=1)
+        assert info.value.name == "values"
 
 
 class TestTraceContinuity:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qvalued import ArgumentError
 from qvalued.extend import (
     BoundarySample,
     ConeExtension,
@@ -331,6 +332,12 @@ def disk_function():
 
 
 class TestExtendToPlane:
+    def test_output_past_the_bound_names_shape(self):
+        # 2**13 nodes in, 4**13 out: refused before any output array is made
+        with pytest.raises(ArgumentError, match="over 16777216 numbers") as info:
+            extend_to_plane(empty_grid(13, 1, 2, 2))
+        assert info.value.name == "shape"
+
     def test_far_nodes_zero(self, disk_function):
         out = extend_to_plane(disk_function)
         coords = out.all_coords()

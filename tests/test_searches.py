@@ -59,7 +59,7 @@ class TestSupNormSearches:
         ties = 0
         for d in range(ext.depth + 1):
             lo, size = cells_at(ext, d)
-            gap = ext._dist_inf_to_cells(lo, size)
+            gap = ext._nearest_samples(lo, size)[1]
             assert np.array_equal(gap, dist_inf_to_cells_reference(ext.locs, lo, size))
             ties += int((gap == size).sum())
         # cells exactly one side away from a sample: size < gap is false there
@@ -107,8 +107,8 @@ class TestSupNormSearches:
         locs = np.vstack([dyadic_locs(m, 5, 4, rng), rng.uniform(0.0, 1.0, (7, m))])
         ext = build(locs, [[0.0, 1.0]] * m, 4)
         lo, size = cells_at(ext, 3)
-        gap = ext._dist_inf_to_cells(lo, size, budget=budget)
-        assert np.array_equal(gap, ext._dist_inf_to_cells(lo, size))
+        gap = ext._nearest_samples(lo, size, budget=budget)[1]
+        assert np.array_equal(gap, ext._nearest_samples(lo, size)[1])
         assert np.array_equal(gap, dist_inf_to_cells_reference(ext.locs, lo, size))
         x = rng.uniform(0.0, 1.0, (50, m))
         index, near = ext._nearest_samples(x, budget=budget)
@@ -119,7 +119,7 @@ class TestSupNormSearches:
         ext = build(np.array([[0.5, 0.5]]), [[0.0, 1.0]] * 2, 2)
         index, gap = ext._nearest_samples(np.zeros((0, 2)))
         assert index.shape == gap.shape == (0,)
-        assert ext._dist_inf_to_cells(np.zeros((0, 2)), 0.5).shape == (0,)
+        assert ext._nearest_samples(np.zeros((0, 2)), 0.5)[1].shape == (0,)
 
 
 class TestNearest:

@@ -93,6 +93,23 @@ def test_config_json_round_trip():
     assert back.tolerances == cfg.tolerances
 
 
+TOLERANCES_JSON = ('"tolerances": {"equivalence": 1e-09, "splitting": 1e-12, "xi_upper": 1e-09, '
+                   '"xi_local": 1e-09, "xi_norm": 1e-12, "sqrt_q": %s, "poincare_c": 64.0, '
+                   '"zeta": %s}')
+
+
+def test_config_to_json_exact_text():
+    # the text, not only its round trip: key order, lists for ranges, an int tolerance kept
+    assert CheckConfig().to_json() == (
+        '{"seed": 0, "trials": 200, "Q_range": [1, 4], "n_range": [1, 3], "m_range": [1, 2], '
+        + TOLERANCES_JSON % ("1e-06", "1e-12") + "}")
+    custom = CheckConfig(seed=5, trials=12, Q_range=[2, 3], n_range=(1, 2), m_range=[1, 1],
+                         tolerances={"zeta": 1e-10, "sqrt_q": 2})
+    assert custom.to_json() == (
+        '{"seed": 5, "trials": 12, "Q_range": [2, 3], "n_range": [1, 2], "m_range": [1, 1], '
+        + TOLERANCES_JSON % ("2", "1e-10") + "}")
+
+
 def test_all_checks_pass(small_cfg):
     reports = run_all(small_cfg)
     assert len(reports) == 6
