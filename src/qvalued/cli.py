@@ -287,7 +287,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_energy(args) -> int:
     f = _load_grid(args.infile)
-    report = energy.discrete_energy(f, args.p)
+    report = _checked(args.infile, "grid function", energy.discrete_energy, f, args.p)
     _write(args.out, json.dumps({"total": report.total, "p": report.p,
                                  "edges": int(report.edge_u.size)}))
     return 0

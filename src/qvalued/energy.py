@@ -108,7 +108,10 @@ def discrete_energy(f: GridFunction, p: float) -> EnergyReport:
     """
     if not (math.isfinite(p) and p > 1):
         raise ValueError(f"p must be a finite number > 1, got {p}")
-    return _energy_report(f, p, *_match_edges(f))
+    with np.errstate(over="ignore"):  # an energy past float64 is named below
+        report = _energy_report(f, p, *_match_edges(f))
+    _finite_energy(report.total)
+    return report
 
 
 def _energy_report(grid: GridFunction, p: float, u, v, sq, perms) -> EnergyReport:
@@ -283,8 +286,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     slot[free] = np.arange(free.size)
     ga = u[:, None] * Q + np.arange(Q)
 
-    sq, perms = match_many(X[u], X[v], MetricKind.G2)
-    energy = _pass_energy(sq, w, p)
+    sq, perms, energy = _matching_pass(X, u, v, w, p)
     history = [energy]
     converged = False
     iterations = 0
@@ -300,8 +302,7 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
         solved = perms
         gb = v[:, None] * Q + perms
         _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner)
-        sq, perms = match_many(X[u], X[v], MetricKind.G2)
-        energy_new = _pass_energy(sq, w, p)
+        sq, perms, energy_new = _matching_pass(X, u, v, w, p)
         if energy_new > energy + 1e-12 * (1.0 + energy):
             raise ArithmeticError("energy increased during alternating minimization")
         history.append(energy_new)
@@ -313,10 +314,19 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     return values, history, iterations, converged, sq, perms
 
 
-def _pass_energy(sq, w, p) -> float:
-    """The p-energy ``w * sum(sq**(p/2))`` of edges of squared matched lengths
-    ``sq``.  Finite values far enough apart take it past the float64 range."""
-    energy = w * float((sq ** (p / 2.0)).sum())
+def _matching_pass(X, u, v, w, p):
+    """Match the tuples ``X`` across the edges ``(u, v)``: each edge's squared
+    G2 length and matching, and the p-energy ``w * sum(sq**(p/2))``.  Finite
+    values far enough apart take the energy past the float64 range; that is
+    named, not warned of."""
+    with np.errstate(over="ignore"):
+        sq, perms = match_many(X[u], X[v], MetricKind.G2)
+        energy = w * float((sq ** (p / 2.0)).sum())
+    return sq, perms, _finite_energy(energy)
+
+
+def _finite_energy(energy: float) -> float:
+    """``energy``, which must be finite: else the values are at fault."""
     if not math.isfinite(energy):
         raise ArgumentError("values", "field 'values' holds branches so far apart that "
                                       "their p-energy overflows float64; scale them down")
@@ -459,13 +469,14 @@ class _FrozenLaplacian:
 
     SuperLU's column order (COLAMD, then a postorder of the column
     elimination tree) depends on the pattern alone, so it too is found once:
-    the first ``solve`` factors the matrix as it is and folds that order,
-    ``perm_c``, into the pattern, so unknown ``i`` is stored in column
-    ``perm_c[i]``.  Later solves factor the stored matrix in its own order
-    and put the solution back in unknown order.  That factor is the one a
-    fresh ``splu`` of the natural-order matrix makes when both pivot on the
-    diagonal in every column, so a solve checks that it did, and where it
-    did not, factors the natural-order matrix as the first solve does.
+    the first ``solve`` factors the matrix as it is, and the second folds
+    that order, ``perm_c``, into the pattern, so unknown ``i`` is stored in
+    column ``perm_c[i]``.  (A p = 2 matching is solved once, and never folds
+    it.)  Later solves factor the stored matrix in its own order and put the
+    solution back in unknown order.  That factor is the one a fresh ``splu``
+    of the natural-order matrix makes when both pivot on the diagonal in
+    every column, so a solve checks that it did, and where it did not,
+    factors the natural-order matrix as the first solve does.
     """
 
     def __init__(self, Y, ga, gb, slot, free):
@@ -490,8 +501,8 @@ class _FrozenLaplacian:
         self.pick = np.concatenate([edge[both], edge[both], E + np.arange(N)])[order]
         indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=N))])
         self.L = csc_matrix((np.empty(key.size), key % N, indptr), shape=(N, N))
-        # SuperLU's column order, kept by the first solve
-        self.perm_c = None
+        # SuperLU's column order, found by the first solve and stored by the second
+        self._first_order = self.perm_c = None
         # a pair with one known end adds weight * that end's value to the other's right-hand side
         one = ka != kb
         self.rhs_at = np.where(ka, a, b)[one]
@@ -500,8 +511,8 @@ class _FrozenLaplacian:
 
     def system(self, weight):
         """The matrix and right-hand side for ``weight``; the matrix is shared
-        between calls and overwritten by the next one.  After the first solve
-        its columns are stored in the order ``argsort(perm_c)``."""
+        between calls and overwritten by the next one.  From the second solve
+        on, its columns are stored in the order ``argsort(perm_c)``."""
         N = self.L.shape[0]
         diag = np.bincount(self.diag_at, weight[self.diag_edge], N)
         np.take(np.concatenate([-weight, diag]), self.pick, out=self.L.data)
@@ -514,10 +525,14 @@ class _FrozenLaplacian:
         # local import: scipy.sparse.linalg costs ~0.35 s at start-up, and only `qv solve` needs it
         from scipy.sparse.linalg import splu
 
+        if self._first_order is not None:
+            self._store_columns(self._first_order)
+            self._first_order = None
         L, rhs = self.system(weight)
         if self.perm_c is None:
             lu = splu(L)
-            self._store_columns(lu.perm_c)
+            # folded in by a second solve: a p = 2 matching never has one
+            self._first_order = lu.perm_c
             return lu.solve(rhs)
         lu = splu(L, permc_spec="NATURAL")
         # the stored order kept, and each pivot on the diagonal: unknown i's row

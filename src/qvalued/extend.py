@@ -29,15 +29,20 @@ minimal edge and leaf face the batch reaches and has not planned before,
 in a few stacked calls, into arrays indexed by edge or leaf, then applies
 them to the whole batch: the far queries' boundary values go into row
 order one split level at a time (``_sorted_many``), and one array
-expression blends them with the center values.
+expression blends them with the center values.  A plan depends on its
+witnessed tuples alone, so each distinct problem is planned once: an
+edge's is that of its ordered pair of end samples, and faces whose
+stations are equal byte for byte share one.  A corner's nearest sample
+is found when a planned edge first needs it.
 
 All formulas are positively homogeneous in the values, so scaling the data
 scales the extensions exactly.
 
 Extension structures are immutable once built, apart from the Whitney
-plan caches, which are filled lazily and idempotently: a plan depends only
-on its edge or face, so two batches that build it at once store equal
-values.  Queries are pure and safe to issue concurrently.
+corner samples and plan caches, which are filled lazily and idempotently:
+a corner's sample and a plan depend only on the corner, edge or face, so
+two batches that build one at once store equal values.  Queries are pure
+and safe to issue concurrently.
 """
 
 from __future__ import annotations
@@ -367,13 +372,17 @@ class WhitneyExtension:
     and a minimal edge runs from an entry to the next; an entry's index
     names its edge.  Its first part, the lines of fixed x (the only line in
     1-D), is the flat indices of the corners on the (2**depth + 1)**m
-    lattice of the finest scale, and each corner keeps its nearest sample.
+    lattice of the finest scale.  A corner's nearest sample is found when a
+    planned edge first needs it, and kept.
 
     Plans are built per batch of queries and cached on the instance: the
     batch's new leaf faces have their minimal edges planned in one stacked
     call, their perimeter stations evaluated as array arithmetic on those
-    edge plans, and the faces planned in one call per station count.  An
-    edge's boundary values are its two corner samples, which the plan holds
+    edge plans, and the faces planned in one call per station count.  Each
+    distinct problem is planned once: an edge's plan is that of its two
+    corner samples, one stack row per distinct ordered pair of them, and
+    faces with the same stations byte for byte share one plan.  An edge's
+    boundary values are its two corner samples, which the plan holds
     already in row order, so a perimeter value costs only arithmetic.  The
     far face queries of a batch are put into row order together: one G-inf
     match per split level and cluster width for the whole batch, whatever
@@ -455,8 +464,8 @@ class WhitneyExtension:
         self._lines, first = np.unique(np.ravel_multi_index(corners.T, (L,) * self.m),
                                        return_index=True)
         self._corners = corners[first]
-        scale = self.S / (1 << self.depth)
-        self._corner_nearest, _ = self._nearest_samples(self.root_lo + self._corners * scale)
+        # each corner's nearest sample, -1 until a planned edge first needs it
+        self._corner_nearest = np.full(len(first), -1, dtype=np.intp)
         # skeleton lines: in 2-D the key of a corner on the line where axis
         # a is fixed is (a, fixed, along) in base L, so the columns are the
         # corner keys themselves; in 1-D the one line is the corner keys
@@ -518,14 +527,29 @@ class WhitneyExtension:
             k = 2 * k + (X[todo] >= corner + self.S / (1 << (d + 1))).astype(np.int64)
         return leaf, k_out, d_out
 
+    def _corner_samples(self, corners: np.ndarray) -> np.ndarray:
+        """The nearest sample of each corner ``corners[...]`` (indices into
+        ``_corners``), searched for the corners that have none yet."""
+        todo, _ = np.unique(corners[self._corner_nearest[corners] < 0],
+                            return_index=True)  # see __init__
+        if todo.size:
+            scale = self.S / (1 << self.depth)
+            self._corner_nearest[todo], _ = self._nearest_samples(
+                self.root_lo + self._corners[todo] * scale)
+        return self._corner_nearest[corners]
+
     def _plan_edges(self, ids: np.ndarray):
-        """Plan the minimal edges ``ids`` that are not planned yet, together."""
+        """Plan the minimal edges ``ids`` that are not planned yet, together.
+        An edge's plan is that of its two end samples, so each distinct
+        ordered pair of them is planned once."""
         new, _ = np.unique(ids[~self._edge_planned[ids]], return_index=True)  # see __init__
         if new.size:
-            ends = self._corner_nearest[self._line_corner[np.stack([new, new + 1], axis=1)]]
-            Y, _, samples = _plan_rows(self.vals[ends])
-            self._edge_Y[new] = Y
-            self._edge_ends[new] = samples
+            ends = self._corner_samples(self._line_corner[np.stack([new, new + 1], axis=1)])
+            count = len(self.vals)
+            pairs, inverse = np.unique(ends[:, 0] * count + ends[:, 1], return_inverse=True)
+            Y, _, samples = _plan_rows(self.vals[np.stack(np.divmod(pairs, count), axis=1)])
+            self._edge_Y[new] = Y[inverse]
+            self._edge_ends[new] = samples[inverse]
             self._edge_planned[new] = True
 
     def _edge_values(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -597,7 +621,8 @@ class WhitneyExtension:
         minimal-edge midpoint ("stations"): each side in turn, in increasing
         position, the corners listed with the sides x = low and x = high.
         Station positions are integers in half-units of the finest scale;
-        the faces with equal station counts are planned in one call."""
+        the faces with equal station counts are planned in one call, each
+        distinct station stack once."""
         todo = ~self._face_planned[leaf]
         leaf, first = np.unique(leaf[todo], return_index=True)  # see __init__
         if not leaf.size:
@@ -631,10 +656,16 @@ class WhitneyExtension:
         starts = np.cumsum(counts) - counts
         for count in sorted(set(counts.tolist())):
             members = np.flatnonzero(counts == count)
-            Y, sorters, _ = _plan_rows(vals[starts[members][:, None] + np.arange(count)])
-            self._face_Y[leaf[members]] = Y
-            for i, sorter in zip(leaf[members].tolist(), sorters):
-                self._face_sorter[i] = sorter
+            stack = vals[starts[members][:, None] + np.arange(count)]
+            # faces with the same stations byte for byte share one plan, and
+            # its sorter, which is only read; -0.0 and 0.0 stay apart
+            rows = stack.reshape(len(members), -1)
+            rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+            _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+            Y, sorters, _ = _plan_rows(stack[first])
+            self._face_Y[leaf[members]] = Y[inverse]
+            for i, k in zip(leaf[members].tolist(), inverse.tolist()):
+                self._face_sorter[i] = sorters[k]
         self._face_planned[leaf] = True
 
     def evaluate_many(self, queries) -> np.ndarray:

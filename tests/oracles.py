@@ -7,6 +7,7 @@ edge-by-edge code that the library's array paths replaced; the
 differential tests hold the array paths to them.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -660,6 +661,15 @@ def whitney_values_reference(ext, queries):
     return [whitney_evaluate_reference(ext, q, structure).points for q in queries]
 
 
+def all_corner_samples(ext):
+    """The nearest sample of every corner of the ``WhitneyExtension`` ``ext``,
+    through its own corner lookup.  The lookup fills a cache on first use, so
+    it runs on a copy: ``ext`` keeps the corners its plans have looked up."""
+    probe = copy.copy(ext)
+    probe._corner_nearest = ext._corner_nearest.copy()
+    return probe._corner_samples(np.arange(len(ext._corners)))
+
+
 def whitney_tree_as_dicts(ext):
     """The array tree of a ``WhitneyExtension`` in the dict form of
     ``whitney_structure_reference``: ``(leaves, corner_values, columns,
@@ -681,7 +691,7 @@ def whitney_tree_as_dicts(ext):
     corners = np.array(np.unravel_index(corner_keys, (L,) * m)).T.reshape(-1, m)
     assert np.array_equal(corners, ext._corners)
     corner_values = {tuple(c): ext.vals[i]
-                     for c, i in zip(corners.tolist(), ext._corner_nearest.tolist())}
+                     for c, i in zip(corners.tolist(), all_corner_samples(ext).tolist())}
     columns, rows = {}, {}
     if m == 2:
         assert np.all(np.diff(ext._lines) > 0)

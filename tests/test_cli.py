@@ -532,6 +532,26 @@ class TestSolveCli:
         assert err.startswith(f"error: bad boundary data in {b}: field 'values' ")
         assert "overflows float64" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command,what", [("solve", "boundary data"),
+                                              ("energy 2", "grid function"),
+                                              ("energy 3", "grid function")])
+    def test_overflow_leaves_only_the_error_line(self, tmp_path, capsys, command, what):
+        # warnings are errors and no errstate is set: stderr holds the one
+        # named error, and qv energy writes no Infinity
+        grid = empty_grid(2, 1, 2, 5, square_mask(5, 2))
+        grid.values[grid.mask == BOUNDARY] = [[1e200], [-1e200]]
+        b = write(tmp_path / "b.json", grid.to_json())
+        if command == "solve":
+            argv = ["solve", "--boundary", b, "--out", str(tmp_path / "sol.json")]
+        else:
+            argv = ["energy", "--in", b, "--p", command.split()[1]]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: bad {what} in {b}: field 'values' holds branches so far "
+                       "apart that their p-energy overflows float64; scale them down\n")
+
     def test_curve_spec_boundary(self, tmp_path, capsys):
         b = write(tmp_path / "sqrt2.json",
                   json.dumps({"domain": "disk", "Q": 2, "n": 2, "curve": sqrt_curve(64)}))

@@ -553,6 +553,22 @@ class TestSolverSafety:
             solve_dirichlet(grid, grid, 2.0, restarts=1)
         assert info.value.name == "values"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", ["solve_dirichlet 2", "discrete_energy 2",
+                                      "discrete_energy 3"])
+    def test_overflow_named_without_a_warning(self, call):
+        # warnings are errors and no errstate is set: the matching passes of the
+        # solver and of discrete_energy overflow quietly, and the check names it
+        grid = empty_grid(2, 1, 2, 5, square_mask(5, 2))
+        grid.values[grid.mask == BOUNDARY] = [[1e200], [-1e200]]
+        name, p = call.split()
+        with pytest.raises(ArgumentError, match="overflows float64") as info:
+            if name == "solve_dirichlet":
+                solve_dirichlet(grid, grid, float(p), restarts=1)
+            else:
+                discrete_energy(grid, float(p))
+        assert info.value.name == "values"
+
 
 class TestTraceContinuity:
     def test_trace_distance_controlled_by_dp(self):

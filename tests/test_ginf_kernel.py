@@ -17,6 +17,7 @@ from qvalued.qspace import MetricKind, QTuple, dist, match_many
 from oracles import (
     _sorted,
     _split_clusters,
+    all_corner_samples,
     all_pairing_costs,
     cone_extend_reference,
     cone_plan_reference,
@@ -263,7 +264,8 @@ def assert_same_sorter(got, want):
         assert got is None
         return
     ref, cluster_of, ends, children = got
-    assert np.array_equal(ref, want[0]) and np.array_equal(cluster_of, want[1])
+    # byte for byte, so that -0.0 and 0.0 differ
+    assert ref.tobytes() == want[0].tobytes() and cluster_of.tobytes() == want[1].tobytes()
     assert ends == want[2] and len(children) == len(want[3])
     for child, other in zip(children, want[3]):
         assert_same_sorter(child, other)
@@ -339,6 +341,30 @@ class TestConePlanMany:
     def test_empty_stack(self):
         assert cone_plans(np.zeros((0, 2, 3, 2))) == []
 
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_row_planned_as_if_alone(self, monkeypatch, Q, n):
+        # no row's plan depends on the other rows of its stack, bit for bit:
+        # the Whitney batches plan each distinct row once and share the plan
+        rng = np.random.default_rng(100 + 10 * Q + n)
+        stack = plan_stack(rng, 5, 3, Q, n)
+        signed = rng.integers(-2, 3, (3, Q, n)).astype(float)
+        signed[0, 0] = 0.0
+        flipped = np.where(signed == 0.0, -0.0, signed)
+        stack = np.concatenate([stack, stack[:2], [signed, flipped]])
+        splits = count_splits(monkeypatch)
+        whole = cone_plans(stack)
+        if Q >= 2:
+            assert splits, "the clustered row should take the split branch"
+        monkeypatch.undo()
+        for plan, row in zip(whole, stack, strict=True):
+            [alone] = cone_plans(row[None])
+            assert plan[0].tobytes() == alone[0].tobytes()
+            assert plan[2].tobytes() == alone[2].tobytes()
+            assert_same_sorter(plan[1], alone[1])
+        # the signed zeros stay in the plans of the last two rows
+        assert whole[-1][2].tobytes() != whole[-2][2].tobytes()
+
 
 def reference_whitney(ext):
     """A copy of ``ext`` whose array tree is built from the dict tree of
@@ -382,9 +408,13 @@ def reference_whitney(ext):
 
 
 def assert_same_structure(ext, ref):
-    for name in ("_leaf_keys", "_leaf_whitney", "_corners", "_corner_nearest", "_lines",
-                 "_line_corner"):
+    for name in ("_leaf_keys", "_leaf_whitney", "_corners", "_lines", "_line_corner"):
         assert np.array_equal(getattr(ext, name), getattr(ref, name)), name
+    # a corner's sample is looked up when a planned edge first needs it: every
+    # corner through that lookup, and the ones looked up so far, as the reference
+    assert np.array_equal(all_corner_samples(ext), ref._corner_nearest)
+    known = ext._corner_nearest >= 0
+    assert np.array_equal(ext._corner_nearest[known], ref._corner_nearest[known])
     assert ext._level_start == ref._level_start
     mine, theirs = whitney_tree_as_dicts(ext), whitney_tree_as_dicts(ref)
     assert mine[0] == theirs[0]
@@ -395,6 +425,50 @@ def assert_same_structure(ext, ref):
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key])
+
+
+def record_face_stations(monkeypatch, ext):
+    """Record, per face ``(base, side)``, the station values that
+    ``ext._plan_faces`` builds, in station order, while ``monkeypatch`` holds."""
+    stations, planning = {}, []
+    plan_faces, perimeter_values = ext._plan_faces, ext._perimeter_values
+
+    def planned(leaf, base, side):
+        planning.append(True)
+        try:
+            return plan_faces(leaf, base, side)
+        finally:
+            planning.pop()
+
+    def recorded(base, side, center, rel):
+        vals = perimeter_values(base, side, center, rel)
+        if planning:
+            for b, s, row in zip(base.tolist(), side.tolist(), vals):
+                stations.setdefault((tuple(b), s), []).append(row)
+        return vals
+
+    monkeypatch.setattr(ext, "_plan_faces", planned)
+    monkeypatch.setattr(ext, "_perimeter_values", recorded)
+    return stations
+
+
+def assert_each_problem_planned_once(ext, stacks, stations):
+    """The rows of the ``_plan_rows`` calls ``stacks`` of the one batch that
+    planned everything ``ext`` holds are its distinct problems, each once:
+    the end samples of each distinct ordered pair of a planned edge, and
+    each distinct station stack ``stations`` of a planned face.  The stacks
+    of full Q are the batch's own; a split's clusters hold fewer points.
+    Returns the planned edges, distinct pairs, planned faces and distinct
+    station stacks, counted."""
+    edges = np.flatnonzero(ext._edge_planned)
+    ends = ext._corner_nearest[ext._line_corner[np.stack([edges, edges + 1], axis=1)]]
+    pairs = set(map(tuple, ends.tolist()))
+    faces = {np.array(rows).tobytes() for rows in stations.values()}
+    own = [row for stack in stacks if stack.shape[2] == ext.Q for row in stack]
+    assert sorted(row.tobytes() for row in own if len(row) == 2) == sorted(
+        ext.vals[list(pair)].tobytes() for pair in pairs)
+    assert sorted(row.tobytes() for row in own if len(row) > 2) == sorted(faces)
+    return len(edges), len(pairs), len(stations), len(faces)
 
 
 def whitney_leaves(ext):
@@ -539,6 +613,7 @@ class TestEvaluateMany:
         plan_rows = extend._plan_rows
         monkeypatch.setattr(extend, "_plan_rows",
                             lambda stack: stacks.append(stack) or plan_rows(stack))
+        stations = record_face_stations(monkeypatch, ext)
         got = ext.evaluate_many(queries)
         if kind == "clustered":
             assert splits, "the clustered data should take the split branch"
@@ -550,19 +625,49 @@ class TestEvaluateMany:
         # a second batch on the same instance reuses the cached plans
         again = ext.evaluate_many(queries[::-1])
         assert_same_values(again[::-1], got)
-        # a face's samples are one corner and one midpoint per minimal edge;
-        # the face stacks are the ones of full Q past the two ends of an edge
+        # a face's samples are one corner and one midpoint per minimal edge
         structure = whitney_structure_reference(ext)
-        stations = []
+        expected = {}
         for leaf in np.flatnonzero(ext._face_planned):
             base, side = leaf_face(ext, leaf)
             edges = sum(whitney_breaks_reference(structure, axis, base[axis] + end,
                                                  base[1 - axis], base[1 - axis] + side).size - 1
                         for axis in (0, 1) for end in (0, side))
-            stations.append(2 * edges)
-        faces = [stack.shape[1] for stack in stacks if stack.shape[1] > 2 and stack.shape[2] == 3
-                 for _ in stack]
-        assert sorted(faces) == sorted(stations) and (m == 1) == (not stations)
+            expected[tuple(base.tolist()), side] = 2 * edges
+        assert {face: len(rows) for face, rows in stations.items()} == expected
+        assert (m == 1) == (not expected)
+        # the stacks of full Q are the batch's own, not a split's clusters:
+        # each plans distinct rows
+        for stack in stacks:
+            if stack.shape[2] == 3:
+                assert len({row.tobytes() for row in stack}) == len(stack)
+        assert_each_problem_planned_once(ext, stacks, stations)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_redundant_data_plans_each_problem_once(self, monkeypatch, m):
+        # three tight samples at depth 8: most edges join two corners with
+        # one nearest sample, and most faces see the same stations
+        rng = np.random.default_rng(40 + m)
+        locs = 0.6 + 0.02 * rng.uniform(0.0, 1.0, (3, m))
+        vals = clustered_values(rng, 3, 3, 2, CENTERS)
+        ext = WhitneyExtension(list(zip(locs, vals)), [[0.0, 1.0]] * m, 8)
+        queries = np.vstack([rng.uniform(0.0, 1.0, (30, m)), locs[:1]])
+        stacks = []
+        plan_rows = extend._plan_rows
+        monkeypatch.setattr(extend, "_plan_rows",
+                            lambda stack: stacks.append(stack) or plan_rows(stack))
+        stations = record_face_stations(monkeypatch, ext)
+        got = ext.evaluate_many(queries)
+        monkeypatch.undo()
+        assert_same_values(got, whitney_values_reference(ext, queries))
+        edges, pairs, faces, stacks_planned = assert_each_problem_planned_once(
+            ext, stacks, stations)
+        assert edges > 2 * pairs
+        assert faces > stacks_planned if m == 2 else not faces
+        # the corners whose samples were looked up are the planned edges' ends
+        planned = np.flatnonzero(ext._edge_planned)
+        ends = np.union1d(ext._line_corner[planned], ext._line_corner[planned + 1])
+        assert np.array_equal(np.flatnonzero(ext._corner_nearest >= 0), ends)
 
     def test_batches_of_any_split_agree(self):
         rng = np.random.default_rng(8)
