@@ -210,8 +210,6 @@ def _curve_grid(obj, resolution: int) -> GridFunction:
     Q = _int_field(obj, "Q")
     n = _int_field(obj, "n")
     curve = _sample_entries(obj, "curve")
-    if not curve:
-        raise ArgumentError("curve", "field 'curve' must be a nonempty list of objects")
     if resolution is None:
         raise DataError("--grid is required with a boundary-curve spec")
     if domain == "disk":  # disk_mask(2) has no node inside the disk
@@ -221,6 +219,10 @@ def _curve_grid(obj, resolution: int) -> GridFunction:
     else:
         raise ArgumentError("domain", f"field 'domain' must be \"disk\" or \"square\", "
                                       f"got {_short(domain)}")
+    locs, values = extend._samples(curve, "curve", m)
+    vals = np.array([value.points for value in values])
+    if vals.shape[1:] != (Q, n):
+        raise ArgumentError("curve", f"each 'value' in field 'curve' must have shape {(Q, n)}")
     if resolution < lowest:
         raise DataError(f"--grid must be an integer >= {lowest} on a {domain}, got {resolution}")
     # the values hold resolution**m * Q * n floats; past m = 24 that is over the
@@ -230,15 +232,9 @@ def _curve_grid(obj, resolution: int) -> GridFunction:
                         f"{_MAX_ENTRIES} grid values; lower one of them")
     mask = disk_mask(resolution) if domain == "disk" else square_mask(resolution, m)
     grid = empty_grid(m, n, Q, resolution, mask)
-    if any(x.size != m for x, _ in curve):
-        raise ArgumentError("curve", f"each 'x' in field 'curve' must hold {m} numbers")
-    if any(value.points.shape != (Q, n) for _, value in curve):
-        raise ArgumentError("curve", f"each 'value' in field 'curve' must have shape {(Q, n)}")
-    locs = np.array([x for x, _ in curve])
-    vals = np.array([value.points for _, value in curve])
     bnodes = grid.node_index((BOUNDARY,))
     coords = grid.all_coords().reshape(-1, m)
-    grid.values.reshape(-1, Q, n)[bnodes] = vals[_nearest(coords[bnodes], locs)]
+    grid.values.reshape(-1, Q, n)[bnodes] = vals[_nearest(coords[bnodes], locs)[0]]
     return grid
 
 

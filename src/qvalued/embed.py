@@ -266,20 +266,14 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
 
 
 def pi_e(v: QTuple, e) -> np.ndarray:
-    """Projections of the tuple's points onto a unit direction, sorted ascending.
-
-    Ties between equal projections are broken by comparing the full points
-    lexicographically, so the induced ordering of points is deterministic.
-    """
+    """Projections of the tuple's points onto a unit direction, sorted
+    ascending, as ``xi_many`` sorts them."""
     e = np.asarray(e, dtype=float).reshape(-1)
     if abs(np.linalg.norm(e) - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector to 1e-10")
     if e.size != v.n:
         raise ValueError(f"direction has dimension {e.size}, tuple has n={v.n}")
-    proj = v.points @ e
-    keys = tuple(v.points[:, j] for j in reversed(range(v.n))) + (proj,)
-    order = np.lexsort(keys)
-    return proj[order]
+    return np.sort(v.points @ e)
 
 
 def _check_orthonormal(basis: np.ndarray) -> None:

@@ -241,7 +241,7 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
         raise ArgumentError("mask", f"field 'mask' of the grid leaves interior node {node} "
                                     "with no path of inside edges to a boundary node")
     coords = grid.all_coords().reshape(-1, grid.m)
-    nearest = _nearest(coords[interior], coords[bnodes])
+    nearest, _ = _nearest(coords[interior], coords[bnodes])
 
     rng = np.random.default_rng(seed)
     best = None
@@ -362,7 +362,10 @@ def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
         Y[free] = laplacian.solve(weight)
         step = Y[free] - x0
         D = Y[ga] - Y[gb] - delta
-        b, c = np.einsum("eqn,eqn->e", delta, D), np.einsum("eqn,eqn->e", D, D)
+        # a step too long to square is the values' fault, named as the energy's overflow is
+        with np.errstate(over="ignore"):
+            b, c = np.einsum("eqn,eqn->e", delta, D), np.einsum("eqn,eqn->e", D, D)
+            _finite_energy(float(c.sum()))
         Y[free] = x0 + _line_minimum(S, b, c, p) * step
         delta = Y[ga] - Y[gb]
         S = np.einsum("eqn,eqn->e", delta, delta)

@@ -18,7 +18,8 @@ query adds: the radius, the boundary value above the query put into the
 plan's row order, and the radial blend toward the center value
 (``_blend``).  Both operators answer a batch with ``evaluate_many``, which
 checks every query first, and ``evaluate`` is its one-row call.
-``ConeExtension`` plans its boundary sample once, when it is built.
+``ConeExtension`` plans its boundary sample once, when it is built, and
+finds a query's nearest sample with ``grids._nearest``.
 ``WhitneyExtension`` holds its dyadic tree as sorted integer keys: per
 level, the flat indices of the leaf cells; the flat lattice indices of the
 cell corners; and one key array of the skeleton lines.  ``evaluate_many``
@@ -306,17 +307,6 @@ class ConeExtension:
         Y, _, ordered = _plan_rows(self._values[None])
         self._Y, self._ordered = Y[0], ordered[0]
 
-    def _nearest(self, X: np.ndarray) -> tuple:
-        """Index of the first nearest sample to each row of ``X`` and the
-        distance to it, as ``np.linalg.norm`` over the coordinates gives it."""
-        index = np.empty(len(X), dtype=np.intp)
-        gap = np.empty(len(X))
-        for block in _blocks(len(X), self.locs.size, 1 << 16):
-            d = np.linalg.norm(self.locs - X[block, None], axis=2)
-            index[block] = np.argmin(d, axis=1)
-            gap[block] = d[np.arange(len(d)), index[block]]
-        return index, gap
-
     def evaluate_many(self, queries) -> np.ndarray:
         """Values at the rows of ``queries`` (K, m), points of the closed ball,
         as a (K, Q, n) array; a query at a sample location returns that
@@ -325,7 +315,7 @@ class ConeExtension:
         R = self.R
         X = _checked_queries(queries, self.m, lambda X: vector_norms(X) <= R * (1 + 1e-9),
                              "the closed ball of radius R")
-        nearest, gap = self._nearest(X)
+        nearest, gap = _nearest(X, self.locs)
         out = self._values[nearest]
         r = vector_norms(X)
         # past the sample hits, the center takes Y and the rest blend with
@@ -333,7 +323,7 @@ class ConeExtension:
         far = np.flatnonzero(gap > 1e-12 * R)
         out[far] = self._Y
         far = far[r[far] > 1e-15 * R]
-        above, _ = self._nearest(X[far] * (R / r[far])[:, None])
+        above, _ = _nearest(X[far] * (R / r[far])[:, None], self.locs)
         out[far] = _blend(r[far], R, self._ordered[above], self._Y)
         return out
 
@@ -434,6 +424,9 @@ class WhitneyExtension:
         if not 0 <= self.depth <= 24:
             raise ArgumentError("depth", f"field 'depth' must be an integer in [0, 24], "
                                          f"got {self.depth}")
+        # the finest scale's step, and the side of its (2**depth + 1)**m corner lattice
+        self._scale = self.S / (1 << self.depth)
+        L = self._L = (1 << self.depth) + 1
 
         delta = np.array(list(np.ndindex(*(2,) * self.m)), dtype=np.int64)
         cells = np.zeros((1, self.m), dtype=np.int64)
@@ -460,7 +453,6 @@ class WhitneyExtension:
         # the corners in lexicographic order, deduplicated by their flat
         # index on the (2**depth + 1)**m lattice, which keeps that order
         corners = np.concatenate(corners)
-        L = (1 << self.depth) + 1
         self._lines, first = np.unique(np.ravel_multi_index(corners.T, (L,) * self.m),
                                        return_index=True)
         self._corners = corners[first]
@@ -533,9 +525,8 @@ class WhitneyExtension:
         todo, _ = np.unique(corners[self._corner_nearest[corners] < 0],
                             return_index=True)  # see __init__
         if todo.size:
-            scale = self.S / (1 << self.depth)
             self._corner_nearest[todo], _ = self._nearest_samples(
-                self.root_lo + self._corners[todo] * scale)
+                self.root_lo + self._corners[todo] * self._scale)
         return self._corner_nearest[corners]
 
     def _plan_edges(self, ids: np.ndarray):
@@ -555,9 +546,8 @@ class WhitneyExtension:
     def _edge_values(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The cone extension along the minimal edge ``ids[i]`` at ``x[i]``."""
         self._plan_edges(ids)
-        scale = self.S / (1 << self.depth)
-        c0 = self.root_lo + self._corners[self._line_corner[ids]] * scale
-        c1 = self.root_lo + self._corners[self._line_corner[ids + 1]] * scale
+        c0 = self.root_lo + self._corners[self._line_corner[ids]] * self._scale
+        c1 = self.root_lo + self._corners[self._line_corner[ids + 1]] * self._scale
         center = (c0 + c1) / 2.0
         R = vector_norms(c1 - c0) / 2.0
         rel = x - center
@@ -573,37 +563,41 @@ class WhitneyExtension:
             out[far] = _blend(r, R, self._edge_ends[ids[far], end], out[far])
         return out
 
+    def _breaks(self, axis, line, lo, length):
+        """Where the breaks of the skeleton segment on the line ``axis = line``
+        from ``lo`` to ``lo + length`` along it lie in ``_lines``, as ``start``
+        and ``stop``, and the key of that line, to which ``_lines`` adds a
+        break's position; all in units of the finest scale.  A segment's breaks
+        are every skeleton corner on it, endpoints included: on a face side
+        they split it into the minimal edges over which the cone construction
+        is applied."""
+        key = (axis * self._L + line) * self._L
+        return (key, np.searchsorted(self._lines, key + lo),
+                np.searchsorted(self._lines, key + lo + length, side="right"))
+
     def _sides(self, base: np.ndarray, side: np.ndarray):
         """Where the breaks of each side of each face lie in ``_lines``, as
         ``start`` and ``stop`` arrays (F, 4).  The faces have integer base
         corners ``base`` and sides ``side`` in units of the finest scale; the
-        sides are x = low, x = high, y = low and y = high.  A side's breaks
-        are every skeleton corner on it, endpoints included: they split it
-        into the minimal edges over which the cone construction is applied."""
-        L = (1 << self.depth) + 1
+        sides are x = low, x = high, y = low and y = high."""
         axis = np.array([0, 0, 1, 1])
-        key = axis * (L * L) + (base[:, axis] + np.array([0, 1, 0, 1]) * side[:, None]) * L
-        lo = key + base[:, 1 - axis]
-        return (np.searchsorted(self._lines, lo),
-                np.searchsorted(self._lines, lo + side[:, None], side="right"))
+        _, start, stop = self._breaks(axis, base[:, axis] + np.array([0, 1, 0, 1]) * side[:, None],
+                                      base[:, 1 - axis], side[:, None])
+        return start, stop
 
     def _perimeter_edges(self, base: np.ndarray, side: np.ndarray, p: np.ndarray,
                          rel: np.ndarray) -> np.ndarray:
         """The minimal edge holding the point ``p[i] = center + rel[i]`` on the
         boundary of the face ``(base[i], side[i])``: the side is the one
-        across the largest coordinate of ``rel[i]``."""
-        L = (1 << self.depth) + 1
-        scale = self.S / (1 << self.depth)
+        across the largest coordinate of ``rel[i]``, at its high end when
+        that coordinate is positive."""
         rows = np.arange(len(p))
         fixed = np.argmax(np.abs(rel), axis=1)
         varying = 1 - fixed
-        fixed_int = np.rint((p[rows, fixed] - self.root_lo[fixed]) / scale).astype(np.int64)
+        key, start, stop = self._breaks(fixed, base[rows, fixed] + (rel[rows, fixed] > 0) * side,
+                                        base[rows, varying], side)
         # breaks are integers, so b <= t exactly when b <= floor(t)
-        t = np.floor((p[rows, varying] - self.root_lo[varying]) / scale).astype(np.int64)
-        key = fixed * (L * L) + fixed_int * L
-        lo = key + base[rows, varying]
-        start = np.searchsorted(self._lines, lo)
-        stop = np.searchsorted(self._lines, lo + side, side="right")
+        t = np.floor((p[rows, varying] - self.root_lo[varying]) / self._scale).astype(np.int64)
         return np.clip(np.searchsorted(self._lines, key + t, side="right") - 1, start, stop - 2)
 
     def _perimeter_values(self, base: np.ndarray, side: np.ndarray, center: np.ndarray,
@@ -628,8 +622,7 @@ class WhitneyExtension:
         if not leaf.size:
             return
         base, side = base[todo][first], side[todo][first]
-        L = (1 << self.depth) + 1
-        scale = self.S / (1 << self.depth)
+        L, scale = self._L, self._scale
         center = self.root_lo + (base + side[:, None] / 2.0) * scale
         start, stop = self._sides(base, side)
         start, stop = start.ravel(), stop.ravel()
@@ -690,9 +683,8 @@ class WhitneyExtension:
             return out
 
         self._plan_faces(leaf, base, side)
-        scale = self.S / (1 << self.depth)
-        center = self.root_lo + (base + side[:, None] / 2.0) * scale
-        R = side * scale / 2.0
+        center = self.root_lo + (base + side[:, None] / 2.0) * self._scale
+        R = side * self._scale / 2.0
         rel = X[rows] - center
         r = np.abs(rel).max(axis=1)
         out[rows] = self._face_Y[leaf]
@@ -748,10 +740,10 @@ def extend_to_plane(f: GridFunction) -> GridFunction:
     # inside the ball but off the sampled domain: the nearest node
     ball = np.flatnonzero(~kept.ravel() & (r < 1.0))
     flat = values.reshape(-1, f.Q, f.n)
-    flat[ball] = in_vals[_nearest(x[ball], in_coords)]
+    flat[ball] = in_vals[_nearest(x[ball], in_coords)[0]]
     # the ring reflects through the sphere, scaled toward 0 at radius 3/2
     ring = np.flatnonzero(~kept.ravel() & (r >= 1.0) & (r < 1.5))
     y = (2.0 / r[ring] - 1.0)[:, None] * x[ring]
     factor = 2.0 * vector_norms(y) - 1.0
-    flat[ring] = factor[:, None, None] * in_vals[_nearest(y, in_coords)]
+    flat[ring] = factor[:, None, None] * in_vals[_nearest(y, in_coords)[0]]
     return GridFunction(f.m, f.n, f.Q, shape_out, f.h, mask, values)

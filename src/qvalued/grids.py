@@ -34,22 +34,27 @@ def _blocks(rows: int, width: int, budget: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> np.ndarray:
-    """Index of the first nearest site to each point, about ``budget`` distances at a time.
+def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> tuple:
+    """Index of the first nearest site to each point and the distance to it,
+    about ``budget`` distances at a time.
 
     Squared distances are summed one coordinate at a time, in coordinate
     order, which is the order ``np.linalg.norm`` sums fewer than 8 squares
-    in, so the distances, and the first minimum, are the ones it gives.
+    in, so below 8 coordinates the distances, and the first minimum, are
+    the ones it gives.
     """
-    out = np.empty(len(points), dtype=np.intp)
+    index = np.empty(len(points), dtype=np.intp)
+    gap = np.empty(len(points))
     for block in _blocks(len(points), len(sites), budget):
         rows = points[block]
         d = np.zeros((len(rows), len(sites)))
         for p, s in zip(rows.T, sites.T):
             diff = s - p[:, None]
             d += diff * diff
-        out[block] = np.argmin(np.sqrt(d), axis=1)
-    return out
+        d = np.sqrt(d)
+        index[block] = np.argmin(d, axis=1)
+        gap[block] = d[np.arange(len(d)), index[block]]
+    return index, gap
 
 
 @dataclass(eq=False)

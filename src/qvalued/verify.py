@@ -24,10 +24,8 @@ import numpy as np
 
 from . import embed
 from ._fields import _MAX_ENTRIES, ArgumentError, _int_field, _is_int, _is_number, _short
-from .grids import GridFunction, _blocks, square_mask
-# ``dist`` is no longer called here; the benchmark's tracer test pins its binding
-from .qspace import (MetricKind, dist, dist_many, match_many,  # noqa: F401
-                     split_distance_many, vector_norms)
+from .grids import _blocks, empty_grid
+from .qspace import MetricKind, dist_many, match_many, split_distance_many, vector_norms
 
 _CHECK_OFFSETS = {
     "metric_equivalence": 101,
@@ -376,9 +374,7 @@ def _lipschitz_grids(freq, phase, amp, N: int) -> np.ndarray:
 
 def _grid_edges(N: int, m: int):
     """``GridFunction.edge_index`` of the full N^m grid that ``_lipschitz_grids`` samples."""
-    shape = (N,) * m
-    grid = GridFunction(m, 1, 1, shape, 2.0 / (N - 1), square_mask(N, m), np.zeros(shape + (1, 1)))
-    return grid.edge_index()
+    return empty_grid(m, 1, 1, N).edge_index()
 
 
 def _window_pairs(N: int, m: int, width: int):

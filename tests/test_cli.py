@@ -471,6 +471,49 @@ class TestExtendCli:
         golden = pathlib.Path(__file__).parent / "data" / "whitney_golden.json"
         assert out.read_text() == golden.read_text()
 
+    def test_whitney_off_grid_matches_golden_file(self, tmp_path):
+        # boxes whose lattice coordinates are not exact floats, so a floor or
+        # a side choice that went the other way would show: random and
+        # clustered values in 2-D at depths 5 and 8 and in 1-D at depth 6;
+        # the queries are uniform points, sample locations, lattice corners
+        # of the finest and of coarser levels, and points on lattice lines
+        rng = np.random.default_rng(3497)
+        outputs = []
+        for kind, box, depth in (("random", [[-0.3, 0.41], [0.1, 0.77]], 5),
+                                 ("clustered", [[-0.3, 0.41], [0.1, 0.77]], 8),
+                                 ("random", [[-0.7, 0.33]], 6),
+                                 ("clustered", [[-0.7, 0.33]], 6)):
+            lo, hi = np.array(box).T
+            m, S = len(box), float((hi - lo).max())
+            locs = lo + rng.uniform(0.0, 1.0, (30, m)) * (hi - lo)
+            if kind == "clustered":
+                centers = np.array([[0.0, 0.0], [0.4, 0.0], [6.0, 1.0]])
+                vals = centers + rng.uniform(-0.02, 0.02, (30, 3, 2))
+                vals = np.take_along_axis(vals, rng.random((30, 3)).argsort(axis=1)[:, :, None],
+                                          axis=1)
+            else:
+                vals = rng.uniform(-1.0, 1.0, (30, 3, 2))
+            lattice = [lo + rng.integers(0, (1 << level) + 1, (8, m)) * (S / (1 << level))
+                       for level in (1, 2, depth)]
+            on_line = lo + rng.uniform(0.0, 1.0, (16, m)) * (hi - lo)
+            axis = np.arange(16) % m
+            on_line[np.arange(16), axis] = (lo[axis] + rng.integers(0, (1 << depth) + 1, 16)
+                                            * (S / (1 << depth)))
+            queries = np.concatenate([lo + rng.uniform(0.0, 1.0, (20, m)) * (hi - lo),
+                                      locs[:3], *lattice, on_line])
+            queries = queries[np.all((lo <= queries) & (queries <= hi), axis=1)]
+            data = write(tmp_path / "w.json", json.dumps({
+                "box": box, "depth": depth,
+                "data": [{"x": x.tolist(), "value": v.tolist()} for x, v in zip(locs, vals)],
+            }))
+            q = write(tmp_path / "q.csv",
+                      "".join(",".join(map(repr, row)) + "\n" for row in queries.tolist()))
+            out = tmp_path / "vals.json"
+            assert main(["extend", "whitney", "--in", data, "--query", q, "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        golden = pathlib.Path(__file__).parent / "data" / "whitney_offgrid.jsonl"
+        assert "".join(text + "\n" for text in outputs) == golden.read_text()
+
     def test_plane(self, tmp_path):
         g = empty_grid(2, 1, 1, 7)
         g.values[g.mask != OUTSIDE] = [[2.0]]

@@ -342,8 +342,9 @@ class TestFrozenSteps:
         coords = grid.all_coords().reshape(-1, 2)
         interior = grid.node_index((INTERIOR,))
         bnodes = grid.node_index((BOUNDARY,))
-        picks = _nearest(coords[interior], coords[bnodes], budget=7)
-        assert np.array_equal(picks, _nearest(coords[interior], coords[bnodes]))
+        picks, gap = _nearest(coords[interior], coords[bnodes], budget=7)
+        whole, whole_gap = _nearest(coords[interior], coords[bnodes])
+        assert np.array_equal(picks, whole) and np.array_equal(gap, whole_gap)
         boundary = {idx: [[float(j)]] for j, idx in enumerate(grid.nodes(kinds=(BOUNDARY,)))}
         expect = nearest_boundary_init(grid, boundary)
         assert np.array_equal(expect.reshape(-1)[interior], picks.astype(float))

@@ -554,11 +554,12 @@ class TestSolverSafety:
         assert info.value.name == "values"
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("call", ["solve_dirichlet 2", "discrete_energy 2",
-                                      "discrete_energy 3"])
+    @pytest.mark.parametrize("call", ["solve_dirichlet 2", "solve_dirichlet 3",
+                                      "discrete_energy 2", "discrete_energy 3"])
     def test_overflow_named_without_a_warning(self, call):
         # warnings are errors and no errstate is set: the matching passes of the
-        # solver and of discrete_energy overflow quietly, and the check names it
+        # solver and of discrete_energy, and the p != 2 inner step, overflow
+        # quietly, and the check names it
         grid = empty_grid(2, 1, 2, 5, square_mask(5, 2))
         grid.values[grid.mask == BOUNDARY] = [[1e200], [-1e200]]
         name, p = call.split()

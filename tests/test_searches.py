@@ -129,8 +129,9 @@ class TestNearest:
         # integer lattices: many points are equally far from several sites
         sites = rng.integers(-3, 4, (25, m)).astype(float)
         points = rng.integers(-4, 5, (300, m)).astype(float) / 2.0
-        picks = _nearest(points, sites)
+        picks, gap = _nearest(points, sites)
         assert np.array_equal(picks, nearest_reference(points, sites))
+        assert np.array_equal(gap, np.linalg.norm(sites[picks] - points, axis=1))
         d = ((sites[None] - points[:, None]) ** 2).sum(axis=2)
         tied = (d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1
         assert tied.any()
@@ -144,8 +145,10 @@ class TestNearest:
         # mixed magnitudes, so the order of the sum of squares matters
         sites = rng.uniform(-1.0, 1.0, (40, m)) * rng.choice([1e-8, 1.0, 1e8], (40, m))
         points = rng.uniform(-1.0, 1.0, (90, m)) * rng.choice([1e-8, 1.0, 1e8], (90, m))
-        assert np.array_equal(_nearest(points, sites, budget=budget),
-                              nearest_reference(points, sites))
+        picks, gap = _nearest(points, sites, budget=budget)
+        assert np.array_equal(picks, nearest_reference(points, sites))
+        # bit for bit: the cone extension's sample-hit test reads this distance
+        assert np.array_equal(gap, np.linalg.norm(sites[picks] - points, axis=1))
 
     def test_squares_sum_in_coordinate_order(self):
         # |A|^2 rounds to 1 + 2**-52 summed left to right and to 1 right to
@@ -154,10 +157,13 @@ class TestNearest:
         sites = np.array([[1.0, a, a], [1.0, 0.0, 0.0]])
         origin = np.zeros((1, 3))
         assert nearest_reference(origin, sites).tolist() == [1]
-        assert _nearest(origin, sites).tolist() == [1]
-        assert _nearest(origin, sites[:, ::-1]).tolist() == [0]
+        assert _nearest(origin, sites)[0].tolist() == [1]
+        assert _nearest(origin, sites[:, ::-1])[0].tolist() == [0]
 
     def test_one_site_and_no_points(self):
         sites = np.array([[0.5, -1.0]])
-        assert _nearest(np.zeros((4, 2)), sites).tolist() == [0, 0, 0, 0]
-        assert _nearest(np.zeros((0, 2)), sites).shape == (0,)
+        index, gap = _nearest(np.zeros((4, 2)), sites)
+        assert index.tolist() == [0, 0, 0, 0]
+        assert gap.tolist() == [np.sqrt(1.25)] * 4
+        index, gap = _nearest(np.zeros((0, 2)), sites)
+        assert index.shape == gap.shape == (0,)
