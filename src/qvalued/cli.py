@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -98,7 +99,17 @@ def _cmd_dist(args) -> int:
     v = _load_tuple(args.a)
     w = _load_tuple(args.b)
     kind = MetricKind.parse(args.kind)
-    value, match = dist(v, w, kind)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            value, match = dist(v, w, kind)
+    except ValueError:
+        if (v.Q, v.n) != (w.Q, w.n):
+            raise
+        # past Q = 5 the assignment solver refuses costs that all overflow
+        value = math.inf
+    if not math.isfinite(value):
+        raise DataError(f"tuples in {args.a} and {args.b} lie so far apart that their "
+                        f"{kind.value} distance overflows float64; scale them down")
     _write(args.out, json.dumps({"value": value, "match": list(match.perm)}))
     return 0
 

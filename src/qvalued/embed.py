@@ -25,13 +25,15 @@ Frames are immutable after construction and all operations are pure;
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import _MAX_ENTRIES, ArgumentError, _field, _int_field, _numbers, _positive_field
+from ._fields import (_MAX_ENTRIES, ArgumentError, _field, _int_field, _numbers,
+                      _positive_field, _short)
 from .qspace import MetricKind, QTuple, dist_many
 
 _VALIDATION_SEED = 171717
@@ -140,28 +142,52 @@ class DirectionFrame:
         return cls(n, Q, bases, epsilon)
 
 
-def _draw_separation(directions: np.ndarray, Q: int,
-                     draws: int = _VALIDATION_DRAWS) -> np.ndarray:
+def _validation_draws(Q: int, n: int, draws: int = _VALIDATION_DRAWS, chunk: int = None):
+    """The fixed validation draws, each L = Q^2 random unit vectors of R^n, in
+    consecutive (chunk, L, n) blocks: one stream, so the same numbers as one
+    draw at a time.  One block holds every draw unless ``chunk`` is given."""
+    L = max(1, Q * Q)
+    rng = np.random.default_rng(_VALIDATION_SEED)
+    chunk = draws if chunk is None else chunk
+    for lo in range(0, draws, chunk):
+        V = rng.standard_normal((min(chunk, draws - lo), L, n))
+        V /= np.linalg.norm(V, axis=2, keepdims=True)
+        yield V
+
+
+def _draw_separation(directions: np.ndarray, Q: int, draws: int = _VALIDATION_DRAWS,
+                     held: np.ndarray = None) -> np.ndarray:
     """Per validation draw of L = Q^2 random unit vectors, the best direction's
     worst absolute inner product with them, shape (draws,).
 
     The draw sequence is fixed, so the values are reproducible, and the
     elementwise max of the values of two sets of directions is the value of
-    their union.  Draws are scored a chunk at a time, which keeps the
-    (draws, K, L) score block near 2 MB at any frame size.
+    their union.  ``held`` is every draw of ``_validation_draws``, made once
+    by the caller; without it the draws are made here.  Draws are scored a
+    chunk at a time, which keeps the (draws, L, K) score block near 2 MB at
+    any frame size.
     """
     directions = np.asarray(directions, dtype=float)
     K, n = directions.shape
     L = max(1, Q * Q)
-    rng = np.random.default_rng(_VALIDATION_SEED)
     chunk = max(1, (1 << 18) // (K * L))
+    blocks = (_validation_draws(Q, n, draws, chunk) if held is None
+              else (held[lo:lo + chunk] for lo in range(0, draws, chunk)))
     best = np.empty(draws)
-    for lo in range(0, draws, chunk):
-        # consecutive (L, n) draws, one stream: the same numbers as one draw at a time
-        V = rng.standard_normal((min(chunk, draws - lo), L, n))
-        V /= np.linalg.norm(V, axis=2, keepdims=True)
-        scores = np.abs(np.matmul(directions, V.transpose(0, 2, 1)))  # (draws, K, L)
-        best[lo:lo + len(V)] = scores.min(axis=2).max(axis=1)
+    lo = 0
+    for V in blocks:
+        if L > 1:
+            # one (draws * L, n) @ (n, K) product; each inner product rounds as
+            # it does in directions @ V[d].T
+            scores = V.reshape(-1, n) @ directions.T
+            np.abs(scores, out=scores)
+            best[lo:lo + len(V)] = scores.reshape(len(V), L, K).min(axis=1).max(axis=1)
+        else:
+            # at L = 1 each draw's product is a matrix-vector call, which the
+            # stacked product keeps and a 2-D product would not
+            scores = np.abs(np.matmul(directions, V.transpose(0, 2, 1)))  # (draws, K, 1)
+            best[lo:lo + len(V)] = scores[:, :, 0].max(axis=1)
+        lo += len(V)
     return best
 
 
@@ -172,18 +198,18 @@ def measured_separation(directions: np.ndarray, Q: int,
     return float(_draw_separation(directions, Q, draws).min(initial=math.inf))
 
 
-def _greedy_directions(pool: np.ndarray, K: int) -> np.ndarray:
-    """Farthest-point packing on the sphere with antipodal identification.
+def _greedy_directions(pool: np.ndarray):
+    """Farthest-point packing on the sphere with antipodal identification:
+    yields the directions of ``pool`` in packing order, without end.
 
-    Each direction depends only on the ones before it, so the first k of K
-    directions are the k directions."""
-    chosen = [pool[0]]
-    sims = np.abs(pool @ pool[0])
-    while len(chosen) < K:
+    Each direction depends only on the ones before it, so the first k
+    directions yielded are the k-direction packing."""
+    sims = np.zeros(len(pool))  # |cos| >= 0: the first update sets |pool @ pool[0]| exactly
+    i = 0
+    while True:
+        yield pool[i]
+        np.maximum(sims, np.abs(pool @ pool[i]), out=sims)
         i = int(np.argmin(sims))
-        chosen.append(pool[i])
-        sims = np.maximum(sims, np.abs(pool @ pool[i]))
-    return np.array(chosen)
 
 
 def _complete_bases(directions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -199,7 +225,7 @@ def _complete_bases(directions: np.ndarray, rng: np.random.Generator) -> np.ndar
     M[:, :, 0] = directions
     M[:, :, 1:] = rng.standard_normal((K, n, n - 1))
     Qmat, _ = np.linalg.qr(M)
-    flip = np.array([np.dot(Qmat[k, :, 0], directions[k]) < 0 for k in range(K)])
+    flip = (Qmat[:, :, 0] * directions).sum(axis=1) < 0  # each sum is +-1 to rounding
     Qmat[flip] = -Qmat[flip]
     return np.ascontiguousarray(Qmat.transpose(0, 2, 1))
 
@@ -215,10 +241,13 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
     With ``K="auto"`` the direction count doubles from 2n until the
     certified epsilon reaches ``eps_floor``; exceeding ``max_K`` raises
     FrameConstructionError.  The directions are prefix-nested, so each
-    doubling scores only its new directions and keeps, per draw, the best of
-    the old and the new: a max, and exact.  An ``n``, ``Q`` or integer ``K``
-    below 1, or one that asks for an array of over ``_MAX_ENTRIES`` numbers,
-    raises ``ArgumentError`` naming it, before anything is allocated.
+    doubling packs on from where the last one stopped, scores only its new
+    directions and keeps, per draw, the best of the old and the new: a max,
+    and exact.  The validation draws are made once per call where they fit
+    in 2 MB, and nothing is kept from one call to the next.  An ``n``, ``Q``
+    or integer ``K`` below 1, or one that asks for an array of over
+    ``_MAX_ENTRIES`` numbers, raises ``ArgumentError`` naming it, before
+    anything is allocated.
     """
     auto = K == "auto"
     for name, value in (("n", n), ("Q", Q), ("K", 1 if auto else K)):
@@ -249,11 +278,17 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
     rng = np.random.default_rng(seed)
     pool = rng.standard_normal((4096, n))  # the candidate directions
     pool /= np.linalg.norm(pool, axis=1, keepdims=True)
-    best, scored, eps = np.full(_VALIDATION_DRAWS, -math.inf), 0, 0.0
+    # every doubling scores against the same draws: made once here where they fit
+    # in 2 MB, else drawn afresh, a chunk at a time, for each doubling
+    held = (next(_validation_draws(Q, n)) if _VALIDATION_DRAWS * Q_ * Q_ * n_ <= 1 << 18
+            else None)
+    greedy = _greedy_directions(pool)
+    dirs = np.empty((0, n))
+    best, eps = np.full(_VALIDATION_DRAWS, -math.inf), 0.0
     for k in schedule:
-        dirs = _greedy_directions(pool, k)
-        best = np.maximum(best, _draw_separation(dirs[scored:], Q))
-        scored = k
+        new = np.array(list(itertools.islice(greedy, k - len(dirs))))
+        dirs = np.concatenate([dirs, new])
+        best = np.maximum(best, _draw_separation(new, Q, _VALIDATION_DRAWS, held))
         eps = float(best.min())
         if eps >= eps_floor or not auto:
             if eps <= 0:
@@ -549,11 +584,36 @@ def whitney_eta_inverse_1d(coeffs, as_complex: bool = None) -> QTuple:
     return QTuple(roots.real.reshape(-1, 1))
 
 
+def _zeta_anchors(V: np.ndarray, W: np.ndarray, seeds, dictionary_size: int):
+    """The anchors of ``zeta_dual_gap_many``'s cone functions, shape (E, 2Q + size, n).
+
+    Row e holds the points of ``V[e]`` and ``W[e]``, then ``dictionary_size``
+    points drawn uniformly in the box around them, as
+    ``default_rng(seeds[e]).uniform(low, high, size=(dictionary_size, n))``
+    draws them: that is ``low + (high - low) * random()``, taken here for
+    every row at once.  A box wider than the float64 range gives anchors
+    that are not finite.
+    """
+    pts = np.concatenate([V, W], axis=1)
+    lo = pts.min(axis=1)
+    hi = pts.max(axis=1)
+    span = hi - lo
+    low, high = lo - 0.5 * span - 0.1, hi + 0.5 * span + 0.1
+    E, _, n = V.shape
+    u = np.empty((E, dictionary_size, n))
+    for e, seed in enumerate(seeds):
+        u[e] = np.random.default_rng(seed).random((dictionary_size, n))
+    extra = low[:, None] + (high - low)[:, None] * u
+    return np.concatenate([pts, extra], axis=1)
+
+
 def zeta_dual_gap_many(V, W, seeds, dictionary_size: int = 64):
     """``zeta_dual_gap`` of matching rows of two (E, Q, n) stacks of tuples.
 
     Row e draws its random anchors from ``default_rng(seeds[e])``, as the
-    one-pair call with ``seed=seeds[e]`` does.
+    one-pair call with ``seed=seeds[e]`` does.  A row whose anchor box, G1
+    bound or lower bound is past the float64 range raises ValueError naming
+    its tuples.
 
     Returns
     -------
@@ -561,20 +621,19 @@ def zeta_dual_gap_many(V, W, seeds, dictionary_size: int = 64):
     """
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=float)
-    upper, _ = dist_many(V, W, MetricKind.G1)
-    pts = np.concatenate([V, W], axis=1)
-    lo = pts.min(axis=1)
-    hi = pts.max(axis=1)
-    span = hi - lo
-    low, high = lo - 0.5 * span - 0.1, hi + 0.5 * span + 0.1
-    E, _, n = V.shape
-    extra = np.empty((E, dictionary_size, n))
-    for e, seed in enumerate(seeds):
-        extra[e] = np.random.default_rng(seed).uniform(low[e], high[e], size=(dictionary_size, n))
-    anchors = np.concatenate([pts, extra], axis=1)  # (E, A, n)
-    dv = np.linalg.norm(V[:, None, :, :] - anchors[:, :, None, :], axis=3).sum(axis=2)
-    dw = np.linalg.norm(W[:, None, :, :] - anchors[:, :, None, :], axis=3).sum(axis=2)
-    return np.abs(dv - dw).max(axis=1), upper
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        upper, _ = dist_many(V, W, MetricKind.G1)
+        anchors = _zeta_anchors(V, W, seeds, dictionary_size)
+        dv = np.linalg.norm(V[:, None, :, :] - anchors[:, :, None, :], axis=3).sum(axis=2)
+        dw = np.linalg.norm(W[:, None, :, :] - anchors[:, :, None, :], axis=3).sum(axis=2)
+        lower = np.abs(dv - dw).max(axis=1)  # NaN where an anchor is not finite
+    finite = np.isfinite(upper) & np.isfinite(lower)
+    if not finite.all():
+        e = int(np.argmin(finite))
+        raise ValueError(f"tuples {_short(V[e].tolist())} and {_short(W[e].tolist())} are "
+                         "too large for the dual bracket: its anchors or bounds overflow "
+                         "float64; scale them down")
+    return lower, upper
 
 
 def zeta_dual_gap(v: QTuple, w: QTuple, dictionary_size: int = 64, *, seed: int = 0):

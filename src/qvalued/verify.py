@@ -377,27 +377,29 @@ def _grid_edges(N: int, m: int):
     return empty_grid(m, 1, 1, N).edge_index()
 
 
-def _window_pairs(N: int, m: int, width: int):
+def _window_pairs(edges, N: int, m: int, width: int):
     """The kernel's index pairs for the width^m window at the origin of the N^m grid.
 
-    Returns ``(left, right, inner, apart)``.  ``left`` and ``right`` hold
-    first the ``inner`` grid edges with both ends in the window, in
-    ``edge_index`` order, then the (k, k) pairs of the k window nodes in C
+    ``edges`` is ``_grid_edges(N, m)``.  Returns ``(left, right, inner)``:
+    ``left`` and ``right`` hold the (k, k) pairs of the k window nodes in C
     order, row r pairing each window node with node r, less the k pairs of a
-    node with itself; ``apart`` marks the pairs kept.  Flat indices are
-    linear in the node coordinates, so the window at ``lo`` has the same
-    pairs, in the same order, shifted by the flat index of ``lo``.
+    node with itself; ``inner`` holds the positions among them of the grid
+    edges with both ends in the window, in ``edge_index`` order: edge (u, v)
+    is the pair in row v, column u.  Flat indices are linear in the node
+    coordinates, so the window at ``lo`` has the same pairs, in the same
+    order, shifted by the flat index of ``lo``.
     """
-    u, v = _grid_edges(N, m)
+    u, v = edges
     nodes = np.arange(N**m).reshape((N,) * m)[(slice(0, width),) * m].ravel()
+    k = nodes.size
     in_window = np.zeros(N**m, dtype=bool)
     in_window[nodes] = True
     inner = in_window[u] & in_window[v]
-    k = nodes.size
+    # the window's nodes ascend, so searchsorted finds their positions; v > u puts
+    # the edge below the diagonal, where row r's kept pairs start at r * (k - 1)
+    col, row = np.searchsorted(nodes, u[inner]), np.searchsorted(nodes, v[inner])
     apart = ~np.eye(k, dtype=bool).ravel()
-    left = np.concatenate([u[inner], np.tile(nodes, k)[apart]])
-    right = np.concatenate([v[inner], np.repeat(nodes, k)[apart]])
-    return left, right, int(inner.sum()), apart
+    return np.tile(nodes, k)[apart], np.repeat(nodes, k)[apart], row * (k - 1) + col
 
 
 def check_sqrt_Q_bound(cfg: CheckConfig, frames: dict = None) -> CheckReport:
@@ -463,7 +465,8 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
     Finiteness of the constant is the assertion; its empirical value is the
     reported ratio and must stay below the configured cap.  The G2 costs of
     every trial's window pairs come from one kernel pass per (Q, n), and the
-    sums over them from one stacked reduction per window shape in it.
+    sums over them from one stacked reduction per window shape; a grid edge's
+    cost is that of the window pair of its ends, not computed twice.
     """
     rng = _rng_for(cfg, "poincare")
     cap = cfg.tolerances["poincare_c"]
@@ -482,48 +485,63 @@ def check_poincare(cfg: CheckConfig) -> CheckReport:
         lo = [int(rng.integers(0, N - width + 1)) for _ in range(m)]
         windows.append((m, q, width, lo))
     T = len(draws)
-    values = [None] * T
+    # one kernel call per (Q, n), whatever the m: the grids of its trials
+    # stacked by m, and the window pairs of its trials stacked by window
+    # shape, each trial's at its window's corner and its grid's row in the stack
+    by_Qn = {}
     for index, stacked in _grouped(draws):
-        for t, x in zip(index, _lipschitz_grids(*stacked, N)):
-            values[t] = x
-    # one kernel call per (Q, n): each trial's window pairs, at its window's
-    # corner and its grid's offset in the stack, whatever its m; then, per
-    # window shape, one stacked reduction for its trials in the group
-    pairs, by_shape = {}, {}
-    for t, x in enumerate(values):
-        by_shape.setdefault(x.shape[1:], []).append(t)
-    energy_sum, best = np.empty(T), np.empty(T)
-    for index in by_shape.values():
-        left, right, offset, start, by_window = [], [], 0, 0, {}
-        for t in index:
-            m, _, width, lo = windows[t]
+        by_Qn.setdefault(stacked[0].shape[1:3], []).append((index, stacked))
+    corner = np.array([np.ravel_multi_index(lo, (N,) * m) for m, _, _, lo in windows])
+    root = np.array([q == 1.0 for _, q, _, _ in windows])
+    edges, pairs, row, costs = {}, {}, np.empty(T, dtype=np.intp), {}
+    # the largest tuples first: their kernel blocks take the most memory, and
+    # the fewest costs are held while they run
+    for _, parts in sorted(by_Qn.items(), reverse=True):
+        # (trials, N**m, Q, n) per m, evaluated only for the group's kernel call
+        grids = [(index, _lipschitz_grids(*stacked, N)) for index, stacked in parts]
+        by_window, offset = {}, 0
+        for index, grid in grids:
+            row[index] = offset + grid.shape[1] * np.arange(len(index))
+            offset += len(index) * grid.shape[1]
+            for t in index:
+                by_window.setdefault((windows[t][0], windows[t][2]), []).append(t)
+        left, right = [], []
+        for (m, width), group in by_window.items():
             if (m, width) not in pairs:
-                pairs[m, width] = _window_pairs(N, m, width)
-            shift = offset + int(np.ravel_multi_index(lo, (N,) * m))
-            left.append(pairs[m, width][0] + shift)
-            right.append(pairs[m, width][1] + shift)
-            by_window.setdefault((m, width), []).append((t, start))
-            offset += len(values[t])
-            start += left[-1].size
-        X = np.concatenate([values[t] for t in index])
-        out = _in_blocks(match_many, X, X, MetricKind.G2, np.concatenate(left),
-                         np.concatenate(right))
-        for (m, width), rows in by_window.items():
-            _, _, inner, apart = pairs[m, width]
-            k = width**m
-            group = [t for t, _ in rows]
-            terms = np.array([out[s:s + inner + k * k - k] for _, s in rows])
-            # cost ** (q / 2): the cost itself at q = 2, its square root at q = 1
-            # (numpy computes x ** 0.5 as sqrt; an array of exponents would go
-            # through pow and can differ in the last bit)
-            root = np.array([windows[t][1] == 1.0 for t in group])[:, None]
-            np.sqrt(terms, out=terms, where=root)
-            # a contiguous row sums as the 1-D array of it does
-            energy_sum[group] = np.ascontiguousarray(terms[:, :inner]).sum(axis=1)
-            full = np.zeros((len(group), k * k))
-            full[:, apart] = terms[:, inner:]
-            full *= h**m
-            best[group] = full.reshape(-1, k, k).sum(axis=2).min(axis=1)
+                if m not in edges:
+                    edges[m] = _grid_edges(N, m)
+                pairs[m, width] = _window_pairs(edges[m], N, m, width)
+            shift = (row[group] + corner[group])[:, None]
+            left.append((pairs[m, width][0] + shift).ravel())
+            right.append((pairs[m, width][1] + shift).ravel())
+        X = np.concatenate([grid.reshape(-1, *grid.shape[2:]) for _, grid in grids])
+        sizes = [block.size for block in left]
+        left, right = np.concatenate(left), np.concatenate(right)  # the pieces let go
+        out = _in_blocks(match_many, X, X, MetricKind.G2, left, right)
+        start = 0  # each window shape's trials and their costs, in one run
+        for shape, size in zip(by_window, sizes):
+            costs.setdefault(shape, []).append((by_window[shape], out[start:start + size]))
+            start += size
+    # then one stacked reduction per window shape, over every (Q, n)
+    energy_sum, best = np.empty(T), np.empty(T)
+    for (m, width), runs in costs.items():
+        k = width**m
+        group = np.concatenate([g for g, _ in runs])
+        terms = np.concatenate([c for _, c in runs]).reshape(len(group), k * k - k)
+        # cost ** (q / 2): the cost itself at q = 2, its square root at q = 1
+        # (numpy computes x ** 0.5 as sqrt; an array of exponents would go
+        # through pow and can differ in the last bit)
+        np.sqrt(terms, out=terms, where=root[group][:, None])
+        # a grid edge is the window pair of its ends, in the same order; a
+        # contiguous row sums as the 1-D array of it does
+        energy_sum[group] = terms[:, pairs[m, width][2]].sum(axis=1)
+        # the (k, k) table with its zero diagonal back in place: past the
+        # first entry, each run of k kept pairs is followed by a diagonal one
+        full = np.empty((len(group), k * k))
+        full[:, ::k + 1] = 0.0
+        np.multiply(terms.reshape(-1, k - 1, k), h**m,
+                    out=full[:, 1:].reshape(-1, k - 1, k + 1)[:, :, :k])
+        best[group] = full.reshape(-1, k, k).sum(axis=2).min(axis=1)
     for t, (m, q, width, lo) in enumerate(windows):
         energy = h ** (m - q) * float(energy_sum[t])
         rhs = (h * (width - 1) * math.sqrt(m)) ** q * energy

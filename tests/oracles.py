@@ -1127,6 +1127,18 @@ def split_distance_reference(points: np.ndarray) -> float:
     return best
 
 
+def zeta_anchors_reference(v_pts, w_pts, dictionary_size: int = 64, seed: int = 0):
+    """The anchors of ``embed.zeta_dual_gap`` as it drew them: the points of both
+    tuples, then one ``Generator.uniform`` call over the box around them."""
+    pts = np.vstack([np.asarray(v_pts, dtype=float), np.asarray(w_pts, dtype=float)])
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = hi - lo
+    extra = np.random.default_rng(seed).uniform(lo - 0.5 * span - 0.1, hi + 0.5 * span + 0.1,
+                                                size=(dictionary_size, pts.shape[1]))
+    return np.vstack([pts, extra])
+
+
 def zeta_dual_gap_reference(v_pts, w_pts, dictionary_size: int = 64, seed: int = 0):
     """``embed.zeta_dual_gap`` as it was: one pair, one (anchors, Q) norm matrix
     per tuple.  The upper bound is the library's G1 distance, as it was."""
@@ -1134,14 +1146,7 @@ def zeta_dual_gap_reference(v_pts, w_pts, dictionary_size: int = 64, seed: int =
 
     v_pts, w_pts = np.asarray(v_pts, dtype=float), np.asarray(w_pts, dtype=float)
     upper, _ = dist(QTuple(v_pts), QTuple(w_pts), MetricKind.G1)
-    pts = np.vstack([v_pts, w_pts])
-    rng = np.random.default_rng(seed)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = hi - lo
-    extra = rng.uniform(lo - 0.5 * span - 0.1, hi + 0.5 * span + 0.1,
-                        size=(dictionary_size, pts.shape[1]))
-    anchors = np.vstack([pts, extra])
+    anchors = zeta_anchors_reference(v_pts, w_pts, dictionary_size, seed)
     dv = np.linalg.norm(v_pts[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
     dw = np.linalg.norm(w_pts[None, :, :] - anchors[:, None, :], axis=2).sum(axis=1)
     return float(np.abs(dv - dw).max()), upper

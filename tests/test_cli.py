@@ -118,6 +118,32 @@ class TestDist:
         a, b = tuples
         assert main(["dist", "--kind", "g7", "--a", a, "--b", b]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("Q", [2, 6])
+    @pytest.mark.parametrize("kind", ["g1", "g2", "ginf"])
+    def test_overflow_leaves_only_the_error_line(self, tmp_path, capsys, kind, Q):
+        # every true distance is finite (G-infinity is 1e200), but the kernel
+        # squares the point distances: one named error, and no Infinity
+        a = write(tmp_path / "a.json", json.dumps([[1e200 * (-1) ** i] for i in range(Q)]))
+        b = write(tmp_path / "b.json", json.dumps([[0.0]] * Q))
+        assert main(["dist", "--kind", kind, "--a", a, "--b", b]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: tuples in {a} and {b} lie so far apart that their {kind} "
+                       "distance overflows float64; scale them down\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("Q", [2, 6])
+    @pytest.mark.parametrize("kind", ["g1", "g2", "ginf"])
+    def test_overflow_off_the_optimal_pairing_is_no_error(self, tmp_path, capsys, kind, Q):
+        # only the pairings the optimum does not take overflow
+        a = write(tmp_path / "a.json", json.dumps([[1e200 * (-1) ** i] for i in range(Q)]))
+        b = write(tmp_path / "b.json", json.dumps([[-1e200 * (-1) ** i] for i in range(Q)]))
+        assert main(["dist", "--kind", kind, "--a", a, "--b", b]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"value": 0.0, "match": [i ^ 1 for i in range(Q)]}
+        assert err == ""
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.json", "[[1, 2")
         ok = write(tmp_path / "ok.json", "[[1, 2]]")

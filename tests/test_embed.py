@@ -229,6 +229,16 @@ class TestBuildFrame:
             assert frame.epsilon == want[1]
             assert np.array_equal(frame.bases, want[0])
 
+    @pytest.mark.parametrize("n,Q,K,floor", [(3, 14, 7, 0.05), (2, 17, "auto", 0.005),
+                                             (3, 14, "auto", 0.01)])
+    def test_draws_past_2_mb_match_the_per_count_reference(self, n, Q, K, floor):
+        # 500 * Q * Q * n numbers pass 2 MB here, so build_frame draws them
+        # afresh, a chunk at a time, for each doubling of K (to K = 16 and 48)
+        assert 500 * Q * Q * n > 1 << 18
+        bases, epsilon = build_frame_reference(n, Q, K, seed=5, eps_floor=floor)
+        frame = build_frame(n, Q, K, seed=5, eps_floor=floor)
+        assert frame.epsilon == epsilon and np.array_equal(frame.bases, bases)
+
     def test_measured_separation_reproducible(self, frame22):
         a = measured_separation(frame22.bases[:, 0, :], frame22.Q)
         b = measured_separation(frame22.bases[:, 0, :], frame22.Q)

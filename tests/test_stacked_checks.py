@@ -3,16 +3,18 @@ one-tuple code they replaced (``tests/oracles.py``), row by row and bit for bit.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qvalued import verify
+from qvalued import embed, verify
 from qvalued.embed import zeta_dual_gap, zeta_dual_gap_many
 from qvalued.qspace import QTuple, split_distance, split_distance_many
 from qvalued.verify import CheckConfig, run_all
 
-from oracles import check_poincare_reference, split_distance_reference, zeta_dual_gap_reference
+from oracles import (check_poincare_reference, split_distance_reference, zeta_anchors_reference,
+                     zeta_dual_gap_reference)
 
 # the stacked code divides by each pair's largest gap, which may be zero
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -79,6 +81,48 @@ def test_zeta_dual_gap_many_rows_equal_the_reference(X):
         want = zeta_dual_gap_reference(X[e], Y[e], dictionary_size=16, seed=seeds[e])
         assert (lower[e], upper[e]) == want
         assert zeta_dual_gap(QTuple(X[e]), QTuple(Y[e]), 16, seed=seeds[e]) == want
+
+
+def zeta_rows(rng, E: int, Q: int, n: int):
+    """E pairs of (Q, n) tuples: a quarter with every point equal (a zero
+    span), a quarter with spans near 1e150, the rest at scales 1e-3 to 1e3."""
+    V = rng.uniform(-1.0, 1.0, (E, Q, n)) * 10.0 ** rng.uniform(-3, 3, (E, 1, 1))
+    W = rng.uniform(-1.0, 1.0, (E, Q, n)) * 10.0 ** rng.uniform(-3, 3, (E, 1, 1))
+    flat, huge = slice(0, E // 4), slice(E // 4, E // 2)
+    V[flat] = W[flat] = rng.uniform(-5.0, 5.0, (E // 4, 1, n))
+    V[huge] *= 1e150 / np.abs(V[huge]).max(axis=(1, 2), keepdims=True)
+    W[huge] *= 1e150 / np.abs(W[huge]).max(axis=(1, 2), keepdims=True)
+    return V, W
+
+
+@pytest.mark.parametrize("Q,n", [(1, 1), (1, 3), (2, 2), (3, 1), (4, 3)])
+def test_zeta_anchors_and_bounds_equal_per_row_uniform(Q, n):
+    # one stacked low + (high - low) * random() against one Generator.uniform
+    # call per row: 5 shapes x 4,000 seeds, zero spans and spans near 1e150
+    rng = np.random.default_rng(100 * Q + n)
+    E = 4000
+    V, W = zeta_rows(rng, E, Q, n)
+    seeds = rng.integers(0, 2**63, E).tolist()
+    seeds[:8] = list(range(8))
+    anchors = embed._zeta_anchors(V, W, seeds, 64)
+    for e in range(E):
+        assert np.array_equal(anchors[e], zeta_anchors_reference(V[e], W[e], 64, seeds[e]))
+    for block in range(0, E, 1000):  # (rows, anchors, Q, n) differences, under 8 MB
+        rows = slice(block, block + 1000)
+        lower, upper = zeta_dual_gap_many(V[rows], W[rows], seeds[rows])
+        for e, pair in enumerate(zip(lower, upper), start=block):
+            assert pair == zeta_dual_gap_reference(V[e], W[e], 64, seeds[e])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_zeta_dual_gap_past_float64_names_the_tuples(scale):
+    # at 1e300 the G1 bound overflows, at 1e308 the anchor box itself
+    v, w = QTuple([[scale], [-scale]]), QTuple([[0.0], [scale]])
+    with pytest.raises(ValueError, match=r"tuples \[\[.*\]\] and \[\[0\.0\], .*overflow float64"):
+        zeta_dual_gap(v, w)
+    V, W = np.array([[[0.0], [1.0]], [[scale], [-scale]]]), np.array([[[1.0], [2.0]], [[0.0], [scale]]])
+    with pytest.raises(ValueError, match=re.escape(f"tuples [[{scale}], [{-scale}]] and [[0.0], [{scale}]]")):
+        zeta_dual_gap_many(V, W, [1, 2])
 
 
 def test_zeta_dual_gap_of_equal_tuples_is_zero():
