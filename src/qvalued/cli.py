@@ -99,14 +99,7 @@ def _cmd_dist(args) -> int:
     v = _load_tuple(args.a)
     w = _load_tuple(args.b)
     kind = MetricKind.parse(args.kind)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-            value, match = dist(v, w, kind)
-    except ValueError:
-        if (v.Q, v.n) != (w.Q, w.n):
-            raise
-        # past Q = 5 the assignment solver refuses costs that all overflow
-        value = math.inf
+    value, match = dist(v, w, kind)
     if not math.isfinite(value):
         raise DataError(f"tuples in {args.a} and {args.b} lie so far apart that their "
                         f"{kind.value} distance overflows float64; scale them down")
@@ -205,7 +198,8 @@ def _cmd_extend(args) -> int:
                    "whitney": ("Whitney data", _whitney_from_obj)}[args.mode]
     ext = _checked(args.infile, what, parse, _load_json(args.infile))
     try:
-        values = ext.evaluate_many(queries)
+        # a Whitney plan, built as queries reach it, can name a field of the data
+        values = _checked(args.infile, what, ext.evaluate_many, queries)
     except extend.QueryError as exc:
         raise DataError(f"row {exc.index + 1} of {args.query}: {exc.problem}")
     _write(args.out, json.dumps(values.tolist()))

@@ -7,7 +7,8 @@ per-edge matchings, then, with matchings frozen, minimize the resulting
 vector p-Dirichlet energy on the branch-lifted graph (iteratively
 reweighted least squares: one weighted-Laplacian solve per iteration).
 The Laplacian's sparsity pattern depends only on the matching, so it is
-built once per matching and an iteration only writes its weights into it.
+built once per matching, and kept while the matching passes return that
+matching again; an iteration only writes its weights into it.
 So is SuperLU's column order: the matching's first factorization finds it,
 and later ones factor the matrix with its columns stored in that order.
 A check that each of their pivots fell on the diagonal, as a fresh
@@ -151,31 +152,6 @@ def max_difference_quotient(f: GridFunction) -> float:
     return float(np.sqrt(sq).max(initial=0.0)) / f.h
 
 
-def _boundary_values(boundary, grid: GridFunction, bnodes: np.ndarray) -> np.ndarray:
-    """The (B, Q, n) Dirichlet data at the B flat node indices ``bnodes``: read off a
-    grid function on ``grid``'s grid, or gathered from a dict of (Q, n) values by node."""
-    if isinstance(boundary, GridFunction):
-        _check_same_grid(boundary, grid)
-        values = _tuples(boundary)[bnodes]
-    else:
-        given = {}
-        for idx, value in boundary.items():
-            idx = tuple(int(i) for i in idx)
-            arr = value.points if isinstance(value, QTuple) else np.asarray(value, dtype=float)
-            if arr.shape != (grid.Q, grid.n):
-                raise ValueError(f"boundary value at {idx} has shape {arr.shape}, "
-                                 f"expected {(grid.Q, grid.n)}")
-            given[idx] = arr
-        values = np.empty((bnodes.size, grid.Q, grid.n))
-        for row, idx in enumerate(index_tuples(bnodes, grid.shape)):
-            if idx not in given:
-                raise ValueError(f"boundary value missing at node {idx}")
-            values[row] = given[idx]
-    if not np.all(np.isfinite(values)):
-        raise ValueError("boundary values must be finite")
-    return values
-
-
 def _stranded(size: int, u: np.ndarray, v: np.ndarray, bnodes: np.ndarray,
               interior: np.ndarray) -> np.ndarray:
     """Interior nodes whose component of the edge graph holds no boundary node."""
@@ -190,7 +166,7 @@ def _stranded(size: int, u: np.ndarray, v: np.ndarray, bnodes: np.ndarray,
     return interior[~anchored[component[interior]]]
 
 
-def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
+def solve_dirichlet(boundary: GridFunction, grid: GridFunction, p: float = 2.0, *,
                     tol: float = 1e-8, max_outer: int = 60,
                     restarts: int = 3, seed: int = 0, max_inner: int = 200):
     """Minimize the discrete p-energy subject to boundary values.
@@ -204,9 +180,9 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
 
     Parameters
     ----------
-    boundary : dict or GridFunction
-        Map from boundary node index to a (Q, n) value, or a grid function
-        whose boundary values are used.
+    boundary : GridFunction
+        The Dirichlet data, its values at the boundary nodes, on ``grid``'s
+        grid; it may be ``grid`` itself, as in ``qv solve``.
     grid : GridFunction
         Supplies mask, shape, spacing, Q and n; its values are ignored.
     p : float
@@ -229,8 +205,13 @@ def solve_dirichlet(boundary, grid: GridFunction, p: float = 2.0, *,
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not isinstance(boundary, GridFunction):
+        raise TypeError(f"boundary must be a GridFunction, got {type(boundary).__name__}")
+    _check_same_grid(boundary, grid)
     bnodes = grid.node_index((BOUNDARY,))
-    bvalue_arr = _boundary_values(boundary, grid, bnodes)
+    bvalue_arr = _tuples(boundary)[bnodes]
+    if not np.all(np.isfinite(bvalue_arr)):
+        raise ValueError("boundary values must be finite")
     if not bnodes.size:
         raise ArgumentError("mask", "field 'mask' of the grid marks no boundary node")
     interior = grid.node_index((INTERIOR,))
@@ -290,18 +271,22 @@ def _alternate(values, grid, interior, u, v, p, *, tol, max_outer, max_inner):
     history = [energy]
     converged = False
     iterations = 0
-    solved = None
+    solved = laplacian = None
     for outer in range(1, max_outer + 1):
         iterations = outer
-        if p == 2.0 and solved is not None and np.array_equal(perms, solved):
+        repeated = solved is not None and np.array_equal(perms, solved)
+        if p == 2.0 and repeated:
             # the p = 2 solve depends on nothing but the matching, so it would
             # return the values it gave last time, at the same energy
             history.append(energy)
             converged = True
             break
-        solved = perms
-        gb = v[:, None] * Q + perms
-        _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner)
+        if not repeated:
+            # a new matching gets its own system; one met again keeps it, and its column order
+            solved = perms
+            gb = v[:, None] * Q + perms
+            laplacian = _FrozenLaplacian(Y, ga, gb, slot, free)
+        _minimize_frozen(Y, laplacian, ga, gb, free, w, p, tol, max_inner)
         sq, perms, energy_new = _matching_pass(X, u, v, w, p)
         if energy_new > energy + 1e-12 * (1.0 + energy):
             raise ArithmeticError("energy increased during alternating minimization")
@@ -333,19 +318,18 @@ def _finite_energy(energy: float) -> float:
     return energy
 
 
-def _minimize_frozen(Y, ga, gb, slot, free, w, p, tol, max_inner):
+def _minimize_frozen(Y, laplacian, ga, gb, free, w, p, tol, max_inner):
     """Lower the frozen-matching p-energy by iteratively reweighted least squares.
 
     Edge ``e`` pairs positions ``ga[e]`` with ``gb[e]`` and contributes
     ``w * S_e^(p/2)``, ``S_e`` its squared matched length.  Each iteration
     weights it by ``S_e^((p-2)/2)``, solves the weighted Laplacian and moves
-    to the energy's minimum on the line through the solution.  The
-    Laplacian's pattern is built once for the matching; an iteration writes
-    its weights into it and factorizes.
+    to the energy's minimum on the line through the solution.  ``laplacian``
+    is the matching's ``_FrozenLaplacian``; an iteration writes its weights
+    into it and factorizes.
     """
     if free.size == 0:
         return
-    laplacian = _FrozenLaplacian(Y, ga, gb, slot, free)
     if p == 2.0:
         # the weights are all 1 and one solve is the exact minimizer
         Y[free] = laplacian.solve(np.ones(len(ga)))

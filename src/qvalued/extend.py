@@ -37,7 +37,8 @@ stations are equal byte for byte share one.  A corner's nearest sample
 is found when a planned edge first needs it.
 
 All formulas are positively homogeneous in the values, so scaling the data
-scales the extensions exactly.
+by a power of two scales the extensions exactly, until the plans' squared
+distances pass float64, where a plan names the field ``value``.
 
 Extension structures are immutable once built, apart from the Whitney
 corner samples and plan caches, which are filled lazily and idempotently:
@@ -61,8 +62,8 @@ from .qspace import MetricKind, QTuple, match_many, vector_norms
 
 def _samples(pairs, name: str, m=None):
     """The locations, as an (L, m) array, and the values, as QTuples, of the
-    ``(location, value)`` pairs of the argument ``name``.  ``m`` defaults to
-    the size of the first location."""
+    ``(location, value)`` pairs of the argument ``name``, whose locations must
+    be finite.  ``m`` defaults to the size of the first location."""
     if not pairs:
         raise ArgumentError(name, f"field '{name}' must hold at least one point")
     locs = [np.asarray(loc, dtype=float).reshape(-1) for loc, _ in pairs]
@@ -71,10 +72,13 @@ def _samples(pairs, name: str, m=None):
     if bad:
         raise ArgumentError(name, f"each location 'x' in field '{name}' must hold m={m} "
                                   f"numbers, got {bad[0]}")
+    locs = np.array(locs)
+    if not np.isfinite(locs).all():
+        raise ArgumentError(name, f"the locations in field '{name}' must be finite")
     values = [value if isinstance(value, QTuple) else QTuple(value) for _, value in pairs]
     if len({(value.Q, value.n) for value in values}) > 1:
         raise ArgumentError(name, f"the values in field '{name}' must share Q and n")
-    return np.array(locs), values
+    return locs, values
 
 
 @dataclass
@@ -166,7 +170,8 @@ def _plan_rows(stack: np.ndarray):
     ``samples`` (E, L, Q, n).
 
     Per row, the oscillation and the split test are measured on the
-    samples.  When some tuple holds two points farther apart than 3*Q times
+    samples (a distance past float64 raises ``ArgumentError`` naming
+    ``value``).  When some tuple holds two points farther apart than 3*Q times
     the oscillation, the points of every tuple are grouped by cluster, and
     each cluster is planned on its own; otherwise the plan is a leaf.  The
     rows are planned together: one G-inf kernel call scores every sample
@@ -191,8 +196,13 @@ def _plan_rows(stack: np.ndarray):
     if Qc < 2 or E == 0:
         return Y, sorters, stack
     osc = _oscillation(stack)
-    gaps = np.linalg.norm(stack[:, :, :, None, :] - stack[:, :, None, :, :], axis=4)
-    above = gaps.reshape(E, L, -1).max(axis=2) > 3.0 * Qc * osc[:, None]
+    with np.errstate(over="ignore"):  # named below: the split test cannot compare inf
+        gaps = np.linalg.norm(stack[:, :, :, None, :] - stack[:, :, None, :, :], axis=4)
+    widest = gaps.reshape(E, L, -1).max(axis=2)
+    if not (np.isfinite(osc).all() and np.isfinite(widest).all()):
+        raise ArgumentError("value", "field 'value' holds points so far apart that their "
+                                     "distances overflow float64; scale them down")
+    above = widest > 3.0 * Qc * osc[:, None]
     rows = np.flatnonzero(above.any(axis=1))
     if rows.size == 0:
         return Y, sorters, stack
@@ -398,8 +408,6 @@ class WhitneyExtension:
         if self.m not in (1, 2):
             raise ArgumentError("data", f"the locations in field 'data' must hold m=1 or m=2 "
                                         f"numbers, got m={self.m}")
-        if not np.isfinite(locs).all():
-            raise ArgumentError("data", "the locations in field 'data' must be finite")
         # return_index: the plain np.unique loads numpy.ma, 15-21 ms of a one-shot run
         if np.unique(locs, axis=0, return_index=True)[0].shape[0] != locs.shape[0]:
             raise ArgumentError("data", "the locations in field 'data' must be distinct")

@@ -138,11 +138,20 @@ def _check_compatible(v: QTuple, w: QTuple) -> None:
 
 
 def _optimum(cost: np.ndarray) -> float:
-    """The least total cost of an assignment on ``cost``: one Hungarian solve."""
+    """The least total cost of an assignment on ``cost``, inf where every one
+    costs inf.  scipy refuses a block, or misses its optimum, where its path
+    sums overflow or no assignment avoids inf; so past 2**500 it solves
+    ``cost`` exactly scaled by a power of two to put the largest finite entry
+    in [0.5, 1), with 4Q for inf, which an optimum takes only where all do."""
     # local import: scipy.optimize costs ~0.6 s at start-up, and only Q > 5 needs it
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(cost)
+    solved = cost
+    if not cost.max() <= 2.0**500:
+        infinite = np.isinf(cost)
+        _, exponent = math.frexp(cost.max(initial=0.0, where=~infinite))
+        solved = np.where(infinite, 4.0 * len(cost), np.ldexp(cost, -exponent))
+    rows, cols = linear_sum_assignment(solved)
     return float(cost[rows, cols].sum())
 
 
@@ -216,6 +225,7 @@ def _perm_table(Q: int) -> np.ndarray:
     return table
 
 
+@np.errstate(over="ignore")  # costs past float64 are inf: callers name them
 def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
     """Optimal matchings between matching rows of two stacks of Q-tuples.
 
@@ -241,6 +251,8 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
         finds the optimum (for GINF, the optimal threshold, by bisection
         over the paired distances), then gives each point in turn the
         smallest column from which the rest can still be paired within it.
+        At every Q a pairing whose square overflows costs inf, quietly, and a
+        row with no finite pairing costs inf and takes the first permutation.
 
     The Q x Q costs of each pair are built with the rows innermost: at
     n <= 2 one coordinate at a time, a sum of at most two squares, which
@@ -331,7 +343,8 @@ def dist_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
     if kind is not MetricKind.G2:
         return cost, perm
     if A.shape[1] == 1:
-        return vector_norms(A[:, 0] - B[:, 0]), perm
+        with np.errstate(over="ignore"):  # as in match_many
+            return vector_norms(A[:, 0] - B[:, 0]), perm
     return np.sqrt(cost), perm
 
 

@@ -178,11 +178,11 @@ def edges_reference(grid):
             yield idx, other
 
 
-def nearest_boundary_init(grid, bvalues):
+def nearest_boundary_init(grid):
     """Solver start: each interior node takes its nearest boundary node's value.
 
-    ``bvalues`` maps boundary node index to a (Q, n) array; ties go to the
-    first boundary node in C order.
+    The Dirichlet data are ``grid``'s values at its boundary nodes; ties go to
+    the first boundary node in C order.
     """
     from qvalued.grids import BOUNDARY, INTERIOR, OUTSIDE
 
@@ -191,12 +191,12 @@ def nearest_boundary_init(grid, bvalues):
     values = np.zeros(grid.shape + (grid.Q, grid.n))
     values[grid.mask == OUTSIDE] = np.nan
     for idx in bnodes:
-        values[idx] = bvalues[idx]
+        values[idx] = grid.values[idx]
     for idx in np.ndindex(*grid.shape):
         if grid.mask[idx] == INTERIOR:
             x = grid.node_coords(idx)
             j = int(np.argmin(np.linalg.norm(bcoords - x[None, :], axis=1)))
-            values[idx] = bvalues[bnodes[j]]
+            values[idx] = grid.values[bnodes[j]]
     return values
 
 
@@ -312,14 +312,17 @@ def grid_to_json_reference(f):
     )
 
 
-def _branch_step_gradient(Y, ga, gb, slot, free, w, p, tol, max_inner):
+def _branch_step_gradient(Y, laplacian, ga, gb, free, w, p, tol, max_inner):
     """Armijo-damped gradient descent on the frozen-matching p-energy.
 
     The inner step the solver ran at p != 2 before it moved to iteratively
     reweighted least squares; it takes the arguments of
-    ``qvalued.energy._minimize_frozen`` and works in place on ``Y`` the same way.
+    ``qvalued.energy._minimize_frozen``, reads nothing of ``laplacian``, and
+    works in place on ``Y`` the same way.
     """
     n = Y.shape[1]
+    slot = np.full(len(Y), -1, dtype=np.intp)
+    slot[free] = np.arange(free.size)
     # each pair pushes +part onto its first end and -part onto its second
     targets = np.stack([slot[ga], slot[gb]], axis=-1).ravel()
     free_end = targets >= 0

@@ -205,14 +205,13 @@ def test_criterion_6_dirichlet_q1_affine():
     grid = empty_grid(2, 1, 1, N)
     a = np.array([0.8, -0.45])
     c = 0.1
-    boundary = {}
     scalar_boundary = {}
     for idx in grid.nodes(kinds=(BOUNDARY,)):
         x = grid.node_coords(idx)
         val = float(a @ x + c)
-        boundary[idx] = [[val]]
+        grid.values[idx] = [[val]]
         scalar_boundary[idx] = val
-    sol, rep, history = solve_dirichlet(boundary, grid, 2.0, restarts=1, tol=1e-12)
+    sol, rep, history = solve_dirichlet(grid, grid, 2.0, restarts=1, tol=1e-12)
     interior = set(grid.nodes(kinds=(INTERIOR,)))
     expected = scalar_laplace_solve(interior, scalar_boundary, grid.shape)
     worst = max(
@@ -240,20 +239,16 @@ def test_criterion_7_dirichlet_q2_disk_sqrt():
     t0 = time.time()
     N = 64
     grid = empty_grid(2, 2, 2, N, disk_mask(N))
-    boundary = {}
     for idx in grid.nodes(kinds=(BOUNDARY,)):
         x = grid.node_coords(idx)
         u = x / np.linalg.norm(x)
-        boundary[idx] = sqrt_pair(u[0], u[1])
+        grid.values[idx] = sqrt_pair(u[0], u[1])
     candidate = grid.copy()
-    for idx in grid.nodes():
-        if grid.mask[idx] == BOUNDARY:
-            candidate.values[idx] = boundary[idx]
-        else:
-            x = grid.node_coords(idx)
-            candidate.values[idx] = sqrt_pair(x[0], x[1])
+    for idx in grid.nodes(kinds=(INTERIOR,)):
+        x = grid.node_coords(idx)
+        candidate.values[idx] = sqrt_pair(x[0], x[1])
     oracle = discrete_energy(candidate, 2.0).total
-    sol, rep, history = solve_dirichlet(boundary, grid, 2.0, restarts=3, seed=0)
+    sol, rep, history = solve_dirichlet(grid, grid, 2.0, restarts=3, seed=0)
     elapsed = time.time() - t0
     print(f"  disk sqrt: solver {rep.total:.8f} <= candidate {oracle:.8f} + 1e-6, "
           f"{elapsed:.1f}s, converged {rep.converged}")

@@ -119,7 +119,7 @@ class TestDist:
         assert main(["dist", "--kind", "g7", "--a", a, "--b", b]) == 1
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("Q", [2, 6])
+    @pytest.mark.parametrize("Q", [1, 2, 5, 6])
     @pytest.mark.parametrize("kind", ["g1", "g2", "ginf"])
     def test_overflow_leaves_only_the_error_line(self, tmp_path, capsys, kind, Q):
         # every true distance is finite (G-infinity is 1e200), but the kernel
@@ -133,16 +133,31 @@ class TestDist:
                        "distance overflows float64; scale them down\n")
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("Q", [2, 6])
+    @pytest.mark.parametrize("Q", [1, 2, 5, 6])
     @pytest.mark.parametrize("kind", ["g1", "g2", "ginf"])
     def test_overflow_off_the_optimal_pairing_is_no_error(self, tmp_path, capsys, kind, Q):
-        # only the pairings the optimum does not take overflow
-        a = write(tmp_path / "a.json", json.dumps([[1e200 * (-1) ** i] for i in range(Q)]))
-        b = write(tmp_path / "b.json", json.dumps([[-1e200 * (-1) ** i] for i in range(Q)]))
+        # only the pairings the optimum does not take overflow: b swaps the
+        # points of a in pairs, the last one staying put at odd Q
+        points = [[1e200 * (-1) ** i] for i in range(Q)]
+        match = [i ^ 1 if i ^ 1 < Q else i for i in range(Q)]
+        a = write(tmp_path / "a.json", json.dumps(points))
+        b = write(tmp_path / "b.json", json.dumps([points[j] for j in match]))
         assert main(["dist", "--kind", kind, "--a", a, "--b", b]) == 0
         out, err = capsys.readouterr()
-        assert json.loads(out) == {"value": 0.0, "match": [i ^ 1 for i in range(Q)]}
+        assert json.loads(out) == {"value": 0.0, "match": match}
         assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_distance_past_infinite_costs(self, tmp_path, capsys):
+        # a[1] cannot stay finite once a[0] takes b[0], which the Hungarian
+        # solves used to refuse outright
+        a = write(tmp_path / "a.json", json.dumps(
+            [[0.6e154], [-0.6e154], [2e300], [3e300], [4e300], [5e300]]))
+        b = write(tmp_path / "b.json", json.dumps(
+            [[0.0], [1.2e154], [2e300], [3e300], [4e300], [5e300]]))
+        assert main(["dist", "--kind", "g1", "--a", a, "--b", b]) == 0
+        out, err = capsys.readouterr()
+        assert out == '{"value": 1.2e+154, "match": [1, 0, 2, 3, 4, 5]}\n' and err == ""
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.json", "[[1, 2")
@@ -260,7 +275,44 @@ class TestFrameEmbedDecode:
         assert main(["embed", "--frame", bad, "--tuple", t]) == 1
 
 
+def far_branch_spec(mode, scale):
+    """A ``qv extend`` input of Q = 3, n = 2 values in [-1, 1] with one branch
+    100 off the others (seed 4), times ``scale``: 12 Whitney samples in
+    [0, 1]^2, or 10 cone samples on the unit circle; and 20 query rows."""
+    rng = np.random.default_rng(4)
+    if mode == "whitney":
+        locs, queries = rng.uniform(0, 1, (12, 2)), rng.uniform(0, 1, (20, 2))
+    else:
+        t = np.linspace(0, 2 * math.pi, 10, endpoint=False)
+        locs, queries = np.stack([np.cos(t), np.sin(t)], 1), rng.uniform(-0.7, 0.7, (20, 2))
+    vals = rng.uniform(-1, 1, (len(locs), 3, 2))
+    vals[:, 0] += 100
+    entries = [{"x": x, "value": v} for x, v in zip(locs.tolist(), (scale * vals).tolist())]
+    spec = ({"box": [[0, 1], [0, 1]], "depth": 6, "data": entries} if mode == "whitney"
+            else {"m": 2, "R": 1.0, "points": entries})
+    return spec, "\n".join(f"{x!r},{y!r}" for x, y in queries.tolist()) + "\n"
+
+
 class TestExtendCli:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode,what", [("cone", "cone sample"), ("whitney", "Whitney data")])
+    def test_values_past_float64_named(self, tmp_path, capsys, mode, what):
+        # by 2**500 the output scales exactly; by 2**700 the plans' squared
+        # distances overflow, and one error line names the file and the field
+        def run(scale):
+            spec, rows = far_branch_spec(mode, scale)
+            data = write(tmp_path / "data.json", json.dumps(spec))
+            code = main(["extend", mode, "--in", data, "--query", write(tmp_path / "q.csv", rows)])
+            return (code, data) + capsys.readouterr()
+
+        (code, _, base, _), (scaled_code, _, scaled, _) = run(1.0), run(2.0**500)
+        assert code == scaled_code == 0
+        assert np.array_equal(np.array(json.loads(scaled)), 2.0**500 * np.array(json.loads(base)))
+        code, data, out, err = run(2.0**700)
+        assert code == 1 and out == ""
+        assert err == (f"error: bad {what} in {data}: field 'value' holds points so far "
+                       "apart that their distances overflow float64; scale them down\n")
+
     def test_cone(self, tmp_path, capsys):
         pts = [
             {"x": [math.cos(t), math.sin(t)], "value": [[math.cos(t)]]}
@@ -605,11 +657,13 @@ class TestSolveCli:
     @pytest.mark.parametrize("command,what", [("solve", "boundary data"),
                                               ("energy 2", "grid function"),
                                               ("energy 3", "grid function")])
-    def test_overflow_leaves_only_the_error_line(self, tmp_path, capsys, command, what):
+    @pytest.mark.parametrize("Q", [2, 6])
+    def test_overflow_leaves_only_the_error_line(self, tmp_path, capsys, command, what, Q):
         # warnings are errors and no errstate is set: stderr holds the one
-        # named error, and qv energy writes no Infinity
-        grid = empty_grid(2, 1, 2, 5, square_mask(5, 2))
-        grid.values[grid.mask == BOUNDARY] = [[1e200], [-1e200]]
+        # named error, and qv energy writes no Infinity; past Q = 5 too, where
+        # the Hungarian solves price the overflowing pairings
+        grid = empty_grid(2, 1, Q, 5, square_mask(5, 2))
+        grid.values[grid.mask == BOUNDARY] = [[1e200 * (-1) ** i] for i in range(Q)]
         b = write(tmp_path / "b.json", grid.to_json())
         if command == "solve":
             argv = ["solve", "--boundary", b, "--out", str(tmp_path / "sol.json")]

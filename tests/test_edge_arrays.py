@@ -170,15 +170,17 @@ class TestG2MatchMany:
 def disk_problem(Q, n, N, seed):
     grid = empty_grid(2, n, Q, N, disk_mask(N))
     rng = np.random.default_rng(seed)
-    boundary = {idx: rng.uniform(-1, 1, (Q, n)) for idx in grid.nodes(kinds=(BOUNDARY,))}
-    return grid, boundary
+    for idx in grid.nodes(kinds=(BOUNDARY,)):
+        grid.values[idx] = rng.uniform(-1, 1, (Q, n))
+    return grid
 
 
 def square_problem(Q, n, N, seed):
     grid = empty_grid(2, n, Q, N)
     rng = np.random.default_rng(seed)
-    boundary = {idx: rng.uniform(-1, 1, (Q, n)) for idx in grid.nodes(kinds=(BOUNDARY,))}
-    return grid, boundary
+    for idx in grid.nodes(kinds=(BOUNDARY,)):
+        grid.values[idx] = rng.uniform(-1, 1, (Q, n))
+    return grid
 
 
 def sqrt_pair(x, on_circle):
@@ -191,12 +193,12 @@ def sqrt_pair(x, on_circle):
 def sqrt_disk_problem(N):
     """Square-root boundary data on the disk, and the sampled square-root pair."""
     grid = empty_grid(2, 2, 2, N, disk_mask(N))
-    boundary = {idx: sqrt_pair(grid.node_coords(idx), True)
-                for idx in grid.nodes(kinds=(BOUNDARY,))}
+    for idx in grid.nodes(kinds=(BOUNDARY,)):
+        grid.values[idx] = sqrt_pair(grid.node_coords(idx), True)
     sampled = grid.copy()
-    for idx in grid.nodes():
-        sampled.values[idx] = boundary.get(idx) or sqrt_pair(grid.node_coords(idx), False)
-    return grid, boundary, sampled
+    for idx in grid.nodes(kinds=(INTERIOR,)):
+        sampled.values[idx] = sqrt_pair(grid.node_coords(idx), False)
+    return grid, sampled
 
 
 PROBLEMS = [("disk_q2", disk_problem(2, 2, 11, 0)), ("square_q3", square_problem(3, 2, 7, 1))]
@@ -205,8 +207,8 @@ PROBLEMS = [("disk_q2", disk_problem(2, 2, 11, 0)), ("square_q3", square_problem
 class TestFrozenSteps:
     """One outer iteration of the solver against one reference step."""
 
-    def reference(self, grid, boundary, step, *args):
-        values = nearest_boundary_init(grid, boundary)
+    def reference(self, grid, step, *args):
+        values = nearest_boundary_init(grid)
         edges = list(edges_reference(grid))
         matchings = [_g2_match(values[u], values[v]) for u, v in edges]
         step(values, grid, edges, matchings, unknown_index(grid), *args)
@@ -214,16 +216,16 @@ class TestFrozenSteps:
 
     @pytest.mark.parametrize("name,problem", PROBLEMS)
     def test_linear_step(self, name, problem):
-        grid, boundary = problem
-        sol, _, history = solve_dirichlet(boundary, grid, 2.0, restarts=1, max_outer=1)
+        grid = problem
+        sol, _, history = solve_dirichlet(grid, grid, 2.0, restarts=1, max_outer=1)
         assert len(history) == 2
-        expect = self.reference(grid, boundary, _branch_step_linear)
+        expect = self.reference(grid, _branch_step_linear)
         inside = grid.mask != OUTSIDE
         assert np.allclose(sol.values[inside], expect[inside], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name,problem", PROBLEMS)
     def test_p2_one_solve_per_matching(self, name, problem, monkeypatch):
-        grid, boundary = problem
+        grid = problem
         calls = []
 
         class Recording(energy._FrozenLaplacian):
@@ -236,22 +238,50 @@ class TestFrozenSteps:
                 return super().solve(weight)
 
         monkeypatch.setattr(energy, "_FrozenLaplacian", Recording)
-        sol, report, history = solve_dirichlet(boundary, grid, 2.0, restarts=1)
+        sol, report, history = solve_dirichlet(grid, grid, 2.0, restarts=1)
         # one solve per distinct matching: the pass that meets the last
         # solved matching again ends the run without a solve
         matchings = {gb.tobytes() for gb, _ in calls}
         assert len(matchings) == len(calls) == report.iterations - 1
         assert all(np.array_equal(w, np.ones(len(w))) for _, w in calls)
         assert history[-1] == history[-2]
-        again, _, _ = solve_dirichlet(boundary, grid, 2.0, restarts=1,
+        again, _, _ = solve_dirichlet(grid, grid, 2.0, restarts=1,
                                       max_outer=report.iterations - 1)
         assert np.array_equal(sol.values, again.values, equal_nan=True)
+
+    def test_repeated_matching_keeps_its_system(self, monkeypatch):
+        # the solve_p3 benchmark problem of seed 3301, op 0: the second outer
+        # iteration meets the first one's matching again and solves on its
+        # system, in the column order it found, with no second COLAMD ordering
+        import scipy.sparse.linalg
+
+        theta = float(np.random.default_rng([3301, 0]).uniform(0.0, 2.0 * math.pi))
+        grid = empty_grid(2, 2, 2, 16, disk_mask(16))
+        for idx in grid.nodes(kinds=(BOUNDARY,)):
+            x = grid.node_coords(idx)
+            t = (math.atan2(x[1], x[0]) + theta) / 2.0
+            grid.values[idx] = [[math.cos(t), math.sin(t)], [-math.cos(t), -math.sin(t)]]
+        specs, systems = [], []
+        splu = scipy.sparse.linalg.splu
+
+        class Counted(energy._FrozenLaplacian):
+            def __init__(self, *args):
+                systems.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda A, permc_spec=None: specs.append(permc_spec) or splu(
+                                A, permc_spec=permc_spec))
+        monkeypatch.setattr(energy, "_FrozenLaplacian", Counted)
+        _, report, _ = solve_dirichlet(grid, grid, 3.0, restarts=1)
+        assert report.iterations == 2
+        assert (len(specs), specs.count(None), len(systems)) == (11, 1, 1)
 
     @pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 8.0])
     @pytest.mark.parametrize("name,problem", PROBLEMS)
     def test_each_system_matches_fresh_assembly(self, name, problem, p, monkeypatch):
         # every IRLS iteration's matrix and right-hand side, bit for bit
-        grid, boundary = problem
+        grid = problem
         systems = []
 
         class Recording(energy._FrozenLaplacian):
@@ -266,7 +296,7 @@ class TestFrozenSteps:
                 return L, rhs
 
         monkeypatch.setattr(energy, "_FrozenLaplacian", Recording)
-        solve_dirichlet(boundary, grid, p, restarts=2)
+        solve_dirichlet(grid, grid, p, restarts=2)
         assert len(systems) > (1 if p == 2.0 else 4)
         for args, weight, L, rhs, order in systems:
             expect, expect_rhs = weighted_laplacian_reference(*args, weight)
@@ -285,28 +315,28 @@ class TestFrozenSteps:
                                                              monkeypatch):
         # away from p = 2 the frozen minimum is reached iteratively, so a
         # pass that meets its last matching again can still lower the energy
-        grid, boundary = problem
+        grid = problem
         matchings = []
         step = energy._minimize_frozen
         monkeypatch.setattr(energy, "_minimize_frozen",
-                            lambda *a: matchings.append(a[2].tobytes()) or step(*a))
-        _, report, _ = solve_dirichlet(boundary, grid, p, restarts=1)
+                            lambda *a: matchings.append(a[3].tobytes()) or step(*a))
+        _, report, _ = solve_dirichlet(grid, grid, p, restarts=1)
         assert len(matchings) == report.iterations
         assert len(set(matchings)) < len(matchings)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
     @pytest.mark.parametrize("name,problem", PROBLEMS)
     def test_frozen_step_no_worse_than_gradient_step(self, name, problem, p, monkeypatch):
-        grid, boundary = problem
+        grid = problem
         tol = 1e-8
         args = []
         monkeypatch.setattr(energy, "_minimize_frozen", lambda *a: args.append(a))
-        solve_dirichlet(boundary, grid, p, restarts=1, max_outer=1)
-        Y, ga, gb, slot, free, w = args[0][:6]
+        solve_dirichlet(grid, grid, p, restarts=1, max_outer=1)
+        Y, laplacian, ga, gb, free, w = args[0][:6]
         totals = []
         for step in (minimize_frozen, _branch_step_gradient):
             Y_step = Y.copy()
-            step(Y_step, ga, gb, slot, free, w, p, tol, 200)
+            step(Y_step, laplacian, ga, gb, free, w, p, tol, 200)
             delta = Y_step[ga] - Y_step[gb]
             totals.append(w * float((np.einsum("eqn,eqn->e", delta, delta) ** (p / 2)).sum()))
         irls, gradient = totals
@@ -315,8 +345,8 @@ class TestFrozenSteps:
     @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
     @pytest.mark.parametrize("name,problem", PROBLEMS)
     def test_history_nonincreasing(self, name, problem, p):
-        grid, boundary = problem
-        _, report, history = solve_dirichlet(boundary, grid, p, restarts=1)
+        grid = problem
+        _, report, history = solve_dirichlet(grid, grid, p, restarts=1)
         assert report.converged
         assert all(e1 <= e0 for e0, e1 in zip(history, history[1:])), history
 
@@ -324,17 +354,17 @@ class TestFrozenSteps:
     def test_p8_sqrt_disk(self, N):
         # with a floor on the squared edge lengths alone the weights span ~1e-36
         # and the solver stopped at its starting energy, ~1e5 times too high
-        grid, boundary, sampled = sqrt_disk_problem(N)
-        _, report, history = solve_dirichlet(boundary, grid, 8.0, restarts=1)
+        grid, sampled = sqrt_disk_problem(N)
+        _, report, history = solve_dirichlet(grid, grid, 8.0, restarts=1)
         assert all(e1 <= e0 for e0, e1 in zip(history, history[1:])), history
         assert report.total <= discrete_energy(sampled, 8.0).total
 
     def test_p8_sqrt_disk_no_worse_than_gradient_step(self, monkeypatch):
-        grid, boundary, _ = sqrt_disk_problem(16)
+        grid, _ = sqrt_disk_problem(16)
         tol = 1e-8
-        _, report, _ = solve_dirichlet(boundary, grid, 8.0, restarts=1, tol=tol)
+        _, report, _ = solve_dirichlet(grid, grid, 8.0, restarts=1, tol=tol)
         monkeypatch.setattr(energy, "_minimize_frozen", _branch_step_gradient)
-        _, expect, _ = solve_dirichlet(boundary, grid, 8.0, restarts=1, tol=tol)
+        _, expect, _ = solve_dirichlet(grid, grid, 8.0, restarts=1, tol=tol)
         assert report.total <= expect.total + tol * (1.0 + expect.total)
 
     def test_nearest_in_small_chunks(self):
@@ -345,8 +375,8 @@ class TestFrozenSteps:
         picks, gap = _nearest(coords[interior], coords[bnodes], budget=7)
         whole, whole_gap = _nearest(coords[interior], coords[bnodes])
         assert np.array_equal(picks, whole) and np.array_equal(gap, whole_gap)
-        boundary = {idx: [[float(j)]] for j, idx in enumerate(grid.nodes(kinds=(BOUNDARY,)))}
-        expect = nearest_boundary_init(grid, boundary)
+        grid.values.reshape(-1)[bnodes] = np.arange(bnodes.size)
+        expect = nearest_boundary_init(grid)
         assert np.array_equal(expect.reshape(-1)[interior], picks.astype(float))
 
 

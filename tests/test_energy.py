@@ -296,9 +296,8 @@ class TestSolveDirichlet:
         mask[1:6, 1:6] = OUTSIDE
         mask[2:5, 2:5] = INTERIOR  # a 3x3 island of interior nodes
         grid = empty_grid(2, 1, 2, 7, mask)
-        boundary = {idx: grid.values[idx] for idx in grid.nodes(kinds=(BOUNDARY,))}
         with pytest.raises(ValueError, match=r"interior node \(2, 2\)"):
-            solve_dirichlet(boundary, grid, p, restarts=1)
+            solve_dirichlet(grid, grid, p, restarts=1)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("restarts,max_outer", [(1, 60), (3, 60), (2, 1), (1, 0)])
@@ -307,8 +306,9 @@ class TestSolveDirichlet:
         # it equals a fresh evaluation of the solution bit for bit
         grid = empty_grid(2, 2, 2, 9, disk_mask(9))
         rng = np.random.default_rng(2)
-        boundary = {idx: rng.uniform(-1, 1, (2, 2)) for idx in grid.nodes(kinds=(BOUNDARY,))}
-        sol, report, _ = solve_dirichlet(boundary, grid, p, restarts=restarts,
+        for idx in grid.nodes(kinds=(BOUNDARY,)):
+            grid.values[idx] = rng.uniform(-1, 1, (2, 2))
+        sol, report, _ = solve_dirichlet(grid, grid, p, restarts=restarts,
                                          max_outer=max_outer)
         fresh = discrete_energy(sol, p)
         assert report.total == fresh.total and report.p == p and report.shape == fresh.shape
@@ -319,11 +319,9 @@ class TestSolveDirichlet:
         N = 17
         grid = empty_grid(2, 1, 1, N)
         a = np.array([0.4, -1.1])
-        boundary = {
-            idx: [[a @ grid.node_coords(idx) + 0.3]]
-            for idx in grid.nodes(kinds=(BOUNDARY,))
-        }
-        sol, report, history = solve_dirichlet(boundary, grid, 2.0, restarts=1)
+        for idx in grid.nodes(kinds=(BOUNDARY,)):
+            grid.values[idx] = [[a @ grid.node_coords(idx) + 0.3]]
+        sol, report, history = solve_dirichlet(grid, grid, 2.0, restarts=1)
         for idx in grid.nodes():
             x = grid.node_coords(idx)
             assert sol.values[idx][0, 0] == pytest.approx(a @ x + 0.3, abs=1e-10)
@@ -335,14 +333,13 @@ class TestSolveDirichlet:
         N = 15
         grid = empty_grid(2, 1, 1, N)
         rng = np.random.default_rng(6)
-        boundary = {}
         scalar_boundary = {}
         for idx in grid.nodes(kinds=(BOUNDARY,)):
             x = grid.node_coords(idx)
             val = math.sin(2 * x[0]) + 0.5 * x[1] ** 2
-            boundary[idx] = [[val]]
+            grid.values[idx] = [[val]]
             scalar_boundary[idx] = val
-        sol, _, _ = solve_dirichlet(boundary, grid, 2.0, restarts=1)
+        sol, _, _ = solve_dirichlet(grid, grid, 2.0, restarts=1)
         interior = set(grid.nodes(kinds=(INTERIOR,)))
         expected = scalar_laplace_solve(interior, scalar_boundary, grid.shape)
         for idx in interior:
@@ -351,8 +348,8 @@ class TestSolveDirichlet:
     def test_constant_boundary(self):
         grid = empty_grid(2, 2, 3, 9)
         c = np.array([[0.5, -1.0]] * 3)
-        boundary = {idx: c for idx in grid.nodes(kinds=(BOUNDARY,))}
-        sol, report, history = solve_dirichlet(boundary, grid, 2.0)
+        grid.values[grid.mask == BOUNDARY] = c
+        sol, report, history = solve_dirichlet(grid, grid, 2.0)
         assert report.total == pytest.approx(0.0, abs=1e-20)
         for idx in grid.nodes():
             assert np.allclose(sol.values[idx], c)
@@ -360,20 +357,18 @@ class TestSolveDirichlet:
     def test_trace_of_solution_is_boundary(self):
         grid = empty_grid(2, 1, 2, 7)
         rng = np.random.default_rng(7)
-        boundary = {
-            idx: rng.uniform(-1, 1, (2, 1))
-            for idx in grid.nodes(kinds=(BOUNDARY,))
-        }
-        sol, _, _ = solve_dirichlet(boundary, grid, 2.0, restarts=1)
+        for idx in grid.nodes(kinds=(BOUNDARY,)):
+            grid.values[idx] = rng.uniform(-1, 1, (2, 1))
+        sol, _, _ = solve_dirichlet(grid, grid, 2.0, restarts=1)
         sample = trace(sol)
         for (loc, val), idx in zip(sample.points, grid.nodes(kinds=(BOUNDARY,))):
-            assert np.array_equal(val.points, np.asarray(boundary[idx]))
+            assert np.array_equal(val.points, grid.values[idx])
 
     def test_general_p_gradient_path(self):
         grid = empty_grid(1, 1, 1, 9, extent=1.0)
-        boundary = {(0,): [[0.0]], (8,): [[1.0]]}
+        grid.values[0], grid.values[8] = [[0.0]], [[1.0]]
         sol, report, history = solve_dirichlet(
-            boundary, grid, 3.0, restarts=1, tol=1e-10, max_outer=200
+            grid, grid, 3.0, restarts=1, tol=1e-10, max_outer=200
         )
         # the p-harmonic interpolant in 1-D is affine regardless of p
         for idx in grid.nodes():
@@ -387,11 +382,10 @@ class TestSolveDirichlet:
         # recovers both sheets, with energy matching the sum of sheets
         N = 11
         grid = empty_grid(2, 1, 2, N)
-        boundary = {}
         for idx in grid.nodes(kinds=(BOUNDARY,)):
             x = grid.node_coords(idx)
-            boundary[idx] = [[10.0 + 0.3 * x[0]], [-10.0 + 0.5 * x[1]]]
-        sol, report, history = solve_dirichlet(boundary, grid, 2.0, restarts=1)
+            grid.values[idx] = [[10.0 + 0.3 * x[0]], [-10.0 + 0.5 * x[1]]]
+        sol, report, history = solve_dirichlet(grid, grid, 2.0, restarts=1)
         single = empty_grid(2, 1, 1, N)
         e_sheets = 0.0
         for a, c in (((0.3, 0.0), 10.0), ((0.0, 0.5), -10.0)):
@@ -401,28 +395,23 @@ class TestSolveDirichlet:
 
     def test_validation(self):
         grid = empty_grid(2, 1, 1, 5)
-        boundary = {
-            idx: [[0.0]] for idx in grid.nodes(kinds=(BOUNDARY,))
-        }
         with pytest.raises(ValueError):
-            solve_dirichlet(boundary, grid, 1.0)
+            solve_dirichlet(grid, grid, 1.0)
         with pytest.raises(ValueError):
-            solve_dirichlet(boundary, grid, 9.0)
-        missing = dict(boundary)
-        missing.pop(next(iter(missing)))
-        with pytest.raises(ValueError):
-            solve_dirichlet(missing, grid, 2.0)
+            solve_dirichlet(grid, grid, 9.0)
+        # the Dirichlet data are a grid function's boundary values, not a dict
+        with pytest.raises(TypeError, match="GridFunction"):
+            solve_dirichlet({(0, 0): [[0.0]]}, grid, 2.0)
 
 
 class TestGeneralP2D:
     def test_p4_two_branches_converges(self):
         grid = empty_grid(2, 1, 2, 9)
-        boundary = {}
         for idx in grid.nodes(kinds=(BOUNDARY,)):
             x = grid.node_coords(idx)
-            boundary[idx] = [[5.0 + 0.2 * x[0]], [-5.0 + 0.4 * x[1]]]
+            grid.values[idx] = [[5.0 + 0.2 * x[0]], [-5.0 + 0.4 * x[1]]]
         sol, report, history = solve_dirichlet(
-            boundary, grid, 4.0, restarts=1, tol=1e-9, max_outer=300
+            grid, grid, 4.0, restarts=1, tol=1e-9, max_outer=300
         )
         assert report.converged
         for e0, e1 in zip(history, history[1:]):
@@ -498,9 +487,9 @@ class TestLipschitzTruncation:
 class TestIterationCap:
     def test_unconverged_returns_best(self):
         grid = empty_grid(1, 1, 1, 9, extent=1.0)
-        boundary = {(0,): [[0.0]], (8,): [[1.0]]}
+        grid.values[0], grid.values[8] = [[0.0]], [[1.0]]
         sol, report, history = solve_dirichlet(
-            boundary, grid, 3.0, restarts=1, tol=1e-16, max_outer=1,
+            grid, grid, 3.0, restarts=1, tol=1e-16, max_outer=1,
             max_inner=1,
         )
         assert report.iterations == 1
@@ -513,7 +502,8 @@ class TestSolverSafety:
     @staticmethod
     def line_problem():
         grid = empty_grid(1, 1, 2, 9, extent=1.0)
-        return {(0,): [[0.0], [1.0]], (8,): [[1.0], [-1.0]]}, grid
+        grid.values[0], grid.values[8] = [[0.0], [1.0]], [[1.0], [-1.0]]
+        return grid
 
     def test_inner_step_that_raises_the_energy_is_reverted(self, monkeypatch):
         # a step to t = -1 goes uphill from the line minimum; the inner loop
@@ -528,18 +518,18 @@ class TestSolverSafety:
             seen.append(np.array_equal(Y, before, equal_nan=True))
 
         monkeypatch.setattr(energy, "_minimize_frozen", recorded)
-        boundary, grid = self.line_problem()
-        solve_dirichlet(boundary, grid, 3.0, restarts=1, max_outer=1)
+        grid = self.line_problem()
+        solve_dirichlet(grid, grid, 3.0, restarts=1, max_outer=1)
         assert steps and seen == [True]
 
     def test_energy_rise_across_a_pass_is_caught(self, monkeypatch):
-        def uphill(Y, ga, gb, slot, free, *args):
+        def uphill(Y, laplacian, ga, gb, free, *args):
             Y[free] += 1.0
 
         monkeypatch.setattr(energy, "_minimize_frozen", uphill)
-        boundary, grid = self.line_problem()
+        grid = self.line_problem()
         with pytest.raises(ArithmeticError, match="energy increased"):
-            solve_dirichlet(boundary, grid, 2.0, restarts=1)
+            solve_dirichlet(grid, grid, 2.0, restarts=1)
 
     @pytest.mark.parametrize("edge", [1e200, 0.0])
     def test_energy_past_float64_names_values(self, edge):

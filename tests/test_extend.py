@@ -36,6 +36,16 @@ class TestBoundarySample:
                 R=1.0, m=2,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_location_names_points(self, bad):
+        # a NaN location passed the cone's sphere test and won every
+        # nearest-sample search, answering 5.0 at the sample worth 2.0
+        pts = [([bad, 0.0], [[5.0]]), ([1.0, 0.0], [[2.0]]), ([-1.0, 0.0], [[3.0]])]
+        with pytest.raises(ArgumentError, match="locations in field 'points' must be finite") \
+                as info:
+            ConeExtension(BoundarySample(pts, R=1.0, m=2))
+        assert info.value.name == "points"
+
     def test_off_sphere_rejected_by_cone(self):
         s = BoundarySample(points=[([0.5, 0.0], QTuple([[1.0]]))], R=1.0, m=2)
         with pytest.raises(ValueError):
@@ -262,6 +272,13 @@ class TestWhitneyExtend:
             b = ext_t.evaluate(q).canonical().points
             assert np.array_equal(t * a, b)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_locations(self, bad):
+        with pytest.raises(ArgumentError, match="locations in field 'data' must be finite") \
+                as info:
+            WhitneyExtension([([0.5, bad], QTuple([[1.0]]))], [[0, 1], [0, 1]], 4)
+        assert info.value.name == "data"
+
     def test_rejects_m3(self):
         with pytest.raises(ValueError):
             WhitneyExtension(
@@ -397,3 +414,35 @@ class TestExtendToPlane:
         assert out.shape == ref.shape and out.h == ref.h
         assert np.array_equal(out.mask, ref.mask)
         assert np.array_equal(out.values, ref.values)
+
+
+def far_branch_values(kind, scale):
+    """The values at 20 queries of an extension of Q = 3, n = 2 values in
+    [-1, 1] with one branch 100 off the others (seed 4), times ``scale``: of 12
+    Whitney samples in [0, 1]^2, or of 10 cone samples on the unit circle."""
+    rng = np.random.default_rng(4)
+    if kind == "whitney":
+        locs, queries = rng.uniform(0, 1, (12, 2)), rng.uniform(0, 1, (20, 2))
+    else:
+        t = np.linspace(0, 2 * math.pi, 10, endpoint=False)
+        locs, queries = np.stack([np.cos(t), np.sin(t)], 1), rng.uniform(-0.7, 0.7, (20, 2))
+    vals = rng.uniform(-1, 1, (len(locs), 3, 2))
+    vals[:, 0] += 100
+    samples = list(zip(locs, scale * vals))
+    if kind == "whitney":
+        return WhitneyExtension(samples, [[0, 1], [0, 1]], 6).evaluate_many(queries)
+    return ConeExtension(BoundarySample(samples, R=1.0, m=2)).evaluate_many(queries)
+
+
+class TestScaleOverflow:
+    """Past the float64 range of the plans' squared distances the split test
+    compared infinities and never fired, and the values came out wrong."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["whitney", "cone"])
+    def test_exact_at_2_500_named_at_2_700(self, kind):
+        base = far_branch_values(kind, 1.0)
+        assert np.array_equal(far_branch_values(kind, 2.0**500), 2.0**500 * base)
+        with pytest.raises(ArgumentError, match="overflow float64") as info:
+            far_branch_values(kind, 2.0**700)
+        assert info.value.name == "value"

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvalued.qspace import MetricKind, QTuple, dist, dist_many, match_many
 
@@ -192,3 +192,74 @@ class TestAgainstCostMatrixReference:
                 assert cost.shape == ref_cost.shape and perm.shape == ref_perm.shape, name
                 assert np.array_equal(cost, ref_cost), name
                 assert np.array_equal(perm, ref_perm), name
+
+
+# a/b of the kernel's infinite costs: at Q = 6 the first lexmin sub-solve for
+# a[0] -> b[0] leaves a block whose row a[1] has no finite cost
+FAR_A = [[0.6e154], [-0.6e154], [2e300], [3e300], [4e300], [5e300]]
+FAR_B = [[0.0], [1.2e154], [2e300], [3e300], [4e300], [5e300]]
+
+
+@st.composite
+def far_stacks(draw):
+    """Integer stacks on {-2..2} scaled by 2**510, at Q = 6 or 7: a point
+    difference of 4 squares past float64, one of 3 or less stays exact."""
+    Q = draw(st.integers(6, 7))
+    n = draw(st.integers(1, 2))
+    E = draw(st.integers(1, 2))
+    size = E * Q * n
+    coords = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+    A, B = (np.array(draw(coords), float).reshape(E, Q, n) * 2.0**510 for _ in range(2))
+    return A, B
+
+
+class TestInfiniteCosts:
+    """Pairings whose squared distance overflows cost inf at every Q, quietly:
+    past Q = 5 the Hungarian solves price a block with no finite assignment
+    as inf, as the permutation table does."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @settings(max_examples=40, deadline=None)
+    @given(stacks=far_stacks())
+    # the G2 optimum is 13 * 2**1020, but an unscaled Hungarian solve sums past
+    # float64 on its way and refuses the block
+    @example(stacks=(np.array([[[0.0]] * 5 + [[-2.0**511]]]),
+                     np.array([[[0.0]] * 3 + [[2.0**510], [2.0**511], [2.0**511]]])))
+    def test_against_brute_force(self, kind, stacks):
+        A, B = stacks
+        cost, perm = match_many(A, B, kind)
+        for e in range(len(A)):
+            with np.errstate(over="ignore"):
+                costs, perms = all_pairing_costs(A[e], B[e], kind.value)
+            if kind is MetricKind.GINF:
+                first = costs.argmin()
+            else:
+                first = np.argmax(costs <= costs.min() * (1.0 + 1e-12))
+            assert cost[e] == costs[first]
+            assert tuple(perm[e]) == tuple(perms[first])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("Q", [5, 6])
+    def test_finite_optimum_past_infinite_blocks(self, kind, Q):
+        expect = {MetricKind.G1: 1.2e154, MetricKind.G2: math.sqrt(2 * 0.6e154**2),
+                  MetricKind.GINF: 0.6e154}[kind]
+        value, match = dist(QTuple(FAR_A[:Q]), QTuple(FAR_B[:Q]), kind)
+        assert value == expect
+        assert match.perm == (1, 0, 2, 3, 4, 5)[:Q]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("Q", [1, 2, 5, 6, 7])
+    def test_no_finite_pairing_costs_inf_and_takes_the_identity(self, kind, Q):
+        A = np.full((2, Q, 1), 1e200)
+        B = np.full((2, Q, 1), -1e200)
+        B[1, 0] = 1e200  # one finite cost, at Q = 1 the only one
+        cost, perm = match_many(A, B, kind)
+        value, _ = dist_many(A, B, kind)
+        if Q == 1:
+            assert cost[0] == value[0] == math.inf and cost[1] == value[1] == 0.0
+        else:
+            assert (cost == math.inf).all() and (value == math.inf).all()
+        assert np.array_equal(perm, np.tile(np.arange(Q), (2, 1)))
