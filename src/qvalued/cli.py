@@ -224,8 +224,7 @@ def _curve_grid(obj, resolution: int) -> GridFunction:
     else:
         raise ArgumentError("domain", f"field 'domain' must be \"disk\" or \"square\", "
                                       f"got {_short(domain)}")
-    locs, values = extend._samples(curve, "curve", m)
-    vals = np.array([value.points for value in values])
+    locs, _, vals = extend._samples(curve, "curve", m)
     if vals.shape[1:] != (Q, n):
         raise ArgumentError("curve", f"each 'value' in field 'curve' must have shape {(Q, n)}")
     if resolution < lowest:

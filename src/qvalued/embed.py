@@ -95,12 +95,10 @@ class DirectionFrame:
         if not 0 < self.epsilon < math.inf:
             raise _FrameArgumentError("epsilon", f"field 'epsilon' must be a positive finite "
                                                  f"number, got {self.epsilon}")
-        eye = np.eye(self.n)
-        for k in range(self.K):
-            gram = self.bases[k] @ self.bases[k].T
-            if np.abs(gram - eye).max() > 1e-10:
-                raise _FrameArgumentError("bases", f"basis {k} in field 'bases' is not "
-                                                   "orthonormal to 1e-10")
+        skewed = _skewed(self.bases)
+        if skewed.size:
+            raise _FrameArgumentError("bases", f"basis {skewed[0]} in field 'bases' is not "
+                                               "orthonormal to 1e-10")
         if validate:
             measured = measured_separation(self.bases[:, 0, :], self.Q)
             if measured < self.epsilon - 1e-12:
@@ -142,23 +140,27 @@ class DirectionFrame:
         return cls(n, Q, bases, epsilon)
 
 
-def _validation_draws(Q: int, n: int, draws: int = _VALIDATION_DRAWS, chunk: int = None):
+def _skewed(bases: np.ndarray) -> np.ndarray:
+    """The indices of the bases of a (K, n, n) stack whose rows are not orthonormal to 1e-10."""
+    gram = bases @ bases.transpose(0, 2, 1)
+    return np.flatnonzero(np.abs(gram - np.eye(bases.shape[2])).max(axis=(1, 2)) > 1e-10)
+
+
+def _validation_draws(Q: int, n: int, chunk: int = _VALIDATION_DRAWS):
     """The fixed validation draws, each L = Q^2 random unit vectors of R^n, in
     consecutive (chunk, L, n) blocks: one stream, so the same numbers as one
     draw at a time.  One block holds every draw unless ``chunk`` is given."""
     L = max(1, Q * Q)
     rng = np.random.default_rng(_VALIDATION_SEED)
-    chunk = draws if chunk is None else chunk
-    for lo in range(0, draws, chunk):
-        V = rng.standard_normal((min(chunk, draws - lo), L, n))
+    for lo in range(0, _VALIDATION_DRAWS, chunk):
+        V = rng.standard_normal((min(chunk, _VALIDATION_DRAWS - lo), L, n))
         V /= np.linalg.norm(V, axis=2, keepdims=True)
         yield V
 
 
-def _draw_separation(directions: np.ndarray, Q: int, draws: int = _VALIDATION_DRAWS,
-                     held: np.ndarray = None) -> np.ndarray:
+def _draw_separation(directions: np.ndarray, Q: int, held: np.ndarray = None) -> np.ndarray:
     """Per validation draw of L = Q^2 random unit vectors, the best direction's
-    worst absolute inner product with them, shape (draws,).
+    worst absolute inner product with them, shape (``_VALIDATION_DRAWS``,).
 
     The draw sequence is fixed, so the values are reproducible, and the
     elementwise max of the values of two sets of directions is the value of
@@ -171,9 +173,9 @@ def _draw_separation(directions: np.ndarray, Q: int, draws: int = _VALIDATION_DR
     K, n = directions.shape
     L = max(1, Q * Q)
     chunk = max(1, (1 << 18) // (K * L))
-    blocks = (_validation_draws(Q, n, draws, chunk) if held is None
-              else (held[lo:lo + chunk] for lo in range(0, draws, chunk)))
-    best = np.empty(draws)
+    blocks = (_validation_draws(Q, n, chunk) if held is None
+              else (held[lo:lo + chunk] for lo in range(0, _VALIDATION_DRAWS, chunk)))
+    best = np.empty(_VALIDATION_DRAWS)
     lo = 0
     for V in blocks:
         if L > 1:
@@ -191,11 +193,10 @@ def _draw_separation(directions: np.ndarray, Q: int, draws: int = _VALIDATION_DR
     return best
 
 
-def measured_separation(directions: np.ndarray, Q: int,
-                        draws: int = _VALIDATION_DRAWS) -> float:
+def measured_separation(directions: np.ndarray, Q: int) -> float:
     """Largest epsilon the direction set certifies on the validation draws:
     the minimum over draws of ``_draw_separation``."""
-    return float(_draw_separation(directions, Q, draws).min(initial=math.inf))
+    return float(_draw_separation(directions, Q).min(initial=math.inf))
 
 
 def _greedy_directions(pool: np.ndarray):
@@ -288,7 +289,7 @@ def build_frame(n: int, Q: int, K="auto", *, seed: int = 0, eps_floor: float = 0
     for k in schedule:
         new = np.array(list(itertools.islice(greedy, k - len(dirs))))
         dirs = np.concatenate([dirs, new])
-        best = np.maximum(best, _draw_separation(new, Q, _VALIDATION_DRAWS, held))
+        best = np.maximum(best, _draw_separation(new, Q, held))
         eps = float(best.min())
         if eps >= eps_floor or not auto:
             if eps <= 0:
@@ -311,12 +312,6 @@ def pi_e(v: QTuple, e) -> np.ndarray:
     return np.sort(v.points @ e)
 
 
-def _check_orthonormal(basis: np.ndarray) -> None:
-    n = basis.shape[0]
-    if basis.shape != (n, n) or np.abs(basis @ basis.T - np.eye(n)).max() > 1e-10:
-        raise ValueError("basis rows must be orthonormal to 1e-10")
-
-
 def xi0(v: QTuple, basis) -> np.ndarray:
     """Sorted projections onto every vector of one orthonormal basis, concatenated.
 
@@ -326,7 +321,8 @@ def xi0(v: QTuple, basis) -> np.ndarray:
     basis = np.asarray(basis, dtype=float)
     if basis.shape != (v.n, v.n):
         raise ValueError(f"basis must be ({v.n}, {v.n}), got {basis.shape}")
-    _check_orthonormal(basis)
+    if _skewed(basis[None]).size:
+        raise ValueError("basis rows must be orthonormal to 1e-10")
     return np.concatenate([pi_e(v, basis[j]) for j in range(v.n)])
 
 
@@ -337,6 +333,8 @@ def _sorted_projections(X, frame: DirectionFrame) -> np.ndarray:
         raise ValueError(f"tuple stack must have shape (E, Q, n), got {X.shape}")
     if X.shape[2] != frame.n:
         raise ValueError(f"tuple has n={X.shape[2]}, frame has n={frame.n}")
+    if X.shape[1] != frame.Q:
+        raise ValueError(f"tuple has Q={X.shape[1]}, frame has Q={frame.Q}")
     return np.sort(np.matmul(frame._dirmat, X.transpose(0, 2, 1)), axis=2)
 
 
@@ -344,7 +342,8 @@ def xi_many(X, frame: DirectionFrame) -> np.ndarray:
     """The frame embedding of every tuple of a (E, Q, n) stack, one row each.
 
     Row e is ``xi`` of the tuple with points ``X[e]``: per-direction sorted
-    projections, concatenated and scaled by K^(-1/2); shape (E, Q*n*K).
+    projections, concatenated and scaled by K^(-1/2); shape (E, Q*n*K).  A Q
+    or n other than the frame's, for which it certifies nothing, raises ValueError.
     """
     proj = _sorted_projections(X, frame)
     E, R, Q = proj.shape

@@ -370,8 +370,6 @@ def _line_minimum(S, b, c, p):
     def slope(t):
         s = np.maximum(S + t * (b2 + t * c), 0.0)
         pos = s > 0.0
-        if pos.all():
-            return float((s ** power * (b + t * c)).sum())
         return float((s[pos] ** power * (b[pos] + t * c[pos])).sum())
 
     f0 = slope(0.0)

@@ -56,14 +56,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import _MAX_ENTRIES, ArgumentError
-from .grids import GridFunction, OUTSIDE, _blocks, _nearest, square_mask
+from .grids import GridFunction, OUTSIDE, _blocks, _lattice, _nearest, square_mask
 from .qspace import MetricKind, QTuple, match_many, vector_norms
 
 
 def _samples(pairs, name: str, m=None):
-    """The locations, as an (L, m) array, and the values, as QTuples, of the
-    ``(location, value)`` pairs of the argument ``name``, whose locations must
-    be finite.  ``m`` defaults to the size of the first location."""
+    """The locations (L, m), the values as QTuples and their points (L, Q, n)
+    of the ``(location, value)`` pairs of the argument ``name``, whose locations
+    must be finite.  ``m`` defaults to the size of the first location."""
     if not pairs:
         raise ArgumentError(name, f"field '{name}' must hold at least one point")
     locs = [np.asarray(loc, dtype=float).reshape(-1) for loc, _ in pairs]
@@ -78,7 +78,7 @@ def _samples(pairs, name: str, m=None):
     values = [value if isinstance(value, QTuple) else QTuple(value) for _, value in pairs]
     if len({(value.Q, value.n) for value in values}) > 1:
         raise ArgumentError(name, f"the values in field '{name}' must share Q and n")
-    return locs, values
+    return locs, values, np.array([value.points for value in values])
 
 
 @dataclass
@@ -97,9 +97,8 @@ class BoundarySample:
     m: int
 
     def __post_init__(self):
-        self.locations, values = _samples(self.points, "points", self.m)
+        self.locations, values, self.value_array = _samples(self.points, "points", self.m)
         self.points = list(zip(self.locations, values))
-        self.value_array = np.array([value.points for value in values])
         self.Q, self.n = self.value_array.shape[1:]
 
 
@@ -403,7 +402,7 @@ class WhitneyExtension:
     """
 
     def __init__(self, data, box, depth: int):
-        locs, values = _samples(data, "data")
+        locs, _, vals = _samples(data, "data")
         self.m = locs.shape[1]
         if self.m not in (1, 2):
             raise ArgumentError("data", f"the locations in field 'data' must hold m=1 or m=2 "
@@ -411,9 +410,8 @@ class WhitneyExtension:
         # return_index: the plain np.unique loads numpy.ma, 15-21 ms of a one-shot run
         if np.unique(locs, axis=0, return_index=True)[0].shape[0] != locs.shape[0]:
             raise ArgumentError("data", "the locations in field 'data' must be distinct")
-        Q, n = self.Q, self.n = values[0].Q, values[0].n
-        self.locs = locs
-        self.vals = np.array([value.points for value in values])
+        Q, n = self.Q, self.n = vals.shape[1:]
+        self.locs, self.vals = locs, vals
         box = np.asarray(box, dtype=float)
         if box.size != 2 * self.m:
             raise ArgumentError("box", f"field 'box' must hold a [low, high] pair for each of "
@@ -742,8 +740,7 @@ def extend_to_plane(f: GridFunction) -> GridFunction:
     kept = np.zeros(shape_out, dtype=bool)
     kept[(slice(pad, pad + N),) * f.m] = inside
     values[kept] = in_vals
-    idx = np.indices(shape_out).reshape(f.m, -1).T
-    x = (idx - (N_out - 1) / 2.0) * f.h
+    x = _lattice(shape_out, f.h).reshape(-1, f.m)
     r = vector_norms(x)
     # inside the ball but off the sampled domain: the nearest node
     ball = np.flatnonzero(~kept.ravel() & (r < 1.0))

@@ -57,6 +57,13 @@ def _nearest(points: np.ndarray, sites: np.ndarray, budget: int = 1 << 16) -> tu
     return index, gap
 
 
+def _lattice(shape, h: float) -> np.ndarray:
+    """Coordinates of every node of a centered grid, shape ``(*shape, m)``."""
+    m = len(shape)
+    nodes = np.indices(shape).reshape(m, -1).T  # one row of indices per node, in C order
+    return ((nodes - (np.asarray(shape, dtype=float) - 1.0) / 2.0) * h).reshape(*shape, m)
+
+
 @dataclass(eq=False)
 class GridFunction:
     """A Q-valued map sampled on a regular grid.
@@ -125,11 +132,7 @@ class GridFunction:
 
     def all_coords(self) -> np.ndarray:
         """Coordinates of every node, shape ``(*shape, m)``."""
-        axes = [
-            (np.arange(s, dtype=float) - (s - 1) / 2.0) * self.h for s in self.shape
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return _lattice(self.shape, self.h)
 
     def node_index(self, kinds=(INTERIOR, BOUNDARY)) -> np.ndarray:
         """Flat (C-order) indices of the nodes whose mask is in ``kinds``."""
@@ -225,9 +228,7 @@ def disk_mask(resolution: int) -> np.ndarray:
     Interior nodes lie strictly inside the unit circle; boundary nodes are
     the outside nodes axis-adjacent to an interior one.
     """
-    h = 2.0 / (resolution - 1)
-    c = (resolution - 1) / 2.0
-    x, y = (np.indices((resolution, resolution)).astype(float) - c) * h
+    x, y = np.moveaxis(_lattice((resolution, resolution), 2.0 / (resolution - 1)), -1, 0)
     inside = np.sqrt(x * x + y * y) < 1.0
     # a node is next to the disk when one of its four axis neighbours is inside it
     padded = np.pad(inside, 1)

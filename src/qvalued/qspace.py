@@ -156,31 +156,38 @@ def _optimum(cost: np.ndarray) -> float:
 
 
 def _lexmin_assignment(cost: np.ndarray, limit: float) -> np.ndarray:
-    """The lexicographically smallest assignment whose cost is at most ``limit``.
+    """The lexicographically smallest assignment on a nonnegative ``cost`` whose
+    cost is at most ``limit``, up to rounding.
 
     Each row in turn takes the smallest free column from which the remaining
     rows can still be assigned within ``limit``, as a solve on the remaining
     block confirms.  A column whose own cost already takes the prefix past
     ``limit`` is skipped unsolved: the rest costs at least 0 and rounding is
-    monotone, so the full test would reject it too.
+    monotone, so the full test would reject it too.  The test sums in another
+    order than the next row's, so a column taken within an ulp of ``limit``
+    can leave none that passes.  The row then takes the column of least test
+    total, at most the last test's, and that total is the rest's limit.
     """
     Q = cost.shape[0]
     free = list(range(Q))
     perm = np.empty(Q, dtype=int)
     prefix = 0.0
     for i in range(Q):
+        totals = {}
         for j in free:
             if prefix + cost[i, j] > limit:
                 continue
             rest_cols = [c for c in free if c != j]
             rest = _optimum(cost[np.ix_(np.arange(i + 1, Q), rest_cols)]) if rest_cols else 0.0
-            if prefix + cost[i, j] + rest <= limit:
-                perm[i] = j
-                prefix += cost[i, j]
-                free.remove(j)
+            totals[j] = prefix + cost[i, j] + rest
+            if totals[j] <= limit:
                 break
-        else:  # pragma: no cover - the optimal column always qualifies
-            raise AssertionError("assignment refinement failed")
+        else:
+            j = min(totals, key=totals.get)
+            limit = totals[j]
+        perm[i] = j
+        prefix += cost[i, j]
+        free.remove(j)
     return perm
 
 
@@ -265,7 +272,6 @@ def match_many(A: np.ndarray, B: np.ndarray, kind: MetricKind):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = A.shape[1]
-    # one enum lookup each: the extension makes thousands of one-row calls
     squared, bottleneck = kind is MetricKind.G2, kind is MetricKind.GINF
     if Q == 1:
         d = A[:, 0] - B[:, 0]
@@ -381,8 +387,7 @@ def dist_sorted_1d(v: QTuple, w: QTuple) -> float:
     """
     if v.n != 1 or w.n != 1:
         raise ValueError(f"dist_sorted_1d needs n=1 tuples, got n={v.n} and n={w.n}")
-    if v.Q != w.Q:
-        raise ValueError(f"multiplicity mismatch: Q={v.Q} vs Q={w.Q}")
+    _check_compatible(v, w)
     a = np.sort(v.points[:, 0])
     b = np.sort(w.points[:, 0])
     return float(np.linalg.norm(a - b))
@@ -471,9 +476,5 @@ def local_split(center: QTuple, v: QTuple):
             raise SplitRadiusError("grouping does not reproduce the center multiplicities")
     parts = [QTuple(v.points[idx]) for idx in groups]
     position = np.empty(v.Q, dtype=int)
-    offset = 0
-    for idx in groups:
-        for k, i in enumerate(idx):
-            position[i] = offset + k
-        offset += idx.size
+    position[np.concatenate(groups)] = np.arange(v.Q)
     return parts, Matching(tuple(position))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import embed
 from ._fields import _MAX_ENTRIES, ArgumentError, _int_field, _is_int, _is_number, _short
-from .grids import _blocks, empty_grid
+from .grids import _blocks, _lattice, empty_grid
 from .qspace import MetricKind, dist_many, match_many, split_distance_many, vector_norms
 
 _CHECK_OFFSETS = {
@@ -365,7 +365,7 @@ def _lipschitz_grids(freq, phase, amp, N: int) -> np.ndarray:
     Returns the values at the nodes in C order, shape (T, N**m, Q, n).
     """
     m = freq.shape[3]
-    x = (np.indices((N,) * m).reshape(m, -1).T - (N - 1) / 2.0) * (2.0 / (N - 1))  # C order
+    x = _lattice((N,) * m, 2.0 / (N - 1)).reshape(-1, m)  # C order
     # one dot product per (map, node, branch, coordinate): a stacked matmul
     # rounds as freq[t, i, c] @ x does, where einsum or an explicit sum can differ
     arg = (freq[:, None, :, :, None, :] @ x[None, :, None, None, :, None])[..., 0, 0]

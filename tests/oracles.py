@@ -1308,3 +1308,46 @@ def build_frame_reference(n: int, Q: int, K="auto", seed: int = 0, eps_floor: fl
                 bases.append(Qmat.T)
             return np.array(bases), eps
     return None
+
+
+# -- the node-coordinate rule, a copy in each caller, and the line search's
+# -- slope with its all-positive branch, as they were
+
+
+def disk_mask_reference(resolution: int) -> np.ndarray:
+    """``grids.disk_mask`` as it was, with its own copy of the rule that node
+    ``idx`` sits at ``(idx - (shape - 1)/2) * h``."""
+    h = 2.0 / (resolution - 1)
+    c = (resolution - 1) / 2.0
+    x, y = (np.indices((resolution, resolution)).astype(float) - c) * h
+    inside = np.sqrt(x * x + y * y) < 1.0
+    padded = np.pad(inside, 1)
+    near = padded[:-2, 1:-1] | padded[2:, 1:-1] | padded[1:-1, :-2] | padded[1:-1, 2:]
+    return np.where(inside, 0, np.where(near, 1, 2)).astype(np.int8)
+
+
+def all_coords_reference(shape, h: float) -> np.ndarray:
+    """``GridFunction.all_coords`` as it was: one axis of coordinates at a time."""
+    axes = [(np.arange(s, dtype=float) - (s - 1) / 2.0) * h for s in shape]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def line_minimum_reference(S, b, c, p):
+    """``energy._line_minimum`` as it was, its slope summing every term at
+    once when all of ``S + 2bt + ct^2`` are positive."""
+    from qvalued.energy import _brent
+
+    b2, power = 2.0 * b, p / 2.0 - 1.0
+
+    def slope(t):
+        s = np.maximum(S + t * (b2 + t * c), 0.0)
+        pos = s > 0.0
+        if pos.all():
+            return float((s ** power * (b + t * c)).sum())
+        return float((s[pos] ** power * (b[pos] + t * c[pos])).sum())
+
+    f0 = slope(0.0)
+    if not f0 < 0.0:
+        return 0.0
+    f64 = slope(64.0)
+    return 64.0 if f64 < 0.0 else _brent(slope, 0.0, 64.0, f0, f64, 1e-14)

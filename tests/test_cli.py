@@ -269,6 +269,16 @@ class TestFrameEmbedDecode:
         err = capsys.readouterr().err
         assert "z.csv" in err and "evaluation budget" in err
 
+    def test_embed_refuses_a_tuple_of_other_multiplicity(self, tmp_path, capsys):
+        # a Q = 2 frame certifies nothing for a Q = 3 tuple, and decode would
+        # refuse the vector's length
+        frame_path = str(tmp_path / "frame.json")
+        assert main(["frame", "--n", "2", "--q", "2", "--seed", "1", "--out", frame_path]) == 0
+        t = write(tmp_path / "t.json", json.dumps([[0.3, -0.2], [1.0, 0.4], [0.0, 0.5]]))
+        assert main(["embed", "--frame", frame_path, "--tuple", t]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: tuple has Q=3, frame has Q=2\n" and captured.out == ""
+
     def test_missing_frame_field(self, tmp_path):
         bad = write(tmp_path / "frame.json", json.dumps({"n": 2, "Q": 1}))
         t = write(tmp_path / "t.json", "[[1, 0]]")

@@ -107,7 +107,7 @@ class TestXi0:
             assert np.linalg.norm(xi0(v, basis) - xi0(w, basis)) <= g2 + 1e-9
 
     def test_bad_basis(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="basis rows must be orthonormal to 1e-10"):
             xi0(QTuple([[1, 0]]), np.array([[1, 0], [1, 0]]))
 
 
@@ -199,6 +199,17 @@ class TestBuildFrame:
         with pytest.raises(ArgumentError) as info:
             build_frame(n, Q, K)
         assert info.value.name == name
+
+    def test_skewed_basis_named(self):
+        # only basis 3 of 5 is off, by far more than 1e-10: the message names it
+        frame = build_frame(3, 2, K=5, seed=1)
+        bases = frame.bases.copy()
+        bases[3, 1] += 1e-6 * bases[3, 0]
+        DirectionFrame(3, 2, frame.bases, frame.epsilon)
+        with pytest.raises(ArgumentError, match="^basis 3 in field 'bases' is not "
+                                                "orthonormal to 1e-10$") as info:
+            DirectionFrame(3, 2, bases, frame.epsilon)
+        assert info.value.name == "bases"
 
     def test_separation_measured_once(self, monkeypatch):
         # build_frame keeps the epsilon it measured instead of measuring it
@@ -363,13 +374,17 @@ class TestStackedAgainstPerTuple:
             d = rng.standard_normal((K, n))
             d /= np.linalg.norm(d, axis=1, keepdims=True)
             assert measured_separation(d, Q) == measured_separation_reference(d, Q)
-        assert measured_separation(d, Q, draws=7) == measured_separation_reference(d, Q, draws=7)
 
     def test_stack_shape_checked(self, frame22):
         with pytest.raises(ValueError):
             xi_many(np.zeros((4, 2, 3)), frame22)
         with pytest.raises(ValueError):
             xi_many(np.zeros((2, 2)), frame22)
+        # the frame certifies its separation at its own Q only
+        with pytest.raises(ValueError, match="^tuple has Q=3, frame has Q=2$"):
+            xi(QTuple(np.zeros((3, 2))), frame22)
+        with pytest.raises(ValueError, match="^tuple has Q=1, frame has Q=2$"):
+            xi_isometry_radius_many(np.zeros((4, 1, 2)), frame22)
         assert xi_many(np.zeros((0, 2, 2)), frame22).shape == (0, frame22.ambient_length)
         assert xi_isometry_radius_many(np.zeros((0, 2, 2)), frame22).shape == (0,)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -27,7 +28,14 @@ from qvalued.grids import (
 )
 from qvalued.qspace import QTuple, dist
 
-from oracles import grid_to_json_reference, lipschitz_truncation_reference, scalar_laplace_solve
+from oracles import (
+    all_coords_reference,
+    disk_mask_reference,
+    grid_to_json_reference,
+    line_minimum_reference,
+    lipschitz_truncation_reference,
+    scalar_laplace_solve,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -120,6 +128,21 @@ class TestGridFunction:
             for j in range(11):
                 if mask[i, j] == BOUNDARY:
                     assert math.hypot((i - c) * h, (j - c) * h) >= 1.0
+
+    def test_disk_mask_keeps_its_former_formula(self):
+        for N in range(2, 81):
+            assert disk_mask(N).tobytes() == disk_mask_reference(N).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_all_coords_keep_their_former_formula(self, m):
+        # every shape up to 9^m, bit for bit, -0.0 included
+        for shape in itertools.product(range(1, 10), repeat=m):
+            for h in (0.1, 0.37, 2.0 / max(max(shape) - 1, 1)):
+                g = GridFunction(m, 1, 1, shape, h, np.zeros(shape, dtype=np.int8),
+                                 np.zeros(shape + (1, 1)))
+                got, want = g.all_coords(), all_coords_reference(shape, h)
+                assert got.shape == want.shape == shape + (m,)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestDpDistance:
@@ -588,6 +611,26 @@ class TestTraceContinuity:
             assert tr <= prev
             prev = tr
         assert prev <= 0.01  # vanishing with the perturbation scale
+
+
+class TestLineMinimum:
+    @pytest.mark.parametrize("zeros", [0, 3])
+    def test_matches_the_slope_with_an_all_positive_branch(self, zeros):
+        # the step of sum(|d + tD|^p) over random edges, with its minimum moved
+        # into [0, 40]; ``zeros`` edges have d = D = 0, whose terms are never
+        # positive, as on an edge between two equal fixed values
+        rng = np.random.default_rng(41 + zeros)
+        inside = 0
+        for _ in range(300):
+            d, D = rng.normal(size=(2, int(rng.integers(1, 30)), 2))
+            d[:zeros] = D[:zeros] = 0.0
+            t0 = rng.uniform(0.0, 40.0)
+            S, b, c = (d * d).sum(1), (d * D).sum(1) - t0 * (D * D).sum(1), (D * D).sum(1)
+            p = float(rng.uniform(1.2, 8.0))
+            t = energy._line_minimum(S, b, c, p)
+            assert t == line_minimum_reference(S, b, c, p)
+            inside += 0.0 < t < 64.0
+        assert inside > 200
 
 
 class TestBrent:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qvalued.qspace import MetricKind, QTuple, dist, dist_many, match_many
+from qvalued.qspace import (MetricKind, QTuple, _lexmin_assignment, _optimum, _perm_table, dist,
+                            dist_many, match_many)
 
 from oracles import all_pairing_costs, match_many_reference, pairing_cost, sum_dist_reference
 
@@ -263,3 +264,64 @@ class TestInfiniteCosts:
         else:
             assert (cost == math.inf).all() and (value == math.inf).all()
         assert np.array_equal(perm, np.tile(np.arange(Q), (2, 1)))
+
+
+def refine(D):
+    """The Q > 5 refinement that ``match_many`` runs on a G1 or G2 cost block,
+    and the limit it refines within."""
+    limit = _optimum(D) * (1.0 + 1e-12)
+    return _lexmin_assignment(D, limit), limit
+
+
+def point_order_totals(D):
+    """The total of every permutation of ``_perm_table``, added in point order."""
+    P = _perm_table(len(D))
+    total = D[0].take(P[:, 0])
+    for i in range(1, len(D)):
+        total = total + D[i].take(P[:, i])
+    return total
+
+
+def near_threshold_blocks(count, seed=1):
+    """Q = 6 blocks of small integers over 3, in which one permutation before
+    the table's pick has one entry moved to put its total within 4 ulps, either
+    side, of the least total times 1 + 1e-12."""
+    P = _perm_table(6)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    while len(blocks) < count:
+        D = rng.integers(1, 5, (6, 6)) / 3
+        total = point_order_totals(D)
+        pick = int(np.argmax(total <= total.min() * (1.0 + 1e-12)))
+        if pick == 0:
+            continue
+        p, i = int(rng.integers(0, pick)), int(rng.integers(0, 6))
+        target = total.min() * (1.0 + 1e-12)
+        D[i, P[p, i]] += target + int(rng.integers(-4, 5)) * np.spacing(target) - total[p]
+        total = point_order_totals(D)
+        target = total.min() * (1.0 + 1e-12)
+        if D[i, P[p, i]] >= 0 and abs(total[p] - target) <= 4 * np.spacing(target):
+            blocks.append(D)
+    return blocks
+
+
+class TestLexminRefinement:
+    """The Q > 5 refinement of G1 and G2 where rounding decides: its test adds
+    the prefix, the column and the rest's optimum in another order than the
+    next row's test, so a column taken within an ulp of the limit can leave
+    no column that passes."""
+
+    def test_dead_end_takes_the_least_total(self):
+        T = [[1, 4, 2, 1, 1, 2], [2, 4, 2, 3, 2, 3], [3, 2, 2, 1, 1, 3],
+             [4, 3, 4, 1, 2, 4], [4, 3, 1, 1, 1, 3], [3, 3, 1, 1, 2, 1]]
+        D = np.array(T) / 3
+        D[0, 0] = 0.33333333333600035
+        perm, limit = refine(D)
+        assert sorted(perm.tolist()) == list(range(6))
+        assert D[np.arange(6), perm].sum() <= limit + 6 * np.spacing(limit)
+
+    def test_near_threshold_totals_never_raise(self):
+        for D in near_threshold_blocks(200):
+            perm, limit = refine(D)
+            assert sorted(perm.tolist()) == list(range(6))
+            assert D[np.arange(6), perm].sum() <= limit + 6 * np.spacing(limit)

@@ -219,6 +219,10 @@ class TestSorted1d:
         with pytest.raises(ValueError):
             dist_sorted_1d(QTuple([[1, 2]]), QTuple([[1, 2]]))
 
+    def test_rejects_other_multiplicity(self):
+        with pytest.raises(ValueError, match="^multiplicity mismatch: Q=2 vs Q=1$"):
+            dist_sorted_1d(qt(1, 2), qt(1))
+
     def test_agrees_with_dist(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
@@ -288,6 +292,13 @@ class TestLocalSplit:
         src = qt(0.1, -0.1, 9.8)
         for i, j in enumerate(assignment.perm):
             assert np.array_equal(flat[j], src.points[i])
+
+    def test_interleaved_groups(self):
+        # v's points alternate between the two support points of the center,
+        # so the concatenation reorders them
+        parts, assignment = local_split(qt(0, 10, 0, 10), qt(0.1, 9.9, -0.1, 10.1))
+        assert parts == [qt(0.1, -0.1), qt(9.9, 10.1)]
+        assert assignment.perm == (0, 2, 1, 3)
 
     def test_center_equals_value(self):
         v = qt(0, 0, 5)
